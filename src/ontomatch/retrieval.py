@@ -33,7 +33,7 @@ from .errors import (
     UnknownEntity,
     ZeroVector,
 )
-from .fileio import atomic_write_text
+from .fileio import atomic_write_bytes, atomic_write_text
 from .ontology import Entity, Ontology
 
 logger = logging.getLogger(__name__)
@@ -154,25 +154,35 @@ def build_kb(
     )
 
 
+_KB_HEADER_KEYS = ("vector-kb", "dim", "provider", "rows")
+
+
 def save_kb(kb: VectorKB, path: str) -> None:
-    """Persist a KB: header comments, then label / owners / vector rows."""
-    lines = [
-        f"# vector-kb {kb.ontology_name}",
-        f"# dim {kb.dim}",
-        f"# provider {kb.fingerprint}",
-    ]
-    order = sorted(range(len(kb.labels)), key=lambda i: kb.labels[i])
+    """Persist a KB as one binary file.
+
+    Layout: four header lines (``# vector-kb <name>``, ``# dim <d>``,
+    ``# provider <fingerprint>``, ``# rows <n>``), then n index lines
+    ``label<TAB>owner,owner`` in sorted label order, then the n*d matrix
+    as little-endian float64, row-major, in the same row order. Equal KBs
+    give identical bytes.
+    """
+    order = sorted(range(len(kb.labels)), key=kb.labels.__getitem__)
+    values = (kb.ontology_name, kb.dim, kb.fingerprint, len(order))
+    lines = [f"# {key} {value}\n" for key, value in zip(_KB_HEADER_KEYS, values)]
     for i in order:
         label = kb.labels[i]
+        if "\t" in label or "\n" in label:
+            raise InvalidParameter(f"label {label!r} cannot contain tab or newline")
         owners = sorted(kb.owners[i])
         for owner in owners:
-            if "," in owner or "\t" in owner:
+            if any(ch in owner for ch in ",\t\n"):
                 raise InvalidParameter(
-                    f"entity id {owner!r} cannot contain comma or tab"
+                    f"entity id {owner!r} cannot contain comma, tab or newline"
                 )
-        row = ",".join(repr(float(x)) for x in kb.matrix[i])
-        lines.append(f"{label}\t{','.join(owners)}\t{row}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        lines.append(f"{label}\t{','.join(owners)}\n")
+    matrix = kb.matrix if order == list(range(len(order))) else kb.matrix[order]
+    block = np.ascontiguousarray(matrix, dtype="<f8")
+    atomic_write_bytes(path, "".join(lines).encode("utf-8"), block.data)
 
 
 def _parse_headers(path: str, lines: list[str]) -> dict[str, str]:
@@ -188,58 +198,90 @@ def _parse_headers(path: str, lines: list[str]) -> dict[str, str]:
     return headers
 
 
-def load_kb(path: str, expected_fingerprint: str | None = None) -> VectorKB:
-    """Load a persisted KB; StaleKB if the fingerprint is not the expected one."""
-    with open(path, "r", encoding="utf-8") as handle:
-        raw_lines = [line.rstrip("\n").rstrip("\r") for line in handle]
-    headers = _parse_headers(path, raw_lines)
-    for key in ("vector-kb", "dim", "provider"):
-        if key not in headers:
-            raise MalformedRecord(path, 0, f"missing header '# {key} ...'")
+def _kb_count(path: str, line_no: int, key: str, value: str) -> int:
     try:
-        dim = int(headers["dim"])
+        count = int(value)
     except ValueError:
-        raise MalformedRecord(path, 0, f"bad dim header {headers['dim']!r}") from None
+        count = 0
+    if count < 1:
+        raise MalformedRecord(path, line_no, f"bad {key} header {value!r}")
+    return count
+
+
+def load_kb(path: str, expected_fingerprint: str | None = None) -> VectorKB:
+    """Load a KB written by save_kb; StaleKB if the fingerprint is not the
+    expected one.
+
+    Exactly four header lines and the number of index lines the rows header
+    gives are parsed, so a label may start with '#'. The matrix is a
+    read-only view of the file's bytes.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    headers: dict[str, str] = {}
+    pos = 0
+    for line_no, key in enumerate(_KB_HEADER_KEYS, start=1):
+        end = data.find(b"\n", pos)
+        prefix = f"# {key} ".encode()
+        if end < 0 or not data.startswith(prefix, pos):
+            raise MalformedRecord(path, line_no, f"missing header '# {key} ...'")
+        try:
+            headers[key] = data[pos + len(prefix):end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedRecord(path, line_no, f"bad header: {exc}") from None
+        pos = end + 1
+    dim = _kb_count(path, 2, "dim", headers["dim"])
+    rows = _kb_count(path, 4, "rows", headers["rows"])
     fingerprint = headers["provider"]
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         raise StaleKB(
             f"{path} was built with provider {fingerprint!r}, "
             f"expected {expected_fingerprint!r}; rebuild the KB"
         )
+    index_start = pos
+    for row in range(rows):
+        end = data.find(b"\n", pos)
+        if end < 0:
+            raise MalformedRecord(
+                path, 5 + row, f"index ends after {row} of {rows} lines"
+            )
+        pos = end + 1
+    expected_bytes = rows * dim * 8
+    if len(data) - pos != expected_bytes:
+        raise MalformedRecord(
+            path, 5 + rows,
+            f"matrix block has {len(data) - pos} bytes, expected {expected_bytes}",
+        )
+    try:
+        index_lines = data[index_start:pos - 1].decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(path, 5, f"bad index text: {exc}") from None
     labels: list[str] = []
     owners: list[frozenset[str]] = []
-    rows: list[np.ndarray] = []
-    for line_no, line in enumerate(raw_lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for line_no, line in enumerate(index_lines, start=5):
         fields = line.split("\t")
-        if len(fields) != 3:
+        if len(fields) != 2:
             raise MalformedRecord(
-                path, line_no, f"expected 3 tab-separated fields, got {len(fields)}"
+                path, line_no, f"expected 2 tab-separated fields, got {len(fields)}"
             )
-        label, owner_field, vector_field = fields
+        label, owner_field = fields
         if not owner_field:
             raise MalformedRecord(path, line_no, "empty owner list")
-        try:
-            vector = np.array(
-                [float(x) for x in vector_field.split(",")], dtype=np.float64
-            )
-        except ValueError as exc:
-            raise MalformedRecord(path, line_no, f"bad float: {exc}") from None
-        if vector.size != dim:
-            raise MalformedRecord(
-                path, line_no, f"vector has {vector.size} components, header says {dim}"
-            )
         labels.append(label)
         owners.append(frozenset(owner_field.split(",")))
-        rows.append(vector)
-    if not labels:
-        raise MalformedRecord(path, 0, "no KB rows")
+    matrix = np.frombuffer(data, dtype="<f8", count=rows * dim, offset=pos)
+    matrix = matrix.reshape(rows, dim)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite)[0])
+        raise MalformedRecord(
+            path, 5 + row, f"label {labels[row]!r} has a non-finite vector value"
+        )
     return VectorKB(
         ontology_name=headers["vector-kb"],
         labels=labels,
         owners=owners,
-        matrix=np.stack(rows),
+        matrix=matrix,
         fingerprint=fingerprint,
     )
 

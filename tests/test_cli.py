@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -159,6 +160,23 @@ def test_rebuilds_are_byte_identical(tmp_path):
     assert read_bytes(os.path.join(out, "runs", "a", "alignment.tsv")) == read_bytes(
         os.path.join(out, "runs", "b", "alignment.tsv")
     )
+
+
+def test_artifact_modes_follow_the_umask(tmp_path):
+    out, config = make_corpus(tmp_path, n=6, hcb="1.0")
+    umask = 0o027
+    previous = os.umask(umask)
+    try:
+        assert main(["build-kb", "--config", config]) == EXIT_OK
+        assert main(["predict", "--config", config]) == EXIT_OK
+        assert main(["match", "--config", config, "--run-id", "m"]) == EXIT_OK
+    finally:
+        os.umask(previous)
+    for path in (
+        os.path.join(out, "kb", "source.kb"),
+        os.path.join(out, "runs", "m", "alignment.tsv"),
+    ):
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask
 
 
 def test_match_before_predict_is_a_config_error(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Vector KBs, top-k label retrieval, and candidate databases."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from ontomatch.errors import (
     UnknownEntity,
     ZeroVector,
 )
+from ontomatch.ontology import load_ontology
 from ontomatch.retrieval import (
     DIRECTION_S2T,
     DIRECTION_T2S,
@@ -81,22 +84,54 @@ def test_kb_save_load_round_trip(tmp_path):
         load_kb(path, expected_fingerprint="other/fp")
 
 
+def kb_bytes(dim="2", rows="1", index="a\tE:1\n", values=(1.0, 0.0)):
+    """A KB file's bytes in the save_kb layout, with parts overridable."""
+    head = (
+        f"# vector-kb X\n# dim {dim}\n# provider fp\n# rows {rows}\n{index}"
+    )
+    return head.encode("utf-8") + np.asarray(values, dtype="<f8").tobytes()
+
+
+def test_kb_bytes_helper_builds_a_loadable_kb(tmp_path):
+    path = tmp_path / "ok.kb"
+    path.write_bytes(kb_bytes())
+    kb = load_kb(path)
+    assert kb.labels == ["a"] and kb.owners == [frozenset({"E:1"})]
+    assert kb.matrix.tolist() == [[1.0, 0.0]]
+
+
 @pytest.mark.parametrize(
     "content",
     [
-        "a\tE:1\t1.0,0.0\n",  # no headers at all
-        "# vector-kb X\n# dim two\n# provider fp\na\tE:1\t1.0,0.0\n",
-        "# vector-kb X\n# dim 2\n# provider fp\na\tE:1\t1.0\n",
-        "# vector-kb X\n# dim 2\n# provider fp\na\t\t1.0,0.0\n",
-        "# vector-kb X\n# dim 2\n# provider fp\na\tE:1\t1.0,zz\n",
-        "# vector-kb X\n# dim 2\n# provider fp\n",
+        pytest.param(
+            b"a\tE:1\n" + np.array([1.0, 0.0]).tobytes(), id="no-headers"
+        ),
+        pytest.param(kb_bytes(dim="two"), id="dim-not-integer"),
+        pytest.param(kb_bytes(index="a\t\n"), id="empty-owner-list"),
+        pytest.param(kb_bytes(index="a\tE:1\tx\n"), id="extra-index-field"),
+        pytest.param(kb_bytes(rows="0", index="", values=()), id="zero-rows"),
+        pytest.param(kb_bytes(rows="2"), id="index-shorter-than-rows"),
+        pytest.param(kb_bytes(values=(1.0,)), id="matrix-truncated"),
+        pytest.param(kb_bytes(values=(1.0, 0.0, 0.0)), id="matrix-oversized"),
+        pytest.param(kb_bytes(values=(1.0, float("nan"))), id="matrix-not-finite"),
     ],
 )
 def test_kb_load_malformed(tmp_path, content):
     path = tmp_path / "bad.kb"
-    path.write_text(content, encoding="utf-8")
+    path.write_bytes(content)
     with pytest.raises(MalformedRecord):
         load_kb(path)
+
+
+def test_kb_keeps_labels_that_start_with_hash(tmp_path):
+    dump = tmp_path / "x.tsv"
+    dump.write_text("E:1\talpha\t#1 gene|  # spaced\nE:2\tbeta\n", encoding="utf-8")
+    kb = build_kb(load_ontology(dump, name="X"), DeterministicProvider(dim=4))
+    assert kb.labels == ["# spaced", "#1 gene", "alpha", "beta"]
+    save_kb(kb, tmp_path / "x.kb")
+    loaded = load_kb(tmp_path / "x.kb")
+    assert loaded.labels == kb.labels
+    assert loaded.matrix.tobytes() == kb.matrix.tobytes()
 
 
 def test_save_kb_rejects_comma_in_entity_id(tmp_path):
@@ -104,6 +139,71 @@ def test_save_kb_rejects_comma_in_entity_id(tmp_path):
     kb = build_kb(onto, DeterministicProvider(dim=4))
     with pytest.raises(InvalidParameter):
         save_kb(kb, tmp_path / "x.kb")
+
+
+@pytest.mark.parametrize("label", ["tab\tinside", "new\nline"])
+def test_save_kb_rejects_tab_or_newline_in_label(tmp_path, label):
+    kb = VectorKB("X", [label], [frozenset({"E:1"})], np.ones((1, 2)), "fp")
+    with pytest.raises(InvalidParameter):
+        save_kb(kb, tmp_path / "x.kb")
+
+
+_KB_TEXT = st.characters(exclude_characters="\t\n", exclude_categories=("Cs",))
+_KB_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-310, -1.5]
+)
+
+
+@st.composite
+def random_kbs(draw):
+    dim = draw(st.integers(min_value=1, max_value=8))
+    labels = draw(st.lists(
+        st.text(_KB_TEXT | st.sampled_from(["#", " "]), max_size=8),
+        min_size=1, max_size=8, unique=True,
+    ))
+    owner_ids = st.text(
+        st.characters(exclude_characters=",\t\n", exclude_categories=("Cs",)),
+        min_size=1, max_size=5,
+    )
+    owners = [
+        draw(st.frozensets(owner_ids, min_size=1, max_size=3)) for _ in labels
+    ]
+    rows = []
+    for _ in labels:
+        row = draw(st.lists(_KB_FLOATS, min_size=dim, max_size=dim))
+        # A zero norm is rejected by VectorKB, so one component is normal.
+        pinned = draw(st.integers(min_value=0, max_value=dim - 1))
+        row[pinned] = draw(st.sampled_from([1.0, -1.0])) * draw(
+            st.floats(min_value=1e-3, max_value=1e3)
+        )
+        rows.append(row)
+    return VectorKB(
+        draw(st.text(_KB_TEXT, max_size=6)),
+        labels,
+        owners,
+        np.array(rows, dtype=np.float64),
+        draw(st.text(_KB_TEXT, max_size=12)),
+    )
+
+
+# Components near the float64 limit overflow the norm VectorKB computes.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(deadline=None, max_examples=150)
+@given(kb=random_kbs())
+def test_kb_binary_round_trip_property(kb):
+    order = sorted(range(len(kb)), key=kb.labels.__getitem__)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.kb"), os.path.join(tmp, "b.kb")
+        save_kb(kb, first)
+        loaded = load_kb(first, expected_fingerprint=kb.fingerprint)
+        save_kb(loaded, second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+    assert loaded.ontology_name == kb.ontology_name
+    assert loaded.fingerprint == kb.fingerprint
+    assert loaded.labels == [kb.labels[i] for i in order]
+    assert loaded.owners == [kb.owners[i] for i in order]
+    assert loaded.matrix.tobytes() == kb.matrix[order].tobytes()
 
 
 def test_top_k_labels_preferred_label_query(disease_pipeline):
