@@ -233,11 +233,8 @@ def _run_match(cfg, pipeline: str, run_id: str) -> tuple[MatchRunReport, str]:
     return report, run_dir
 
 
-def cmd_match(args) -> int:
-    cfg = _load_cfg(args)
-    pipeline = args.pipeline
-    run_id = args.run_id or _default_run_id(pipeline)
-    report, run_dir = _run_match(cfg, pipeline, run_id)
+def _print_match(pipeline: str, report: MatchRunReport, run_dir: str) -> int:
+    """Print one match run's summary; EXIT_ENDPOINT if it stopped early."""
     print(
         f"{pipeline}: {len(report.alignment)} correspondences, "
         f"{report.llm_query_count} LLM queries, {report.hcb_count} HCB accepts, "
@@ -257,6 +254,13 @@ def cmd_match(args) -> int:
         )
         return EXIT_ENDPOINT
     return EXIT_OK
+
+
+def cmd_match(args) -> int:
+    cfg = _load_cfg(args)
+    run_id = args.run_id or _default_run_id(args.pipeline)
+    report, run_dir = _run_match(cfg, args.pipeline, run_id)
+    return _print_match(args.pipeline, report, run_dir)
 
 
 def _pick_split(reference, split: str, fraction: float, seed: int):
@@ -308,11 +312,10 @@ def _report_from_run_dir(run_dir: str) -> MatchRunReport:
     )
 
 
-def cmd_compare(args) -> int:
-    cfg = _load_cfg(args)
-    reference = load_reference(args.reference)
-    report_a = _report_from_run_dir(args.run_dirs[0])
-    report_b = _report_from_run_dir(args.run_dirs[1])
+def _compare(cfg, reference, run_dir_a: str, run_dir_b: str) -> None:
+    """Compare two run directories; write and print the table."""
+    report_a = _report_from_run_dir(run_dir_a)
+    report_b = _report_from_run_dir(run_dir_b)
     eval_a = evaluate(report_a.alignment, reference)
     eval_b = evaluate(report_b.alignment, reference)
     comparison = compare_runs(report_a, eval_a, report_b, eval_b)
@@ -320,6 +323,11 @@ def cmd_compare(args) -> int:
     atomic_write_text(os.path.join(cfg.out, "compare.txt"), text)
     atomic_write_text(os.path.join(cfg.out, "compare.tsv"), comparison.render_tsv())
     print(text, end="")
+
+
+def cmd_compare(args) -> int:
+    cfg = _load_cfg(args)
+    _compare(cfg, load_reference(args.reference), *args.run_dirs)
     return EXIT_OK
 
 
@@ -378,18 +386,9 @@ def cmd_run_all(args) -> int:
         run_id = f"{base_run_id}-{pipeline}" if len(pipelines) > 1 else base_run_id
         report, run_dir = _run_match(cfg, pipeline, run_id)
         run_dirs.append(run_dir)
-        print(
-            f"{pipeline}: {len(report.alignment)} correspondences, "
-            f"{report.llm_query_count} LLM queries, {report.hcb_count} HCB accepts "
-            f"-> {run_dir}"
-        )
-        if report.partial:
-            print(
-                f"error: run aborted early, partial results kept: "
-                f"{report.abort_reason}",
-                file=sys.stderr,
-            )
-            return EXIT_ENDPOINT
+        rc = _print_match(pipeline, report, run_dir)
+        if rc != EXIT_OK:
+            return rc
     if cfg.eval_reference:
         reference = load_reference(cfg.eval_reference)
         for run_dir in run_dirs:
@@ -400,21 +399,7 @@ def cmd_run_all(args) -> int:
             write_eval_report(report, os.path.join(run_dir, "eval.json"))
             print(f"{os.path.basename(run_dir)}: {report.summary()}")
         if len(run_dirs) == 2:
-            report_a = _report_from_run_dir(run_dirs[0])
-            report_b = _report_from_run_dir(run_dirs[1])
-            comparison = compare_runs(
-                report_a,
-                evaluate(report_a.alignment, reference),
-                report_b,
-                evaluate(report_b.alignment, reference),
-            )
-            atomic_write_text(
-                os.path.join(cfg.out, "compare.txt"), comparison.render_text()
-            )
-            atomic_write_text(
-                os.path.join(cfg.out, "compare.tsv"), comparison.render_tsv()
-            )
-            print(comparison.render_text(), end="")
+            _compare(cfg, reference, *run_dirs)
     else:
         print("no eval.reference configured; skipping evaluation")
     return EXIT_OK

@@ -10,17 +10,14 @@ compares or persists go through round_score, which is the single place the
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 import os
 import threading
-import time
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Mapping, Sequence
 from urllib.parse import urlparse
 
 import numpy as np
-import requests
 
 from .errors import (
     ConfigError,
@@ -31,9 +28,8 @@ from .errors import (
     ProviderUnavailable,
     ZeroVector,
 )
-from .fileio import atomic_write_text
-
-logger = logging.getLogger(__name__)
+from .fileio import atomic_write_text, read_records
+from .transport import post_json
 
 SCORE_DECIMALS = 5
 _QUANTUM = Decimal(1).scaleb(-SCORE_DECIMALS)
@@ -113,11 +109,6 @@ class EmbeddingProvider:
             return np.stack([self._cache[label] for label in labels])
 
 
-def encode_labels(provider: EmbeddingProvider, labels: Sequence[str]) -> np.ndarray:
-    """Encode labels through a provider; rows align with the input order."""
-    return provider.encode(labels)
-
-
 def _fixtures_digest(fixtures: Mapping[str, np.ndarray]) -> str:
     hasher = hashlib.sha256()
     for label in sorted(fixtures):
@@ -194,47 +185,46 @@ def load_vector_file(path: str) -> dict[str, np.ndarray]:
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise MalformedRecord(
-                    path, line_no, f"expected 2 tab-separated fields, got {len(fields)}"
-                )
-            label, payload = fields
-            if not label:
-                raise MalformedRecord(path, line_no, "empty label")
-            if label in vectors:
-                raise MalformedRecord(path, line_no, f"duplicate label {label!r}")
-            try:
-                row = np.array(
-                    [float(part) for part in payload.split(",")], dtype=np.float64
-                )
-            except ValueError as exc:
-                raise MalformedRecord(path, line_no, f"bad float: {exc}") from None
-            if not np.isfinite(row).all():
-                raise MalformedRecord(path, line_no, "non-finite vector component")
-            if dim is None:
-                dim = row.size
-            elif row.size != dim:
-                raise MalformedRecord(
-                    path, line_no, f"dimension {row.size} != first row's {dim}"
-                )
-            vectors[label] = row
+    for line_no, (label, payload) in read_records(path, 2):
+        if not label:
+            raise MalformedRecord(path, line_no, "empty label")
+        if label in vectors:
+            raise MalformedRecord(path, line_no, f"duplicate label {label!r}")
+        try:
+            row = np.array(
+                [float(part) for part in payload.split(",")], dtype=np.float64
+            )
+        except ValueError as exc:
+            raise MalformedRecord(path, line_no, f"bad float: {exc}") from None
+        if not np.isfinite(row).all():
+            raise MalformedRecord(path, line_no, "non-finite vector component")
+        if dim is None:
+            dim = row.size
+        elif row.size != dim:
+            raise MalformedRecord(
+                path, line_no, f"dimension {row.size} != first row's {dim}"
+            )
+        vectors[label] = row
     if not vectors:
         raise MalformedRecord(path, 0, "no vector rows")
     return vectors
 
 
 def write_vector_file(path: str, vectors: Mapping[str, np.ndarray]) -> None:
-    """Write vectors in the load_vector_file format, sorted by label."""
+    """Write vectors in the load_vector_file format, sorted by label.
+
+    A label that starts with '#' would be read back as a comment, so it is
+    rejected like one that contains a tab or newline.
+    """
     lines = ["# label\tcomma-separated components"]
     for label in sorted(vectors):
         if "\t" in label or "\n" in label:
             raise InvalidParameter(f"label {label!r} cannot contain tab or newline")
+        if label.lstrip().startswith("#"):
+            raise InvalidParameter(
+                f"label {label!r} cannot start with '#': vector files read "
+                "'#' lines as comments"
+            )
         row = ",".join(repr(float(x)) for x in np.asarray(vectors[label]).ravel())
         lines.append(f"{label}\t{row}")
     atomic_write_text(path, "\n".join(lines) + "\n")
@@ -264,8 +254,13 @@ class PrecomputedFileProvider(EmbeddingProvider):
             try:
                 rows.append(self._vectors[label])
             except KeyError:
+                hint = (
+                    "; '#' lines are comments in a vector file, so such a "
+                    "label cannot have a vector"
+                    if label.lstrip().startswith("#") else ""
+                )
                 raise MissingVector(
-                    f"{self._path} has no vector for label {label!r}"
+                    f"{self._path} has no vector for label {label!r}{hint}"
                 ) from None
         return np.stack(rows)
 
@@ -323,48 +318,28 @@ class HttpProvider(EmbeddingProvider):
         return self._fingerprint
 
     def _post_batch(self, batch: list[str]) -> list[list[float]]:
-        last_error = "no attempt made"
-        for attempt in range(self._max_retries):
-            if attempt:
-                time.sleep(self._backoff * 2 ** (attempt - 1))
-            try:
-                response = requests.post(
-                    self._url,
-                    json={"inputs": batch},
-                    headers=self._headers,
-                    timeout=self._timeout,
-                )
-            except requests.RequestException as exc:
-                last_error = f"transport error: {exc}"
-                logger.warning("embedding request failed (attempt %d): %s",
-                               attempt + 1, exc)
-                continue
-            if response.status_code >= 500:
-                last_error = f"server error {response.status_code}"
-                logger.warning("embedding service returned %d (attempt %d)",
-                               response.status_code, attempt + 1)
-                continue
-            if response.status_code != 200:
-                raise ProviderUnavailable(
-                    f"embedding service rejected the request "
-                    f"({response.status_code}): {response.text[:200]}"
-                )
-            try:
-                vectors = response.json()["vectors"]
-            except (ValueError, KeyError) as exc:
-                raise ProviderUnavailable(
-                    f"embedding service returned an unusable payload: {exc}"
-                ) from exc
-            if len(vectors) != len(batch):
-                raise ProviderUnavailable(
-                    f"embedding service returned {len(vectors)} vectors "
-                    f"for {len(batch)} inputs"
-                )
-            return vectors
-        raise ProviderUnavailable(
-            f"embedding service unreachable after {self._max_retries} attempts "
-            f"({last_error})"
+        response, _ = post_json(
+            self._url,
+            {"inputs": batch},
+            headers=self._headers,
+            timeout=self._timeout,
+            max_retries=self._max_retries,
+            backoff_seconds=self._backoff,
+            error=ProviderUnavailable,
+            service="embedding service",
         )
+        try:
+            vectors = response.json()["vectors"]
+        except (ValueError, KeyError) as exc:
+            raise ProviderUnavailable(
+                f"embedding service returned an unusable payload: {exc}"
+            ) from exc
+        if len(vectors) != len(batch):
+            raise ProviderUnavailable(
+                f"embedding service returned {len(vectors)} vectors "
+                f"for {len(batch)} inputs"
+            )
+        return vectors
 
     def _encode_batch(self, labels: Sequence[str]) -> np.ndarray:
         rows: list[list[float]] = []

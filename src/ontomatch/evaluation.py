@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import MalformedRecord, MismatchedInputs
-from .fileio import atomic_write_text, format_wall_time
+from .fileio import atomic_write_text, format_wall_time, read_records
 from .matcher import MatchRunReport
 
 SPLIT_FULL = "full"
@@ -34,17 +34,10 @@ class ReferenceAlignment:
 def load_reference(path: str) -> ReferenceAlignment:
     """Read a TSV of source_id<TAB>target_id rows; duplicates collapse."""
     pairs: set[tuple[str, str]] = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or not fields[0] or not fields[1]:
-                raise MalformedRecord(
-                    path, line_no, "expected source_id<TAB>target_id"
-                )
-            pairs.add((fields[0], fields[1]))
+    for line_no, fields in read_records(path):
+        if len(fields) != 2 or not fields[0] or not fields[1]:
+            raise MalformedRecord(path, line_no, "expected source_id<TAB>target_id")
+        pairs.add((fields[0], fields[1]))
     return ReferenceAlignment(pairs=frozenset(pairs))
 
 

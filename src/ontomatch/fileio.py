@@ -1,11 +1,48 @@
-"""Small file helpers: atomic writes and wall-time formatting."""
+"""Small file helpers: the text record grammar, atomic writes and wall-time
+formatting."""
 
 from __future__ import annotations
 
 import os
 import secrets
+from typing import Iterator
 
-from .errors import PersistFailure
+from .errors import MalformedRecord, PersistFailure
+
+
+def read_records(
+    path: str, n_fields: int | None = None
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line_no, fields) for each record of a tab-separated text file.
+
+    This is the one line grammar of every text format: blank lines and lines
+    whose first non-blank character is '#' are skipped, line endings (LF or
+    CRLF) are stripped, and the rest splits on tab. With n_fields set, any
+    other field count raises MalformedRecord at that line.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            fields = line.split("\t")
+            if n_fields is not None and len(fields) != n_fields:
+                raise MalformedRecord(
+                    path, line_no,
+                    f"expected {n_fields} tab-separated fields, got {len(fields)}",
+                )
+            yield line_no, fields
+
+
+def read_header(path: str) -> list[str]:
+    """The text after '#' of each '#' line that opens the file, in order."""
+    header: list[str] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for raw in handle:
+            if not raw.startswith("#"):
+                break
+            header.append(raw[1:].rstrip("\n").rstrip("\r"))
+    return header
 
 
 def atomic_write_bytes(path: str, *chunks) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import logging
 import os
 import re
 import string
@@ -21,16 +20,13 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import requests
-
 from .errors import (
     ConfigError,
     EndpointUnavailable,
     InvalidParameter,
     MissingPlaceholder,
 )
-
-logger = logging.getLogger(__name__)
+from .transport import post_json
 
 PLACEHOLDERS = ("src_onto_name", "tgt_onto_name", "source_entity", "target_entity")
 
@@ -159,7 +155,6 @@ class LlmClient:
     def __init__(self, log_path: str | None = None):
         self._count_lock = threading.Lock()
         self._query_count = 0
-        self.exchanges: list[dict] = []
         self._log_path = log_path
         if log_path:
             os.makedirs(os.path.dirname(os.path.abspath(log_path)), exist_ok=True)
@@ -193,18 +188,10 @@ class LlmClient:
         }
         with self._count_lock:
             self._query_count += 1
-            self.exchanges.append(record)
             if self._log_path:
                 with open(self._log_path, "a", encoding="utf-8") as handle:
                     handle.write(json.dumps(record, ensure_ascii=False) + "\n")
         return verdict
-
-
-def classify_equivalence(
-    client: LlmClient, prompt: str, pair: tuple[str, str] | None = None
-) -> LlmVerdict:
-    """Submit one rendered prompt; pair is metadata for oracle-kind clients."""
-    return client.classify(prompt, pair=pair)
 
 
 class OracleClient(LlmClient):
@@ -340,49 +327,25 @@ class HttpChatClient(LlmClient):
             "temperature": self._temperature,
             "messages": [{"role": "user", "content": prompt}],
         }
-        last_error = "no attempt made"
         with self._gate:
-            for attempt in range(1, self._max_retries + 1):
-                if attempt > 1:
-                    time.sleep(self._backoff * 2 ** (attempt - 2))
-                try:
-                    response = requests.post(
-                        self._url,
-                        json=payload,
-                        headers=self._headers,
-                        timeout=self._timeout,
-                    )
-                except requests.RequestException as exc:
-                    last_error = f"transport error: {exc}"
-                    logger.warning(
-                        "chat request failed (attempt %d): %s", attempt, exc
-                    )
-                    continue
-                if response.status_code >= 500:
-                    last_error = f"server error {response.status_code}"
-                    logger.warning(
-                        "chat endpoint returned %d (attempt %d)",
-                        response.status_code,
-                        attempt,
-                    )
-                    continue
-                if response.status_code != 200:
-                    raise EndpointUnavailable(
-                        f"chat endpoint rejected the request "
-                        f"({response.status_code}): {response.text[:200]}"
-                    )
-                try:
-                    content = response.json()["choices"][0]["message"]["content"]
-                except (ValueError, KeyError, IndexError, TypeError) as exc:
-                    raise EndpointUnavailable(
-                        f"chat endpoint returned an unusable payload: {exc}"
-                    ) from exc
-                if not isinstance(content, str):
-                    raise EndpointUnavailable(
-                        "chat endpoint returned a non-text message content"
-                    )
-                return content, attempt
-        raise EndpointUnavailable(
-            f"chat endpoint unreachable after {self._max_retries} attempts "
-            f"({last_error})"
-        )
+            response, attempts = post_json(
+                self._url,
+                payload,
+                headers=self._headers,
+                timeout=self._timeout,
+                max_retries=self._max_retries,
+                backoff_seconds=self._backoff,
+                error=EndpointUnavailable,
+                service="chat endpoint",
+            )
+        try:
+            content = response.json()["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise EndpointUnavailable(
+                f"chat endpoint returned an unusable payload: {exc}"
+            ) from exc
+        if not isinstance(content, str):
+            raise EndpointUnavailable(
+                "chat endpoint returned a non-text message content"
+            )
+        return content, attempts

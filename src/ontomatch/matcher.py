@@ -19,6 +19,7 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 from .errors import (
@@ -27,8 +28,8 @@ from .errors import (
     MalformedRecord,
     StaleKB,
 )
-from .fileio import atomic_write_text, format_wall_time
-from .llm import LlmClient, PromptTemplate, Verdict, classify_equivalence, render_prompt
+from .fileio import atomic_write_text, format_wall_time, read_header, read_records
+from .llm import LlmClient, PromptTemplate, render_prompt
 from .ontology import Ontology
 from .retrieval import DIRECTION_S2T, DIRECTION_T2S, CandidateDB
 
@@ -300,6 +301,58 @@ def _run_per_source(
     return _finish_report(pipeline, s2t, per_source, elapsed, partial, abort_reason)
 
 
+def _walk(
+    source_id: str,
+    *,
+    s2t: CandidateDB,
+    screen,
+    accept: dict[str, str],
+    stop_at_accept: bool,
+    llm: LlmClient,
+    template: PromptTemplate,
+    source_onto: Ontology,
+    target_onto: Ontology,
+) -> tuple[list[TraceEvent], Correspondence | None]:
+    """Visit one source's candidates in rank order; both pipelines use it.
+
+    screen(source_id, candidate_id) settles a candidate without the LLM by
+    returning its outcome, or returns None to prompt the LLM with the two
+    preferred labels. accept maps each accepting outcome to a provenance:
+    the first accepted candidate is the correspondence, and the walk ends
+    there when stop_at_accept is set.
+    """
+    events: list[TraceEvent] = []
+    accepted: Correspondence | None = None
+    source_label = source_onto.entity(source_id).preferred_label
+    for rank, (candidate_id, score) in enumerate(
+        s2t.candidates_of(source_id).candidates, start=1
+    ):
+        outcome = screen(source_id, candidate_id)
+        if outcome is None:
+            prompt = render_prompt(
+                template,
+                source_onto.name,
+                target_onto.name,
+                source_label,
+                target_onto.entity(candidate_id).preferred_label,
+            )
+            verdict = llm.classify(prompt, pair=(source_id, candidate_id))
+            outcome = OUTCOME_LLM_YES if verdict.is_yes else OUTCOME_LLM_NO
+        events.append(TraceEvent(source_id, rank, candidate_id, outcome))
+        if outcome in accept and accepted is None:
+            accepted = Correspondence(
+                id="",
+                source_id=source_id,
+                target_id=candidate_id,
+                relation=RELATION_EQUIVALENCE,
+                confidence=score,
+                provenance=accept[outcome],
+            )
+            if stop_at_accept:
+                break
+    return events, accepted
+
+
 def match_mila(
     sources: Sequence[str] | None,
     s2t: CandidateDB,
@@ -324,57 +377,23 @@ def match_mila(
     partial=True and the completed prefix of sources; nothing is raised.
     """
     _check_db_pair(s2t, t2s)
-    resolved = _resolve_sources(sources, s2t)
 
-    def worker(source_id: str) -> tuple[list[TraceEvent], Correspondence | None]:
-        events: list[TraceEvent] = []
-        source_label = source_onto.entity(source_id).preferred_label
-        for rank, (candidate_id, score) in enumerate(
-            s2t.candidates_of(source_id).candidates, start=1
-        ):
-            if not is_bidirectional(s2t, t2s, source_id, candidate_id):
-                events.append(
-                    TraceEvent(source_id, rank, candidate_id, OUTCOME_NOT_BIDIRECTIONAL)
-                )
-                continue
-            if hcb_enabled and is_hcb(s2t, t2s, source_id, candidate_id):
-                events.append(
-                    TraceEvent(source_id, rank, candidate_id, OUTCOME_HCB_ACCEPT)
-                )
-                corr = Correspondence(
-                    id="",
-                    source_id=source_id,
-                    target_id=candidate_id,
-                    relation=RELATION_EQUIVALENCE,
-                    confidence=score,
-                    provenance=PROVENANCE_HCB,
-                )
-                return events, corr
-            prompt = render_prompt(
-                template,
-                source_onto.name,
-                target_onto.name,
-                source_label,
-                target_onto.entity(candidate_id).preferred_label,
-            )
-            verdict = classify_equivalence(llm, prompt, (source_id, candidate_id))
-            if verdict.value is Verdict.YES:
-                events.append(
-                    TraceEvent(source_id, rank, candidate_id, OUTCOME_LLM_YES)
-                )
-                corr = Correspondence(
-                    id="",
-                    source_id=source_id,
-                    target_id=candidate_id,
-                    relation=RELATION_EQUIVALENCE,
-                    confidence=score,
-                    provenance=PROVENANCE_LLM,
-                )
-                return events, corr
-            events.append(TraceEvent(source_id, rank, candidate_id, OUTCOME_LLM_NO))
-        return events, None
+    def screen(source_id: str, candidate_id: str) -> str | None:
+        if not is_bidirectional(s2t, t2s, source_id, candidate_id):
+            return OUTCOME_NOT_BIDIRECTIONAL
+        if hcb_enabled and is_hcb(s2t, t2s, source_id, candidate_id):
+            return OUTCOME_HCB_ACCEPT
+        return None
 
-    return _run_per_source(PIPELINE_MILA, resolved, s2t, worker, max_workers)
+    walk = partial(
+        _walk, s2t=s2t, screen=screen,
+        accept={OUTCOME_HCB_ACCEPT: PROVENANCE_HCB, OUTCOME_LLM_YES: PROVENANCE_LLM},
+        stop_at_accept=True, llm=llm, template=template,
+        source_onto=source_onto, target_onto=target_onto,
+    )
+    return _run_per_source(
+        PIPELINE_MILA, _resolve_sources(sources, s2t), s2t, walk, max_workers
+    )
 
 
 def match_baseline(
@@ -393,43 +412,15 @@ def match_baseline(
     rank order, so the first Yes wins). Total LLM calls equal the summed
     candidate-list lengths.
     """
-    resolved = _resolve_sources(sources, s2t)
-
-    def worker(source_id: str) -> tuple[list[TraceEvent], Correspondence | None]:
-        events: list[TraceEvent] = []
-        best: Correspondence | None = None
-        source_label = source_onto.entity(source_id).preferred_label
-        for rank, (candidate_id, score) in enumerate(
-            s2t.candidates_of(source_id).candidates, start=1
-        ):
-            prompt = render_prompt(
-                template,
-                source_onto.name,
-                target_onto.name,
-                source_label,
-                target_onto.entity(candidate_id).preferred_label,
-            )
-            verdict = classify_equivalence(llm, prompt, (source_id, candidate_id))
-            if verdict.value is Verdict.YES:
-                events.append(
-                    TraceEvent(source_id, rank, candidate_id, OUTCOME_LLM_YES)
-                )
-                if best is None:
-                    best = Correspondence(
-                        id="",
-                        source_id=source_id,
-                        target_id=candidate_id,
-                        relation=RELATION_EQUIVALENCE,
-                        confidence=score,
-                        provenance=PROVENANCE_BASELINE,
-                    )
-            else:
-                events.append(
-                    TraceEvent(source_id, rank, candidate_id, OUTCOME_LLM_NO)
-                )
-        return events, best
-
-    return _run_per_source(PIPELINE_BASELINE, resolved, s2t, worker, max_workers)
+    walk = partial(
+        _walk, s2t=s2t, screen=lambda source_id, candidate_id: None,
+        accept={OUTCOME_LLM_YES: PROVENANCE_BASELINE},
+        stop_at_accept=False, llm=llm, template=template,
+        source_onto=source_onto, target_onto=target_onto,
+    )
+    return _run_per_source(
+        PIPELINE_BASELINE, _resolve_sources(sources, s2t), s2t, walk, max_workers
+    )
 
 
 def _require_clean_name(name: str) -> str:
@@ -459,11 +450,10 @@ def write_alignment(alignment: Alignment, path: str) -> None:
 
 def read_alignment(path: str) -> Alignment:
     """Parse an alignment file; re-serializing the result is byte-identical."""
-    with open(path, "r", encoding="utf-8") as handle:
-        raw_lines = [line.rstrip("\n").rstrip("\r") for line in handle]
-    if not raw_lines or not raw_lines[0].startswith("#"):
+    header = read_header(path)
+    if not header:
         raise MalformedRecord(path, 1, "missing alignment header")
-    tokens = raw_lines[0][1:].split()
+    tokens = header[0].split()
     if len(tokens) != 5:
         raise MalformedRecord(
             path, 1, f"header needs 5 fields (source target k tau fingerprint), "
@@ -476,14 +466,7 @@ def read_alignment(path: str) -> Alignment:
     except ValueError as exc:
         raise MalformedRecord(path, 1, f"bad k/tau in header: {exc}") from None
     correspondences: list[Correspondence] = []
-    for line_no, line in enumerate(raw_lines[1:], start=2):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise MalformedRecord(
-                path, line_no, f"expected 5 tab-separated fields, got {len(fields)}"
-            )
+    for line_no, fields in read_records(path, 5):
         source_id, target_id, relation, confidence_text, provenance = fields
         try:
             confidence = float(confidence_text)
@@ -521,25 +504,14 @@ def write_trace(trace: Sequence[TraceEvent], path: str) -> None:
 
 def read_trace(path: str) -> list[TraceEvent]:
     events: list[TraceEvent] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise MalformedRecord(
-                    path, line_no,
-                    f"expected 4 tab-separated fields, got {len(fields)}",
-                )
-            source_id, rank_text, candidate_id, outcome = fields
-            try:
-                rank = int(rank_text)
-            except ValueError:
-                raise MalformedRecord(
-                    path, line_no, f"bad rank {rank_text!r}"
-                ) from None
-            events.append(TraceEvent(source_id, rank, candidate_id, outcome))
+    for line_no, (source_id, rank_text, candidate_id, outcome) in read_records(
+        path, 4
+    ):
+        try:
+            rank = int(rank_text)
+        except ValueError:
+            raise MalformedRecord(path, line_no, f"bad rank {rank_text!r}") from None
+        events.append(TraceEvent(source_id, rank, candidate_id, outcome))
     return events
 
 

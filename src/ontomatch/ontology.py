@@ -1,4 +1,4 @@
-"""Ontology loading and the entity/term index.
+"""Ontology loading.
 
 An ontology arrives as a label dump: one entity per line,
 ``entity_id<TAB>preferred_label<TAB>syn1|syn2|...`` with ``#`` comments and
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import DuplicateEntityId, EmptyOntology, MalformedRecord, UnknownEntity
+from .fileio import read_records
 
 _WHITESPACE = re.compile(r"\s+")
 
@@ -80,27 +81,7 @@ class Ontology:
         return tuple(entity.id for entity in self.entities)
 
 
-@dataclass(frozen=True)
-class EntityTermIndex:
-    """Three mutually consistent lookup tables over one ontology.
-
-    entity_to_terms maps each entity id to its labels (preferred first).
-    preferred_to_entities maps a preferred label to the ids that use it as
-    preferred. term_to_entities maps any label to every id that owns it.
-    """
-
-    entity_to_terms: dict[str, tuple[str, ...]]
-    preferred_to_entities: dict[str, frozenset[str]]
-    term_to_entities: dict[str, frozenset[str]]
-
-    @property
-    def terms(self) -> tuple[str, ...]:
-        """Every distinct label in the ontology, sorted."""
-        return tuple(sorted(self.term_to_entities))
-
-
-def _parse_line(path: str, line_no: int, line: str) -> Entity:
-    fields = line.split("\t")
+def _parse_line(path: str, line_no: int, fields: list[str]) -> Entity:
     if len(fields) == 2:
         fields.append("")
     if len(fields) != 3:
@@ -129,47 +110,14 @@ def load_ontology(path: str, name: str) -> Ontology:
     """
     entities: list[Entity] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            entity = _parse_line(path, line_no, line)
-            if entity.id in seen:
-                raise DuplicateEntityId(
-                    f"{path}:{line_no}: entity id {entity.id!r} already defined"
-                )
-            seen.add(entity.id)
-            entities.append(entity)
+    for line_no, fields in read_records(path):
+        entity = _parse_line(path, line_no, fields)
+        if entity.id in seen:
+            raise DuplicateEntityId(
+                f"{path}:{line_no}: entity id {entity.id!r} already defined"
+            )
+        seen.add(entity.id)
+        entities.append(entity)
     if not entities:
         raise EmptyOntology(f"{path} contains no entities")
     return Ontology(name=name, entities=tuple(entities))
-
-
-def build_entity_term_index(ontology: Ontology) -> EntityTermIndex:
-    """Build the three lookup tables for one ontology."""
-    entity_to_terms: dict[str, tuple[str, ...]] = {}
-    preferred_to_entities: dict[str, set[str]] = {}
-    term_to_entities: dict[str, set[str]] = {}
-    for entity in ontology:
-        entity_to_terms[entity.id] = entity.labels
-        preferred_to_entities.setdefault(entity.preferred_label, set()).add(entity.id)
-        for term in entity.labels:
-            term_to_entities.setdefault(term, set()).add(entity.id)
-    return EntityTermIndex(
-        entity_to_terms=entity_to_terms,
-        preferred_to_entities={
-            term: frozenset(ids) for term, ids in preferred_to_entities.items()
-        },
-        term_to_entities={
-            term: frozenset(ids) for term, ids in term_to_entities.items()
-        },
-    )
-
-
-def labels_of(index: EntityTermIndex, entity_id: str) -> tuple[str, ...]:
-    """Labels of one entity, preferred first, synonyms in load order."""
-    try:
-        return index.entity_to_terms[entity_id]
-    except KeyError:
-        raise UnknownEntity(f"no entity {entity_id!r} in index") from None

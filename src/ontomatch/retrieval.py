@@ -33,7 +33,7 @@ from .errors import (
     UnknownEntity,
     ZeroVector,
 )
-from .fileio import atomic_write_bytes, atomic_write_text
+from .fileio import atomic_write_bytes, atomic_write_text, read_header, read_records
 from .ontology import Entity, Ontology
 
 logger = logging.getLogger(__name__)
@@ -183,19 +183,6 @@ def save_kb(kb: VectorKB, path: str) -> None:
     matrix = kb.matrix if order == list(range(len(order))) else kb.matrix[order]
     block = np.ascontiguousarray(matrix, dtype="<f8")
     atomic_write_bytes(path, "".join(lines).encode("utf-8"), block.data)
-
-
-def _parse_headers(path: str, lines: list[str]) -> dict[str, str]:
-    headers: dict[str, str] = {}
-    for line_no, line in enumerate(lines, start=1):
-        if not line.startswith("#"):
-            break
-        body = line[1:].strip()
-        if not body:
-            continue
-        key, _, value = body.partition(" ")
-        headers[key] = value.strip()
-    return headers
 
 
 def _kb_count(path: str, line_no: int, key: str, value: str) -> int:
@@ -511,9 +498,11 @@ def load_candidate_db(path: str, query_ontology: Ontology) -> CandidateDB:
     The query ontology supplies the entity-id universe; owners in the file
     that it does not contain mean the DB belongs to different inputs.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        raw_lines = [line.rstrip("\n").rstrip("\r") for line in handle]
-    headers = _parse_headers(path, raw_lines)
+    headers: dict[str, str] = {}
+    for body in read_header(path):
+        key, _, value = body.strip().partition(" ")
+        if key:
+            headers[key] = value.strip()
     for key in ("candidate-db", "query", "corpus", "k", "tau", "provider"):
         if key not in headers:
             raise MalformedRecord(path, 0, f"missing header '# {key} ...'")
@@ -526,15 +515,7 @@ def load_candidate_db(path: str, query_ontology: Ontology) -> CandidateDB:
     except ValueError as exc:
         raise MalformedRecord(path, 0, f"bad k/tau header: {exc}") from None
     per_owner: dict[str, list[tuple[str, float]]] = {}
-    for line_no, line in enumerate(raw_lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise MalformedRecord(
-                path, line_no, f"expected 3 tab-separated fields, got {len(fields)}"
-            )
-        owner, candidate_id, score_field = fields
+    for line_no, (owner, candidate_id, score_field) in read_records(path, 3):
         try:
             score = float(score_field)
         except ValueError:

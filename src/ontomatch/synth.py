@@ -34,6 +34,7 @@ import numpy as np
 from .errors import InvalidParameter
 from .fileio import atomic_write_text
 from .embedding import write_vector_file
+from .evaluation import ReferenceAlignment, write_reference
 
 logger = logging.getLogger(__name__)
 
@@ -424,10 +425,7 @@ def _write_corpus(
 ) -> None:
     atomic_write_text(corpus.source_path, _dump_lines(source_rows))
     atomic_write_text(corpus.target_path, _dump_lines(target_rows))
-    atomic_write_text(
-        corpus.reference_path,
-        "\n".join(f"{s}\t{t}" for s, t in sorted(reference)) + "\n",
-    )
+    write_reference(ReferenceAlignment(frozenset(reference)), corpus.reference_path)
     write_vector_file(corpus.vectors_path, vectors)
     atomic_write_text(
         corpus.manifest_path,
@@ -490,10 +488,7 @@ def generate_flat_corpus(
         target_path,
         _dump_lines([(f"FT{i:06d}", lbl, []) for i, lbl in enumerate(target_labels)]),
     )
-    atomic_write_text(
-        reference_path,
-        "\n".join(f"{s}\t{t}" for s, t in sorted(reference)) + ("\n" if reference else ""),
-    )
+    write_reference(ReferenceAlignment(frozenset(reference)), reference_path)
     return {
         "source_path": source_path,
         "target_path": target_path,

@@ -131,6 +131,49 @@ def oracle_first_positive(s2t_lists, t2s_lists, reference_pairs, source_id):
     return None
 
 
+def oracle_walk(pipeline, s2t_lists, t2s_lists, answer, sources, hcb_enabled=True):
+    """Replay one matching pipeline by a linear scan over plain ranked lists.
+
+    s2t_lists / t2s_lists: entity id -> list of (candidate id, score) in rank
+    order. answer(source_id, target_id) -> bool is the LLM's verdict.
+    pipeline "mila" skips candidates whose list does not hold the source,
+    accepts a pair whose one score tops both lists outright (unless
+    hcb_enabled is False), otherwise asks and stops at the first Yes;
+    "baseline" asks on every candidate and keeps the first Yes.
+    Returns (trace, accepted, queries): trace is a list of
+    (source, rank, candidate, outcome), accepted maps source id ->
+    (target id, provenance), queries counts the answers asked for.
+    """
+    trace = []
+    accepted = {}
+    queries = 0
+    for source_id in sources:
+        own = s2t_lists.get(source_id, [])
+        for rank, (candidate_id, score) in enumerate(own, start=1):
+            if pipeline == "mila":
+                back = t2s_lists.get(candidate_id, [])
+                back_scores = [s for cid, s in back if cid == source_id]
+                if not back_scores:
+                    trace.append((source_id, rank, candidate_id, "not-bidirectional"))
+                    continue
+                if hcb_enabled and score == back_scores[0] == own[0][1] == back[0][1]:
+                    trace.append((source_id, rank, candidate_id, "HCB-accept"))
+                    accepted[source_id] = (candidate_id, "HCB")
+                    break
+            queries += 1
+            yes = answer(source_id, candidate_id)
+            outcome = "LLM-yes" if yes else "LLM-no"
+            trace.append((source_id, rank, candidate_id, outcome))
+            if yes and source_id not in accepted:
+                accepted[source_id] = (
+                    candidate_id,
+                    "LLM-confirmed" if pipeline == "mila" else "baseline-LLM",
+                )
+                if pipeline == "mila":
+                    break
+    return trace, accepted, queries
+
+
 def oracle_metrics(alignment_pairs, reference_pairs):
     """Precision, recall, f-measure from first principles."""
     aligned = set(alignment_pairs)

@@ -27,7 +27,6 @@ from ontomatch.llm import (
     OracleClient,
     ScriptedClient,
     Verdict,
-    classify_equivalence,
 )
 
 
@@ -179,8 +178,8 @@ def test_build_llm_client_oracle(tmp_path):
     )
     assert isinstance(client, OracleClient)
     prompt = "Is a:1 the same as b:1?"
-    assert classify_equivalence(client, prompt, pair=("a:1", "b:1")).is_yes
-    assert not classify_equivalence(client, prompt, pair=("a:1", "b:2")).is_yes
+    assert client.classify(prompt, pair=("a:1", "b:1")).is_yes
+    assert not client.classify(prompt, pair=("a:1", "b:2")).is_yes
 
 
 def test_build_llm_client_scripted(tmp_path):
@@ -192,7 +191,7 @@ def test_build_llm_client_scripted(tmp_path):
         build_config({"llm.kind": "scripted", "llm.replies": str(replies)})
     )
     assert isinstance(client, ScriptedClient)
-    verdicts = [classify_equivalence(client, "p?").value for _ in range(3)]
+    verdicts = [client.classify("p?").value for _ in range(3)]
     assert verdicts == [Verdict.YES, Verdict.NO, Verdict.UNPARSEABLE]
 
 

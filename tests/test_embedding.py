@@ -14,7 +14,6 @@ from ontomatch.embedding import (
     HttpProvider,
     PrecomputedFileProvider,
     cosine_similarity,
-    encode_labels,
     load_vector_file,
     round_score,
     write_vector_file,
@@ -193,6 +192,11 @@ def test_vector_file_malformed_inputs(tmp_path, content):
 def test_write_vector_file_rejects_tab_in_label(tmp_path):
     with pytest.raises(InvalidParameter):
         write_vector_file(tmp_path / "v.tsv", {"bad\tlabel": np.ones(2)})
+    # a '#' label would load back as a comment line and silently vanish
+    with pytest.raises(InvalidParameter, match="comments"):
+        write_vector_file(
+            tmp_path / "v.tsv", {"#1 gene": np.ones(2), "alpha": np.ones(2)}
+        )
 
 
 def test_precomputed_file_provider(tmp_path):
@@ -201,10 +205,12 @@ def test_precomputed_file_provider(tmp_path):
     provider = PrecomputedFileProvider(path)
     assert provider.dim == 2
     assert provider.fingerprint.startswith("file/d2/")
-    rows = encode_labels(provider, ["b", "a"])
+    rows = provider.encode(["b", "a"])
     np.testing.assert_array_equal(rows, np.array([[0.0, 2.0], [1.0, 0.0]]))
     with pytest.raises(MissingVector):
         provider.encode(["missing"])
+    with pytest.raises(MissingVector, match="'#' lines are comments"):
+        provider.encode(["#1 gene"])
     assert PrecomputedFileProvider(path).fingerprint == provider.fingerprint
 
 

@@ -1,0 +1,87 @@
+"""The shared text record grammar: read_records and read_header."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ontomatch.errors import MalformedRecord
+from ontomatch.fileio import read_header, read_records
+
+# Fields hold no tab or line break; the file is UTF-8, so no surrogates.
+FIELD_CHARS = st.characters(
+    blacklist_categories=("Cs",), blacklist_characters="\t\r\n"
+)
+field_text = st.text(FIELD_CHARS, max_size=6)
+# A record's first field must not make the line read as blank or a comment.
+first_field = field_text.filter(lambda s: s.strip() and not s.lstrip().startswith("#"))
+skipped_lines = st.sampled_from(["", "   ", "\t", "#", "# comment", "  #\tindented"])
+
+
+@st.composite
+def record_files(draw):
+    """Lines of a file: ("record", fields) mixed with ("skip", text)."""
+    n_fields = draw(st.integers(1, 4))
+    lines = draw(st.lists(st.one_of(
+        st.tuples(st.just("skip"), skipped_lines),
+        st.tuples(
+            st.just("record"),
+            st.tuples(first_field, st.lists(field_text, min_size=n_fields - 1,
+                                            max_size=n_fields - 1)),
+        ),
+    ), max_size=12))
+    lines = [
+        (kind, [body[0], *body[1]] if kind == "record" else body)
+        for kind, body in lines
+    ]
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                            min_size=len(lines), max_size=len(lines)))
+    last_ending = draw(st.sampled_from(["\n", "\r\n", ""]))
+    return n_fields, lines, endings[:-1] + [last_ending] if lines else []
+
+
+def write_lines(path, lines, endings):
+    text = "".join(
+        ("\t".join(body) if kind == "record" else body) + ending
+        for (kind, body), ending in zip(lines, endings)
+    )
+    path.write_bytes(text.encode("utf-8"))
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=record_files(), bad_at=st.integers(0, 12), extra=st.booleans())
+def test_read_records_property(tmp_path_factory, data, bad_at, extra):
+    n_fields, lines, endings = data
+    path = tmp_path_factory.mktemp("records") / "file.tsv"
+    write_lines(path, lines, endings)
+    expected = [
+        (line_no, body)
+        for line_no, (kind, body) in enumerate(lines, start=1)
+        if kind == "record"
+    ]
+    assert list(read_records(path, n_fields)) == expected
+    assert list(read_records(path)) == expected
+
+    # One record with a wrong field count raises at its own line, after the
+    # records before it were yielded.
+    bad_at = min(bad_at, len(lines))
+    bad_fields = ["x"] * (n_fields + 1 if extra or n_fields == 1 else n_fields - 1)
+    lines.insert(bad_at, ("record", bad_fields))
+    endings.insert(bad_at, "\n")
+    if bad_at == len(lines) - 1 and len(lines) > 1 and endings[-2] == "":
+        endings[-2] = "\n"
+    write_lines(path, lines, endings)
+    seen = []
+    with pytest.raises(MalformedRecord) as info:
+        for record in read_records(path, n_fields):
+            seen.append(record)
+    assert info.value.line_no == bad_at + 1
+    assert seen == [r for r in expected if r[0] <= bad_at]
+
+
+def test_read_header_returns_the_opening_comment_lines(tmp_path):
+    path = tmp_path / "file.tsv"
+    path.write_bytes(b"# one 1\r\n#\n#two\na\tb\n# not header\n")
+    assert read_header(path) == [" one 1", "", "two"]
+    assert list(read_records(path, 2)) == [(4, ["a", "b"])]
+    path.write_bytes(b"a\tb\n# late\n")
+    assert read_header(path) == []

@@ -21,7 +21,6 @@ from ontomatch.llm import (
     PromptTemplate,
     ScriptedClient,
     Verdict,
-    classify_equivalence,
     make_oracle,
     parse_reply,
     render_prompt,
@@ -198,7 +197,7 @@ def test_make_oracle_accepts_alignment_like_objects():
 def test_scripted_client_sequence_and_exhaustion():
     client = ScriptedClient(["No", "Yes"])
     assert client.classify("a", pair=("s", "t")).value is Verdict.NO
-    assert classify_equivalence(client, "b", pair=("s", "u")).value is Verdict.YES
+    assert client.classify("b", pair=("s", "u")).value is Verdict.YES
     with pytest.raises(InvalidParameter):
         client.classify("c")
     assert client.query_count == 2
@@ -224,7 +223,7 @@ def test_exchange_log_written_as_jsonl(tmp_path):
     assert records[0]["verdict"] == "Yes"
     assert records[1]["verdict"] == "No"
     assert records[0]["prompt"] == "first prompt"
-    assert client.exchanges[0]["reply"] == "Yes"
+    assert records[0]["reply"] == "Yes"
 
 
 def test_http_chat_client_happy_path():

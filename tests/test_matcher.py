@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontomatch.errors import (
     EndpointUnavailable,
@@ -44,6 +46,7 @@ from ontomatch.matcher import (
 from ontomatch.synth import generate_corpus
 
 from conftest import load_corpus_pipeline, make_db, make_ontology
+from oracles import oracle_walk
 
 TEMPLATE = PromptTemplate.default()
 
@@ -378,6 +381,16 @@ def test_trace_round_trip(disease_pipeline, tmp_path):
         read_trace(bad)
 
 
+def test_read_trace_skips_comment_lines(tmp_path):
+    path = tmp_path / "trace.tsv"
+    path.write_text("# a note\nE\t1\tT:1\tLLM-yes\r\n\n", encoding="utf-8")
+    assert read_trace(path) == [TraceEvent("E", 1, "T:1", OUTCOME_LLM_YES)]
+    path.write_text("# a note\nE\t1\tT:1\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as info:
+        read_trace(path)
+    assert info.value.line_no == 2
+
+
 def test_trace_accounting_invariants(disease_pipeline):
     report = run_mila(disease_pipeline, fixture_oracle(disease_pipeline))
     llm_events = [
@@ -489,3 +502,67 @@ def test_mila_never_queries_more_than_baseline(tmp_path):
         assert mila.llm_query_count <= base.llm_query_count
         assert mila.alignment.pairs == base.alignment.pairs
         assert evaluate(mila.alignment, pipeline["reference"]).f_measure == 1.0
+
+
+WALK_SOURCES = ["S0", "S1", "S2", "S3"]
+WALK_TARGETS = ["T0", "T1", "T2", "T3"]
+
+
+@st.composite
+def ranked_lists(draw, owners, others):
+    """Random rank-ordered candidate lists; few distinct scores, many ties."""
+    lists = {}
+    for owner in owners:
+        ids = draw(st.permutations(others))[: draw(st.integers(0, len(others)))]
+        scores = draw(
+            st.lists(st.sampled_from([0.95, 0.9, 0.8]),
+                     min_size=len(ids), max_size=len(ids))
+        )
+        lists[owner] = list(zip(ids, sorted(scores, reverse=True)))
+    return lists
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    s2t_lists=ranked_lists(WALK_SOURCES, WALK_TARGETS),
+    t2s_lists=ranked_lists(WALK_TARGETS, WALK_SOURCES),
+    reference=st.sets(
+        st.tuples(st.sampled_from(WALK_SOURCES), st.sampled_from(WALK_TARGETS))
+    ),
+    flip=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 7),
+)
+def test_walks_equal_the_linear_scan(s2t_lists, t2s_lists, reference, flip, seed):
+    source = make_ontology("S", {sid: [f"label {sid}"] for sid in WALK_SOURCES})
+    target = make_ontology("T", {tid: [f"label {tid}"] for tid in WALK_TARGETS})
+    s2t = make_db("s2t", "S", "T", s2t_lists)
+    t2s = make_db("t2s", "T", "S", t2s_lists)
+    judge = make_oracle(reference, flip_probability=flip, seed=seed)
+
+    def answer(source_id, target_id):
+        return judge.classify("", pair=(source_id, target_id)).is_yes
+
+    runs = [
+        ("mila", True, lambda llm: match_mila(
+            None, s2t, t2s, llm, TEMPLATE, source_onto=source, target_onto=target)),
+        ("mila", False, lambda llm: match_mila(
+            None, s2t, t2s, llm, TEMPLATE, source_onto=source, target_onto=target,
+            hcb_enabled=False)),
+        ("baseline", True, lambda llm: match_baseline(
+            None, s2t, llm, TEMPLATE, source_onto=source, target_onto=target)),
+    ]
+    for pipeline, hcb_enabled, run in runs:
+        llm = make_oracle(reference, flip_probability=flip, seed=seed)
+        report = run(llm)
+        trace, accepted, queries = oracle_walk(
+            pipeline, s2t_lists, t2s_lists, answer, WALK_SOURCES, hcb_enabled
+        )
+        assert [
+            (e.source_id, e.rank, e.candidate_id, e.outcome) for e in report.trace
+        ] == trace
+        assert report.alignment.pairs == {(s, t) for s, (t, _) in accepted.items()}
+        assert {
+            c.source_id: (c.target_id, c.provenance)
+            for c in report.alignment.correspondences
+        } == accepted
+        assert report.llm_query_count == llm.query_count == queries

@@ -1,7 +1,6 @@
-"""Label-dump parsing and the entity/term index."""
+"""Label-dump parsing."""
 
 import dataclasses
-import random
 
 import pytest
 from hypothesis import given
@@ -16,8 +15,6 @@ from ontomatch.errors import (
 from ontomatch.ontology import (
     Entity,
     Ontology,
-    build_entity_term_index,
-    labels_of,
     load_ontology,
     normalize_label,
 )
@@ -119,49 +116,6 @@ def test_entities_are_immutable():
     entity = Entity(id="A:1", preferred_label="alpha")
     with pytest.raises(dataclasses.FrozenInstanceError):
         entity.preferred_label = "beta"
-
-
-def test_index_tables_on_shared_labels():
-    onto = make_ontology(
-        "X",
-        {
-            "A:1": ["alpha", "shared"],
-            "A:2": ["beta", "shared"],
-            "A:3": ["beta"],
-        },
-    )
-    index = build_entity_term_index(onto)
-    assert index.entity_to_terms["A:1"] == ("alpha", "shared")
-    assert index.term_to_entities["shared"] == frozenset({"A:1", "A:2"})
-    assert index.term_to_entities["beta"] == frozenset({"A:2", "A:3"})
-    assert index.preferred_to_entities["beta"] == frozenset({"A:2", "A:3"})
-    assert "shared" not in index.preferred_to_entities
-    assert index.terms == ("alpha", "beta", "shared")
-    assert labels_of(index, "A:2") == ("beta", "shared")
-    with pytest.raises(UnknownEntity):
-        labels_of(index, "A:9")
-
-
-def test_index_tables_are_mutually_consistent():
-    rng = random.Random(7)
-    words = [f"term{i}" for i in range(30)]
-    labels_by_id = {}
-    for n in range(40):
-        labels = rng.sample(words, rng.randint(1, 4))
-        labels_by_id[f"E:{n:03d}"] = labels
-    onto = make_ontology("X", labels_by_id)
-    index = build_entity_term_index(onto)
-
-    for entity_id, terms in index.entity_to_terms.items():
-        for term in terms:
-            assert entity_id in index.term_to_entities[term]
-    for term, ids in index.term_to_entities.items():
-        for entity_id in ids:
-            assert term in index.entity_to_terms[entity_id]
-    for term, ids in index.preferred_to_entities.items():
-        for entity_id in ids:
-            assert index.entity_to_terms[entity_id][0] == term
-        assert ids <= index.term_to_entities[term]
 
 
 @given(st.text())
