@@ -213,13 +213,16 @@ def load_vector_file(path: str) -> dict[str, np.ndarray]:
 def write_vector_file(path: str, vectors: Mapping[str, np.ndarray]) -> None:
     """Write vectors in the load_vector_file format, sorted by label.
 
-    A label that starts with '#' would be read back as a comment, so it is
+    A label that starts with '#' would be read back as a comment, and the
+    reader ends a line at a lone carriage return too, so such labels are
     rejected like one that contains a tab or newline.
     """
     lines = ["# label\tcomma-separated components"]
     for label in sorted(vectors):
-        if "\t" in label or "\n" in label:
-            raise InvalidParameter(f"label {label!r} cannot contain tab or newline")
+        if any(ch in label for ch in "\t\n\r"):
+            raise InvalidParameter(
+                f"label {label!r} cannot contain tab, newline or carriage return"
+            )
         if label.lstrip().startswith("#"):
             raise InvalidParameter(
                 f"label {label!r} cannot start with '#': vector files read "

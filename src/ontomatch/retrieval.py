@@ -10,15 +10,31 @@ Ties are deterministic: label hits order by (score desc, label asc), entity
 candidates by (score desc, entity id asc), and the cut at k is applied after
 that ordering.
 
-The vectorized path only prefilters raw cosines with a safety margin wider
-than the largest shift 5-decimal rounding can introduce; every surviving
-score is then re-rounded with the scalar rule, so the batch path is exactly
-the rounded semantics.
+Scores are found in two steps. A float32 prefilter computes cosines of the
+unit rows cast to float32 and keeps every pair that could pass the exact
+rule: at or above tau - _TAU_MARGIN - e, and within _RANK_MARGIN + 2e of
+its row's k-th largest float32 score. The base margins cover the largest
+shift 5-decimal rounding can introduce; e = f32_dot_error(dim) + a little
+for cutting in float32 covers the float32 error, about (dim + 2) * 2**-24.
+The exact rule then runs on the survivors only: float64 dot products of
+the unit rows, round_score, the tau cut, the order and the cut at k, so
+the result is exactly the rounded semantics.
+
+build_candidate_dbs runs the prefilter for both directions in one pass over
+row blocks of the score matrix, with the larger KB's labels as rows and
+the smaller KB held whole in float32 as columns. The row direction cuts
+each row within its block; the column direction keeps, after every block,
+only the scores within the rank margin of each column's running k-th. Each
+column then holds at most k scores plus those tied with its k-th within
+the margin, at any tau, including tau = 0. Entity scores are computed from
+the float64 unit rows as before, and only for entities that own a label
+with a hit.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -47,7 +63,18 @@ DIRECTION_T2S = "t2s"
 _TAU_MARGIN = 1.5e-5
 _RANK_MARGIN = 2.0e-5
 
+# float32 unit roundoff and smallest normal: the terms of f32_dot_error.
+_F32_EPS = 2.0 ** -24
+_F32_TINY = 2.0 ** -126
+# How far above 1 the norm of a float64 unit row can be (about dim * 2**-53).
+_F64_NORM_SLACK = 2.0 ** -30
+# A cut value held in float32 (|value| < 2) is off by at most 2**-24 from
+# rounding, plus the rounding of the margin subtracted from it.
+_F32_CUT_SLACK = 2.0 ** -22
+
 _DEF_CHUNK = 128
+# Float64 elements of each side gathered at once when rescoring survivors.
+_RESCORE_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -280,26 +307,139 @@ def _validate_k_tau(k: int, tau: float) -> None:
         raise InvalidParameter(f"tau must be in [0, 1], got {tau}")
 
 
-def _top_rows_batch(
-    query_unit: np.ndarray, kb: VectorKB, k: int, tau: float
-) -> list[list[tuple[int, float]]]:
-    """Per query row: [(kb_row, rounded_score), ...] in final rank order."""
-    sims = query_unit @ kb.unit_matrix.T
-    results: list[list[tuple[int, float]]] = []
-    for row in sims:
-        keep = np.flatnonzero(row >= tau - _TAU_MARGIN)
-        if keep.size > k:
-            vals = row[keep]
-            kth = np.partition(vals, -k)[-k]
-            keep = keep[vals >= kth - _RANK_MARGIN]
-        hits: list[tuple[int, float]] = []
-        for idx in keep:
-            score = round_score(float(row[idx]))
-            if score >= tau:
-                hits.append((int(idx), score))
-        hits.sort(key=lambda pair: (-pair[1], kb.labels[pair[0]]))
-        results.append(hits[:k])
-    return results
+def f32_dot_error(dim: int) -> float:
+    """Largest |float32 dot - exact dot| for two float64 unit vectors of
+    length dim, cast to float32 and multiplied in any summation order.
+
+    About (dim + 2) * 2**-24. Casting moves a component x by at most
+    eps*|x| + tiny, where tiny also covers a component that becomes
+    subnormal or is flushed to zero, so a cast vector is within
+    a = eps*n + tiny*sqrt(dim) of its source in 2-norm (n bounds the norm of
+    a float64 unit vector) and the cast costs at most 2*n*a + a**2 of the
+    dot product. Summing dim products in float32 adds at most
+    gamma * (n + a)**2 with gamma = dim*eps / (1 - dim*eps) (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 3.1), plus tiny for
+    each product or partial sum that underflows.
+    """
+    n = 1.0 + _F64_NORM_SLACK
+    a = _F32_EPS * n + _F32_TINY * math.sqrt(dim)
+    gamma = dim * _F32_EPS / (1.0 - dim * _F32_EPS)
+    return 2.0 * n * a + a * a + gamma * (n + a) ** 2 + 2 * dim * _F32_TINY
+
+
+def _cuts(dim: int, tau: float) -> tuple[float, float]:
+    """The float32 prefilter's tau floor and rank margin for this dim.
+
+    Both exact margins widen by the float32 error once per float32 score
+    they compare, plus the rounding of the cut value itself to float32.
+    """
+    err = f32_dot_error(dim) + _F32_CUT_SLACK
+    return tau - _TAU_MARGIN - err, _RANK_MARGIN + 2.0 * err
+
+
+def _row_survivors(
+    sims: np.ndarray, k: int, floor: float, rank_margin: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) of the float32 scores that may make their row's exact
+    top k: at or above the floor and within rank_margin of the row's k-th
+    largest score. Rows whose maximum is below the floor cost no sort."""
+    live = np.flatnonzero(sims.max(axis=1, initial=-np.inf) >= floor)
+    block = sims if live.size == len(sims) else sims[live]
+    cut = np.full(live.size, floor, dtype=np.float32)
+    if live.size and block.shape[1] > k:
+        kth = np.partition(block, -k, axis=1)[:, -k]
+        cut = np.maximum(cut, kth - rank_margin)
+    rows, cols = np.nonzero(block >= cut[:, None])
+    return live[rows], cols
+
+
+class _ColumnCut:
+    """The column-wise counterpart of _row_survivors, fed one row block of
+    the float32 score matrix at a time.
+
+    After each block a column keeps only its scores at or above the floor
+    and within rank_margin of the k-th largest score seen in its live
+    blocks (those whose maximum reached the column's cut). That k-th value
+    only grows and never exceeds the column's true k-th, so a dropped score
+    would fail the final cut as well, and a column never holds more than k
+    scores plus those tied with its k-th within the margin, at any tau.
+    """
+
+    def __init__(self, n_cols: int, k: int, floor: float, rank_margin: float):
+        self.k = k
+        self.floor = floor
+        self.rank_margin = rank_margin
+        # Per column, the k largest scores seen; column 0 is the k-th.
+        self.top = np.full((n_cols, k), -np.inf, dtype=np.float32)
+        self.cols = np.empty(0, dtype=np.intp)
+        self.rows = np.empty(0, dtype=np.intp)
+        self.vals = np.empty(0, dtype=np.float32)
+
+    def _cut(self) -> np.ndarray:
+        return np.maximum(self.floor, self.top[:, 0] - self.rank_margin)
+
+    def add(self, first_row: int, sims: np.ndarray) -> None:
+        live = np.flatnonzero(sims.max(axis=0, initial=-np.inf) >= self._cut())
+        if not live.size:
+            return
+        block = sims if live.size == sims.shape[1] else sims[:, live]
+        pool = np.concatenate([self.top[live], block.T], axis=1)
+        pool.partition(-self.k, axis=1)
+        self.top[live] = pool[:, -self.k:]
+        cut = self._cut()
+        keep = self.vals >= cut[self.cols]
+        rows, cols = np.nonzero(block >= cut[live])
+        self.cols = np.concatenate([self.cols[keep], live[cols]])
+        self.rows = np.concatenate([self.rows[keep], rows + first_row])
+        self.vals = np.concatenate([self.vals[keep], block[rows, cols]])
+
+
+def _exact_hits(
+    query_unit: np.ndarray,
+    corpus_kb: VectorKB,
+    query_rows: np.ndarray,
+    corpus_rows: np.ndarray,
+    k: int,
+    tau: float,
+) -> dict[int, list[tuple[int, float]]]:
+    """The exact rule on the survivor pairs: {query row: [(corpus row,
+    score), ...]} in final rank order, for the rows with at least one hit.
+
+    Each pair's float64 cosine is rounded with round_score; a query row
+    keeps the scores at or above tau, ordered by (score desc, label asc)
+    and cut at k.
+    """
+    raw = np.empty(query_rows.size)
+    step = max(1, _RESCORE_ELEMENTS // max(corpus_kb.dim, 1))
+    for start in range(0, query_rows.size, step):
+        span = slice(start, start + step)
+        raw[span] = np.einsum(
+            "ij,ij->i",
+            query_unit[query_rows[span]],
+            corpus_kb.unit_matrix[corpus_rows[span]],
+        )
+    hits: dict[int, list[tuple[int, float]]] = {}
+    for query_row, corpus_row, value in zip(
+        query_rows.tolist(), corpus_rows.tolist(), raw.tolist()
+    ):
+        score = round_score(value)
+        if score >= tau:
+            hits.setdefault(query_row, []).append((corpus_row, score))
+    labels = corpus_kb.labels
+    for row_hits in hits.values():
+        row_hits.sort(key=lambda pair: (-pair[1], labels[pair[0]]))
+        del row_hits[k:]
+    return hits
+
+
+def _top_rows(
+    query_unit: np.ndarray, corpus_kb: VectorKB, k: int, tau: float
+) -> dict[int, list[tuple[int, float]]]:
+    """Hits of each query unit row against a whole corpus KB."""
+    floor, rank_margin = _cuts(corpus_kb.dim, tau)
+    sims = query_unit.astype(np.float32) @ corpus_kb.unit_matrix.astype(np.float32).T
+    rows, cols = _row_survivors(sims, k, floor, rank_margin)
+    return _exact_hits(query_unit, corpus_kb, rows, cols, k, tau)
 
 
 def top_k_labels(
@@ -315,10 +455,10 @@ def top_k_labels(
     norm = float(np.linalg.norm(vector))
     if norm == 0.0:
         raise ZeroVector("cannot retrieve with a zero query vector")
-    rows = _top_rows_batch(vector[None, :] / norm, kb, k, tau)[0]
+    hits = _top_rows(vector[None, :] / norm, kb, k, tau).get(0, [])
     return [
         LabelHit(label=kb.labels[i], entities=kb.owners[i], score=score)
-        for i, score in rows
+        for i, score in hits
     ]
 
 
@@ -374,8 +514,11 @@ def candidate_entities(
     if (norms == 0.0).any():
         raise ZeroVector(f"entity {entity.id!r} has a zero label vector")
     unit = vectors / norms[:, None]
-    hits = _top_rows_batch(unit, corpus_kb, k, tau)
-    return _entity_candidates(entity.id, unit, hits, corpus_kb, direction)
+    hits = _top_rows(unit, corpus_kb, k, tau)
+    return _entity_candidates(
+        entity.id, unit, [hits.get(i, []) for i in range(len(unit))],
+        corpus_kb, direction,
+    )
 
 
 @dataclass
@@ -404,31 +547,60 @@ class CandidateDB:
         return sum(len(lst) for lst in self.lists.values())
 
 
-def _direction_candidates(
+def _direction_lists(
     query_onto: Ontology,
     query_kb: VectorKB,
     corpus_kb: VectorKB,
-    k: int,
-    tau: float,
     direction: str,
-    chunk: int,
+    hits: dict[int, list[tuple[int, float]]],
 ) -> dict[str, CandidateList]:
-    n_labels = len(query_kb)
-    hits_by_row: list[list[tuple[int, float]]] = []
-    for start in range(0, n_labels, chunk):
-        block = query_kb.unit_matrix[start:start + chunk]
-        hits_by_row.extend(_top_rows_batch(block, corpus_kb, k, tau))
+    """Every query entity's candidate list; only entities that own a hit
+    label are assembled, the rest get an empty list."""
+    hit_owners = set().union(*(query_kb.owners[row] for row in hits))
     lists: dict[str, CandidateList] = {}
     for entity in query_onto:
+        if entity.id not in hit_owners:
+            lists[entity.id] = CandidateList(
+                owner=entity.id, direction=direction, candidates=()
+            )
+            continue
         rows = [query_kb.label_to_row[label] for label in entity.labels]
         lists[entity.id] = _entity_candidates(
             entity.id,
             query_kb.unit_rows(rows),
-            [hits_by_row[r] for r in rows],
+            [hits.get(r, []) for r in rows],
             corpus_kb,
             direction,
         )
     return lists
+
+
+def _blocked_pass(
+    row_kb: VectorKB, col_kb: VectorKB, k: int, tau: float, chunk: int
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The float32 prefilter of both directions in one pass over row blocks
+    of the score matrix row_kb x col_kb.
+
+    Returns the (query rows, corpus rows) survivors of the row_kb -> col_kb
+    direction, cut per row within each block, and those of col_kb -> row_kb,
+    cut per column by a _ColumnCut.
+    """
+    floor, rank_margin = _cuts(row_kb.dim, tau)
+    col32 = col_kb.unit_matrix.astype(np.float32)
+    columns = _ColumnCut(len(col_kb), k, floor, rank_margin)
+    rows_out = [np.empty(0, dtype=np.intp)]
+    cols_out = [np.empty(0, dtype=np.intp)]
+    for start in range(0, len(row_kb), chunk):
+        block = row_kb.unit_matrix[start:start + chunk].astype(np.float32)
+        sims = block @ col32.T
+        rows, cols = _row_survivors(sims, k, floor, rank_margin)
+        rows_out.append(rows + start)
+        cols_out.append(cols)
+        columns.add(start, sims)
+    return (
+        (np.concatenate(rows_out), np.concatenate(cols_out)),
+        (columns.cols, columns.rows),
+    )
 
 
 def build_candidate_dbs(
@@ -440,7 +612,13 @@ def build_candidate_dbs(
     tau: float,
     chunk: int = _DEF_CHUNK,
 ) -> tuple[CandidateDB, CandidateDB]:
-    """Build both directional candidate DBs from prebuilt KBs."""
+    """Build both directional candidate DBs from prebuilt KBs.
+
+    One pass over row blocks of the float32 score matrix of the two KBs
+    feeds both directions: one cuts each row inside its block, the other
+    keeps a running cut per column. The survivors then go through the exact
+    rule.
+    """
     _validate_k_tau(k, tau)
     if source_kb.fingerprint != target_kb.fingerprint:
         raise StaleKB(
@@ -451,6 +629,12 @@ def build_candidate_dbs(
         raise DimensionMismatch(
             f"KB dims differ: {source_kb.dim} vs {target_kb.dim}"
         )
+    # The pass holds its column side whole in float32, so the larger KB is
+    # the one it walks in row blocks.
+    if len(source_kb) >= len(target_kb):
+        s2t_pairs, t2s_pairs = _blocked_pass(source_kb, target_kb, k, tau, chunk)
+    else:
+        t2s_pairs, s2t_pairs = _blocked_pass(target_kb, source_kb, k, tau, chunk)
     s2t = CandidateDB(
         direction=DIRECTION_S2T,
         query_name=source.name,
@@ -458,8 +642,9 @@ def build_candidate_dbs(
         k=k,
         tau=tau,
         fingerprint=source_kb.fingerprint,
-        lists=_direction_candidates(
-            source, source_kb, target_kb, k, tau, DIRECTION_S2T, chunk
+        lists=_direction_lists(
+            source, source_kb, target_kb, DIRECTION_S2T,
+            _exact_hits(source_kb.unit_matrix, target_kb, *s2t_pairs, k, tau),
         ),
     )
     t2s = CandidateDB(
@@ -469,8 +654,9 @@ def build_candidate_dbs(
         k=k,
         tau=tau,
         fingerprint=target_kb.fingerprint,
-        lists=_direction_candidates(
-            target, target_kb, source_kb, k, tau, DIRECTION_T2S, chunk
+        lists=_direction_lists(
+            target, target_kb, source_kb, DIRECTION_T2S,
+            _exact_hits(target_kb.unit_matrix, source_kb, *t2s_pairs, k, tau),
         ),
     )
     return s2t, t2s

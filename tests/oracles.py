@@ -3,13 +3,17 @@
 Everything here is written directly from the documented contracts using
 plain Python (math.fsum, Decimal, linear scans) so it shares no code with
 the package under test. The engine's vectorized results are cross-checked
-against these oracles for byte-identical agreement.
+against these oracles for byte-identical agreement. The one numpy oracle,
+oracle_direction_lists, is the all-float64 retrieval kernel that the
+float32 prefilter of build_candidate_dbs must reproduce.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import ROUND_HALF_UP, Decimal
+
+import numpy as np
 
 _QUANTUM = Decimal("0.00001")
 
@@ -114,6 +118,62 @@ def oracle_candidate_rows(
         for candidate_id, score in candidates:
             lines.append(f"{entity_id}\t{candidate_id}\t{score:.5f}")
     return "".join(line + "\n" for line in lines)
+
+
+# The float64 kernel's prefilter: rounding to 5 decimals moves a value by at
+# most 5e-6, so these margins never drop a pair the exact rule keeps.
+_TAU_MARGIN = 1.5e-5
+_RANK_MARGIN = 2.0e-5
+
+
+def oracle_top_rows_batch(query_unit, corpus_kb, k, tau):
+    """Per query unit row: [(corpus row, rounded score), ...] in final rank
+    order, from the full float64 score matrix, one row at a time."""
+    sims = query_unit @ corpus_kb.unit_matrix.T
+    results = []
+    for row in sims:
+        keep = np.flatnonzero(row >= tau - _TAU_MARGIN)
+        if keep.size > k:
+            vals = row[keep]
+            kth = np.partition(vals, -k)[-k]
+            keep = keep[vals >= kth - _RANK_MARGIN]
+        hits = []
+        for idx in keep:
+            score = oracle_round(float(row[idx]))
+            if score >= tau:
+                hits.append((int(idx), score))
+        hits.sort(key=lambda pair: (-pair[1], corpus_kb.labels[pair[0]]))
+        results.append(hits[:k])
+    return results
+
+
+def oracle_direction_lists(query_onto, query_kb, corpus_kb, k, tau):
+    """One direction of build_candidate_dbs, as the float64 kernel computed
+    it: entity id -> ((candidate id, rounded score), ...).
+
+    A query entity's candidates are the owners of its labels' hits, each
+    scored by the max float64 cosine over (entity labels) x (the hit labels
+    it owns), rounded once and ordered by (score desc, id asc).
+    """
+    hits_by_row = oracle_top_rows_batch(query_kb.unit_matrix, corpus_kb, k, tau)
+    lists = {}
+    for entity in query_onto:
+        rows = [query_kb.label_to_row[label] for label in entity.labels]
+        union = sorted({hit for r in rows for hit, _ in hits_by_row[r]})
+        if not union:
+            lists[entity.id] = ()
+            continue
+        cross = query_kb.unit_matrix[rows] @ corpus_kb.unit_matrix[union].T
+        best = {}
+        for j, hit in enumerate(union):
+            raw = float(cross[:, j].max())
+            for owner in corpus_kb.owners[hit]:
+                best[owner] = max(best.get(owner, raw), raw)
+        lists[entity.id] = tuple(sorted(
+            ((owner, oracle_round(raw)) for owner, raw in best.items()),
+            key=lambda pair: (-pair[1], pair[0]),
+        ))
+    return lists
 
 
 def oracle_first_positive(s2t_lists, t2s_lists, reference_pairs, source_id):

@@ -33,6 +33,11 @@ def read_bytes(path):
         return handle.read()
 
 
+def read_text(*parts):
+    with open(os.path.join(*parts), encoding="utf-8") as handle:
+        return handle.read()
+
+
 def test_gen_synthetic_writes_corpus_and_ready_config(tmp_path, capsys):
     out, config = make_corpus(tmp_path, n=10, hcb="0.8")
     captured = capsys.readouterr().out
@@ -69,15 +74,15 @@ def test_stepwise_flow_produces_expected_counts(tmp_path, capsys):
     for name in ("alignment.tsv", "trace.tsv", "report.json", "config.txt",
                  "llm_log.jsonl"):
         assert os.path.exists(os.path.join(mila_dir, name))
-    mila_report = json.load(open(os.path.join(mila_dir, "report.json")))
-    base_report = json.load(open(os.path.join(base_dir, "report.json")))
+    mila_report = json.loads(read_text(mila_dir, "report.json"))
+    base_report = json.loads(read_text(base_dir, "report.json"))
     assert mila_report["pipeline"] == "mila"
     assert mila_report["llm_query_count"] == 12
     assert mila_report["hcb_count"] == 6
     assert base_report["llm_query_count"] == 60
     assert base_report["hcb_count"] == 0
 
-    for line in open(os.path.join(mila_dir, "llm_log.jsonl")):
+    for line in read_text(mila_dir, "llm_log.jsonl").splitlines():
         entry = json.loads(line)
         assert entry["verdict"] in ("Yes", "No", "Unparseable")
         assert len(entry["pair"]) == 2
@@ -98,7 +103,7 @@ def test_stepwise_flow_produces_expected_counts(tmp_path, capsys):
         "compare", mila_dir, base_dir, "--reference", reference,
         "--config", config,
     ]) == EXIT_OK
-    table = open(os.path.join(out, "compare.txt")).read()
+    table = read_text(out, "compare.txt")
     assert "llm_queries" in table
     assert "12" in table and "60" in table
     assert "0.200" in table
@@ -131,7 +136,7 @@ def test_run_all_reproduces_the_stepwise_artifacts(tmp_path, capsys):
 def test_run_all_without_reference_skips_evaluation(tmp_path, capsys):
     out, config = make_corpus(tmp_path, n=6, hcb="1.0")
     lines = [
-        line for line in open(config).read().splitlines()
+        line for line in read_text(config).splitlines()
         if not line.startswith("eval.reference")
     ]
     stripped = tmp_path / "noeval.config"
@@ -238,7 +243,7 @@ def test_rejecting_embedding_endpoint_exits_endpoint(tmp_path, capsys):
 def test_chat_endpoint_death_keeps_partial_run(tmp_path, capsys):
     out, config = make_corpus(tmp_path, n=4, hcb="0.5")
     with RecordingServer(lambda payload, index: (404, {"error": "gone"})) as server:
-        text = open(config).read().replace(
+        text = read_text(config).replace(
             "llm.kind = oracle", "llm.kind = http-chat"
         )
         text += f"llm.url = {server.url}\nllm.model = stub\n"
@@ -249,7 +254,7 @@ def test_chat_endpoint_death_keeps_partial_run(tmp_path, capsys):
         rc = main(["match", "--config", str(dead), "--run-id", "dying"])
     assert rc == EXIT_ENDPOINT
     assert "partial" in capsys.readouterr().err
-    report = json.load(open(os.path.join(out, "runs", "dying", "report.json")))
+    report = json.loads(read_text(out, "runs", "dying", "report.json"))
     assert report["partial"] is True
     assert report["hcb_count"] == 2
     assert report["llm_query_count"] == 0

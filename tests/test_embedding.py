@@ -192,6 +192,10 @@ def test_vector_file_malformed_inputs(tmp_path, content):
 def test_write_vector_file_rejects_tab_in_label(tmp_path):
     with pytest.raises(InvalidParameter):
         write_vector_file(tmp_path / "v.tsv", {"bad\tlabel": np.ones(2)})
+    # the reader ends a line at a lone '\r', so 'a\rb' could not load back
+    with pytest.raises(InvalidParameter, match="carriage return"):
+        write_vector_file(tmp_path / "cr.tsv", {"a\rb": np.ones(2), "c": np.ones(2)})
+    assert not (tmp_path / "cr.tsv").exists()
     # a '#' label would load back as a comment line and silently vanish
     with pytest.raises(InvalidParameter, match="comments"):
         write_vector_file(

@@ -3,6 +3,7 @@
 import math
 import os
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from ontomatch.retrieval import (
     build_candidate_dbs,
     build_kb,
     candidate_entities,
+    f32_dot_error,
     load_candidate_db,
     load_kb,
     save_candidate_db,
@@ -34,7 +36,11 @@ from ontomatch.retrieval import (
 )
 
 from conftest import make_ontology, disease_vector_table
-from oracles import oracle_entity_candidates, oracle_top_k_labels
+from oracles import (
+    oracle_direction_lists,
+    oracle_entity_candidates,
+    oracle_top_k_labels,
+)
 
 TAU = 0.75
 
@@ -519,3 +525,141 @@ def test_top_k_matches_oracle_on_random_vectors(seed, k, tau):
     assert [(h.label, h.score) for h in hits] == expected
     assert all(h.score >= tau for h in hits)
     assert len(hits) <= k
+
+
+def _exact_dot(u, v):
+    """u . v of two float64 vectors, exactly."""
+    scale = 2 ** 1074  # every float64 is an integer multiple of 2**-1074
+
+    def whole(x):
+        num, den = float(x).as_integer_ratio()
+        return num * (scale // den)
+
+    return Fraction(sum(whole(a) * whole(b) for a, b in zip(u, v)), scale * scale)
+
+
+def _raw_pair(case, dim, rng):
+    """Two raw vectors of one family, the adversarial ones included."""
+    x = rng.standard_normal(dim)
+    if case == "same":
+        return x, x.copy()
+    if case == "equal":
+        return np.ones(dim), np.ones(dim)
+    if case == "cancel":
+        # partial sums grow to about dim / 2 while the dot stays near 0
+        signs = np.where(np.arange(dim) % 2, -1.0, 1.0)
+        return signs * (1.0 + 1e-3 * rng.random(dim)), np.ones(dim)
+    if case == "tiny":
+        # components that become float32 subnormals or flush to zero, and
+        # float64 subnormals
+        tiny = rng.choice([1e-39, 3e-42, 1e-45, 1e-47, 5e-324, 0.0], size=(2, dim))
+        tiny[:, 0] = 1.0
+        return tiny[0] * np.sign(x), tiny[1] * np.sign(rng.standard_normal(dim))
+    return x, rng.standard_normal(dim)
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    dim=st.integers(min_value=1, max_value=4096)
+    | st.sampled_from([1, 2, 64, 400, 2002, 4096]),
+    case=st.sampled_from(["gaussian", "same", "equal", "cancel", "tiny"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_f32_dot_error_bounds_the_float32_score(dim, case, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [_raw_pair(case, dim, rng) for _ in range(2)]
+    # unit rows as VectorKB makes them, then the float32 product the
+    # prefilter runs
+    unit = [np.asarray(v) / np.linalg.norm(v) for pair in pairs for v in pair]
+    left, right = np.array(unit[0::2]), np.array(unit[1::2])
+    f32 = left.astype(np.float32) @ right.astype(np.float32).T
+    bound = Fraction(f32_dot_error(dim))
+    for i, u in enumerate(left):
+        for j, v in enumerate(right):
+            assert abs(Fraction(float(f32[i, j])) - _exact_dot(u, v)) <= bound
+
+
+@st.composite
+def planted_corpora(draw):
+    """Multi-label source and target ontologies over one fixture provider.
+
+    Target labels are random, copies of a source vector, duplicates of an
+    earlier target vector (exact ties at any rank), near-duplicates (equal
+    rounded scores whose raw order differs from the label order) or planted
+    at cosine tau exactly against a source label; source labels may be
+    duplicates or near-duplicates of each other.
+    Labels may be shared between entities. Returns (source, target,
+    provider, tau).
+    """
+    tau = draw(st.sampled_from([0.0, 0.5, 0.75, 1.0]))
+    dim = draw(st.integers(min_value=2, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    vectors = {}
+    sources = [f"s{i}" for i in range(draw(st.integers(min_value=1, max_value=8)))]
+    for i, label in enumerate(sources):
+        kind = draw(st.sampled_from(["random", "duplicate", "near"]))
+        if kind != "random" and i:
+            vectors[label] = vectors[sources[rng.integers(i)]].copy()
+            if kind == "near":
+                vectors[label] += 1e-6 * rng.standard_normal(dim)
+        else:
+            vectors[label] = rng.standard_normal(dim)
+    targets = [f"t{i}" for i in range(draw(st.integers(min_value=1, max_value=10)))]
+    for i, label in enumerate(targets):
+        kind = draw(st.sampled_from(["random", "copy", "duplicate", "near", "at-tau"]))
+        base = vectors[sources[rng.integers(len(sources))]]
+        if kind == "copy":
+            vectors[label] = base * rng.uniform(0.5, 2.0)
+        elif kind in ("duplicate", "near") and i:
+            vectors[label] = vectors[targets[rng.integers(i)]].copy()
+            if kind == "near":
+                vectors[label] += 1e-6 * rng.standard_normal(dim)
+        elif kind == "at-tau":
+            unit = base / np.linalg.norm(base)
+            other = rng.standard_normal(dim)
+            other -= (other @ unit) * unit
+            other /= np.linalg.norm(other)
+            vectors[label] = tau * unit + math.sqrt(1.0 - tau * tau) * other
+        else:
+            vectors[label] = rng.standard_normal(dim)
+
+    def ontology(name, labels):
+        groups = {}
+        for label in labels:
+            owners = draw(st.sets(st.integers(0, 3), min_size=1, max_size=2))
+            for owner in sorted(owners):
+                groups.setdefault(f"{name}:{owner}", []).append(label)
+        return make_ontology(name, groups)
+
+    provider = fixture_provider(vectors, dim)
+    return ontology("S", sources), ontology("T", targets), provider, tau
+
+
+def _db_rows(lists):
+    return [
+        f"{owner}\t{candidate}\t{score:.5f}"
+        for owner in sorted(lists)
+        for candidate, score in lists[owner]
+    ]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    corpus=planted_corpora(),
+    k=st.sampled_from([1, 3, 5]),
+    chunk=st.sampled_from([1, 7, 128]),
+)
+def test_candidate_dbs_equal_the_float64_kernel(corpus, k, chunk):
+    source, target, provider, tau = corpus
+    source_kb, target_kb = build_kb(source, provider), build_kb(target, provider)
+    s2t, t2s = build_candidate_dbs(
+        source, target, source_kb, target_kb, k=k, tau=tau, chunk=chunk
+    )
+    for db, query, query_kb, corpus_kb in (
+        (s2t, source, source_kb, target_kb),
+        (t2s, target, target_kb, source_kb),
+    ):
+        expected = oracle_direction_lists(query, query_kb, corpus_kb, k, tau)
+        got = {owner: lst.candidates for owner, lst in db.lists.items()}
+        assert _db_rows(got) == _db_rows(expected)
+        assert list(got) == list(expected)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ TEMPLATE = PromptTemplate.default()
 
 
 def file_digest(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def test_generation_is_deterministic(tmp_path):
@@ -45,7 +46,7 @@ def test_manifest_counts_and_planned_values(tmp_path):
     assert corpus.planned["mila_llm_calls"] == 8
     assert corpus.planned["baseline_llm_calls"] == 100
     assert corpus.planned["sum_source_candidates"] == 100
-    manifest = json.loads(open(corpus.manifest_path).read())
+    manifest = json.loads(Path(corpus.manifest_path).read_text())
     assert manifest["n_pairs"] == 20
     assert manifest["planned"]["mila_llm_calls"] == 8
     assert manifest["files"]["vectors"] == "vectors.tsv"
