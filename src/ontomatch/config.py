@@ -53,7 +53,6 @@ class RunConfig:
     llm_url: str | None = None
     llm_model: str | None = None
     llm_temperature: float = DEFAULT_TEMPERATURE
-    llm_max_concurrency: int = 4
     llm_timeout: float = 60.0
     llm_token_env: str | None = None
     llm_reference: str | None = None
@@ -81,39 +80,12 @@ class RunConfig:
             raise ConfigError(f"match.workers must be >= 1, got {self.match_workers}")
 
 
-# config-file key <-> RunConfig field
-_KEY_TO_FIELD = {
-    "source.dump": "source_dump",
-    "source.name": "source_name",
-    "target.dump": "target_dump",
-    "target.name": "target_name",
-    "k": "k",
-    "tau": "tau",
-    "seed": "seed",
-    "out": "out",
-    "embedding.kind": "embedding_kind",
-    "embedding.dim": "embedding_dim",
-    "embedding.seed": "embedding_seed",
-    "embedding.file": "embedding_file",
-    "embedding.url": "embedding_url",
-    "embedding.batch_size": "embedding_batch_size",
-    "embedding.timeout": "embedding_timeout",
-    "embedding.token_env": "embedding_token_env",
-    "llm.kind": "llm_kind",
-    "llm.url": "llm_url",
-    "llm.model": "llm_model",
-    "llm.temperature": "llm_temperature",
-    "llm.max_concurrency": "llm_max_concurrency",
-    "llm.timeout": "llm_timeout",
-    "llm.token_env": "llm_token_env",
-    "llm.reference": "llm_reference",
-    "llm.flip_probability": "llm_flip_probability",
-    "llm.replies": "llm_replies",
-    "prompt.template": "prompt_template",
-    "eval.reference": "eval_reference",
-    "match.workers": "match_workers",
-}
-_FIELD_TO_KEY = {field: key for key, field in _KEY_TO_FIELD.items()}
+# config-file key <-> RunConfig field: the key is the field name with its
+# first "_" replaced by "."
+_KEY_BY_FIELD = {f.name: f.name.replace("_", ".", 1) for f in fields(RunConfig)}
+_FIELD_BY_KEY = {key: name for name, key in _KEY_BY_FIELD.items()}
+# RunConfig annotation -> parser of the config-file text; other types stay text
+_PARSERS = {"int": int, "int | None": int, "float": float}
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -142,19 +114,15 @@ def load_config_file(path: str) -> dict[str, str]:
 
 def _convert(key: str, field_name: str, text: str):
     field_type = {f.name: f.type for f in fields(RunConfig)}[field_name]
+    parser = _PARSERS.get(field_type)
+    if parser is None:
+        return text
     try:
-        if field_name in ("k", "seed", "embedding_dim", "embedding_seed",
-                          "embedding_batch_size", "llm_max_concurrency",
-                          "match_workers"):
-            return int(text)
-        if field_name in ("tau", "llm_temperature", "llm_flip_probability",
-                          "embedding_timeout", "llm_timeout"):
-            return float(text)
+        return parser(text)
     except ValueError:
         raise ConfigError(
             f"config key {key!r}: cannot parse {text!r} as {field_type}"
         ) from None
-    return text
 
 
 def build_config(
@@ -166,12 +134,12 @@ def build_config(
     """
     kwargs: dict = {}
     for key, text in (values or {}).items():
-        field_name = _KEY_TO_FIELD.get(key)
+        field_name = _FIELD_BY_KEY.get(key)
         if field_name is None:
             raise ConfigError(f"unknown config key {key!r}")
         kwargs[field_name] = _convert(key, field_name, text)
     for field_name, value in overrides.items():
-        if field_name not in _FIELD_TO_KEY:
+        if field_name not in _KEY_BY_FIELD:
             raise ConfigError(f"unknown config field {field_name!r}")
         if value is not None:
             kwargs[field_name] = value
@@ -184,7 +152,7 @@ def snapshot(config: RunConfig) -> str:
     Loading the snapshot back through build_config reproduces the config.
     """
     lines = []
-    for field_name, key in sorted(_FIELD_TO_KEY.items(), key=lambda kv: kv[1]):
+    for field_name, key in sorted(_KEY_BY_FIELD.items(), key=lambda kv: kv[1]):
         value = getattr(config, field_name)
         if value is None:
             continue
@@ -248,7 +216,6 @@ def build_llm_client(config: RunConfig, log_path: str | None = None) -> LlmClien
         url=config.llm_url,
         model=config.llm_model,
         temperature=config.llm_temperature,
-        max_concurrency=config.llm_max_concurrency,
         timeout=config.llm_timeout,
         token_env=config.llm_token_env,
         log_path=log_path,

@@ -240,19 +240,6 @@ class OracleClient(LlmClient):
         return ("Yes" if member else "No"), 1
 
 
-def make_oracle(
-    reference,
-    flip_probability: float = 0.0,
-    seed: int = 0,
-    log_path: str | None = None,
-) -> OracleClient:
-    """Build an oracle client from a reference alignment or a pair iterable."""
-    pairs = getattr(reference, "pairs", reference)
-    return OracleClient(
-        pairs, flip_probability=flip_probability, seed=seed, log_path=log_path
-    )
-
-
 class ScriptedClient(LlmClient):
     """Replays a fixed reply sequence; raises once the script runs out."""
 
@@ -281,8 +268,9 @@ class HttpChatClient(LlmClient):
     Sends one user message per classification and reads the first choice's
     message content. Transport errors and 5xx responses retry with
     exponential backoff; after the retry budget (or on any other bad
-    response) EndpointUnavailable is raised. At most max_concurrency
-    requests are in flight at once.
+    response) EndpointUnavailable is raised. The client sets no limit of
+    its own on requests in flight: each classify call sends one request on
+    the calling thread, so the matcher's worker count is that limit.
     """
 
     def __init__(
@@ -290,7 +278,6 @@ class HttpChatClient(LlmClient):
         url: str,
         model: str,
         temperature: float = 0.7,
-        max_concurrency: int = 4,
         timeout: float = 60.0,
         max_retries: int = 3,
         backoff_seconds: float = 0.5,
@@ -298,17 +285,12 @@ class HttpChatClient(LlmClient):
         log_path: str | None = None,
     ):
         super().__init__(log_path=log_path)
-        if max_concurrency < 1:
-            raise InvalidParameter(
-                f"max_concurrency must be >= 1, got {max_concurrency}"
-            )
         self._url = url
         self._model = model
         self._temperature = float(temperature)
         self._timeout = float(timeout)
         self._max_retries = int(max_retries)
         self._backoff = float(backoff_seconds)
-        self._gate = threading.Semaphore(max_concurrency)
         self._headers = {"Content-Type": "application/json"}
         if token_env:
             token = os.environ.get(token_env)
@@ -327,17 +309,16 @@ class HttpChatClient(LlmClient):
             "temperature": self._temperature,
             "messages": [{"role": "user", "content": prompt}],
         }
-        with self._gate:
-            response, attempts = post_json(
-                self._url,
-                payload,
-                headers=self._headers,
-                timeout=self._timeout,
-                max_retries=self._max_retries,
-                backoff_seconds=self._backoff,
-                error=EndpointUnavailable,
-                service="chat endpoint",
-            )
+        response, attempts = post_json(
+            self._url,
+            payload,
+            headers=self._headers,
+            timeout=self._timeout,
+            max_retries=self._max_retries,
+            backoff_seconds=self._backoff,
+            error=EndpointUnavailable,
+            service="chat endpoint",
+        )
         try:
             content = response.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:

@@ -7,17 +7,19 @@ and anything else goes to the LLM, accepting on the first Yes. The baseline
 pipeline prompts on every candidate and keeps the highest-scored Yes.
 
 Source entities are independent; each one's own search is strictly
-sequential because later LLM calls depend on earlier verdicts. Traces are
-merged in iteration order (ascending source id by default) regardless of
-completion order.
+sequential because later LLM calls depend on earlier verdicts. With
+max_workers = w, the calling thread and w - 1 helper threads each walk one
+source at a time, so at most w LLM requests are in flight. Once a walk
+fails, no thread starts another source. Traces are merged in iteration
+order (ascending source id by default) regardless of completion order.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
@@ -268,35 +270,60 @@ def _run_per_source(
     worker,
     max_workers: int,
 ) -> MatchRunReport:
-    """Run one pipeline over the sources, sequentially or with a thread pool."""
+    """Walk the sources on the calling thread plus max_workers - 1 helpers.
+
+    Each thread takes the next source index under a lock. Once a walk
+    raises, or the calling thread itself does (say on Ctrl-C), no thread
+    takes another source; the walks already running end first. The report
+    keeps the walks before the first failed source: EndpointUnavailable
+    marks it partial, any other exception is re-raised.
+    """
     start = time.perf_counter()
-    per_source: list[tuple[list[TraceEvent], Correspondence | None]] = []
+    results: list = [None] * len(sources)
+    failures: dict[int, Exception] = {}
+    lock = threading.Lock()
+    next_index = 0
+    stopped = False
+
+    def take_sources() -> None:
+        nonlocal next_index
+        while True:
+            with lock:
+                if stopped or failures or next_index == len(sources):
+                    return
+                index = next_index
+                next_index += 1
+            try:
+                results[index] = worker(sources[index])
+            except Exception as exc:
+                with lock:
+                    failures[index] = exc
+                return
+
+    helpers: list[threading.Thread] = []
+    try:
+        for _ in range(min(max_workers, len(sources)) - 1):
+            helper = threading.Thread(target=take_sources)
+            helper.start()
+            helpers.append(helper)
+        take_sources()
+    finally:
+        with lock:
+            stopped = True
+        for helper in helpers:
+            helper.join()
+    per_source = results
     partial = False
     abort_reason = None
-    if max_workers <= 1:
-        for source_id in sources:
-            try:
-                per_source.append(worker(source_id))
-            except EndpointUnavailable as exc:
-                partial = True
-                abort_reason = str(exc)
-                logger.error("aborting %s run at %s: %s", pipeline, source_id, exc)
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [(sid, pool.submit(worker, sid)) for sid in sources]
-            for source_id, future in futures:
-                if partial:
-                    future.cancel()
-                    continue
-                try:
-                    per_source.append(future.result())
-                except EndpointUnavailable as exc:
-                    partial = True
-                    abort_reason = str(exc)
-                    logger.error(
-                        "aborting %s run at %s: %s", pipeline, source_id, exc
-                    )
+    if failures:
+        first = min(failures)
+        exc = failures[first]
+        if not isinstance(exc, EndpointUnavailable):
+            raise exc
+        partial = True
+        abort_reason = str(exc)
+        logger.error("aborting %s run at %s: %s", pipeline, sources[first], exc)
+        per_source = results[:first]
     elapsed = time.perf_counter() - start
     return _finish_report(pipeline, s2t, per_source, elapsed, partial, abort_reason)
 

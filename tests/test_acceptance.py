@@ -21,7 +21,7 @@ import ontomatch
 from ontomatch.config import RunConfig, snapshot
 from ontomatch.embedding import SCORE_DECIMALS, DeterministicProvider, round_score
 from ontomatch.evaluation import evaluate, load_reference
-from ontomatch.llm import OracleClient, PromptTemplate, ScriptedClient, make_oracle
+from ontomatch.llm import OracleClient, PromptTemplate, ScriptedClient
 from ontomatch.matcher import (
     PROVENANCE_HCB,
     match_baseline,
@@ -273,7 +273,7 @@ def test_criterion_3_escalation_equals_linear_scan(tmp_path, verdict):
             pipeline = load_corpus_pipeline(corpus)
             reference = pipeline["reference"]
             report = match_mila(
-                None, pipeline["s2t"], pipeline["t2s"], make_oracle(reference),
+                None, pipeline["s2t"], pipeline["t2s"], OracleClient(reference.pairs),
                 TEMPLATE, source_onto=pipeline["source"],
                 target_onto=pipeline["target"], hcb_enabled=False,
             )
@@ -315,11 +315,11 @@ def test_criterion_4_query_budget(budget_corpus, verdict):
             source_onto=pipeline["source"], target_onto=pipeline["target"]
         )
         mila = match_mila(
-            None, pipeline["s2t"], pipeline["t2s"], make_oracle(reference),
+            None, pipeline["s2t"], pipeline["t2s"], OracleClient(reference.pairs),
             TEMPLATE, **kwargs,
         )
         base = match_baseline(
-            None, pipeline["s2t"], make_oracle(reference), TEMPLATE, **kwargs
+            None, pipeline["s2t"], OracleClient(reference.pairs), TEMPLATE, **kwargs
         )
         budget = (1.0 - 0.8) * 500 * 5
         assert mila.llm_query_count <= budget
@@ -341,7 +341,7 @@ def test_criterion_5_perfect_components_give_perfect_scores(budget_corpus, verdi
         corpus, pipeline = budget_corpus
         reference = pipeline["reference"]
         report = match_mila(
-            None, pipeline["s2t"], pipeline["t2s"], make_oracle(reference),
+            None, pipeline["s2t"], pipeline["t2s"], OracleClient(reference.pairs),
             TEMPLATE, source_onto=pipeline["source"],
             target_onto=pipeline["target"],
         )

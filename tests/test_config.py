@@ -1,5 +1,9 @@
 """Run configuration: file parsing, defaults, snapshots, client factories."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from ontomatch.config import (
@@ -104,6 +108,23 @@ def test_unknown_keys_fail_fast():
         build_config({"kay": "5"})
     with pytest.raises(ConfigError, match="unknown config field"):
         build_config({}, kay=5)
+
+
+def test_readme_config_table_lists_exactly_the_accepted_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    )
+    table = readme.split("| Key | Default | Meaning |", 1)[1].split("\n\n", 1)[0]
+    documented = set()
+    for row in table.splitlines()[2:]:  # past the header and separator rows
+        documented.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+    for key in documented:
+        try:
+            build_config({key: "1"})
+        except ConfigError as exc:
+            assert "unknown config key" not in str(exc)
+    # every key names its own field, so equal counts mean equal sets
+    assert len(documented) == len(fields(RunConfig))
 
 
 def test_type_conversion_errors_name_the_key():

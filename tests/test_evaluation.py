@@ -20,7 +20,7 @@ from ontomatch.evaluation import (
     write_eval_report,
     write_reference,
 )
-from ontomatch.llm import ScriptedClient, make_oracle
+from ontomatch.llm import ScriptedClient
 from ontomatch.matcher import match_mila
 from ontomatch.llm import PromptTemplate
 

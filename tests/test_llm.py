@@ -21,7 +21,6 @@ from ontomatch.llm import (
     PromptTemplate,
     ScriptedClient,
     Verdict,
-    make_oracle,
     parse_reply,
     render_prompt,
 )
@@ -184,16 +183,6 @@ def test_oracle_zero_flip_never_flips():
     assert client.classify("x", pair=("a", "c")).value is Verdict.NO
 
 
-def test_make_oracle_accepts_alignment_like_objects():
-    class RefLike:
-        pairs = frozenset({("a", "b")})
-
-    client = make_oracle(RefLike())
-    assert client.classify("x", pair=("a", "b")).value is Verdict.YES
-    plain = make_oracle([("c", "d")])
-    assert plain.classify("x", pair=("c", "d")).value is Verdict.YES
-
-
 def test_scripted_client_sequence_and_exhaustion():
     client = ScriptedClient(["No", "Yes"])
     assert client.classify("a", pair=("s", "t")).value is Verdict.NO
@@ -288,17 +277,6 @@ def test_http_chat_client_dead_endpoint():
         client.classify("prompt")
 
 
-def test_http_chat_client_concurrency_cap_observable():
-    with RecordingServer(chat_behavior(["Yes"]), delay_s=0.15) as server:
-        client = HttpChatClient(server.url, model="m", max_concurrency=2,
-                                backoff_seconds=0.01)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
-            list(pool.map(lambda i: client.classify(f"p{i}"), range(6)))
-        assert server.max_in_flight <= 2
-        assert len(server.payloads) == 6
-        assert client.query_count == 6
-
-
 def test_http_chat_client_sends_token(monkeypatch):
     monkeypatch.setenv("CHAT_TOKEN", "hunter2")
     with RecordingServer(chat_behavior(["Yes"])) as server:
@@ -313,7 +291,3 @@ def test_http_chat_client_missing_token_env(monkeypatch):
     with pytest.raises(ConfigError):
         HttpChatClient("http://127.0.0.1:9/v1", model="m", token_env="CHAT_TOKEN")
 
-
-def test_http_chat_client_parameter_validation():
-    with pytest.raises(InvalidParameter):
-        HttpChatClient("http://127.0.0.1:9/v1", model="m", max_concurrency=0)

@@ -1,6 +1,11 @@
 """Bidirectional/HCB predicates, both pipelines, and run artifacts."""
 
 import json
+import os
+import signal
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +20,11 @@ from ontomatch.errors import (
 )
 from ontomatch.evaluation import evaluate
 from ontomatch.llm import (
+    HttpChatClient,
     LlmClient,
     OracleClient,
     PromptTemplate,
     ScriptedClient,
-    make_oracle,
 )
 from ontomatch.matcher import (
     OUTCOME_HCB_ACCEPT,
@@ -47,6 +52,7 @@ from ontomatch.synth import generate_corpus
 
 from conftest import load_corpus_pipeline, make_db, make_ontology
 from oracles import oracle_walk
+from stubs import RecordingServer
 
 TEMPLATE = PromptTemplate.default()
 
@@ -54,7 +60,9 @@ TEMPLATE = PromptTemplate.default()
 def fixture_oracle(disease_pipeline, **kwargs):
     from ontomatch.evaluation import load_reference
 
-    return make_oracle(load_reference(disease_pipeline["reference_path"]), **kwargs)
+    return OracleClient(
+        load_reference(disease_pipeline["reference_path"]).pairs, **kwargs
+    )
 
 
 def run_mila(pipeline, llm, **kwargs):
@@ -466,28 +474,157 @@ def test_endpoint_death_yields_partial_report(max_workers):
     assert all(c.source_id != "E2" for c in report.alignment.correspondences)
 
 
+def one_candidate_sources(n):
+    """n sources S00.., each with the single candidate T<source id>."""
+    ids = [f"S{i:02d}" for i in range(n)]
+    source = make_ontology("S", {sid: [f"source {sid}"] for sid in ids})
+    target = make_ontology("T", {f"T{sid}": [f"target {sid}"] for sid in ids})
+    s2t = make_db("s2t", "S", "T", {sid: [(f"T{sid}", 0.9)] for sid in ids})
+    return ids, source, target, s2t
+
+
+class SourceIndexClient(LlmClient):
+    """Runs on_source(source index), then answers No; records which source
+    indices and threads reached it."""
+
+    def __init__(self, ids, on_source):
+        super().__init__()
+        self._ids = ids
+        self._on_source = on_source
+        self._lock = threading.Lock()
+        self.started: set[int] = set()
+        self.threads: set[threading.Thread] = set()
+
+    def _respond(self, prompt, pair):
+        index = self._ids.index(pair[0])
+        with self._lock:
+            self.started.add(index)
+            self.threads.add(threading.current_thread())
+        self._on_source(index)
+        return "No", 1
+
+
+@pytest.mark.parametrize("error", [EndpointUnavailable, InvalidParameter])
+@pytest.mark.parametrize("workers", [1, 4])
+def test_no_source_starts_after_a_walk_raised(workers, error):
+    ids, source, target, s2t = one_candidate_sources(20)
+    raised = threading.Event()
+
+    def on_source(index):
+        # source 0 answers after 0.3 s and source 1 raises at once; every
+        # other source waits for that raise and then answers after 10 ms
+        if index == 0:
+            time.sleep(0.3)
+        elif index == 1:
+            raised.set()
+            raise error("source 1 failed")
+        else:
+            assert raised.wait(timeout=10)
+            time.sleep(0.01)
+
+    llm = SourceIndexClient(ids, on_source)
+
+    def run():
+        return match_baseline(
+            None, s2t, llm, TEMPLATE, source_onto=source, target_onto=target,
+            max_workers=workers,
+        )
+
+    if error is EndpointUnavailable:
+        report = run()
+        assert report.partial is True
+        assert "source 1 failed" in report.abort_reason
+        assert report.trace == [TraceEvent(ids[0], 1, f"T{ids[0]}", OUTCOME_LLM_NO)]
+    else:
+        with pytest.raises(InvalidParameter, match="source 1 failed"):
+            run()
+    # sources 0 and 1 always start; the only others are those already
+    # running next to them
+    assert llm.started <= set(range(max(workers, 2)))
+
+
+@pytest.mark.skipif(os.name != "posix", reason="sends SIGINT to its own process")
+def test_ctrl_c_stops_taking_sources_and_waits_for_running_walks():
+    workers = 4
+    ids, source, target, s2t = one_candidate_sources(40)
+
+    def on_source(index):
+        if index == 10:
+            os.kill(os.getpid(), signal.SIGINT)
+        time.sleep(0.02)
+
+    llm = SourceIndexClient(ids, on_source)
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            match_baseline(
+                None, s2t, llm, TEMPLATE, source_onto=source,
+                target_onto=target, max_workers=workers,
+            )
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert not any(
+        thread.is_alive()
+        for thread in llm.threads
+        if thread is not threading.current_thread()
+    )
+    assert 10 in llm.started
+    assert len(llm.started) <= 10 + workers
+
+
+def test_match_workers_bound_chat_requests_in_flight():
+    ids, source, target, s2t = one_candidate_sources(8)
+
+    def behavior(payload, index):
+        # Yes for every other source, whatever order the requests come in
+        prompt = payload["messages"][0]["content"]
+        reply = "Yes" if any(f"target {sid}" in prompt for sid in ids[::2]) else "No"
+        return 200, {"choices": [{"message": {"content": reply}}]}
+
+    traces = {}
+    with RecordingServer(behavior, delay_s=0.05) as server:
+        for workers in (1, 2):
+            client = HttpChatClient(server.url, model="m", backoff_seconds=0.01)
+            traces[workers] = match_baseline(
+                None, s2t, client, TEMPLATE, source_onto=source,
+                target_onto=target, max_workers=workers,
+            ).trace
+        assert server.max_in_flight <= 2
+        assert len(server.payloads) == 2 * len(ids)
+    assert traces[2] == traces[1]
+    assert [e.outcome for e in traces[1]] == [OUTCOME_LLM_YES, OUTCOME_LLM_NO] * 4
+
+
 def test_parallel_run_matches_sequential(tmp_path):
     corpus = generate_corpus(
         tmp_path / "corpus", n_entities=12, hcb_fraction=0.5, seed=3
     )
     pipeline = load_corpus_pipeline(corpus)
     outputs = []
-    for workers in (1, 4):
-        llm = make_oracle(pipeline["reference"])
-        report = run_mila(pipeline, llm, max_workers=workers)
-        alignment_path = tmp_path / f"a{workers}.tsv"
-        trace_path = tmp_path / f"t{workers}.tsv"
-        write_alignment(report.alignment, alignment_path)
-        write_trace(report.trace, trace_path)
-        outputs.append(
-            (
-                alignment_path.read_bytes(),
-                trace_path.read_bytes(),
-                report.llm_query_count,
-                report.hcb_count,
+    # a short switch interval interleaves the threads taking source indices;
+    # a source taken twice would show in the client's own query count
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 4, 16):
+            llm = OracleClient(pipeline["reference"].pairs)
+            report = run_mila(pipeline, llm, max_workers=workers)
+            alignment_path = tmp_path / f"a{workers}.tsv"
+            trace_path = tmp_path / f"t{workers}.tsv"
+            write_alignment(report.alignment, alignment_path)
+            write_trace(report.trace, trace_path)
+            outputs.append(
+                (
+                    alignment_path.read_bytes(),
+                    trace_path.read_bytes(),
+                    report.llm_query_count,
+                    llm.query_count,
+                    report.hcb_count,
+                )
             )
-        )
-    assert outputs[0] == outputs[1]
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_mila_never_queries_more_than_baseline(tmp_path):
@@ -497,8 +634,8 @@ def test_mila_never_queries_more_than_baseline(tmp_path):
             hcb_fraction=fraction, seed=seed,
         )
         pipeline = load_corpus_pipeline(corpus)
-        mila = run_mila(pipeline, make_oracle(pipeline["reference"]))
-        base = run_baseline(pipeline, make_oracle(pipeline["reference"]))
+        mila = run_mila(pipeline, OracleClient(pipeline["reference"].pairs))
+        base = run_baseline(pipeline, OracleClient(pipeline["reference"].pairs))
         assert mila.llm_query_count <= base.llm_query_count
         assert mila.alignment.pairs == base.alignment.pairs
         assert evaluate(mila.alignment, pipeline["reference"]).f_measure == 1.0
@@ -537,7 +674,7 @@ def test_walks_equal_the_linear_scan(s2t_lists, t2s_lists, reference, flip, seed
     target = make_ontology("T", {tid: [f"label {tid}"] for tid in WALK_TARGETS})
     s2t = make_db("s2t", "S", "T", s2t_lists)
     t2s = make_db("t2s", "T", "S", t2s_lists)
-    judge = make_oracle(reference, flip_probability=flip, seed=seed)
+    judge = OracleClient(reference, flip_probability=flip, seed=seed)
 
     def answer(source_id, target_id):
         return judge.classify("", pair=(source_id, target_id)).is_yes
@@ -552,7 +689,7 @@ def test_walks_equal_the_linear_scan(s2t_lists, t2s_lists, reference, flip, seed
             None, s2t, llm, TEMPLATE, source_onto=source, target_onto=target)),
     ]
     for pipeline, hcb_enabled, run in runs:
-        llm = make_oracle(reference, flip_probability=flip, seed=seed)
+        llm = OracleClient(reference, flip_probability=flip, seed=seed)
         report = run(llm)
         trace, accepted, queries = oracle_walk(
             pipeline, s2t_lists, t2s_lists, answer, WALK_SOURCES, hcb_enabled

@@ -10,7 +10,7 @@ import pytest
 from ontomatch.embedding import DeterministicProvider, load_vector_file
 from ontomatch.errors import InvalidParameter
 from ontomatch.evaluation import evaluate, load_reference
-from ontomatch.llm import PromptTemplate, make_oracle
+from ontomatch.llm import OracleClient, PromptTemplate
 from ontomatch.matcher import is_hcb, match_baseline, match_mila
 from ontomatch.ontology import load_ontology
 from ontomatch.retrieval import build_candidate_dbs, build_kb
@@ -60,8 +60,9 @@ def test_rank_pruned_parasites_cost_one_call(tmp_path):
     assert corpus.planned["mila_llm_calls"] == 2 * (2 * 4 + 5)
     pipeline = load_corpus_pipeline(corpus)
     report = match_mila(
-        None, pipeline["s2t"], pipeline["t2s"], make_oracle(pipeline["reference"]),
-        TEMPLATE, source_onto=pipeline["source"], target_onto=pipeline["target"],
+        None, pipeline["s2t"], pipeline["t2s"],
+        OracleClient(pipeline["reference"].pairs), TEMPLATE,
+        source_onto=pipeline["source"], target_onto=pipeline["target"],
     )
     assert report.llm_query_count == corpus.planned["mila_llm_calls"]
     assert report.hcb_count == 2
@@ -93,11 +94,12 @@ def test_generated_corpora_run_as_planned(
     )
     pipeline = load_corpus_pipeline(corpus)
     mila = match_mila(
-        None, pipeline["s2t"], pipeline["t2s"], make_oracle(pipeline["reference"]),
-        TEMPLATE, source_onto=pipeline["source"], target_onto=pipeline["target"],
+        None, pipeline["s2t"], pipeline["t2s"],
+        OracleClient(pipeline["reference"].pairs), TEMPLATE,
+        source_onto=pipeline["source"], target_onto=pipeline["target"],
     )
     base = match_baseline(
-        None, pipeline["s2t"], make_oracle(pipeline["reference"]),
+        None, pipeline["s2t"], OracleClient(pipeline["reference"].pairs),
         TEMPLATE, source_onto=pipeline["source"], target_onto=pipeline["target"],
     )
     live = n - len(corpus.sabotaged_sources)
@@ -134,8 +136,9 @@ def test_zero_hcb_fraction_yields_empty_candidates(tmp_path):
     assert pipeline["s2t"].total_candidates == 0
     assert pipeline["t2s"].total_candidates == 0
     report = match_mila(
-        None, pipeline["s2t"], pipeline["t2s"], make_oracle(pipeline["reference"]),
-        TEMPLATE, source_onto=pipeline["source"], target_onto=pipeline["target"],
+        None, pipeline["s2t"], pipeline["t2s"],
+        OracleClient(pipeline["reference"].pairs), TEMPLATE,
+        source_onto=pipeline["source"], target_onto=pipeline["target"],
     )
     assert report.llm_query_count == 0
     assert report.hcb_count == 0
@@ -208,7 +211,7 @@ def test_flat_corpus_planted_pairs_are_hcb(tmp_path):
         assert s2t.lists[source_id].score_of(target_id) == 1.0
         assert is_hcb(s2t, t2s, source_id, target_id)
     report = match_mila(
-        None, s2t, t2s, make_oracle(reference), TEMPLATE,
+        None, s2t, t2s, OracleClient(reference.pairs), TEMPLATE,
         source_onto=source, target_onto=target,
     )
     scored = evaluate(report.alignment, reference)
