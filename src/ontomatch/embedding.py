@@ -10,6 +10,7 @@ compares or persists go through round_score, which is the single place the
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import threading
@@ -321,7 +322,7 @@ class HttpProvider(EmbeddingProvider):
         return self._fingerprint
 
     def _post_batch(self, batch: list[str]) -> list[list[float]]:
-        response, _ = post_json(
+        body, _ = post_json(
             self._url,
             {"inputs": batch},
             headers=self._headers,
@@ -332,7 +333,7 @@ class HttpProvider(EmbeddingProvider):
             service="embedding service",
         )
         try:
-            vectors = response.json()["vectors"]
+            vectors = json.loads(body)["vectors"]
         except (ValueError, KeyError) as exc:
             raise ProviderUnavailable(
                 f"embedding service returned an unusable payload: {exc}"

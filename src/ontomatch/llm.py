@@ -309,7 +309,7 @@ class HttpChatClient(LlmClient):
             "temperature": self._temperature,
             "messages": [{"role": "user", "content": prompt}],
         }
-        response, attempts = post_json(
+        body, attempts = post_json(
             self._url,
             payload,
             headers=self._headers,
@@ -320,7 +320,7 @@ class HttpChatClient(LlmClient):
             service="chat endpoint",
         )
         try:
-            content = response.json()["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise EndpointUnavailable(
                 f"chat endpoint returned an unusable payload: {exc}"

@@ -182,9 +182,11 @@ def is_hcb(
     """True iff the pair is bidirectional and tops both candidate lists.
 
     The pair's stored score must equal the maximum of the source's list AND
-    the maximum of the target's list; the two directional scores must agree
-    (they always do when both DBs come from one provider, making the check
-    symmetric: is_hcb(s2t, t2s, a, b) == is_hcb(t2s, s2t, b, a)).
+    the maximum of the target's list, and the two directional scores must be
+    equal. They can differ even when both DBs come from one provider: an
+    entity score is the best over the labels that made the top-k, and the
+    two directions can retrieve different labels. The equality test is what
+    keeps the check symmetric: is_hcb(s2t, t2s, a, b) == is_hcb(t2s, s2t, b, a).
     """
     source_list = s2t.candidates_of(source_id)
     target_list = t2s.candidates_of(target_id)

@@ -1,13 +1,32 @@
-"""The one JSON-over-HTTP request loop shared by the remote clients."""
+"""The one JSON-over-HTTP request loop shared by the remote clients.
+
+Built on the standard library: each attempt is one ``urllib.request``
+POST on a connection of its own. The default opener honours
+``HTTP(S)_PROXY`` and ``NO_PROXY``, verifies HTTPS against the system
+certificate store through the default ``ssl`` context, and does not follow a
+307/308 redirect of a POST, so that reply is rejected without a retry.
+"""
 
 from __future__ import annotations
 
+import json
 import logging
 import time
-
-import requests
+from http.client import HTTPException
+from urllib.error import HTTPError
+from urllib.request import Request, urlopen
 
 logger = logging.getLogger(__name__)
+
+
+def _send(request: Request, timeout: float) -> tuple[int, bytes]:
+    """One POST; return the reply's status and body, whatever the status."""
+    try:
+        response = urlopen(request, timeout=timeout)
+    except HTTPError as exc:  # a non-2xx status is still a reply
+        response = exc
+    with response:
+        return response.status, response.read()
 
 
 def post_json(
@@ -20,8 +39,8 @@ def post_json(
     backoff_seconds: float,
     error: type[Exception],
     service: str,
-) -> tuple[requests.Response, int]:
-    """POST payload as JSON; return the 200 response and the attempt count.
+) -> tuple[bytes, int]:
+    """POST payload as JSON; return the 200 reply's body and the attempt count.
 
     Transport errors and 5xx replies are retried, sleeping backoff_seconds
     * 2**(n-1) before retry n. Any other non-200 status, or running out of
@@ -33,23 +52,22 @@ def post_json(
         if attempt > 1:
             time.sleep(backoff_seconds * 2 ** (attempt - 2))
         try:
-            response = requests.post(
-                url, json=payload, headers=headers, timeout=timeout
+            body = json.dumps(payload, allow_nan=False).encode("utf-8")
+            status, reply = _send(
+                Request(url, data=body, headers=headers, method="POST"), timeout
             )
-        except requests.RequestException as exc:
+        # OSError covers URLError and timeouts; ValueError a malformed URL or
+        # header, or a NaN in the payload.
+        except (OSError, HTTPException, ValueError) as exc:
             last_error = f"transport error: {exc}"
             logger.warning("%s request failed (attempt %d): %s", service, attempt, exc)
             continue
-        if response.status_code >= 500:
-            last_error = f"server error {response.status_code}"
-            logger.warning(
-                "%s returned %d (attempt %d)", service, response.status_code, attempt
-            )
+        if status >= 500:
+            last_error = f"server error {status}"
+            logger.warning("%s returned %d (attempt %d)", service, status, attempt)
             continue
-        if response.status_code != 200:
-            raise error(
-                f"{service} rejected the request "
-                f"({response.status_code}): {response.text[:200]}"
-            )
-        return response, attempt
+        if status != 200:
+            text = reply.decode("utf-8", "replace")[:200]
+            raise error(f"{service} rejected the request ({status}): {text}")
+        return reply, attempt
     raise error(f"{service} unreachable after {max_retries} attempts ({last_error})")

@@ -1,0 +1,132 @@
+"""The HTTP transport under both remote clients: timeouts, status codes,
+unusable payloads, retry warnings, proxies, and what importing the CLI loads."""
+
+import os
+import subprocess
+import sys
+import urllib.request
+from typing import Callable, NamedTuple
+
+import pytest
+
+import ontomatch
+from ontomatch.embedding import HttpProvider
+from ontomatch.errors import EndpointUnavailable, ProviderUnavailable
+from ontomatch.llm import HttpChatClient
+
+from stubs import RecordingServer, chat_behavior, embedding_behavior
+
+
+class Client(NamedTuple):
+    ask: Callable  # ask(url, **client options) sends one request
+    error: type[Exception]
+    service: str
+    good: Callable  # a RecordingServer behavior giving a usable reply
+
+
+CLIENTS = {
+    "chat": Client(
+        lambda url, **options: HttpChatClient(url, model="m", **options)
+        .classify("prompt"),
+        EndpointUnavailable,
+        "chat endpoint",
+        chat_behavior(["Yes"]),
+    ),
+    "embedding": Client(
+        lambda url, **options: HttpProvider(url, dim=2, **options).encode(["a"]),
+        ProviderUnavailable,
+        "embedding service",
+        embedding_behavior(dim=2),
+    ),
+}
+
+
+@pytest.fixture(params=sorted(CLIENTS))
+def client(request) -> Client:
+    return CLIENTS[request.param]
+
+
+def test_slow_reply_is_a_retried_transport_error(client, caplog):
+    with RecordingServer(client.good, delay_s=0.3) as server:
+        with pytest.raises(
+            client.error, match=r"unreachable after 2 attempts \(transport error"
+        ):
+            client.ask(server.url, timeout=0.05, max_retries=2,
+                       backoff_seconds=0.01)
+        assert len(server.payloads) == 2
+    assert f"{client.service} request failed (attempt 1)" in caplog.text
+    assert f"{client.service} request failed (attempt 2)" in caplog.text
+
+
+def test_server_error_warning_names_status_and_attempt(client, caplog):
+    def behavior(payload, index):
+        if index == 0:
+            return 503, {"error": "busy"}
+        return client.good(payload, index)
+
+    with RecordingServer(behavior) as server:
+        client.ask(server.url, backoff_seconds=0.01)
+        assert len(server.payloads) == 2
+    assert f"{client.service} returned 503 (attempt 1)" in caplog.text
+
+
+def test_non_json_reply_is_an_unusable_payload(client):
+    with RecordingServer(lambda p, i: (200, "not json {")) as server:
+        with pytest.raises(client.error, match="unusable payload"):
+            client.ask(server.url, backoff_seconds=0.01)
+        assert len(server.payloads) == 1
+
+
+def test_non_200_success_status_is_rejected_without_retry(client):
+    def behavior(payload, index):
+        return 201, client.good(payload, index)[1]
+
+    with RecordingServer(behavior) as server:
+        with pytest.raises(client.error, match=r"rejected the request \(201\)"):
+            client.ask(server.url, backoff_seconds=0.01)
+        assert len(server.payloads) == 1
+
+
+def test_rejection_message_carries_the_reply_body(client):
+    with RecordingServer(lambda p, i: (403, "quota spent")) as server:
+        with pytest.raises(client.error, match=r"\(403\): quota spent"):
+            client.ask(server.url, backoff_seconds=0.01)
+
+
+def test_url_without_scheme_is_the_callers_error(client):
+    with pytest.raises(client.error, match="unreachable after 2 attempts"):
+        client.ask("no-scheme/v1", max_retries=2, backoff_seconds=0.01)
+
+
+def test_http_proxy_variable_is_honoured(client, monkeypatch):
+    with RecordingServer(client.good) as proxy:
+        for name in ("http_proxy", "NO_PROXY", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTP_PROXY", proxy.url.removesuffix("/v1"))
+        # The default opener reads the proxy variables when it is built,
+        # once per process; drop it so it is built from this environment.
+        monkeypatch.setattr(urllib.request, "_opener", None)
+        # A closed local port: without the proxy the request fails at once.
+        client.ask("http://127.0.0.1:1/v1", max_retries=1, timeout=5.0)
+        assert len(proxy.payloads) == 1
+
+
+def _modules_after(code: str) -> set[str]:
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ontomatch.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\nprint('\\n'.join(sys.modules))"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    return set(out.split())
+
+
+def test_cli_import_loads_no_third_party_http_stack():
+    bare = _modules_after("import sys")
+    added = _modules_after("import sys\nimport ontomatch.cli") - bare
+    assert "ontomatch.cli" in added
+    heavy = ("requests", "urllib3", "charset_normalizer", "idna")
+    assert sorted(m for m in added if m.split(".")[0] in heavy) == []
