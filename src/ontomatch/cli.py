@@ -270,24 +270,25 @@ def _pick_split(reference, split: str, fraction: float, seed: int):
     return train if split == SPLIT_TRAIN else test
 
 
+def _write_eval(alignment_path: str, reference, reference_path: str, split: str):
+    """Score an alignment file, write eval.json beside it, return the report."""
+    metadata = {
+        "alignment_path": alignment_path,
+        "reference_path": reference_path,
+        "split": split,
+    }
+    report = evaluate(read_alignment(alignment_path), reference, metadata=metadata)
+    out_dir = os.path.dirname(alignment_path) or "."
+    write_eval_report(report, os.path.join(out_dir, "eval.json"))
+    return report
+
+
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    alignment = read_alignment(args.alignment)
     reference = _pick_split(
         load_reference(args.reference), args.split, args.split_fraction, cfg.seed
     )
-    report = evaluate(
-        alignment,
-        reference,
-        metadata={
-            "alignment_path": args.alignment,
-            "reference_path": args.reference,
-            "split": args.split,
-        },
-    )
-    out_path = os.path.join(os.path.dirname(args.alignment) or ".", "eval.json")
-    write_eval_report(report, out_path)
-    print(report.summary())
+    print(_write_eval(args.alignment, reference, args.reference, args.split).summary())
     return EXIT_OK
 
 
@@ -392,11 +393,10 @@ def cmd_run_all(args) -> int:
     if cfg.eval_reference:
         reference = load_reference(cfg.eval_reference)
         for run_dir in run_dirs:
-            alignment = read_alignment(os.path.join(run_dir, "alignment.tsv"))
-            report = evaluate(
-                alignment, reference, metadata={"alignment_path": run_dir}
+            report = _write_eval(
+                os.path.join(run_dir, "alignment.tsv"), reference,
+                cfg.eval_reference, SPLIT_FULL,
             )
-            write_eval_report(report, os.path.join(run_dir, "eval.json"))
             print(f"{os.path.basename(run_dir)}: {report.summary()}")
         if len(run_dirs) == 2:
             _compare(cfg, reference, *run_dirs)

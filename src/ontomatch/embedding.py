@@ -1,4 +1,4 @@
-"""Label embedding providers, cosine similarity, and score rounding.
+"""Label embedding providers and score rounding.
 
 Three providers share one interface: a deterministic hash-based encoder for
 tests and synthetic corpora (optionally overridden by fixture vectors), a
@@ -27,7 +27,6 @@ from .errors import (
     MalformedRecord,
     MissingVector,
     ProviderUnavailable,
-    ZeroVector,
 )
 from .fileio import atomic_write_text, read_records
 from .transport import post_json
@@ -48,19 +47,6 @@ def round_score(score: float) -> float:
     if not math.isfinite(value):
         raise InvalidParameter(f"cannot round non-finite score {score!r}")
     return float(Decimal(repr(value)).quantize(_QUANTUM, rounding=ROUND_HALF_UP))
-
-
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """Raw (unrounded) cosine similarity between two vectors."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise DimensionMismatch(f"cannot compare shapes {u.shape} and {v.shape}")
-    norm_u = float(np.linalg.norm(u))
-    norm_v = float(np.linalg.norm(v))
-    if norm_u == 0.0 or norm_v == 0.0:
-        raise ZeroVector("cosine similarity is undefined for a zero vector")
-    return float(np.dot(u, v) / (norm_u * norm_v))
 
 
 class EmbeddingProvider:
@@ -321,7 +307,7 @@ class HttpProvider(EmbeddingProvider):
     def fingerprint(self) -> str:
         return self._fingerprint
 
-    def _post_batch(self, batch: list[str]) -> list[list[float]]:
+    def _post_batch(self, batch: list[str]) -> np.ndarray:
         body, _ = post_json(
             self._url,
             {"inputs": batch},
@@ -333,8 +319,10 @@ class HttpProvider(EmbeddingProvider):
             service="embedding service",
         )
         try:
-            vectors = json.loads(body)["vectors"]
-        except (ValueError, KeyError) as exc:
+            vectors = np.asarray(json.loads(body)["vectors"], dtype=np.float64)
+            if vectors.ndim != 2:
+                raise ValueError(f"vectors has {vectors.ndim} dimensions, not 2")
+        except (ValueError, KeyError, TypeError) as exc:
             raise ProviderUnavailable(
                 f"embedding service returned an unusable payload: {exc}"
             ) from exc
@@ -343,10 +331,15 @@ class HttpProvider(EmbeddingProvider):
                 f"embedding service returned {len(vectors)} vectors "
                 f"for {len(batch)} inputs"
             )
+        if vectors.shape[1] != self._dim:
+            raise DimensionMismatch(
+                f"embedding service returned vectors of width "
+                f"{vectors.shape[1]}, expected {self._dim}"
+            )
         return vectors
 
     def _encode_batch(self, labels: Sequence[str]) -> np.ndarray:
-        rows: list[list[float]] = []
-        for start in range(0, len(labels), self._batch_size):
-            rows.extend(self._post_batch(list(labels[start:start + self._batch_size])))
-        return np.asarray(rows, dtype=np.float64)
+        return np.concatenate([
+            self._post_batch(list(labels[start:start + self._batch_size]))
+            for start in range(0, len(labels), self._batch_size)
+        ])

@@ -531,19 +531,6 @@ def write_trace(trace: Sequence[TraceEvent], path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_trace(path: str) -> list[TraceEvent]:
-    events: list[TraceEvent] = []
-    for line_no, (source_id, rank_text, candidate_id, outcome) in read_records(
-        path, 4
-    ):
-        try:
-            rank = int(rank_text)
-        except ValueError:
-            raise MalformedRecord(path, line_no, f"bad rank {rank_text!r}") from None
-        events.append(TraceEvent(source_id, rank, candidate_id, outcome))
-    return events
-
-
 def write_report(report: MatchRunReport, path: str) -> None:
     atomic_write_text(
         path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"

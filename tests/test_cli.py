@@ -128,8 +128,14 @@ def test_run_all_reproduces_the_stepwise_artifacts(tmp_path, capsys):
     assert read_bytes(os.path.join(mila_dir, "alignment.tsv")) == read_bytes(
         os.path.join(out, "runs", "run-m", "alignment.tsv")
     )
-    assert os.path.exists(os.path.join(mila_dir, "eval.json"))
-    assert os.path.exists(os.path.join(base_dir, "eval.json"))
+    reference = os.path.abspath(os.path.join(out, "synthetic", "reference.tsv"))
+    for run_dir in (mila_dir, base_dir):
+        metadata = json.loads(read_text(run_dir, "eval.json"))["metadata"]
+        assert metadata == {
+            "alignment_path": os.path.join(run_dir, "alignment.tsv"),
+            "reference_path": reference,
+            "split": "full",
+        }
     assert os.path.exists(os.path.join(out2, "compare.txt"))
 
 

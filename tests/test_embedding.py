@@ -1,4 +1,4 @@
-"""Score rounding, cosine similarity, and the embedding providers."""
+"""Score rounding and the embedding providers."""
 
 import concurrent.futures
 import math
@@ -13,7 +13,6 @@ from ontomatch.embedding import (
     DeterministicProvider,
     HttpProvider,
     PrecomputedFileProvider,
-    cosine_similarity,
     load_vector_file,
     round_score,
     write_vector_file,
@@ -25,7 +24,6 @@ from ontomatch.errors import (
     MalformedRecord,
     MissingVector,
     ProviderUnavailable,
-    ZeroVector,
 )
 
 from oracles import oracle_cosine, oracle_round
@@ -89,20 +87,8 @@ def test_cosine_similarity_known_value():
     u = np.array([1.0, 2.0, 3.0])
     v = np.array([4.0, 5.0, 6.0])
     expected = 32.0 / math.sqrt(14.0 * 77.0)
-    assert cosine_similarity(u, v) == pytest.approx(expected, abs=1e-15)
-    assert round_score(cosine_similarity(u, v)) == 0.97463
+    assert oracle_cosine(u, v) == pytest.approx(expected, abs=1e-15)
     assert round_score(oracle_cosine(u, v)) == 0.97463
-
-
-def test_cosine_similarity_bounds_and_errors():
-    u = np.array([1.0, 0.0])
-    assert cosine_similarity(u, np.array([0.0, 1.0])) == 0.0
-    assert cosine_similarity(u, np.array([3.0, 0.0])) == 1.0
-    assert cosine_similarity(u, np.array([-2.0, 0.0])) == -1.0
-    with pytest.raises(ZeroVector):
-        cosine_similarity(u, np.array([0.0, 0.0]))
-    with pytest.raises(DimensionMismatch):
-        cosine_similarity(u, np.array([1.0, 2.0, 3.0]))
 
 
 def test_deterministic_provider_repeatable_and_unit_norm():
@@ -269,6 +255,30 @@ def test_http_provider_validates_row_count_and_dim():
         provider = HttpProvider(server.url, dim=3, backoff_seconds=0.01)
         with pytest.raises(DimensionMismatch):
             provider.encode(["a"])
+    # one batch per label, and the second reply is one component short
+    with RecordingServer(lambda p, i: embedding_behavior(dim=3 - i)(p, i)) as server:
+        provider = HttpProvider(server.url, dim=3, batch_size=1, backoff_seconds=0.01)
+        with pytest.raises(DimensionMismatch):
+            provider.encode(["a", "b"])
+
+
+@pytest.mark.parametrize(
+    "vectors, labels",
+    [
+        pytest.param(5, ["a"], id="not-a-list"),
+        pytest.param([[1.0, 2.0], [1.0]], ["a", "b"], id="ragged-rows"),
+        pytest.param([["a", "b"]], ["a"], id="strings"),
+    ],
+)
+def test_http_provider_rejects_malformed_vectors(vectors, labels):
+    with RecordingServer(lambda p, i: (200, {"vectors": vectors})) as server:
+        provider = HttpProvider(server.url, dim=2, backoff_seconds=0.01)
+        with pytest.raises(
+            ProviderUnavailable,
+            match="embedding service returned an unusable payload: ",
+        ):
+            provider.encode(labels)
+        assert len(server.payloads) == 1
 
 
 def test_http_provider_rejects_non_finite_vectors():
@@ -306,7 +316,7 @@ def test_disease_vectors_reproduce_designed_similarities(disease_pipeline):
 
     def sim(a, b):
         rows = provider.encode([a, b])
-        return round_score(cosine_similarity(rows[0], rows[1]))
+        return round_score(oracle_cosine(rows[0], rows[1]))
 
     assert sim("clear cell sarcoma of soft tissue", "clear cell sarcoma") == 0.80521
     assert sim("clear cell sarcoma - not kidney",

@@ -1,4 +1,9 @@
-"""Vector KBs, top-k label retrieval, and candidate databases."""
+"""Vector KBs, top-k label retrieval, and candidate databases.
+
+Label-level retrieval is checked through build_candidate_dbs: with one label
+per entity and entity ids that sort like labels, an entity's candidate list
+is its label's hit list.
+"""
 
 import math
 import os
@@ -10,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontomatch.embedding import DeterministicProvider, PrecomputedFileProvider, round_score
+from ontomatch.embedding import DeterministicProvider
 from ontomatch.errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -22,17 +27,14 @@ from ontomatch.errors import (
 from ontomatch.ontology import load_ontology
 from ontomatch.retrieval import (
     DIRECTION_S2T,
-    DIRECTION_T2S,
     VectorKB,
     build_candidate_dbs,
     build_kb,
-    candidate_entities,
     f32_dot_error,
     load_candidate_db,
     load_kb,
     save_candidate_db,
     save_kb,
-    top_k_labels,
 )
 
 from conftest import make_ontology, disease_vector_table
@@ -43,11 +45,55 @@ from oracles import (
 )
 
 TAU = 0.75
+CHUNKS = (1, 3, 128)
 
 
 def fixture_provider(vectors, dim):
     arrays = {label: np.asarray(vec, dtype=np.float64) for label, vec in vectors.items()}
     return DeterministicProvider(dim=dim, seed=0, fixtures=arrays)
+
+
+def hit_lists(provider, source_labels, target_labels, k, tau, chunk):
+    """Each label's hits [(label, score), ...] on the other side, as
+    (source labels' hits, target labels' hits): the s2t and t2s DBs of one
+    build_candidate_dbs call over one-label entities with id "E:" + label.
+    """
+    source = make_ontology("S", {f"E:{label}": [label] for label in source_labels})
+    target = make_ontology("T", {f"E:{label}": [label] for label in target_labels})
+    dbs = build_candidate_dbs(
+        source, target, build_kb(source, provider), build_kb(target, provider),
+        k=k, tau=tau, chunk=chunk,
+    )
+    return tuple(
+        {
+            owner[2:]: [(entity_id[2:], score) for entity_id, score in lst.candidates]
+            for owner, lst in db.lists.items()
+        }
+        for db in dbs
+    )
+
+
+def query_hits(provider, query, corpus_labels, k, tau):
+    """One query label's hits from the row cut and from the column cut, at
+    each chunk size.
+
+    Hashed decoy labels fill the query side up to the corpus size. The
+    blocked pass walks its source side in row blocks when the sides are the
+    same size, so the query side as source takes the row cut and as target
+    the column cut.
+    """
+    padded = [query] + [f"decoy {i}" for i in range(1, len(corpus_labels))]
+    results = []
+    for chunk in CHUNKS:
+        rows, _ = hit_lists(provider, padded, corpus_labels, k, tau, chunk)
+        _, columns = hit_lists(provider, corpus_labels, padded, k, tau, chunk)
+        results += [rows[query], columns[query]]
+    return results
+
+
+def every_cut(hits):
+    """What query_hits returns when both cuts at every chunk size agree."""
+    return [hits] * (2 * len(CHUNKS))
 
 
 def test_build_kb_sorts_labels_and_merges_owners():
@@ -212,41 +258,34 @@ def test_kb_binary_round_trip_property(kb):
     assert loaded.matrix.tobytes() == kb.matrix[order].tobytes()
 
 
+def disease_query_hits(target_kb, query, k):
+    provider = fixture_provider(disease_vector_table(), dim=4)
+    return query_hits(provider, query, target_kb.labels, k, TAU)
+
+
 def test_top_k_labels_preferred_label_query(disease_pipeline):
     target_kb = disease_pipeline["target_kb"]
-    provider = disease_pipeline["provider"]
-    query = provider.encode(["clear cell sarcoma of soft tissue"])[0]
-    hits = top_k_labels(target_kb, query, k=5, tau=TAU)
-    assert [(h.label, h.score) for h in hits] == [
+    query = "clear cell sarcoma of soft tissue"
+    hits = [
         ("clear cell sarcoma", 0.80521),
         ("adult soft part clear cell sarcoma", 0.79),
         ("clear cell chondrosarcoma", 0.78),
     ]
-    assert hits[0].entities == frozenset({"DOID:4233"})
-    top3 = top_k_labels(target_kb, query, k=3, tau=TAU)
-    assert {h.label for h in top3} == {
-        "adult soft part clear cell sarcoma",
-        "clear cell sarcoma",
-        "clear cell chondrosarcoma",
-    }
-    top2 = top_k_labels(target_kb, query, k=2, tau=TAU)
-    assert [h.label for h in top2] == [
-        "clear cell sarcoma",
-        "adult soft part clear cell sarcoma",
-    ]
+    assert disease_query_hits(target_kb, query, k=5) == every_cut(hits)
+    assert disease_query_hits(target_kb, query, k=3) == every_cut(hits)
+    assert disease_query_hits(target_kb, query, k=2) == every_cut(hits[:2])
 
 
 def test_top_k_labels_synonym_label_query(disease_pipeline):
-    target_kb = disease_pipeline["target_kb"]
-    provider = disease_pipeline["provider"]
-    query = provider.encode(["clear cell sarcoma - not kidney"])[0]
-    hits = top_k_labels(target_kb, query, k=5, tau=TAU)
-    assert [(h.label, h.score) for h in hits] == [
+    hits = disease_query_hits(
+        disease_pipeline["target_kb"], "clear cell sarcoma - not kidney", k=5
+    )
+    assert hits == every_cut([
         ("childhood kidney clear cell sarcoma", 0.95621),
         ("kidney clear cell sarcoma", 0.94),
         ("renal clear cell carcinoma", 0.77),
         ("sarcoma", 0.76),
-    ]
+    ])
 
 
 def test_top_k_keeps_score_exactly_at_tau():
@@ -255,11 +294,10 @@ def test_top_k_keeps_score_exactly_at_tau():
         "at-tau": [0.75, math.sqrt(1.0 - 0.75 * 0.75)],
         "below": [0.74, math.sqrt(1.0 - 0.74 * 0.74)],
     }
-    onto = make_ontology("X", {"T:1": ["at-tau"], "T:2": ["below"]})
-    provider = fixture_provider(vectors, dim=2)
-    kb = build_kb(onto, provider)
-    hits = top_k_labels(kb, np.array(vectors["query"]), k=5, tau=0.75)
-    assert [(h.label, h.score) for h in hits] == [("at-tau", 0.75)]
+    hits = query_hits(
+        fixture_provider(vectors, dim=2), "query", ["at-tau", "below"], k=5, tau=0.75
+    )
+    assert hits == every_cut([("at-tau", 0.75)])
 
 
 def test_top_k_rounded_tie_breaks_by_label():
@@ -270,25 +308,19 @@ def test_top_k_rounded_tie_breaks_by_label():
         "zebra": [high, math.sqrt(1.0 - high * high)],
         "apple": [0.8, beta],
     }
-    onto = make_ontology("X", {"T:z": ["zebra"], "T:a": ["apple"]})
-    kb = build_kb(onto, fixture_provider(vectors, dim=2))
-    hits = top_k_labels(kb, np.array(vectors["query"]), k=5, tau=0.75)
-    assert [(h.label, h.score) for h in hits] == [("apple", 0.8), ("zebra", 0.8)]
-    top1 = top_k_labels(kb, np.array(vectors["query"]), k=1, tau=0.75)
-    assert [h.label for h in top1] == ["apple"]
+    provider = fixture_provider(vectors, dim=2)
+    hits = query_hits(provider, "query", ["zebra", "apple"], k=5, tau=0.75)
+    assert hits == every_cut([("apple", 0.8), ("zebra", 0.8)])
+    top1 = query_hits(provider, "query", ["zebra", "apple"], k=1, tau=0.75)
+    assert top1 == every_cut([("apple", 0.8)])
 
 
 def test_top_k_parameter_validation(disease_pipeline):
-    kb = disease_pipeline["target_kb"]
-    query = np.ones(kb.dim)
+    args = [disease_pipeline[key] for key in ("source", "target", "source_kb", "target_kb")]
     with pytest.raises(InvalidParameter):
-        top_k_labels(kb, query, k=0, tau=0.75)
+        build_candidate_dbs(*args, k=0, tau=0.75)
     with pytest.raises(InvalidParameter):
-        top_k_labels(kb, query, k=5, tau=1.5)
-    with pytest.raises(ZeroVector):
-        top_k_labels(kb, np.zeros(kb.dim), k=5, tau=0.75)
-    with pytest.raises(DimensionMismatch):
-        top_k_labels(kb, np.ones(kb.dim + 1), k=5, tau=0.75)
+        build_candidate_dbs(*args, k=5, tau=1.5)
 
 
 def test_entity_score_uses_full_cross_product():
@@ -317,6 +349,8 @@ def test_entity_score_uses_full_cross_product():
 
 
 def test_shared_corpus_label_yields_both_owners():
+    """k caps each label's hits, not the entity lists: at k=1 the one hit
+    label still brings both of its owners."""
     vectors = {
         "query": [1.0, 0.0],
         "shared": [0.9, math.sqrt(1.0 - 0.81)],
@@ -324,11 +358,12 @@ def test_shared_corpus_label_yields_both_owners():
     source = make_ontology("S", {"E": ["query"]})
     target = make_ontology("T", {"T:b": ["shared"], "T:a": ["shared"]})
     provider = fixture_provider(vectors, dim=2)
-    s2t, _ = build_candidate_dbs(
-        source, target, build_kb(source, provider), build_kb(target, provider),
-        k=5, tau=0.75,
-    )
-    assert s2t.lists["E"].candidates == (("T:a", 0.9), ("T:b", 0.9))
+    for k in (1, 5):
+        s2t, _ = build_candidate_dbs(
+            source, target, build_kb(source, provider), build_kb(target, provider),
+            k=k, tau=0.75,
+        )
+        assert s2t.lists["E"].candidates == (("T:a", 0.9), ("T:b", 0.9))
 
 
 def test_disease_corpus_candidate_lists(disease_pipeline):
@@ -373,26 +408,6 @@ def test_disease_candidates_match_brute_force_oracle(disease_pipeline):
                 entity.labels, owners_by_label, vectors, corpus_vectors, k=5, tau=TAU
             )
             assert list(db.lists[entity.id].candidates) == expected
-
-
-def test_candidate_entities_matches_batch_path(disease_pipeline):
-    source = disease_pipeline["source"]
-    provider = disease_pipeline["provider"]
-    target_kb = disease_pipeline["target_kb"]
-    for entity in source:
-        single = candidate_entities(entity, provider, target_kb, k=5, tau=TAU)
-        assert single.candidates == disease_pipeline["s2t"].lists[entity.id].candidates
-        assert single.direction == DIRECTION_S2T
-
-
-def test_candidate_entities_rejects_mismatched_provider(disease_pipeline):
-    source = disease_pipeline["source"]
-    other = DeterministicProvider(dim=4, seed=99)
-    with pytest.raises(StaleKB):
-        candidate_entities(
-            source.entity("ncit:C3745"), other, disease_pipeline["target_kb"],
-            k=5, tau=TAU,
-        )
 
 
 def test_build_candidate_dbs_rejects_mismatched_kbs(disease_pipeline):
@@ -499,10 +514,8 @@ def test_scaled_vectors_do_not_change_scores():
     vectors_unit = {"q": [1.0, 0.0], "t": [0.8, 0.6]}
     vectors_scaled = {"q": [7.0, 0.0], "t": [2.4, 1.8]}
     for vectors in (vectors_unit, vectors_scaled):
-        onto = make_ontology("T", {"T:1": ["t"]})
-        kb = build_kb(onto, fixture_provider(vectors, dim=2))
-        hits = top_k_labels(kb, np.array(vectors["q"]), k=1, tau=0.5)
-        assert [(h.label, h.score) for h in hits] == [("t", 0.8)]
+        hits = query_hits(fixture_provider(vectors, dim=2), "q", ["t"], k=1, tau=0.5)
+        assert hits == every_cut([("t", 0.8)])
 
 
 @settings(deadline=None, max_examples=60)
@@ -513,18 +526,21 @@ def test_scaled_vectors_do_not_change_scores():
 )
 def test_top_k_matches_oracle_on_random_vectors(seed, k, tau):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 12))
-    labels = [f"t{i:02d}" for i in range(n)]
-    vectors = {label: rng.standard_normal(4) for label in labels}
-    query = rng.standard_normal(4)
-    onto = make_ontology("T", {f"E:{label}": [label] for label in labels})
+    sides = [
+        [f"{side}{i:02d}" for i in range(int(rng.integers(1, 12)))]
+        for side in ("s", "t")
+    ]
+    vectors = {label: rng.standard_normal(4) for labels in sides for label in labels}
     provider = fixture_provider(vectors, dim=4)
-    kb = build_kb(onto, provider)
-    hits = top_k_labels(kb, query, k=k, tau=tau)
-    expected = oracle_top_k_labels(vectors, list(query), k=k, tau=tau)
-    assert [(h.label, h.score) for h in hits] == expected
-    assert all(h.score >= tau for h in hits)
-    assert len(hits) <= k
+    for chunk in CHUNKS:
+        got = hit_lists(provider, *sides, k=k, tau=tau, chunk=chunk)
+        for labels, others, hits in zip(sides, sides[::-1], got):
+            corpus = {label: vectors[label] for label in others}
+            for label in labels:
+                expected = oracle_top_k_labels(corpus, list(vectors[label]), k=k, tau=tau)
+                assert hits[label] == expected
+                assert all(score >= tau for _, score in hits[label])
+                assert len(hits[label]) <= k
 
 
 def _exact_dot(u, v):

@@ -71,10 +71,12 @@ def test_server_error_warning_names_status_and_attempt(client, caplog):
 
 
 def test_non_json_reply_is_an_unusable_payload(client):
-    with RecordingServer(lambda p, i: (200, "not json {")) as server:
-        with pytest.raises(client.error, match="unusable payload"):
-            client.ask(server.url, backoff_seconds=0.01)
-        assert len(server.payloads) == 1
+    # [1] is JSON, but neither a chat reply nor a vectors object.
+    for body in ("not json {", [1]):
+        with RecordingServer(lambda p, i: (200, body)) as server:
+            with pytest.raises(client.error, match="unusable payload"):
+                client.ask(server.url, backoff_seconds=0.01)
+            assert len(server.payloads) == 1
 
 
 def test_non_200_success_status_is_rejected_without_retry(client):
