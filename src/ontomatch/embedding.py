@@ -96,11 +96,16 @@ class EmbeddingProvider:
             return np.stack([self._cache[label] for label in labels])
 
 
+def _row_text(row: np.ndarray) -> str:
+    """A float64 row as the vector file writes it: each component's repr."""
+    return ",".join(map(repr, row.tolist()))
+
+
 def _fixtures_digest(fixtures: Mapping[str, np.ndarray]) -> str:
+    """sha256 over `label<TAB>row text` lines in label order, first 8 hex."""
     hasher = hashlib.sha256()
     for label in sorted(fixtures):
-        row = ",".join(repr(float(x)) for x in np.asarray(fixtures[label]).ravel())
-        hasher.update(f"{label}\t{row}\n".encode("utf-8"))
+        hasher.update(f"{label}\t{_row_text(fixtures[label])}\n".encode("utf-8"))
     return hasher.hexdigest()[:8]
 
 
@@ -164,25 +169,40 @@ class DeterministicProvider(EmbeddingProvider):
         return np.stack(rows)
 
 
-def load_vector_file(path: str) -> dict[str, np.ndarray]:
+def load_vector_file(path: str) -> tuple[dict[str, np.ndarray], str]:
     """Parse a precomputed-vector file: label<TAB>comma-separated floats.
 
     Comment (#) and blank lines are skipped. All rows must share one
-    dimensionality and be finite.
+    dimensionality and be finite. Returns the rows and their
+    _fixtures_digest, which hashes each row's canonical repr text, so the
+    digest depends on the values and not on how the file spells them.
+
+    Each distinct token of a row is parsed once. A row whose every token is
+    already its value's repr is its own canonical text, so it is hashed
+    without formatting a float. While labels arrive in ascending order, as
+    write_vector_file writes them, each row is hashed as it is read; the
+    first label out of order falls back to digesting the rows at the end.
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
+    hasher = hashlib.sha256()
+    in_order, previous = True, ""
     for line_no, (label, payload) in read_records(path, 2):
         if not label:
             raise MalformedRecord(path, line_no, "empty label")
         if label in vectors:
             raise MalformedRecord(path, line_no, f"duplicate label {label!r}")
+        tokens = payload.split(",")
+        distinct = dict.fromkeys(tokens)
         try:
-            row = np.array(
-                [float(part) for part in payload.split(",")], dtype=np.float64
-            )
+            values = list(map(float, distinct))
         except ValueError as exc:
             raise MalformedRecord(path, line_no, f"bad float: {exc}") from None
+        if len(values) == len(tokens):  # no repeats, as in a dense row
+            row = np.array(values, dtype=np.float64)
+        else:
+            parsed = dict(zip(distinct, values))
+            row = np.fromiter(map(parsed.__getitem__, tokens), np.float64, len(tokens))
         if not np.isfinite(row).all():
             raise MalformedRecord(path, line_no, "non-finite vector component")
         if dim is None:
@@ -192,9 +212,17 @@ def load_vector_file(path: str) -> dict[str, np.ndarray]:
                 path, line_no, f"dimension {row.size} != first row's {dim}"
             )
         vectors[label] = row
+        in_order = in_order and label > previous
+        if in_order:
+            canonical = list(map(repr, values)) == list(distinct)
+            text = payload if canonical else _row_text(row)
+            hasher.update(f"{label}\t{text}\n".encode("utf-8"))
+            previous = label
     if not vectors:
         raise MalformedRecord(path, 0, "no vector rows")
-    return vectors
+    if not in_order:
+        return vectors, _fixtures_digest(vectors)
+    return vectors, hasher.hexdigest()[:8]
 
 
 def write_vector_file(path: str, vectors: Mapping[str, np.ndarray]) -> None:
@@ -215,8 +243,8 @@ def write_vector_file(path: str, vectors: Mapping[str, np.ndarray]) -> None:
                 f"label {label!r} cannot start with '#': vector files read "
                 "'#' lines as comments"
             )
-        row = ",".join(repr(float(x)) for x in np.asarray(vectors[label]).ravel())
-        lines.append(f"{label}\t{row}")
+        row = np.asarray(vectors[label], dtype=np.float64).ravel()
+        lines.append(f"{label}\t{_row_text(row)}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -226,9 +254,9 @@ class PrecomputedFileProvider(EmbeddingProvider):
     def __init__(self, path: str):
         super().__init__()
         self._path = path
-        self._vectors = load_vector_file(path)
+        self._vectors, digest = load_vector_file(path)
         self._dim = next(iter(self._vectors.values())).size
-        self._fingerprint = f"file/d{self._dim}/{_fixtures_digest(self._vectors)}"
+        self._fingerprint = f"file/d{self._dim}/{digest}"
 
     @property
     def dim(self) -> int:

@@ -1,28 +1,53 @@
 """The one JSON-over-HTTP request loop shared by the remote clients.
 
 Built on the standard library: each attempt is one ``urllib.request``
-POST on a connection of its own. The default opener honours
-``HTTP(S)_PROXY`` and ``NO_PROXY``, verifies HTTPS against the system
-certificate store through the default ``ssl`` context, and does not follow a
-307/308 redirect of a POST, so that reply is rejected without a retry.
+POST on a connection of its own. The openers honour ``HTTP(S)_PROXY`` and
+``NO_PROXY``, verify HTTPS against the system certificate store through
+one default ``ssl`` context per process, and do not follow a 307/308
+redirect of a POST, so that reply is rejected without a retry.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import ssl
 import time
 from http.client import HTTPException
 from urllib.error import HTTPError
-from urllib.request import Request, urlopen
+from urllib.request import (
+    HTTPSHandler,
+    OpenerDirector,
+    Request,
+    build_opener,
+    urlopen,
+)
 
 logger = logging.getLogger(__name__)
 
 
+@functools.cache
+def _https_opener() -> OpenerDirector:
+    """The opener for HTTPS requests, built on the first one.
+
+    It holds one TLS context for the process: urllib's default opener builds
+    one, and so loads the whole CA store, for every connection. The context
+    is set up as http.client sets up the one it builds itself, from the
+    default-context hook that PEP 476 documents.
+    """
+    context = ssl._create_default_https_context()
+    context.set_alpn_protocols(["http/1.1"])
+    if context.post_handshake_auth is not None:
+        context.post_handshake_auth = True
+    return build_opener(HTTPSHandler(context=context))
+
+
 def _send(request: Request, timeout: float) -> tuple[int, bytes]:
     """One POST; return the reply's status and body, whatever the status."""
+    send = _https_opener().open if request.type == "https" else urlopen
     try:
-        response = urlopen(request, timeout=timeout)
+        response = send(request, timeout=timeout)
     except HTTPError as exc:  # a non-2xx status is still a reply
         response = exc
     with response:

@@ -10,6 +10,7 @@ float32 prefilter of build_candidate_dbs must reproduce.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -246,3 +247,26 @@ def oracle_metrics(alignment_pairs, reference_pairs):
     else:
         f_measure = 2.0 * precision * recall / (precision + recall)
     return precision, recall, f_measure
+
+
+def oracle_vector_fingerprint(path) -> str:
+    """A vector file's provider fingerprint, `file/d<dim>/<8 hex>`.
+
+    The hex is sha256 over `label<TAB>` + the repr of each parsed component
+    joined by commas + a newline, for each label in sorted order, however
+    the file orders its rows or spells its numbers.
+    """
+    rows = {}
+    with open(path, encoding="utf-8") as handle:
+        for raw in handle:
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            label, payload = line.split("\t")
+            rows[label] = [float(token) for token in payload.split(",")]
+    hasher = hashlib.sha256()
+    for label in sorted(rows):
+        text = ",".join(repr(float(x)) for x in rows[label])
+        hasher.update(f"{label}\t{text}\n".encode("utf-8"))
+    dim = len(next(iter(rows.values())))
+    return f"file/d{dim}/{hasher.hexdigest()[:8]}"

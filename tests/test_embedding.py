@@ -2,10 +2,11 @@
 
 import concurrent.futures
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontomatch.embedding import (
@@ -26,7 +27,7 @@ from ontomatch.errors import (
     ProviderUnavailable,
 )
 
-from oracles import oracle_cosine, oracle_round
+from oracles import oracle_cosine, oracle_round, oracle_vector_fingerprint
 from stubs import RecordingServer, embedding_behavior
 
 finite_scores = st.floats(min_value=-2.0, max_value=2.0,
@@ -150,29 +151,132 @@ def test_vector_file_round_trip_is_exact(tmp_path):
         "ugly": np.array([1 / 3, math.pi, -2.5]),
     }
     write_vector_file(path, vectors)
-    loaded = load_vector_file(path)
+    loaded, _ = load_vector_file(path)
     assert set(loaded) == set(vectors)
     for label in vectors:
         np.testing.assert_array_equal(loaded[label], vectors[label])
 
 
-@pytest.mark.parametrize(
-    "content",
-    [
-        "label only no tab\n",
-        "a\t1.0,x,3.0\n",
-        "a\t1.0,2.0\na\t3.0,4.0\n",
-        "a\t1.0,2.0\nb\t1.0\n",
-        "a\tnan,1.0\n",
-        "\t1.0\n",
-        "# nothing\n",
-    ],
-)
+# Each malformed vector file and the message, after its path, that names it.
+VECTOR_FILE_ERRORS = {
+    "label only no tab\n": ":1: expected 2 tab-separated fields, got 1",
+    "a\t1.0,x,3.0\n": ":1: bad float: could not convert string to float: 'x'",
+    # the first bad token of the row is the one named
+    "a\t1.0,x,3.0,y\n": ":1: bad float: could not convert string to float: 'x'",
+    "b\t1.0\na\t1.0,,2\n": ":2: bad float: could not convert string to float: ''",
+    "a\t\n": ":1: bad float: could not convert string to float: ''",
+    "a\t1.0,2.0\na\t3.0,4.0\n": ":2: duplicate label 'a'",
+    "a\t1.0,2.0\nb\t1.0\n": ":2: dimension 1 != first row's 2",
+    "a\tnan,1.0\n": ":1: non-finite vector component",
+    "a\t1.0,-inf\n": ":1: non-finite vector component",
+    "\t1.0\n": ":1: empty label",
+    "# nothing\n": ":0: no vector rows",
+}
+
+
+@pytest.mark.parametrize("content", list(VECTOR_FILE_ERRORS))
 def test_vector_file_malformed_inputs(tmp_path, content):
     path = tmp_path / "bad.tsv"
     path.write_text(content, encoding="utf-8")
-    with pytest.raises(MalformedRecord):
+    message = re.escape("bad.tsv" + VECTOR_FILE_ERRORS[content])
+    with pytest.raises(MalformedRecord, match=message):
         load_vector_file(path)
+
+
+# Unsorted rows, and tokens that are not their value's repr: a leading space,
+# a sign, an underscore, an exponent, surplus digits, '-0'. The fingerprint
+# was computed with the rule before rows were hashed as they are read.
+PINNED_VECTOR_FILE = (
+    "# c\n"
+    "b\t1,1e0,0.50,-0, 2.5,+1.0,1_0,1.0000000000000001,5e-324,-0.0\n"
+    "a\t0.1,0.2,0.30000000000000004,1E5,.5,1e16,1e-5,0.0001,"
+    "100000000000000000,0.1\n"
+)
+
+
+def test_vector_file_fingerprint_is_pinned(tmp_path):
+    path = tmp_path / "pinned.tsv"
+    path.write_text(PINNED_VECTOR_FILE, encoding="utf-8")
+    provider = PrecomputedFileProvider(path)
+    assert provider.fingerprint == "file/d10/52166b1c"
+    assert provider.fingerprint == oracle_vector_fingerprint(path)
+    loaded, _ = load_vector_file(path)
+    for line in PINNED_VECTOR_FILE.splitlines()[1:]:
+        label, payload = line.split("\t")
+        expected = np.array([float(token) for token in payload.split(",")])
+        assert loaded[label].tobytes() == expected.tobytes()
+
+
+# Components where repr is at its edges: signed zero, subnormals, and both
+# sides of 1e-4 and 1e16, where repr switches to exponent notation.
+EDGE_COMPONENTS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1e-05, 9.999999999999999e-06, 0.0001, 0.00010000000000000002,
+    1e16, 9999999999999998.0, 1.0000000000000002e16, -1e16, 0.1, 1.0, -2.5,
+]
+
+
+@st.composite
+def vector_rows(draw):
+    dim = draw(st.integers(1, 8))
+    labels = draw(st.lists(
+        st.text(alphabet="ab é_Z1-", min_size=1, max_size=5),
+        min_size=1, max_size=6, unique=True,
+    ))
+    component = st.one_of(
+        st.sampled_from(EDGE_COMPONENTS),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    rows = {}
+    for label in labels:
+        # a small palette per row, so components repeat within it
+        palette = draw(st.lists(component, min_size=1, max_size=3))
+        rows[label] = draw(st.lists(
+            st.sampled_from(palette), min_size=dim, max_size=dim
+        ))
+    return rows
+
+
+@settings(deadline=None, max_examples=150)
+@given(rows=vector_rows(), data=st.data())
+def test_vector_file_digest_matches_the_oracle(tmp_path_factory, rows, data):
+    """Sorted files are hashed as they are read, unsorted ones at the end;
+    both give the oracle's fingerprint and the exact rows, whether each
+    component is written as its repr or with 17 significant digits."""
+    directory = tmp_path_factory.mktemp("vectors")
+    spell = {
+        label: data.draw(st.lists(st.booleans(), min_size=len(row),
+                                  max_size=len(row)))
+        for label, row in rows.items()
+    }
+
+    def write(name, order):
+        lines = [
+            label + "\t" + ",".join(
+                f"{x:.17e}" if odd else repr(x)
+                for x, odd in zip(rows[label], spell[label])
+            )
+            for label in order
+        ]
+        path = directory / name
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    written = directory / "written.tsv"
+    write_vector_file(written, {label: np.array(row) for label, row in rows.items()})
+    paths = [
+        written,
+        write("sorted.tsv", sorted(rows)),
+        write("shuffled.tsv", data.draw(st.permutations(list(rows)))),
+    ]
+    for path in paths:
+        loaded, _ = load_vector_file(path)
+        assert set(loaded) == set(rows)
+        for label, row in rows.items():
+            assert loaded[label].tobytes() == np.array(row).tobytes()
+        assert PrecomputedFileProvider(path).fingerprint == (
+            oracle_vector_fingerprint(path)
+        )
 
 
 def test_write_vector_file_rejects_tab_in_label(tmp_path):

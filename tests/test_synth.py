@@ -156,7 +156,7 @@ def test_synonyms_share_the_entity_vector(tmp_path):
     corpus = generate_corpus(
         tmp_path / "c", n_entities=8, synonym_rate=1.0, hcb_fraction=0.5, seed=2
     )
-    vectors = load_vector_file(corpus.vectors_path)
+    vectors, _ = load_vector_file(corpus.vectors_path)
     source = load_ontology(corpus.source_path, name="S")
     for entity in source:
         assert len(entity.labels) == 2

@@ -1,7 +1,9 @@
 """The HTTP transport under both remote clients: timeouts, status codes,
-unusable payloads, retry warnings, proxies, and what importing the CLI loads."""
+unusable payloads, retry warnings, proxies, the TLS context, and what
+importing the CLI loads."""
 
 import os
+import ssl
 import subprocess
 import sys
 import urllib.request
@@ -13,6 +15,7 @@ import ontomatch
 from ontomatch.embedding import HttpProvider
 from ontomatch.errors import EndpointUnavailable, ProviderUnavailable
 from ontomatch.llm import HttpChatClient
+from ontomatch.transport import _https_opener, post_json
 
 from stubs import RecordingServer, chat_behavior, embedding_behavior
 
@@ -111,6 +114,34 @@ def test_http_proxy_variable_is_honoured(client, monkeypatch):
         # A closed local port: without the proxy the request fails at once.
         client.ask("http://127.0.0.1:1/v1", max_retries=1, timeout=5.0)
         assert len(proxy.payloads) == 1
+
+
+@pytest.mark.parametrize("scheme, contexts", [("https", 1), ("http", 0)])
+def test_one_tls_context_per_process(monkeypatch, scheme, contexts):
+    built = []
+    original = ssl.create_default_context
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    # urllib builds its own context through the PEP 476 hook, an alias of
+    # create_default_context, so count both names.
+    monkeypatch.setattr(ssl, "create_default_context", counting)
+    monkeypatch.setattr(ssl, "_create_default_https_context", counting)
+    for name in ("https_proxy", "HTTPS_PROXY", "http_proxy", "HTTP_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(urllib.request, "_opener", None)
+    _https_opener.cache_clear()
+    # A closed local port: each attempt fails at connect, after its context.
+    with pytest.raises(EndpointUnavailable, match="unreachable after 3 attempts"):
+        post_json(
+            f"{scheme}://127.0.0.1:1/v1", {}, headers={}, timeout=5.0,
+            max_retries=3, backoff_seconds=0.0, error=EndpointUnavailable,
+            service="chat endpoint",
+        )
+    assert len(built) == contexts
+    _https_opener.cache_clear()
 
 
 def _modules_after(code: str) -> set[str]:
