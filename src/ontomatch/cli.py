@@ -4,8 +4,8 @@ Verbs: build-kb, predict, match, eval, compare, gen-synthetic, run-all.
 Global flags (--config, --out, --seed, --k, --tau) may appear after any
 verb; flag values override the config file.
 
-Exit codes: 0 success, 2 configuration error, 3 input parse error,
-4 embedding/LLM endpoint failure, 1 anything else.
+A verb exits 0 on success; a failure prints `error: ...` and exits with
+the exit_code of its error class (see errors.py).
 """
 
 from __future__ import annotations
@@ -18,22 +18,17 @@ import sys
 import time
 
 from . import config as config_mod
+# EXIT_CONFIG, EXIT_FAILURE and EXIT_PARSE are imported so callers can
+# take every exit code from this module.
 from .errors import (
+    EXIT_CONFIG,
+    EXIT_ENDPOINT,
+    EXIT_FAILURE,
+    EXIT_OK,
+    EXIT_PARSE,
     ConfigError,
-    DimensionMismatch,
-    DuplicateEntityId,
-    EmptyOntology,
-    EndpointUnavailable,
-    InvalidParameter,
-    MalformedRecord,
-    MismatchedInputs,
-    MissingPlaceholder,
-    MissingVector,
     OntomatchError,
-    ProviderUnavailable,
     StaleKB,
-    UnknownEntity,
-    ZeroVector,
 )
 from .evaluation import (
     SPLIT_FULL,
@@ -69,28 +64,6 @@ from .retrieval import (
     save_kb,
 )
 from .synth import generate_corpus
-
-logger = logging.getLogger(__name__)
-
-EXIT_OK = 0
-EXIT_FAILURE = 1
-EXIT_CONFIG = 2
-EXIT_PARSE = 3
-EXIT_ENDPOINT = 4
-
-_CONFIG_ERRORS = (ConfigError, InvalidParameter, StaleKB, MismatchedInputs)
-_PARSE_ERRORS = (
-    MalformedRecord,
-    DuplicateEntityId,
-    EmptyOntology,
-    UnknownEntity,
-    MissingVector,
-    MissingPlaceholder,
-    ZeroVector,
-    DimensionMismatch,
-)
-_ENDPOINT_ERRORS = (EndpointUnavailable, ProviderUnavailable)
-
 
 def _kb_dir(cfg) -> str:
     return os.path.join(cfg.out, "kb")
@@ -498,18 +471,9 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _ENDPOINT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENDPOINT
     except OntomatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return exc.exit_code
 
 
 def console_main() -> None:

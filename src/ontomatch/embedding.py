@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import threading
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Mapping, Sequence
@@ -21,7 +20,6 @@ from urllib.parse import urlparse
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DimensionMismatch,
     InvalidParameter,
     MalformedRecord,
@@ -29,7 +27,7 @@ from .errors import (
     ProviderUnavailable,
 )
 from .fileio import atomic_write_text, read_records
-from .transport import post_json
+from .transport import Endpoint
 
 SCORE_DECIMALS = 5
 _QUANTUM = Decimal(1).scaleb(-SCORE_DECIMALS)
@@ -308,21 +306,13 @@ class HttpProvider(EmbeddingProvider):
             raise InvalidParameter(f"dim must be >= 1, got {dim}")
         if batch_size < 1:
             raise InvalidParameter(f"batch_size must be >= 1, got {batch_size}")
-        self._url = url
         self._dim = int(dim)
         self._batch_size = int(batch_size)
-        self._timeout = float(timeout)
-        self._max_retries = int(max_retries)
-        self._backoff = float(backoff_seconds)
-        self._headers = {"Content-Type": "application/json"}
-        if token_env:
-            token = os.environ.get(token_env)
-            if not token:
-                raise ConfigError(
-                    f"environment variable {token_env} is not set; it must hold "
-                    "the embedding service token"
-                )
-            self._headers["Authorization"] = f"Bearer {token}"
+        self._endpoint = Endpoint(
+            url, service="embedding service", error=ProviderUnavailable,
+            timeout=timeout, max_retries=max_retries,
+            backoff_seconds=backoff_seconds, token_env=token_env,
+        )
         digest = hashlib.sha256(url.encode("utf-8")).hexdigest()[:8]
         netloc = urlparse(url).netloc or "local"
         self._fingerprint = f"http/{netloc}/{digest}/d{self._dim}"
@@ -336,16 +326,7 @@ class HttpProvider(EmbeddingProvider):
         return self._fingerprint
 
     def _post_batch(self, batch: list[str]) -> np.ndarray:
-        body, _ = post_json(
-            self._url,
-            {"inputs": batch},
-            headers=self._headers,
-            timeout=self._timeout,
-            max_retries=self._max_retries,
-            backoff_seconds=self._backoff,
-            error=ProviderUnavailable,
-            service="embedding service",
-        )
+        body, _ = self._endpoint.post({"inputs": batch})
         try:
             vectors = np.asarray(json.loads(body)["vectors"], dtype=np.float64)
             if vectors.ndim != 2:

@@ -11,7 +11,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .errors import MalformedRecord, MismatchedInputs
+from .errors import InvalidParameter, MalformedRecord, MismatchedInputs
 from .fileio import atomic_write_text, format_wall_time, read_records
 from .matcher import MatchRunReport
 
@@ -22,10 +22,9 @@ SPLIT_TEST = "test"
 
 @dataclass(frozen=True)
 class ReferenceAlignment:
-    """The ground-truth pair set, optionally tagged as a train/test split."""
+    """The ground-truth pair set."""
 
     pairs: frozenset[tuple[str, str]]
-    split: str = SPLIT_FULL
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -53,14 +52,17 @@ def split_reference(
 
     No training ever happens here; the split only restricts which pairs an
     evaluation counts, mirroring semi-supervised evaluation protocols.
+    fraction, the train share, must be in [0, 1].
     """
+    if not 0.0 <= fraction <= 1.0:
+        raise InvalidParameter(f"split fraction must be in [0, 1], got {fraction}")
     ordered = sorted(reference.pairs)
     rng = random.Random(seed)
     rng.shuffle(ordered)
     cut = int(round(fraction * len(ordered)))
     return (
-        ReferenceAlignment(pairs=frozenset(ordered[:cut]), split=SPLIT_TRAIN),
-        ReferenceAlignment(pairs=frozenset(ordered[cut:]), split=SPLIT_TEST),
+        ReferenceAlignment(pairs=frozenset(ordered[:cut])),
+        ReferenceAlignment(pairs=frozenset(ordered[cut:])),
     )
 
 

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
-    ConfigError,
     EndpointUnavailable,
     InvalidParameter,
     MissingPlaceholder,
 )
-from .transport import post_json
+from .transport import Endpoint
 
 PLACEHOLDERS = ("src_onto_name", "tgt_onto_name", "source_entity", "target_entity")
 
@@ -135,8 +134,6 @@ def parse_reply(text: str) -> Verdict:
 @dataclass(frozen=True)
 class LlmVerdict:
     value: Verdict
-    raw: str
-    latency_s: float
     attempts: int
 
     @property
@@ -175,9 +172,7 @@ class LlmClient:
         start = time.perf_counter()
         reply, attempts = self._respond(prompt, pair)
         latency = time.perf_counter() - start
-        verdict = LlmVerdict(
-            value=parse_reply(reply), raw=reply, latency_s=latency, attempts=attempts
-        )
+        verdict = LlmVerdict(value=parse_reply(reply), attempts=attempts)
         record = {
             "pair": list(pair) if pair else None,
             "prompt": prompt,
@@ -285,21 +280,13 @@ class HttpChatClient(LlmClient):
         log_path: str | None = None,
     ):
         super().__init__(log_path=log_path)
-        self._url = url
         self._model = model
         self._temperature = float(temperature)
-        self._timeout = float(timeout)
-        self._max_retries = int(max_retries)
-        self._backoff = float(backoff_seconds)
-        self._headers = {"Content-Type": "application/json"}
-        if token_env:
-            token = os.environ.get(token_env)
-            if not token:
-                raise ConfigError(
-                    f"environment variable {token_env} is not set; it must hold "
-                    "the chat endpoint token"
-                )
-            self._headers["Authorization"] = f"Bearer {token}"
+        self._endpoint = Endpoint(
+            url, service="chat endpoint", error=EndpointUnavailable,
+            timeout=timeout, max_retries=max_retries,
+            backoff_seconds=backoff_seconds, token_env=token_env,
+        )
 
     def _respond(
         self, prompt: str, pair: tuple[str, str] | None
@@ -309,16 +296,7 @@ class HttpChatClient(LlmClient):
             "temperature": self._temperature,
             "messages": [{"role": "user", "content": prompt}],
         }
-        body, attempts = post_json(
-            self._url,
-            payload,
-            headers=self._headers,
-            timeout=self._timeout,
-            max_retries=self._max_retries,
-            backoff_seconds=self._backoff,
-            error=EndpointUnavailable,
-            service="chat endpoint",
-        )
+        body, attempts = self._endpoint.post(payload)
         try:
             content = json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:

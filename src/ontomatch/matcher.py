@@ -56,7 +56,6 @@ PIPELINE_BASELINE = "baseline"
 class Correspondence:
     """One accepted equivalence with its score and how it was decided."""
 
-    id: str
     source_id: str
     target_id: str
     relation: str
@@ -224,17 +223,6 @@ def _finish_report(
         trace.extend(events)
         if corr is not None:
             correspondences.append(corr)
-    correspondences = [
-        Correspondence(
-            id=f"c{index:06d}",
-            source_id=corr.source_id,
-            target_id=corr.target_id,
-            relation=corr.relation,
-            confidence=corr.confidence,
-            provenance=corr.provenance,
-        )
-        for index, corr in enumerate(correspondences, start=1)
-    ]
     target_counts: dict[str, int] = {}
     for corr in correspondences:
         target_counts[corr.target_id] = target_counts.get(corr.target_id, 0) + 1
@@ -370,7 +358,6 @@ def _walk(
         events.append(TraceEvent(source_id, rank, candidate_id, outcome))
         if outcome in accept and accepted is None:
             accepted = Correspondence(
-                id="",
                 source_id=source_id,
                 target_id=candidate_id,
                 relation=RELATION_EQUIVALENCE,
@@ -505,7 +492,6 @@ def read_alignment(path: str) -> Alignment:
             ) from None
         correspondences.append(
             Correspondence(
-                id=f"c{len(correspondences) + 1:06d}",
                 source_id=source_id,
                 target_id=target_id,
                 relation=relation,

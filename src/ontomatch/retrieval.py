@@ -84,8 +84,6 @@ class CandidateList:
     candidates is ((entity_id, rounded_score), ...) in rank order.
     """
 
-    owner: str
-    direction: str
     candidates: tuple[tuple[str, float], ...]
 
     def __len__(self) -> int:
@@ -421,11 +419,9 @@ def _exact_hits(
 
 
 def _entity_candidates(
-    entity_id: str,
     query_unit_rows: np.ndarray,
     label_hits: list[list[tuple[int, float]]],
     corpus_kb: VectorKB,
-    direction: str,
 ) -> CandidateList:
     """Assemble one entity's ranked candidates from its labels' hits; at
     least one of its labels has a hit."""
@@ -442,9 +438,7 @@ def _entity_candidates(
         ((owner, round_score(raw)) for owner, raw in best_raw.items()),
         key=lambda pair: (-pair[1], pair[0]),
     )
-    return CandidateList(
-        owner=entity_id, direction=direction, candidates=tuple(ranked)
-    )
+    return CandidateList(tuple(ranked))
 
 
 @dataclass
@@ -477,7 +471,6 @@ def _direction_lists(
     query_onto: Ontology,
     query_kb: VectorKB,
     corpus_kb: VectorKB,
-    direction: str,
     hits: dict[int, list[tuple[int, float]]],
 ) -> dict[str, CandidateList]:
     """Every query entity's candidate list; only entities that own a hit
@@ -486,17 +479,11 @@ def _direction_lists(
     lists: dict[str, CandidateList] = {}
     for entity in query_onto:
         if entity.id not in hit_owners:
-            lists[entity.id] = CandidateList(
-                owner=entity.id, direction=direction, candidates=()
-            )
+            lists[entity.id] = CandidateList(())
             continue
         rows = [query_kb.label_to_row[label] for label in entity.labels]
         lists[entity.id] = _entity_candidates(
-            entity.id,
-            query_kb.unit_matrix[rows],
-            [hits.get(r, []) for r in rows],
-            corpus_kb,
-            direction,
+            query_kb.unit_matrix[rows], [hits.get(r, []) for r in rows], corpus_kb
         )
     return lists
 
@@ -569,7 +556,7 @@ def build_candidate_dbs(
         tau=tau,
         fingerprint=source_kb.fingerprint,
         lists=_direction_lists(
-            source, source_kb, target_kb, DIRECTION_S2T,
+            source, source_kb, target_kb,
             _exact_hits(source_kb.unit_matrix, target_kb, *s2t_pairs, k, tau),
         ),
     )
@@ -581,7 +568,7 @@ def build_candidate_dbs(
         tau=tau,
         fingerprint=target_kb.fingerprint,
         lists=_direction_lists(
-            target, target_kb, source_kb, DIRECTION_T2S,
+            target, target_kb, source_kb,
             _exact_hits(target_kb.unit_matrix, source_kb, *t2s_pairs, k, tau),
         ),
     )
@@ -648,11 +635,7 @@ def load_candidate_db(path: str, query_ontology: Ontology) -> CandidateDB:
             "not contain; the DB was built from different inputs"
         )
     lists = {
-        entity_id: CandidateList(
-            owner=entity_id,
-            direction=direction,
-            candidates=tuple(per_owner.get(entity_id, ())),
-        )
+        entity_id: CandidateList(tuple(per_owner.get(entity_id, ())))
         for entity_id in query_ontology.ids
     }
     return CandidateDB(

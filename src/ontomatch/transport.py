@@ -1,10 +1,14 @@
-"""The one JSON-over-HTTP request loop shared by the remote clients.
+"""The remote JSON endpoint both HTTP clients post to.
 
-Built on the standard library: each attempt is one ``urllib.request``
-POST on a connection of its own. The openers honour ``HTTP(S)_PROXY`` and
-``NO_PROXY``, verify HTTPS against the system certificate store through
-one default ``ssl`` context per process, and do not follow a 307/308
-redirect of a POST, so that reply is rejected without a retry.
+An Endpoint holds everything about a service but the payload: the URL, the
+headers with the bearer token read from the environment, the timeout, the
+retry and backoff settings, the service name and the error class.
+Endpoint.post is the one request loop, built on the standard library: each
+attempt is one ``urllib.request`` POST on a connection of its own. The
+openers honour ``HTTP(S)_PROXY`` and ``NO_PROXY``, verify HTTPS against the
+system certificate store through one default ``ssl`` context per process,
+and do not follow a 307/308 redirect of a POST, so that reply is rejected
+without a retry.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import os
 import ssl
 import time
 from http.client import HTTPException
@@ -23,6 +28,8 @@ from urllib.request import (
     build_opener,
     urlopen,
 )
+
+from .errors import ConfigError
 
 logger = logging.getLogger(__name__)
 
@@ -54,45 +61,78 @@ def _send(request: Request, timeout: float) -> tuple[int, bytes]:
         return response.status, response.read()
 
 
-def post_json(
-    url: str,
-    payload: dict,
-    *,
-    headers: dict[str, str],
-    timeout: float,
-    max_retries: int,
-    backoff_seconds: float,
-    error: type[Exception],
-    service: str,
-) -> tuple[bytes, int]:
-    """POST payload as JSON; return the 200 reply's body and the attempt count.
+class Endpoint:
+    """One remote JSON service: its URL and headers, and how a request to it
+    is retried.
 
-    Transport errors and 5xx replies are retried, sleeping backoff_seconds
-    * 2**(n-1) before retry n. Any other non-200 status, or running out of
-    attempts, raises the caller's error class; service names the endpoint
-    in its message and in the retry warnings.
+    token_env names the environment variable whose value is sent as
+    ``Authorization: Bearer <token>``; ConfigError if it is unset. service
+    names the endpoint in messages and error is the class they raise.
     """
-    last_error = "no attempt made"
-    for attempt in range(1, max_retries + 1):
-        if attempt > 1:
-            time.sleep(backoff_seconds * 2 ** (attempt - 2))
-        try:
-            body = json.dumps(payload, allow_nan=False).encode("utf-8")
-            status, reply = _send(
-                Request(url, data=body, headers=headers, method="POST"), timeout
-            )
-        # OSError covers URLError and timeouts; ValueError a malformed URL or
-        # header, or a NaN in the payload.
-        except (OSError, HTTPException, ValueError) as exc:
-            last_error = f"transport error: {exc}"
-            logger.warning("%s request failed (attempt %d): %s", service, attempt, exc)
-            continue
-        if status >= 500:
-            last_error = f"server error {status}"
-            logger.warning("%s returned %d (attempt %d)", service, status, attempt)
-            continue
-        if status != 200:
-            text = reply.decode("utf-8", "replace")[:200]
-            raise error(f"{service} rejected the request ({status}): {text}")
-        return reply, attempt
-    raise error(f"{service} unreachable after {max_retries} attempts ({last_error})")
+
+    def __init__(
+        self,
+        url: str,
+        *,
+        service: str,
+        error: type[Exception],
+        timeout: float,
+        max_retries: int,
+        backoff_seconds: float,
+        token_env: str | None = None,
+    ):
+        self._url = url
+        self._service = service
+        self._error = error
+        self._timeout = float(timeout)
+        self._max_retries = int(max_retries)
+        self._backoff = float(backoff_seconds)
+        self._headers = {"Content-Type": "application/json"}
+        if token_env:
+            token = os.environ.get(token_env)
+            if not token:
+                raise ConfigError(
+                    f"environment variable {token_env} is not set; it must hold "
+                    f"the {service} token"
+                )
+            self._headers["Authorization"] = f"Bearer {token}"
+
+    def post(self, payload: dict) -> tuple[bytes, int]:
+        """POST payload as JSON; return the 200 reply's body and the attempt
+        count.
+
+        Transport errors and 5xx replies are retried, sleeping backoff_seconds
+        * 2**(n-1) before retry n. Any other non-200 status, or running out
+        of attempts, raises the endpoint's error class.
+        """
+        service = self._service
+        last_error = "no attempt made"
+        for attempt in range(1, self._max_retries + 1):
+            if attempt > 1:
+                time.sleep(self._backoff * 2 ** (attempt - 2))
+            try:
+                body = json.dumps(payload, allow_nan=False).encode("utf-8")
+                status, reply = _send(
+                    Request(self._url, data=body, headers=self._headers,
+                            method="POST"),
+                    self._timeout,
+                )
+            # OSError covers URLError and timeouts; ValueError a malformed URL
+            # or header, or a NaN in the payload.
+            except (OSError, HTTPException, ValueError) as exc:
+                last_error = f"transport error: {exc}"
+                logger.warning(
+                    "%s request failed (attempt %d): %s", service, attempt, exc
+                )
+                continue
+            if status >= 500:
+                last_error = f"server error {status}"
+                logger.warning("%s returned %d (attempt %d)", service, status, attempt)
+                continue
+            if status != 200:
+                text = reply.decode("utf-8", "replace")[:200]
+                raise self._error(f"{service} rejected the request ({status}): {text}")
+            return reply, attempt
+        raise self._error(
+            f"{service} unreachable after {self._max_retries} attempts ({last_error})"
+        )

@@ -180,7 +180,7 @@ def make_db(
 ) -> CandidateDB:
     """Assemble a candidate database directly from ranked lists."""
     built = {
-        owner: CandidateList(owner=owner, direction=direction, candidates=tuple(pairs))
+        owner: CandidateList(tuple(pairs))
         for owner, pairs in lists.items()
     }
     return CandidateDB(

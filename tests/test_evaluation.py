@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ontomatch.errors import MalformedRecord, MismatchedInputs
+from ontomatch.errors import InvalidParameter, MalformedRecord, MismatchedInputs
 from ontomatch.evaluation import (
-    SPLIT_TEST,
-    SPLIT_TRAIN,
     EvalReport,
     ReferenceAlignment,
     compare_runs,
@@ -118,9 +116,19 @@ def test_split_reference_partitions_deterministically():
     assert train.pairs | test.pairs == pairs
     assert not train.pairs & test.pairs
     assert len(train) == 14 and len(test) == 6
-    assert train.split == SPLIT_TRAIN and test.split == SPLIT_TEST
     other_train, _ = split_reference(reference, fraction=0.7, seed=6)
     assert other_train.pairs != train.pairs
+
+
+@pytest.mark.parametrize("fraction", [1.5, -0.5, float("nan"), float("inf")])
+def test_split_fraction_outside_the_unit_interval_is_rejected(fraction):
+    reference = ref({(f"s{i}", f"t{i}") for i in range(4)})
+    with pytest.raises(InvalidParameter, match=r"fraction must be in \[0, 1\]"):
+        split_reference(reference, fraction=fraction)
+    train, test = split_reference(reference, fraction=1.0)
+    assert (len(train), len(test)) == (4, 0)
+    train, test = split_reference(reference, fraction=0.0)
+    assert (len(train), len(test)) == (0, 4)
 
 
 def test_eval_report_file(tmp_path):
@@ -136,8 +144,7 @@ def make_report(pipeline, pairs, llm_queries, hcb, wall=2.0, **kwargs):
     from ontomatch.matcher import Alignment, Correspondence, MatchRunReport
 
     correspondences = tuple(
-        Correspondence(f"c{i:06d}", s, t, "equivalence", 0.9, "HCB")
-        for i, (s, t) in enumerate(sorted(pairs), start=1)
+        Correspondence(s, t, "equivalence", 0.9, "HCB") for s, t in sorted(pairs)
     )
     alignment = Alignment(
         source_onto=kwargs.get("source_onto", "S"),

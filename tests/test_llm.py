@@ -215,13 +215,14 @@ def test_exchange_log_written_as_jsonl(tmp_path):
     assert records[0]["reply"] == "Yes"
 
 
-def test_http_chat_client_happy_path():
+def test_http_chat_client_happy_path(tmp_path):
+    log_path = tmp_path / "llm_log.jsonl"
     with RecordingServer(chat_behavior(["Yes."])) as server:
         client = HttpChatClient(server.url, model="m-1", temperature=0.7,
-                                backoff_seconds=0.01)
+                                backoff_seconds=0.01, log_path=str(log_path))
         verdict = client.classify("are these the same?", pair=("s", "t"))
         assert verdict.value is Verdict.YES
-        assert verdict.raw == "Yes."
+        assert json.loads(log_path.read_text(encoding="utf-8"))["reply"] == "Yes."
         assert verdict.attempts == 1
         payload = server.payloads[0]
         assert payload["model"] == "m-1"

@@ -15,7 +15,7 @@ import ontomatch
 from ontomatch.embedding import HttpProvider
 from ontomatch.errors import EndpointUnavailable, ProviderUnavailable
 from ontomatch.llm import HttpChatClient
-from ontomatch.transport import _https_opener, post_json
+from ontomatch.transport import Endpoint, _https_opener
 
 from stubs import RecordingServer, chat_behavior, embedding_behavior
 
@@ -135,11 +135,11 @@ def test_one_tls_context_per_process(monkeypatch, scheme, contexts):
     _https_opener.cache_clear()
     # A closed local port: each attempt fails at connect, after its context.
     with pytest.raises(EndpointUnavailable, match="unreachable after 3 attempts"):
-        post_json(
-            f"{scheme}://127.0.0.1:1/v1", {}, headers={}, timeout=5.0,
-            max_retries=3, backoff_seconds=0.0, error=EndpointUnavailable,
-            service="chat endpoint",
-        )
+        Endpoint(
+            f"{scheme}://127.0.0.1:1/v1", service="chat endpoint",
+            error=EndpointUnavailable, timeout=5.0, max_retries=3,
+            backoff_seconds=0.0,
+        ).post({})
     assert len(built) == contexts
     _https_opener.cache_clear()
 
