@@ -27,6 +27,7 @@ from .errors import (
     EXIT_OK,
     EXIT_PARSE,
     ConfigError,
+    MalformedRecord,
     OntomatchError,
     StaleKB,
 )
@@ -125,17 +126,25 @@ def cmd_build_kb(args) -> int:
     return EXIT_OK
 
 
+def _require(paths, what: str, verb: str) -> None:
+    """ConfigError naming the verb that writes a missing artifact."""
+    for path in paths:
+        if not os.path.exists(path):
+            raise ConfigError(
+                f"{what} {path} does not exist; run `ontomatch {verb}` first"
+            )
+
+
 def cmd_predict(args) -> int:
     cfg = _load_cfg(args)
     source, target = _load_ontologies(cfg)
     provider = config_mod.build_provider(cfg)
     kb_dir = _kb_dir(cfg)
-    source_kb = load_kb(
-        os.path.join(kb_dir, "source.kb"), expected_fingerprint=provider.fingerprint
-    )
-    target_kb = load_kb(
-        os.path.join(kb_dir, "target.kb"), expected_fingerprint=provider.fingerprint
-    )
+    source_path = os.path.join(kb_dir, "source.kb")
+    target_path = os.path.join(kb_dir, "target.kb")
+    _require((source_path, target_path), "KB", "build-kb")
+    source_kb = load_kb(source_path, expected_fingerprint=provider.fingerprint)
+    target_kb = load_kb(target_path, expected_fingerprint=provider.fingerprint)
     start = time.perf_counter()
     s2t, t2s = build_candidate_dbs(
         source, target, source_kb, target_kb, cfg.k, cfg.tau
@@ -160,11 +169,7 @@ def _load_dbs(cfg, source, target):
     cand_dir = _candidates_dir(cfg)
     s2t_path = os.path.join(cand_dir, "s2t.tsv")
     t2s_path = os.path.join(cand_dir, "t2s.tsv")
-    for path in (s2t_path, t2s_path):
-        if not os.path.exists(path):
-            raise ConfigError(
-                f"candidate DB {path} does not exist; run `ontomatch predict` first"
-            )
+    _require((s2t_path, t2s_path), "candidate DB", "predict")
     s2t = load_candidate_db(s2t_path, source)
     t2s = load_candidate_db(t2s_path, target)
     for db in (s2t, t2s):
@@ -272,7 +277,15 @@ def _report_from_run_dir(run_dir: str) -> MatchRunReport:
         if not os.path.exists(path):
             raise ConfigError(f"{run_dir} is not a run directory ({path} missing)")
     alignment: Alignment = read_alignment(alignment_path)
-    data = read_report(report_path)
+    try:
+        data = read_report(report_path)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(report_path, exc.lineno, f"bad JSON: {exc.msg}") from None
+    if not isinstance(data, dict):
+        raise MalformedRecord(report_path, 1, "not a JSON object")
+    for key in ("pipeline", "llm_query_count", "hcb_count"):
+        if key not in data:
+            raise MalformedRecord(report_path, 1, f"missing key {key!r}")
     return MatchRunReport(
         pipeline=data["pipeline"],
         alignment=alignment,

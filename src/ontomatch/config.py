@@ -8,6 +8,7 @@ client-construction time only.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -19,6 +20,7 @@ from .embedding import (
 )
 from .errors import ConfigError
 from .evaluation import load_reference
+from .fileio import open_input
 from .llm import HttpChatClient, LlmClient, OracleClient, PromptTemplate, ScriptedClient
 
 DEFAULT_K = 5
@@ -78,6 +80,16 @@ class RunConfig:
             )
         if self.match_workers < 1:
             raise ConfigError(f"match.workers must be >= 1, got {self.match_workers}")
+        if not 0.0 <= self.llm_temperature < math.inf:
+            raise ConfigError(
+                f"llm.temperature must be finite and >= 0, got {self.llm_temperature}"
+            )
+        for key, timeout in (
+            ("llm.timeout", self.llm_timeout),
+            ("embedding.timeout", self.embedding_timeout),
+        ):
+            if not 0.0 < timeout < math.inf:
+                raise ConfigError(f"{key} must be finite and > 0, got {timeout}")
 
 
 # config-file key <-> RunConfig field: the key is the field name with its
@@ -91,11 +103,8 @@ _PARSERS = {"int": int, "int | None": int, "float": float}
 def load_config_file(path: str) -> dict[str, str]:
     """Parse `key = value` lines; # comments and blank lines are skipped."""
     values: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw_lines = handle.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    with open_input(path, what="config") as handle:
+        raw_lines = handle.readlines()
     for line_no, raw in enumerate(raw_lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -207,7 +216,7 @@ def build_llm_client(config: RunConfig, log_path: str | None = None) -> LlmClien
                 "llm.kind=scripted requires llm.replies (path to a file with "
                 "one reply per line)"
             )
-        with open(config.llm_replies, "r", encoding="utf-8") as handle:
+        with open_input(config.llm_replies) as handle:
             replies = [line.rstrip("\n") for line in handle]
         return ScriptedClient(replies, log_path=log_path)
     if not config.llm_url or not config.llm_model:

@@ -1,13 +1,26 @@
-"""Small file helpers: the text record grammar, atomic writes and wall-time
-formatting."""
+"""Small file helpers: opening inputs, the text record grammar, atomic
+writes and wall-time formatting."""
 
 from __future__ import annotations
 
 import os
 import secrets
-from typing import Iterator
+from typing import IO, Iterator
 
-from .errors import MalformedRecord, PersistFailure
+from .errors import ConfigError, MalformedRecord, PersistFailure
+
+
+def open_input(path: str, mode: str = "r", what: str = "") -> IO:
+    """Open an input file for reading, as UTF-8 text unless mode has 'b'.
+
+    A missing or unreadable file raises ConfigError, `cannot read <what>
+    <path>: <reason>`, instead of the OSError.
+    """
+    try:
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:
+        name = f"{what} {path}" if what else path
+        raise ConfigError(f"cannot read {name}: {exc}") from exc
 
 
 def read_records(
@@ -20,7 +33,7 @@ def read_records(
     CRLF) are stripped, and the rest splits on tab. With n_fields set, any
     other field count raises MalformedRecord at that line.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_input(path) as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -37,7 +50,7 @@ def read_records(
 def read_header(path: str) -> list[str]:
     """The text after '#' of each '#' line that opens the file, in order."""
     header: list[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_input(path) as handle:
         for raw in handle:
             if not raw.startswith("#"):
                 break

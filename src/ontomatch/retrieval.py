@@ -49,7 +49,13 @@ from .errors import (
     UnknownEntity,
     ZeroVector,
 )
-from .fileio import atomic_write_bytes, atomic_write_text, read_header, read_records
+from .fileio import (
+    atomic_write_bytes,
+    atomic_write_text,
+    open_input,
+    read_header,
+    read_records,
+)
 from .ontology import Ontology
 
 logger = logging.getLogger(__name__)
@@ -216,7 +222,7 @@ def load_kb(path: str, expected_fingerprint: str | None = None) -> VectorKB:
     gives are parsed, so a label may start with '#'. The matrix is a
     read-only view of the file's bytes.
     """
-    with open(path, "rb") as handle:
+    with open_input(path, "rb") as handle:
         data = handle.read()
     headers: dict[str, str] = {}
     pos = 0

@@ -6,6 +6,7 @@ import stat
 
 import pytest
 
+from ontomatch import cli, errors
 from ontomatch.cli import (
     EXIT_CONFIG,
     EXIT_ENDPOINT,
@@ -313,3 +314,150 @@ def test_compare_on_a_non_run_directory_is_a_config_error(tmp_path, capsys):
     ])
     assert rc == EXIT_CONFIG
     assert "is not a run directory" in capsys.readouterr().err
+
+
+# The exit codes README.md documents, by error class.
+DOCUMENTED_EXIT_CODES = {
+    "ConfigError": 2, "InvalidParameter": 2, "StaleKB": 2, "MismatchedInputs": 2,
+    "MalformedRecord": 3, "DuplicateEntityId": 3, "EmptyOntology": 3,
+    "UnknownEntity": 3, "MissingVector": 3, "MissingPlaceholder": 3,
+    "ZeroVector": 3, "DimensionMismatch": 3,
+    "EndpointUnavailable": 4, "ProviderUnavailable": 4,
+    "OntomatchError": 1, "PersistFailure": 1,
+}
+
+
+@pytest.mark.parametrize("error_class", sorted(
+    (value for value in vars(errors).values()
+     if isinstance(value, type) and issubclass(value, errors.OntomatchError)),
+    key=lambda value: value.__name__,
+), ids=lambda value: value.__name__)
+def test_each_error_class_exits_with_its_documented_code(
+    monkeypatch, capsys, error_class
+):
+    if error_class is errors.MalformedRecord:
+        error = error_class("in.tsv", 7, "boom")
+    else:
+        error = error_class("boom")
+
+    def verb(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_build_kb", verb)
+    assert main(["build-kb"]) == DOCUMENTED_EXIT_CODES[error_class.__name__]
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def variant_config(config, settings):
+    """A copy of config with each key in settings set to its value."""
+    lines = [
+        line for line in read_text(config).splitlines()
+        if line.partition(" = ")[0] not in settings
+    ]
+    lines += [f"{key} = {value}" for key, value in settings.items()]
+    path = f"{config}-{'-'.join(settings)}"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+    return path
+
+
+def test_missing_or_unreadable_inputs_exit_config(tmp_path, capsys):
+    out, config = make_corpus(tmp_path, n=6, hcb="1.0")
+    missing = str(tmp_path / "nope.tsv")
+    reference = os.path.join(out, "synthetic", "reference.tsv")
+    kb_path = os.path.join(out, "kb", "source.kb")
+
+    def exits_config(argv, message):
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+
+    unreadable = f"cannot read {missing}: "
+    exits_config(["build-kb", "--config",
+                  variant_config(config, {"source.dump": missing})], unreadable)
+    exits_config(["build-kb", "--config",
+                  variant_config(config, {"embedding.file": missing})], unreadable)
+    exits_config(["predict", "--config", config],
+                 f"KB {kb_path} does not exist; run `ontomatch build-kb` first")
+
+    assert main(["build-kb", "--config", config]) == EXIT_OK
+    assert main(["predict", "--config", config]) == EXIT_OK
+    scripted = variant_config(
+        config, {"llm.kind": "scripted", "llm.replies": missing}
+    )
+    exits_config(["match", "--config", scripted, "--run-id", "s"], unreadable)
+    exits_config(["eval", "--config", config, "--alignment", missing,
+                  "--reference", reference], unreadable)
+    exits_config(["eval", "--config", config, "--alignment", reference,
+                  "--reference", missing], unreadable)
+
+    os.remove(kb_path)
+    os.mkdir(kb_path)  # a KB path that exists but cannot be read as a file
+    exits_config(["predict", "--config", config], f"cannot read {kb_path}: ")
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "-0.5", "nan"])
+def test_eval_split_fraction_outside_the_unit_interval_exits_config(
+    tmp_path, capsys, fraction
+):
+    out, config = make_corpus(tmp_path, n=6, hcb="1.0")
+    reference = os.path.join(out, "synthetic", "reference.tsv")
+    capsys.readouterr()
+    rc = main([
+        "eval", "--config", config, "--alignment", reference,
+        "--reference", reference, "--split", "test", "--split-fraction", fraction,
+    ])
+    assert rc == EXIT_CONFIG
+    assert "split fraction must be in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("report_text, message", [
+    ('{"pipeline": "mila", "llm_query', "bad JSON"),
+    ('{"pipeline": "mila", "hcb_count": 0}', "missing key 'llm_query_count'"),
+    ("[1, 2]", "not a JSON object"),
+])
+def test_compare_on_a_broken_report_exits_parse(
+    tmp_path, capsys, report_text, message
+):
+    out, config = make_corpus(tmp_path, n=6, hcb="1.0")
+    assert main(["build-kb", "--config", config]) == EXIT_OK
+    assert main(["predict", "--config", config]) == EXIT_OK
+    assert main(["match", "--config", config, "--run-id", "good"]) == EXIT_OK
+    assert main(["match", "--config", config, "--run-id", "bad"]) == EXIT_OK
+    report_path = os.path.join(out, "runs", "bad", "report.json")
+    with open(report_path, "w", encoding="utf-8") as handle:
+        handle.write(report_text)
+    reference = os.path.join(out, "synthetic", "reference.tsv")
+    capsys.readouterr()
+    rc = main([
+        "compare", os.path.join(out, "runs", "good"), os.path.join(out, "runs", "bad"),
+        "--reference", reference, "--config", config,
+    ])
+    assert rc == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {report_path}:1: ") and message in err, err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("llm.temperature", "nan"),
+    ("llm.temperature", "-0.5"),
+    ("llm.timeout", "-1"),
+    ("llm.timeout", "inf"),
+])
+def test_bad_chat_settings_exit_config_before_any_request(
+    tmp_path, capsys, key, value
+):
+    out, config = make_corpus(tmp_path, n=4, hcb="0.5")
+    assert main(["build-kb", "--config", config]) == EXIT_OK
+    assert main(["predict", "--config", config]) == EXIT_OK
+    with RecordingServer(lambda payload, index: (200, {})) as server:
+        chat = variant_config(config, {
+            "llm.kind": "http-chat", "llm.url": server.url, "llm.model": "stub",
+            key: value,
+        })
+        capsys.readouterr()
+        rc = main(["match", "--config", chat, "--run-id", "r"])
+        assert server.payloads == []
+    assert rc == EXIT_CONFIG
+    assert f"error: {key} must be finite" in capsys.readouterr().err

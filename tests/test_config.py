@@ -143,11 +143,22 @@ def test_type_conversion_errors_name_the_key():
         {"embedding.kind": "magic"},
         {"llm.kind": "magic"},
         {"match.workers": "0"},
+        {"llm.temperature": "nan"},
+        {"llm.temperature": "inf"},
+        {"llm.temperature": "-0.1"},
+        {"llm.timeout": "0"},
+        {"llm.timeout": "nan"},
+        {"embedding.timeout": "-1"},
+        {"embedding.timeout": "inf"},
     ],
 )
 def test_out_of_range_values_are_rejected(values):
     with pytest.raises(ConfigError):
         build_config(values)
+
+
+def test_zero_temperature_is_accepted():
+    assert build_config({"llm.temperature": "0"}).llm_temperature == 0.0
 
 
 def test_overrides_beat_file_values_and_none_is_ignored():

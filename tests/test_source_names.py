@@ -1,11 +1,17 @@
-"""Every top-level name of the package has a user in the shipped code.
+"""Every top-level name and every dataclass field of the package has a
+user in the shipped code.
 
 A function, class or constant that only the tests call is a second code
-path that no verb runs. This scan takes each top-level name defined in
+path that no verb runs. The first scan takes each top-level name defined in
 src/ontomatch/*.py and looks for it, as a whole word, in the rest of
 src/ontomatch and in perfbench/*.py, with the lines of its own definition
 left out. Dunder names are not checked: Python itself reads them
 (`__all__`, `__version__`).
+
+A dataclass field that nothing reads is built, copied and compared for no
+one. The second scan fails on a field of a @dataclass in src/ontomatch whose
+name is never read as an attribute (`x.name` in a load context) anywhere in
+src/ontomatch or perfbench/*.py.
 """
 
 import ast
@@ -46,3 +52,32 @@ def test_every_top_level_name_is_used_in_src_or_perfbench():
             if not any(word.search(text) for text in rest):
                 orphans.append(f"{path.name}:{name}")
     assert orphans == []
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else target.id
+    return name == "dataclass"
+
+
+def test_every_dataclass_field_is_read_in_src_or_perfbench():
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE + BENCH
+    }
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.name}:{node.name}.{item.target.id}"
+        for path in PACKAGE
+        for node in trees[path].body
+        if isinstance(node, ast.ClassDef)
+        and any(_is_dataclass(d) for d in node.decorator_list)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and item.target.id not in read
+    ]
+    assert unread == []
