@@ -11,7 +11,6 @@ the exit_code of its error class (see errors.py).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -66,16 +65,14 @@ from .retrieval import (
 )
 from .synth import generate_corpus
 
-def _kb_dir(cfg) -> str:
-    return os.path.join(cfg.out, "kb")
+def _kb_paths(cfg) -> tuple[str, str]:
+    kb_dir = os.path.join(cfg.out, "kb")
+    return os.path.join(kb_dir, "source.kb"), os.path.join(kb_dir, "target.kb")
 
 
-def _candidates_dir(cfg) -> str:
-    return os.path.join(cfg.out, "candidates")
-
-
-def _run_dir(cfg, run_id: str) -> str:
-    return os.path.join(cfg.out, "runs", run_id)
+def _db_paths(cfg) -> tuple[str, str]:
+    cand_dir = os.path.join(cfg.out, "candidates")
+    return os.path.join(cand_dir, "s2t.tsv"), os.path.join(cand_dir, "t2s.tsv")
 
 
 def _load_cfg(args) -> config_mod.RunConfig:
@@ -99,30 +96,25 @@ def _load_ontologies(cfg):
     return source, target
 
 
-def _write_timings(directory: str, name: str, seconds: float) -> None:
-    payload = {name + "_s": round(seconds, 3), name: format_wall_time(seconds)}
-    atomic_write_text(
-        os.path.join(directory, "timings.json"),
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
+def _embed(cfg, source, target, provider):
+    """Embed both ontologies; save the KBs under kb/ and return them."""
+    start = time.perf_counter()
+    source_kb = build_kb(source, provider)
+    target_kb = build_kb(target, provider)
+    source_path, target_path = _kb_paths(cfg)
+    save_kb(source_kb, source_path)
+    save_kb(target_kb, target_path)
+    print(
+        f"built KBs: {len(source_kb)} + {len(target_kb)} labels "
+        f"(dim {provider.dim}) in {format_wall_time(time.perf_counter() - start)}"
     )
+    return source_kb, target_kb
 
 
 def cmd_build_kb(args) -> int:
     cfg = _load_cfg(args)
     source, target = _load_ontologies(cfg)
-    provider = config_mod.build_provider(cfg)
-    start = time.perf_counter()
-    source_kb = build_kb(source, provider)
-    target_kb = build_kb(target, provider)
-    kb_dir = _kb_dir(cfg)
-    save_kb(source_kb, os.path.join(kb_dir, "source.kb"))
-    save_kb(target_kb, os.path.join(kb_dir, "target.kb"))
-    elapsed = time.perf_counter() - start
-    _write_timings(kb_dir, "kb_build", elapsed)
-    print(
-        f"built KBs: {len(source_kb)} + {len(target_kb)} labels "
-        f"(dim {provider.dim}) in {format_wall_time(elapsed)}"
-    )
+    _embed(cfg, source, target, config_mod.build_provider(cfg))
     return EXIT_OK
 
 
@@ -135,29 +127,32 @@ def _require(paths, what: str, verb: str) -> None:
             )
 
 
-def cmd_predict(args) -> int:
-    cfg = _load_cfg(args)
-    source, target = _load_ontologies(cfg)
-    provider = config_mod.build_provider(cfg)
-    kb_dir = _kb_dir(cfg)
-    source_path = os.path.join(kb_dir, "source.kb")
-    target_path = os.path.join(kb_dir, "target.kb")
-    _require((source_path, target_path), "KB", "build-kb")
-    source_kb = load_kb(source_path, expected_fingerprint=provider.fingerprint)
-    target_kb = load_kb(target_path, expected_fingerprint=provider.fingerprint)
+def _retrieve(cfg, source, target, source_kb, target_kb):
+    """Build both candidate DBs; save them under candidates/ and return them."""
     start = time.perf_counter()
     s2t, t2s = build_candidate_dbs(
         source, target, source_kb, target_kb, cfg.k, cfg.tau
     )
-    cand_dir = _candidates_dir(cfg)
-    save_candidate_db(s2t, os.path.join(cand_dir, "s2t.tsv"))
-    save_candidate_db(t2s, os.path.join(cand_dir, "t2s.tsv"))
-    elapsed = time.perf_counter() - start
-    _write_timings(cand_dir, "predict", elapsed)
+    s2t_path, t2s_path = _db_paths(cfg)
+    save_candidate_db(s2t, s2t_path)
+    save_candidate_db(t2s, t2s_path)
     print(
         f"candidate DBs: {s2t.total_candidates} s2t + {t2s.total_candidates} t2s "
-        f"pairs (k={cfg.k}, tau={cfg.tau}) in {format_wall_time(elapsed)}"
+        f"pairs (k={cfg.k}, tau={cfg.tau}) "
+        f"in {format_wall_time(time.perf_counter() - start)}"
     )
+    return s2t, t2s
+
+
+def cmd_predict(args) -> int:
+    cfg = _load_cfg(args)
+    source, target = _load_ontologies(cfg)
+    provider = config_mod.build_provider(cfg)
+    source_path, target_path = _kb_paths(cfg)
+    _require((source_path, target_path), "KB", "build-kb")
+    source_kb = load_kb(source_path, expected_fingerprint=provider.fingerprint)
+    target_kb = load_kb(target_path, expected_fingerprint=provider.fingerprint)
+    _retrieve(cfg, source, target, source_kb, target_kb)
     return EXIT_OK
 
 
@@ -166,9 +161,7 @@ def _default_run_id(pipeline: str) -> str:
 
 
 def _load_dbs(cfg, source, target):
-    cand_dir = _candidates_dir(cfg)
-    s2t_path = os.path.join(cand_dir, "s2t.tsv")
-    t2s_path = os.path.join(cand_dir, "t2s.tsv")
+    s2t_path, t2s_path = _db_paths(cfg)
     _require((s2t_path, t2s_path), "candidate DB", "predict")
     s2t = load_candidate_db(s2t_path, source)
     t2s = load_candidate_db(t2s_path, target)
@@ -181,15 +174,15 @@ def _load_dbs(cfg, source, target):
     return s2t, t2s
 
 
-def _run_match(cfg, pipeline: str, run_id: str) -> tuple[MatchRunReport, str]:
-    source, target = _load_ontologies(cfg)
-    s2t, t2s = _load_dbs(cfg, source, target)
-    run_dir = _run_dir(cfg, run_id)
-    os.makedirs(run_dir, exist_ok=True)
+def _match(
+    cfg, pipeline: str, run_id: str, source, target, s2t, t2s, template
+) -> tuple[MatchRunReport, str]:
+    """Run one pipeline, write its run directory and print its summary."""
+    run_dir = os.path.join(cfg.out, "runs", run_id)
     llm = config_mod.build_llm_client(
         cfg, log_path=os.path.join(run_dir, "llm_log.jsonl")
     )
-    template = config_mod.load_template(cfg)
+    os.makedirs(run_dir, exist_ok=True)
     if pipeline == PIPELINE_MILA:
         report = match_mila(
             None, s2t, t2s, llm, template,
@@ -208,11 +201,6 @@ def _run_match(cfg, pipeline: str, run_id: str) -> tuple[MatchRunReport, str]:
     atomic_write_text(
         os.path.join(run_dir, "config.txt"), config_mod.snapshot(cfg)
     )
-    return report, run_dir
-
-
-def _print_match(pipeline: str, report: MatchRunReport, run_dir: str) -> int:
-    """Print one match run's summary; EXIT_ENDPOINT if it stopped early."""
     print(
         f"{pipeline}: {len(report.alignment)} correspondences, "
         f"{report.llm_query_count} LLM queries, {report.hcb_count} HCB accepts, "
@@ -230,15 +218,19 @@ def _print_match(pipeline: str, report: MatchRunReport, run_dir: str) -> int:
             f"{report.abort_reason}",
             file=sys.stderr,
         )
-        return EXIT_ENDPOINT
-    return EXIT_OK
+    return report, run_dir
 
 
 def cmd_match(args) -> int:
     cfg = _load_cfg(args)
     run_id = args.run_id or _default_run_id(args.pipeline)
-    report, run_dir = _run_match(cfg, args.pipeline, run_id)
-    return _print_match(args.pipeline, report, run_dir)
+    source, target = _load_ontologies(cfg)
+    s2t, t2s = _load_dbs(cfg, source, target)
+    template = config_mod.load_template(cfg)
+    report, _ = _match(
+        cfg, args.pipeline, run_id, source, target, s2t, t2s, template
+    )
+    return EXIT_ENDPOINT if report.partial else EXIT_OK
 
 
 def _pick_split(reference, split: str, fraction: float, seed: int):
@@ -248,14 +240,15 @@ def _pick_split(reference, split: str, fraction: float, seed: int):
     return train if split == SPLIT_TRAIN else test
 
 
-def _write_eval(alignment_path: str, reference, reference_path: str, split: str):
-    """Score an alignment file, write eval.json beside it, return the report."""
+def _eval(alignment: Alignment, alignment_path: str, reference,
+          reference_path: str, split: str):
+    """Score an alignment, write eval.json beside its file, return the report."""
     metadata = {
         "alignment_path": alignment_path,
         "reference_path": reference_path,
         "split": split,
     }
-    report = evaluate(read_alignment(alignment_path), reference, metadata=metadata)
+    report = evaluate(alignment, reference, metadata=metadata)
     out_dir = os.path.dirname(alignment_path) or "."
     write_eval_report(report, os.path.join(out_dir, "eval.json"))
     return report
@@ -266,7 +259,11 @@ def cmd_eval(args) -> int:
     reference = _pick_split(
         load_reference(args.reference), args.split, args.split_fraction, cfg.seed
     )
-    print(_write_eval(args.alignment, reference, args.reference, args.split).summary())
+    report = _eval(
+        read_alignment(args.alignment), args.alignment, reference,
+        args.reference, args.split,
+    )
+    print(report.summary())
     return EXIT_OK
 
 
@@ -277,10 +274,7 @@ def _report_from_run_dir(run_dir: str) -> MatchRunReport:
         if not os.path.exists(path):
             raise ConfigError(f"{run_dir} is not a run directory ({path} missing)")
     alignment: Alignment = read_alignment(alignment_path)
-    try:
-        data = read_report(report_path)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(report_path, exc.lineno, f"bad JSON: {exc.msg}") from None
+    data = read_report(report_path)
     if not isinstance(data, dict):
         raise MalformedRecord(report_path, 1, "not a JSON object")
     for key in ("pipeline", "llm_query_count", "hcb_count"):
@@ -299,10 +293,8 @@ def _report_from_run_dir(run_dir: str) -> MatchRunReport:
     )
 
 
-def _compare(cfg, reference, run_dir_a: str, run_dir_b: str) -> None:
-    """Compare two run directories; write and print the table."""
-    report_a = _report_from_run_dir(run_dir_a)
-    report_b = _report_from_run_dir(run_dir_b)
+def _compare(cfg, reference, report_a, report_b) -> None:
+    """Compare two match runs; write and print the table."""
     eval_a = evaluate(report_a.alignment, reference)
     eval_b = evaluate(report_b.alignment, reference)
     comparison = compare_runs(report_a, eval_a, report_b, eval_b)
@@ -314,7 +306,8 @@ def _compare(cfg, reference, run_dir_a: str, run_dir_b: str) -> None:
 
 def cmd_compare(args) -> int:
     cfg = _load_cfg(args)
-    _compare(cfg, load_reference(args.reference), *args.run_dirs)
+    reference = load_reference(args.reference)
+    _compare(cfg, reference, *map(_report_from_run_dir, args.run_dirs))
     return EXIT_OK
 
 
@@ -356,36 +349,33 @@ def cmd_gen_synthetic(args) -> int:
 
 def cmd_run_all(args) -> int:
     cfg = _load_cfg(args)
-    rc = cmd_build_kb(args)
-    if rc != EXIT_OK:
-        return rc
-    rc = cmd_predict(args)
-    if rc != EXIT_OK:
-        return rc
-    pipelines = (
-        [PIPELINE_MILA, PIPELINE_BASELINE]
-        if args.pipeline == "both"
-        else [args.pipeline]
-    )
+    source, target = _load_ontologies(cfg)
+    provider = config_mod.build_provider(cfg)
+    template = config_mod.load_template(cfg)
+    source_kb, target_kb = _embed(cfg, source, target, provider)
+    s2t, t2s = _retrieve(cfg, source, target, source_kb, target_kb)
+    both = args.pipeline == "both"
+    pipelines = [PIPELINE_MILA, PIPELINE_BASELINE] if both else [args.pipeline]
     base_run_id = args.run_id or _default_run_id("all")
-    run_dirs = []
+    runs = []
     for pipeline in pipelines:
-        run_id = f"{base_run_id}-{pipeline}" if len(pipelines) > 1 else base_run_id
-        report, run_dir = _run_match(cfg, pipeline, run_id)
-        run_dirs.append(run_dir)
-        rc = _print_match(pipeline, report, run_dir)
-        if rc != EXIT_OK:
-            return rc
+        run_id = f"{base_run_id}-{pipeline}" if both else base_run_id
+        report, run_dir = _match(
+            cfg, pipeline, run_id, source, target, s2t, t2s, template
+        )
+        if report.partial:
+            return EXIT_ENDPOINT
+        runs.append((report, run_dir))
     if cfg.eval_reference:
         reference = load_reference(cfg.eval_reference)
-        for run_dir in run_dirs:
-            report = _write_eval(
-                os.path.join(run_dir, "alignment.tsv"), reference,
-                cfg.eval_reference, SPLIT_FULL,
+        for report, run_dir in runs:
+            scores = _eval(
+                report.alignment, os.path.join(run_dir, "alignment.tsv"),
+                reference, cfg.eval_reference, SPLIT_FULL,
             )
-            print(f"{os.path.basename(run_dir)}: {report.summary()}")
-        if len(run_dirs) == 2:
-            _compare(cfg, reference, *run_dirs)
+            print(f"{os.path.basename(run_dir)}: {scores.summary()}")
+        if both:
+            _compare(cfg, reference, *(report for report, _ in runs))
     else:
         print("no eval.reference configured; skipping evaluation")
     return EXIT_OK

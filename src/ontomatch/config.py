@@ -20,7 +20,7 @@ from .embedding import (
 )
 from .errors import ConfigError
 from .evaluation import load_reference
-from .fileio import open_input
+from .fileio import read_lines
 from .llm import HttpChatClient, LlmClient, OracleClient, PromptTemplate, ScriptedClient
 
 DEFAULT_K = 5
@@ -103,9 +103,7 @@ _PARSERS = {"int": int, "int | None": int, "float": float}
 def load_config_file(path: str) -> dict[str, str]:
     """Parse `key = value` lines; # comments and blank lines are skipped."""
     values: dict[str, str] = {}
-    with open_input(path, what="config") as handle:
-        raw_lines = handle.readlines()
-    for line_no, raw in enumerate(raw_lines, start=1):
+    for line_no, raw in enumerate(read_lines(path, "config"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -216,8 +214,7 @@ def build_llm_client(config: RunConfig, log_path: str | None = None) -> LlmClien
                 "llm.kind=scripted requires llm.replies (path to a file with "
                 "one reply per line)"
             )
-        with open_input(config.llm_replies) as handle:
-            replies = [line.rstrip("\n") for line in handle]
+        replies = [line.rstrip("\n") for line in read_lines(config.llm_replies)]
         return ScriptedClient(replies, log_path=log_path)
     if not config.llm_url or not config.llm_model:
         raise ConfigError("llm.kind=http-chat requires llm.url and llm.model")

@@ -23,6 +23,24 @@ def open_input(path: str, mode: str = "r", what: str = "") -> IO:
         raise ConfigError(f"cannot read {name}: {exc}") from exc
 
 
+def read_lines(path: str, what: str = "") -> Iterator[str]:
+    """The lines of a UTF-8 text file opened by open_input.
+
+    Bytes that are not UTF-8 raise MalformedRecord at line 0: the decoder
+    reads ahead in chunks, so the failing line is not known.
+    """
+    with open_input(path, what=what) as handle:
+        try:
+            yield from handle
+        except UnicodeDecodeError as exc:
+            raise MalformedRecord(path, 0, f"not UTF-8 text: {exc}") from None
+
+
+def read_text(path: str, what: str = "") -> str:
+    """The whole of a UTF-8 text file; errors as for read_lines."""
+    return "".join(read_lines(path, what))
+
+
 def read_records(
     path: str, n_fields: int | None = None
 ) -> Iterator[tuple[int, list[str]]]:
@@ -33,28 +51,26 @@ def read_records(
     CRLF) are stripped, and the rest splits on tab. With n_fields set, any
     other field count raises MalformedRecord at that line.
     """
-    with open_input(path) as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if n_fields is not None and len(fields) != n_fields:
-                raise MalformedRecord(
-                    path, line_no,
-                    f"expected {n_fields} tab-separated fields, got {len(fields)}",
-                )
-            yield line_no, fields
+    for line_no, raw in enumerate(read_lines(path), start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if n_fields is not None and len(fields) != n_fields:
+            raise MalformedRecord(
+                path, line_no,
+                f"expected {n_fields} tab-separated fields, got {len(fields)}",
+            )
+        yield line_no, fields
 
 
 def read_header(path: str) -> list[str]:
     """The text after '#' of each '#' line that opens the file, in order."""
     header: list[str] = []
-    with open_input(path) as handle:
-        for raw in handle:
-            if not raw.startswith("#"):
-                break
-            header.append(raw[1:].rstrip("\n").rstrip("\r"))
+    for raw in read_lines(path):
+        if not raw.startswith("#"):
+            break
+        header.append(raw[1:].rstrip("\n").rstrip("\r"))
     return header
 
 

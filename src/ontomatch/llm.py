@@ -25,6 +25,7 @@ from .errors import (
     InvalidParameter,
     MissingPlaceholder,
 )
+from .fileio import read_text
 from .transport import Endpoint
 
 PLACEHOLDERS = ("src_onto_name", "tgt_onto_name", "source_entity", "target_entity")
@@ -74,8 +75,7 @@ class PromptTemplate:
 
     @classmethod
     def from_file(cls, path: str) -> "PromptTemplate":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls(handle.read())
+        return cls(read_text(path, "prompt template"))
 
 
 def render_prompt(

@@ -30,7 +30,13 @@ from .errors import (
     MalformedRecord,
     StaleKB,
 )
-from .fileio import atomic_write_text, format_wall_time, read_header, read_records
+from .fileio import (
+    atomic_write_text,
+    format_wall_time,
+    read_header,
+    read_records,
+    read_text,
+)
 from .llm import LlmClient, PromptTemplate, render_prompt
 from .ontology import Ontology
 from .retrieval import DIRECTION_S2T, DIRECTION_T2S, CandidateDB
@@ -523,6 +529,10 @@ def write_report(report: MatchRunReport, path: str) -> None:
     )
 
 
-def read_report(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+def read_report(path: str):
+    """The JSON value of a report.json; MalformedRecord if it is not UTF-8
+    text or not JSON."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(path, exc.lineno, f"bad JSON: {exc.msg}") from None

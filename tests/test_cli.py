@@ -111,33 +111,108 @@ def test_stepwise_flow_produces_expected_counts(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "compare.tsv"))
 
 
+def run_artifacts(out):
+    """Every file under out, minus what differs from run to run: wall times
+    in report.json, latencies in llm_log.jsonl, the out path in config.txt
+    and the run paths in eval.json, and the match_wall_time row of the
+    compare tables."""
+    found = {}
+    for dirpath, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            text = read_bytes(path)
+            if name == "report.json":
+                text = json.loads(text)
+                del text["wall_times"], text["wall_times_s"]
+            elif name == "llm_log.jsonl":
+                text = [json.loads(line) for line in text.splitlines()]
+                for entry in text:
+                    del entry["latency_s"]
+            elif name == "config.txt":
+                text = text.replace(f"out = {out}\n".encode(), b"out = OUT\n")
+            elif name == "eval.json":
+                text = text.replace(os.path.join(out, "runs").encode(), b"OUT")
+            elif name.startswith("compare."):
+                text = [line for line in text.splitlines()
+                        if not line.startswith(b"match_wall_time")]
+            found[os.path.relpath(path, out)] = text
+    return found
+
+
 def test_run_all_reproduces_the_stepwise_artifacts(tmp_path, capsys):
     out, config = make_corpus(tmp_path, n=12, hcb="0.5")
+    reference = os.path.abspath(os.path.join(out, "synthetic", "reference.tsv"))
+    run_dirs = [os.path.join(out, "runs", f"fixed-{p}") for p in ("mila", "baseline")]
     assert main(["build-kb", "--config", config]) == EXIT_OK
     assert main(["predict", "--config", config]) == EXIT_OK
-    assert main(["match", "--config", config, "--run-id", "run-m"]) == EXIT_OK
+    for pipeline, run_dir in zip(("mila", "baseline"), run_dirs):
+        assert main([
+            "match", "--config", config, "--pipeline", pipeline,
+            "--run-id", os.path.basename(run_dir),
+        ]) == EXIT_OK
+        assert main([
+            "eval", "--config", config, "--reference", reference,
+            "--alignment", os.path.join(run_dir, "alignment.tsv"),
+        ]) == EXIT_OK
+    assert main([
+        "compare", *run_dirs, "--reference", reference, "--config", config,
+    ]) == EXIT_OK
 
     out2 = str(tmp_path / "out2")
+    capsys.readouterr()
     assert main([
         "run-all", "--config", config, "--out", out2,
         "--pipeline", "both", "--run-id", "fixed",
     ]) == EXIT_OK
-    captured = capsys.readouterr().out
-    assert "skipping evaluation" not in captured
-    mila_dir = os.path.join(out2, "runs", "fixed-mila")
-    base_dir = os.path.join(out2, "runs", "fixed-baseline")
-    assert read_bytes(os.path.join(mila_dir, "alignment.tsv")) == read_bytes(
-        os.path.join(out, "runs", "run-m", "alignment.tsv")
-    )
-    reference = os.path.abspath(os.path.join(out, "synthetic", "reference.tsv"))
-    for run_dir in (mila_dir, base_dir):
+    assert "skipping evaluation" not in capsys.readouterr().out
+    stepwise = {
+        path: data for path, data in run_artifacts(out).items()
+        if not path.startswith("synthetic")
+    }
+    together = run_artifacts(out2)
+    assert sorted(together) == sorted(stepwise)
+    assert {os.path.basename(path) for path in together} == {
+        "source.kb", "target.kb", "s2t.tsv", "t2s.tsv", "alignment.tsv",
+        "trace.tsv", "report.json", "llm_log.jsonl", "config.txt", "eval.json",
+        "compare.txt", "compare.tsv",
+    }
+    for path, data in together.items():
+        assert data == stepwise[path], path
+    for pipeline in ("mila", "baseline"):
+        run_dir = os.path.join(out2, "runs", f"fixed-{pipeline}")
         metadata = json.loads(read_text(run_dir, "eval.json"))["metadata"]
         assert metadata == {
             "alignment_path": os.path.join(run_dir, "alignment.tsv"),
             "reference_path": reference,
             "split": "full",
         }
-    assert os.path.exists(os.path.join(out2, "compare.txt"))
+
+
+def test_run_all_reads_each_input_once(tmp_path, monkeypatch):
+    out, config = make_corpus(tmp_path, n=8, hcb="0.75")
+    calls = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(cli.config_mod, "build_provider")
+    for name in ("load_ontology", "load_kb", "load_candidate_db", "read_alignment",
+                 "read_report"):
+        count(cli, name)
+    assert main([
+        "run-all", "--config", config, "--pipeline", "both", "--run-id", "r",
+    ]) == EXIT_OK
+    assert calls == {
+        "build_provider": 1, "load_ontology": 2, "load_kb": 0,
+        "load_candidate_db": 0, "read_alignment": 0, "read_report": 0,
+    }
 
 
 def test_run_all_without_reference_skips_evaluation(tmp_path, capsys):
@@ -461,3 +536,53 @@ def test_bad_chat_settings_exit_config_before_any_request(
         assert server.payloads == []
     assert rc == EXIT_CONFIG
     assert f"error: {key} must be finite" in capsys.readouterr().err
+
+
+def test_bad_prompt_template_exits_config_before_any_artifact(tmp_path, capsys):
+    out, config = make_corpus(tmp_path, n=6, hcb="1.0")
+    bad = variant_config(config, {"prompt.template": str(tmp_path)})
+    assert main(["build-kb", "--config", config]) == EXIT_OK
+    assert main(["predict", "--config", config]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["match", "--config", bad, "--run-id", "t"]) == EXIT_CONFIG
+    assert not os.path.exists(os.path.join(out, "runs", "t"))
+    out2 = str(tmp_path / "out2")
+    assert main(["run-all", "--config", bad, "--out", out2]) == EXIT_CONFIG
+    assert not os.path.exists(os.path.join(out2, "kb"))
+    err = capsys.readouterr().err.splitlines()
+    assert err == [err[0]] * 2
+    assert err[0].startswith(f"error: cannot read prompt template {tmp_path}: ")
+
+
+def test_non_utf8_inputs_exit_parse(tmp_path, capsys):
+    out, config = make_corpus(tmp_path, n=6, hcb="1.0")
+    latin1 = str(tmp_path / "latin1.tsv")
+    with open(latin1, "wb") as handle:
+        handle.write(b"a:1\t\xe9t\xe9\n")
+    assert main(["build-kb", "--config", config]) == EXIT_OK
+    assert main(["predict", "--config", config]) == EXIT_OK
+    run_dirs = [os.path.join(out, "runs", run_id) for run_id in ("good", "bad")]
+    for run_dir in run_dirs:
+        assert main([
+            "match", "--config", config, "--run-id", os.path.basename(run_dir),
+        ]) == EXIT_OK
+    report_path = os.path.join(run_dirs[1], "report.json")
+    with open(report_path, "wb") as handle:
+        handle.write(b'{"pipeline": "caf\xe9"}')
+    reference = os.path.join(out, "synthetic", "reference.tsv")
+    scripted = variant_config(config, {"llm.kind": "scripted", "llm.replies": latin1})
+    for argv, path in (
+        (["build-kb", "--config", latin1], latin1),
+        (["build-kb", "--config", variant_config(config, {"source.dump": latin1})],
+         latin1),
+        (["match", "--config", scripted, "--run-id", "s"], latin1),
+        (["eval", "--config", config, "--alignment", latin1,
+          "--reference", reference], latin1),
+        (["compare", *run_dirs, "--reference", reference, "--config", config],
+         report_path),
+    ):
+        capsys.readouterr()
+        assert main(argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:0: not UTF-8 text: "), err
+        assert err.count("\n") == 1

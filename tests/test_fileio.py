@@ -1,11 +1,11 @@
-"""The shared text record grammar: read_records and read_header."""
+"""The shared text record grammar: read_records, read_header and read_text."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontomatch.errors import MalformedRecord
-from ontomatch.fileio import read_header, read_records
+from ontomatch.fileio import read_header, read_records, read_text
 
 # Fields hold no tab or line break; the file is UTF-8, so no surrogates.
 FIELD_CHARS = st.characters(
@@ -85,3 +85,12 @@ def test_read_header_returns_the_opening_comment_lines(tmp_path):
     assert list(read_records(path, 2)) == [(4, ["a", "b"])]
     path.write_bytes(b"a\tb\n# late\n")
     assert read_header(path) == []
+
+
+def test_text_that_is_not_utf8_is_a_malformed_record(tmp_path):
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes(b"# caf\xe9\na:1\t\xe9t\xe9\n")
+    for read in (read_header, lambda p: list(read_records(p)), read_text):
+        with pytest.raises(MalformedRecord, match="not UTF-8 text") as info:
+            read(path)
+        assert info.value.line_no == 0

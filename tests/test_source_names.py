@@ -12,6 +12,9 @@ A dataclass field that nothing reads is built, copied and compared for no
 one. The second scan fails on a field of a @dataclass in src/ontomatch whose
 name is never read as an attribute (`x.name` in a load context) anywhere in
 src/ontomatch or perfbench/*.py.
+
+The third scan fails on a call of the builtin open() in a read mode in any
+src/ontomatch module but fileio.py, so every input is read through fileio.
 """
 
 import ast
@@ -81,3 +84,32 @@ def test_every_dataclass_field_is_read_in_src_or_perfbench():
         and item.target.id not in read
     ]
     assert unread == []
+
+
+def _open_mode(call):
+    """The mode argument of an open() call; "r" when it is left out."""
+    if len(call.args) > 1:
+        return call.args[1]
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            return keyword.value
+    return ast.Constant("r")
+
+
+def test_only_fileio_opens_files_for_reading():
+    # Every input goes through fileio.open_input, which turns a missing or
+    # unreadable file into ConfigError, and through fileio's text readers,
+    # which turn bytes that are not UTF-8 into MalformedRecord.
+    readers = []
+    for path in PACKAGE:
+        if path.name == "fileio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            mode = _open_mode(node)
+            if not (isinstance(mode, ast.Constant) and "r" not in mode.value
+                    and "+" not in mode.value):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
