@@ -15,6 +15,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import closing
 
 from . import config as config_mod
 # EXIT_CONFIG, EXIT_FAILURE and EXIT_PARSE are imported so callers can
@@ -175,26 +176,33 @@ def _load_dbs(cfg, source, target):
 
 
 def _match(
-    cfg, pipeline: str, run_id: str, source, target, s2t, t2s, template
+    cfg, pipeline: str, run_id: str, source, target, s2t, t2s, template,
+    llm_reference=None,
 ) -> tuple[MatchRunReport, str]:
-    """Run one pipeline, write its run directory and print its summary."""
+    """Run one pipeline, write its run directory and print its summary.
+
+    llm_reference is the parsed llm.reference when the caller has it.
+    """
     run_dir = os.path.join(cfg.out, "runs", run_id)
     llm = config_mod.build_llm_client(
-        cfg, log_path=os.path.join(run_dir, "llm_log.jsonl")
+        cfg, log_path=os.path.join(run_dir, "llm_log.jsonl"),
+        reference=llm_reference,
     )
-    os.makedirs(run_dir, exist_ok=True)
-    if pipeline == PIPELINE_MILA:
-        report = match_mila(
-            None, s2t, t2s, llm, template,
-            source_onto=source, target_onto=target,
-            max_workers=cfg.match_workers,
-        )
-    else:
-        report = match_baseline(
-            None, s2t, llm, template,
-            source_onto=source, target_onto=target,
-            max_workers=cfg.match_workers,
-        )
+    with closing(llm):
+        os.makedirs(run_dir, exist_ok=True)
+        if pipeline == PIPELINE_MILA:
+            report = match_mila(
+                None, s2t, t2s, llm, template,
+                source_onto=source, target_onto=target,
+                max_workers=cfg.match_workers,
+            )
+        else:
+            report = match_baseline(
+                None, s2t, llm, template,
+                source_onto=source, target_onto=target,
+                max_workers=cfg.match_workers,
+            )
+    report.llm_queries_issued = llm.query_count
     write_alignment(report.alignment, os.path.join(run_dir, "alignment.tsv"))
     write_trace(report.trace, os.path.join(run_dir, "trace.tsv"))
     write_report(report, os.path.join(run_dir, "report.json"))
@@ -352,6 +360,9 @@ def cmd_run_all(args) -> int:
     source, target = _load_ontologies(cfg)
     provider = config_mod.build_provider(cfg)
     template = config_mod.load_template(cfg)
+    llm_reference = None
+    if cfg.llm_kind == "oracle" and cfg.llm_reference:
+        llm_reference = load_reference(cfg.llm_reference)
     source_kb, target_kb = _embed(cfg, source, target, provider)
     s2t, t2s = _retrieve(cfg, source, target, source_kb, target_kb)
     both = args.pipeline == "both"
@@ -361,13 +372,17 @@ def cmd_run_all(args) -> int:
     for pipeline in pipelines:
         run_id = f"{base_run_id}-{pipeline}" if both else base_run_id
         report, run_dir = _match(
-            cfg, pipeline, run_id, source, target, s2t, t2s, template
+            cfg, pipeline, run_id, source, target, s2t, t2s, template,
+            llm_reference,
         )
         if report.partial:
             return EXIT_ENDPOINT
         runs.append((report, run_dir))
     if cfg.eval_reference:
-        reference = load_reference(cfg.eval_reference)
+        if llm_reference is not None and cfg.eval_reference == cfg.llm_reference:
+            reference = llm_reference
+        else:
+            reference = load_reference(cfg.eval_reference)
         for report, run_dir in runs:
             scores = _eval(
                 report.alignment, os.path.join(run_dir, "alignment.tsv"),

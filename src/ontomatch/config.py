@@ -29,11 +29,19 @@ DEFAULT_TEMPERATURE = 0.7
 
 EMBEDDING_KINDS = ("deterministic", "file", "http")
 LLM_KINDS = ("oracle", "scripted", "http-chat")
+# match.workers when unset: a chat query waits on the network, so a few
+# sources walk at once; the in-process clients never wait, and the
+# scripted one hands out its replies in call order.
+HTTP_CHAT_WORKERS = 4
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a pipeline run needs; defaults are k=5, tau=0.75, temperature 0.7."""
+    """Everything a pipeline run needs; defaults are k=5, tau=0.75, temperature 0.7.
+
+    An unset match_workers resolves from llm_kind: HTTP_CHAT_WORKERS for
+    http-chat, 1 for the in-process clients.
+    """
 
     source_dump: str | None = None
     source_name: str = "SOURCE"
@@ -62,9 +70,12 @@ class RunConfig:
     llm_replies: str | None = None
     prompt_template: str | None = None
     eval_reference: str | None = None
-    match_workers: int = 1
+    match_workers: int | None = None
 
     def __post_init__(self):
+        if self.match_workers is None:
+            workers = HTTP_CHAT_WORKERS if self.llm_kind == "http-chat" else 1
+            object.__setattr__(self, "match_workers", workers)
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if not 0.0 <= self.tau <= 1.0:
@@ -80,6 +91,11 @@ class RunConfig:
             )
         if self.match_workers < 1:
             raise ConfigError(f"match.workers must be >= 1, got {self.match_workers}")
+        if self.llm_kind == "scripted" and self.match_workers > 1:
+            raise ConfigError(
+                "llm.kind=scripted replays its replies in call order, so it "
+                f"needs match.workers = 1, got {self.match_workers}"
+            )
         if not 0.0 <= self.llm_temperature < math.inf:
             raise ConfigError(
                 f"llm.temperature must be finite and >= 0, got {self.llm_temperature}"
@@ -194,14 +210,19 @@ def build_provider(config: RunConfig) -> EmbeddingProvider:
     )
 
 
-def build_llm_client(config: RunConfig, log_path: str | None = None) -> LlmClient:
+def build_llm_client(
+    config: RunConfig, log_path: str | None = None, reference=None
+) -> LlmClient:
+    """The client llm.kind names; reference is the parsed llm.reference of
+    an oracle, loaded here when None."""
     if config.llm_kind == "oracle":
         if not config.llm_reference:
             raise ConfigError(
                 "llm.kind=oracle requires llm.reference (path to the reference "
                 "alignment the oracle answers from)"
             )
-        reference = load_reference(config.llm_reference)
+        if reference is None:
+            reference = load_reference(config.llm_reference)
         return OracleClient(
             reference.pairs,
             flip_probability=config.llm_flip_probability,

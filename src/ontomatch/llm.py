@@ -146,15 +146,24 @@ class LlmClient:
 
     query_count is a monotone counter of completed classification requests;
     an Unparseable reply still counts. Subclasses implement _respond and may
-    be called from several threads; the counter and the log are synchronized.
+    be called from several threads; the counter and the log are synchronized,
+    so the log holds one line per counted query, in completion order. The
+    log file and its directory are made at the first query, and the file
+    stays open until close().
     """
 
     def __init__(self, log_path: str | None = None):
         self._count_lock = threading.Lock()
         self._query_count = 0
         self._log_path = log_path
-        if log_path:
-            os.makedirs(os.path.dirname(os.path.abspath(log_path)), exist_ok=True)
+        self._log = None
+
+    def close(self) -> None:
+        """Close the exchange log; a later query opens it again."""
+        with self._count_lock:
+            if self._log is not None:
+                self._log.close()
+                self._log = None
 
     @property
     def query_count(self) -> int:
@@ -181,11 +190,16 @@ class LlmClient:
             "latency_s": round(latency, 6),
             "attempts": attempts,
         }
+        line = json.dumps(record, ensure_ascii=False) + "\n"
         with self._count_lock:
-            self._query_count += 1
             if self._log_path:
-                with open(self._log_path, "a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+                if self._log is None:
+                    log_dir = os.path.dirname(os.path.abspath(self._log_path))
+                    os.makedirs(log_dir, exist_ok=True)
+                    self._log = open(self._log_path, "a", encoding="utf-8")
+                self._log.write(line)
+                self._log.flush()
+            self._query_count += 1
         return verdict
 
 
@@ -261,7 +275,7 @@ class HttpChatClient(LlmClient):
     """Chat-completion endpoint client.
 
     Sends one user message per classification and reads the first choice's
-    message content. Transport errors and 5xx responses retry with
+    message content. Transport errors, 429 and 5xx responses retry with
     exponential backoff; after the retry budget (or on any other bad
     response) EndpointUnavailable is raised. The client sets no limit of
     its own on requests in flight: each classify call sends one request on

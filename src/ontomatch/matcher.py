@@ -9,7 +9,9 @@ pipeline prompts on every candidate and keeps the highest-scored Yes.
 Source entities are independent; each one's own search is strictly
 sequential because later LLM calls depend on earlier verdicts. With
 max_workers = w, the calling thread and w - 1 helper threads each walk one
-source at a time, so at most w LLM requests are in flight. Once a walk
+source at a time, so at most w LLM requests are in flight. The CLI takes w
+from match.workers, which is 4 by default for a chat endpoint, whose
+queries wait on the network, and 1 for the in-process clients. Once a walk
 fails, no thread starts another source. Traces are merged in iteration
 order (ascending source id by default) regardless of completion order.
 """
@@ -109,13 +111,20 @@ class TraceEvent:
 
 @dataclass
 class MatchRunReport:
-    """Everything one pipeline run produced, with query accounting."""
+    """Everything one pipeline run produced, with query accounting.
+
+    llm_query_count counts the LLM visits in the trace. llm_queries_issued is
+    every query the client completed, set by the caller that owns the
+    client; it is larger when an aborted run drops walks that had paid
+    queries.
+    """
 
     pipeline: str
     alignment: Alignment
     trace: list[TraceEvent]
     llm_query_count: int
     hcb_count: int
+    llm_queries_issued: int | None = None
     wall_times: dict[str, float] = field(default_factory=dict)
     partial: bool = False
     abort_reason: str | None = None
@@ -135,6 +144,7 @@ class MatchRunReport:
             "alignment_size": len(self.alignment),
             "correspondences_by_provenance": by_provenance,
             "llm_query_count": self.llm_query_count,
+            "llm_queries_issued": self.llm_queries_issued,
             "hcb_count": self.hcb_count,
             "trace_length": len(self.trace),
             "wall_times_s": {k: round(v, 3) for k, v in self.wall_times.items()},

@@ -13,11 +13,11 @@ without a retry.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import os
 import ssl
+import threading
 import time
 from http.client import HTTPException
 from urllib.error import HTTPError
@@ -34,20 +34,28 @@ from .errors import ConfigError
 logger = logging.getLogger(__name__)
 
 
-@functools.cache
+_https_lock = threading.Lock()
+_https: OpenerDirector | None = None
+
+
 def _https_opener() -> OpenerDirector:
     """The opener for HTTPS requests, built on the first one.
 
     It holds one TLS context for the process: urllib's default opener builds
     one, and so loads the whole CA store, for every connection. The context
     is set up as http.client sets up the one it builds itself, from the
-    default-context hook that PEP 476 documents.
+    default-context hook that PEP 476 documents. The lock makes threads that
+    send their first requests together wait for one build.
     """
-    context = ssl._create_default_https_context()
-    context.set_alpn_protocols(["http/1.1"])
-    if context.post_handshake_auth is not None:
-        context.post_handshake_auth = True
-    return build_opener(HTTPSHandler(context=context))
+    global _https
+    with _https_lock:
+        if _https is None:
+            context = ssl._create_default_https_context()
+            context.set_alpn_protocols(["http/1.1"])
+            if context.post_handshake_auth is not None:
+                context.post_handshake_auth = True
+            _https = build_opener(HTTPSHandler(context=context))
+        return _https
 
 
 def _send(request: Request, timeout: float) -> tuple[int, bytes]:
@@ -101,9 +109,10 @@ class Endpoint:
         """POST payload as JSON; return the 200 reply's body and the attempt
         count.
 
-        Transport errors and 5xx replies are retried, sleeping backoff_seconds
-        * 2**(n-1) before retry n. Any other non-200 status, or running out
-        of attempts, raises the endpoint's error class.
+        Transport errors, 429 (too many requests) and 5xx replies are
+        retried, sleeping backoff_seconds * 2**(n-1) before retry n. Any
+        other non-200 status, or running out of attempts, raises the
+        endpoint's error class.
         """
         service = self._service
         last_error = "no attempt made"
@@ -125,8 +134,11 @@ class Endpoint:
                     "%s request failed (attempt %d): %s", service, attempt, exc
                 )
                 continue
-            if status >= 500:
-                last_error = f"server error {status}"
+            if status >= 500 or status == 429:
+                last_error = (
+                    f"server error {status}" if status >= 500
+                    else "rate limited (429)"
+                )
                 logger.warning("%s returned %d (attempt %d)", service, status, attempt)
                 continue
             if status != 200:

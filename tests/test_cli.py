@@ -1,5 +1,6 @@
 """End-to-end command-line flows, exit codes, and artifact layout."""
 
+import hashlib
 import json
 import os
 import stat
@@ -203,6 +204,9 @@ def test_run_all_reads_each_input_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(cli.config_mod, "build_provider")
+    # the oracle and the scoring read one reference file in this config
+    count(cli.config_mod, "load_reference")
+    monkeypatch.setattr(cli, "load_reference", cli.config_mod.load_reference)
     for name in ("load_ontology", "load_kb", "load_candidate_db", "read_alignment",
                  "read_report"):
         count(cli, name)
@@ -210,7 +214,7 @@ def test_run_all_reads_each_input_once(tmp_path, monkeypatch):
         "run-all", "--config", config, "--pipeline", "both", "--run-id", "r",
     ]) == EXIT_OK
     assert calls == {
-        "build_provider": 1, "load_ontology": 2, "load_kb": 0,
+        "build_provider": 1, "load_reference": 1, "load_ontology": 2, "load_kb": 0,
         "load_candidate_db": 0, "read_alignment": 0, "read_report": 0,
     }
 
@@ -328,7 +332,8 @@ def test_chat_endpoint_death_keeps_partial_run(tmp_path, capsys):
         text = read_text(config).replace(
             "llm.kind = oracle", "llm.kind = http-chat"
         )
-        text += f"llm.url = {server.url}\nllm.model = stub\n"
+        # one worker: the kept prefix is the walks before the first prompt
+        text += f"llm.url = {server.url}\nllm.model = stub\nmatch.workers = 1\n"
         dead = tmp_path / "dead.config"
         dead.write_text(text)
         assert main(["build-kb", "--config", str(dead)]) == EXIT_OK
@@ -340,6 +345,109 @@ def test_chat_endpoint_death_keeps_partial_run(tmp_path, capsys):
     assert report["partial"] is True
     assert report["hcb_count"] == 2
     assert report["llm_query_count"] == 0
+    assert report["llm_queries_issued"] == 0
+
+
+def prompt_verdicts(payload, index):
+    """A chat reply that depends on the prompt alone, not on request order."""
+    prompt = payload["messages"][0]["content"]
+    reply = "Yes" if hashlib.sha256(prompt.encode("utf-8")).digest()[0] % 2 else "No"
+    return 200, {"choices": [{"message": {"content": reply}}]}
+
+
+def chat_config(config, server, settings=()):
+    """A copy of config that asks server's chat endpoint."""
+    return variant_config(config, {
+        "llm.kind": "http-chat", "llm.url": server.url, "llm.model": "stub",
+        **dict(settings),
+    })
+
+
+def log_lines(run_dir):
+    path = os.path.join(run_dir, "llm_log.jsonl")
+    return read_text(path).splitlines() if os.path.exists(path) else []
+
+
+def test_chat_runs_match_four_sources_at_once_by_default(tmp_path):
+    out, config = make_corpus(tmp_path, n=12, hcb="0.5")
+    assert main(["build-kb", "--config", config]) == EXIT_OK
+    assert main(["predict", "--config", config]) == EXIT_OK
+    run_dirs = {w: os.path.join(out, "runs", f"w{w}") for w in (4, 1)}
+    with RecordingServer(prompt_verdicts, delay_s=0.02) as server:
+        assert main([
+            "match", "--config", chat_config(config, server),
+            "--pipeline", "baseline", "--run-id", "w4",
+        ]) == EXIT_OK
+        assert server.max_in_flight == 4
+        assert main([
+            "match", "--config", chat_config(config, server, {"match.workers": "1"}),
+            "--pipeline", "baseline", "--run-id", "w1",
+        ]) == EXIT_OK
+    for name in ("alignment.tsv", "trace.tsv"):
+        assert read_bytes(os.path.join(run_dirs[4], name)) == read_bytes(
+            os.path.join(run_dirs[1], name)
+        ), name
+    for workers, run_dir in run_dirs.items():
+        assert f"match.workers = {workers}" in read_text(run_dir, "config.txt")
+        report = json.loads(read_text(run_dir, "report.json"))
+        assert report["llm_queries_issued"] == report["llm_query_count"]
+        assert len(log_lines(run_dir)) == report["llm_query_count"]
+
+
+@pytest.mark.parametrize("answered", [0, 7, 1000])
+@pytest.mark.parametrize("workers", [1, 4])
+def test_llm_log_holds_one_line_per_issued_query_on_every_exit_path(
+    tmp_path, workers, answered
+):
+    # the endpoint answers `answered` requests, then rejects every one
+    out, config = make_corpus(tmp_path, n=12, hcb="0.5")
+    assert main(["build-kb", "--config", config]) == EXIT_OK
+    assert main(["predict", "--config", config]) == EXIT_OK
+
+    def behavior(payload, index):
+        if index >= answered:
+            return 404, {"error": "gone"}
+        return prompt_verdicts(payload, index)
+
+    with RecordingServer(behavior, delay_s=0.005) as server:
+        rc = main([
+            "match", "--config",
+            chat_config(config, server, {"match.workers": str(workers)}),
+            "--pipeline", "baseline", "--run-id", "r",
+        ])
+        requests = len(server.payloads)
+    run_dir = os.path.join(out, "runs", "r")
+    report = json.loads(read_text(run_dir, "report.json"))
+    complete = answered >= requests
+    assert rc == (EXIT_OK if complete else EXIT_ENDPOINT)
+    assert report["partial"] is not complete
+    assert report["llm_queries_issued"] == min(answered, requests)
+    assert len(log_lines(run_dir)) == report["llm_queries_issued"]
+    assert report["llm_query_count"] <= report["llm_queries_issued"]
+
+
+def test_scripted_replies_with_several_workers_exit_config(tmp_path, capsys):
+    out, config = make_corpus(tmp_path, n=6, hcb="0.5")
+    assert main(["build-kb", "--config", config]) == EXIT_OK
+    assert main(["predict", "--config", config]) == EXIT_OK
+    replies = tmp_path / "replies.txt"
+    replies.write_text("No\n" * 100)
+    scripted = {"llm.kind": "scripted", "llm.replies": str(replies)}
+    capsys.readouterr()
+    assert main([
+        "match", "--config", variant_config(config, scripted | {"match.workers": "2"}),
+        "--run-id", "s",
+    ]) == EXIT_CONFIG
+    assert not os.path.exists(os.path.join(out, "runs", "s"))
+    assert capsys.readouterr().err == (
+        "error: llm.kind=scripted replays its replies in call order, so it "
+        "needs match.workers = 1, got 2\n"
+    )
+    # unset, match.workers is 1 for the scripted client
+    assert main([
+        "match", "--config", variant_config(config, scripted), "--run-id", "s",
+    ]) == EXIT_OK
+    assert "match.workers = 1" in read_text(out, "runs", "s", "config.txt")
 
 
 @pytest.mark.parametrize("split, expected", [
@@ -536,6 +644,22 @@ def test_bad_chat_settings_exit_config_before_any_request(
         assert server.payloads == []
     assert rc == EXIT_CONFIG
     assert f"error: {key} must be finite" in capsys.readouterr().err
+
+
+def test_unset_chat_token_exits_config_before_the_run_directory(
+    tmp_path, capsys, monkeypatch
+):
+    out, config = make_corpus(tmp_path, n=4, hcb="0.5")
+    assert main(["build-kb", "--config", config]) == EXIT_OK
+    assert main(["predict", "--config", config]) == EXIT_OK
+    monkeypatch.delenv("ONTOMATCH_TEST_TOKEN", raising=False)
+    with RecordingServer(prompt_verdicts) as server:
+        chat = chat_config(config, server, {"llm.token_env": "ONTOMATCH_TEST_TOKEN"})
+        capsys.readouterr()
+        assert main(["match", "--config", chat, "--run-id", "r"]) == EXIT_CONFIG
+        assert server.payloads == []
+    assert "ONTOMATCH_TEST_TOKEN is not set" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "runs", "r"))
 
 
 def test_bad_prompt_template_exits_config_before_any_artifact(tmp_path, capsys):

@@ -44,6 +44,23 @@ def test_defaults_match_reported_settings():
     assert config.match_workers == 1
 
 
+@pytest.mark.parametrize("kind, workers", [
+    ("http-chat", 4), ("oracle", 1), ("scripted", 1),
+])
+def test_unset_match_workers_follow_the_llm_kind(kind, workers):
+    config = build_config({"llm.kind": kind})
+    assert config.match_workers == workers
+    assert f"match.workers = {workers}" in snapshot(config).splitlines()
+    assert build_config({"llm.kind": kind, "match.workers": "1"}).match_workers == 1
+
+
+def test_explicit_match_workers_are_kept_and_scripted_needs_one():
+    for kind in ("http-chat", "oracle"):
+        assert build_config({"llm.kind": kind}, match_workers=7).match_workers == 7
+    with pytest.raises(ConfigError, match="needs match.workers = 1, got 2"):
+        build_config({"llm.kind": "scripted", "match.workers": "2"})
+
+
 def test_snapshot_lists_the_decisive_settings():
     text = snapshot(RunConfig())
     lines = text.splitlines()
@@ -59,8 +76,8 @@ def test_snapshot_lists_the_decisive_settings():
 
 def test_snapshot_round_trips_through_the_parser(tmp_path):
     original = build_config(
-        {"k": "7", "tau": "0.9", "source.dump": "src.tsv", "llm.kind": "scripted",
-         "llm.replies": "replies.txt", "embedding.timeout": "12.5"},
+        {"k": "7", "tau": "0.9", "source.dump": "src.tsv", "llm.kind": "oracle",
+         "llm.reference": "reference.tsv", "embedding.timeout": "12.5"},
         match_workers=3,
     )
     path = tmp_path / "run.cfg"

@@ -2,11 +2,13 @@
 
 import concurrent.futures
 import json
+from contextlib import closing
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ontomatch import llm
 from ontomatch.errors import (
     ConfigError,
     EndpointUnavailable,
@@ -200,12 +202,21 @@ def test_query_count_includes_unparseable_and_is_thread_safe():
     assert client.query_count == 64
 
 
-def test_exchange_log_written_as_jsonl(tmp_path):
+def test_exchange_log_written_as_jsonl(tmp_path, monkeypatch):
     log_path = tmp_path / "log" / "llm_log.jsonl"
-    client = OracleClient([("s", "t")], log_path=str(log_path))
-    client.classify("first prompt", pair=("s", "t"))
-    client.classify("second prompt", pair=("s", "x"))
-    lines = log_path.read_text(encoding="utf-8").splitlines()
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(llm, "open", counting_open, raising=False)
+    with closing(OracleClient([("s", "t")], log_path=str(log_path))) as client:
+        client.classify("first prompt", pair=("s", "t"))
+        client.classify("second prompt", pair=("s", "x"))
+        # each record is flushed as it is written, while the log stays open
+        lines = log_path.read_text(encoding="utf-8").splitlines()
+    assert opened == [str(log_path)]
     assert len(lines) == 2
     records = [json.loads(line) for line in lines]
     assert records[0]["pair"] == ["s", "t"]
@@ -220,7 +231,8 @@ def test_http_chat_client_happy_path(tmp_path):
     with RecordingServer(chat_behavior(["Yes."])) as server:
         client = HttpChatClient(server.url, model="m-1", temperature=0.7,
                                 backoff_seconds=0.01, log_path=str(log_path))
-        verdict = client.classify("are these the same?", pair=("s", "t"))
+        with closing(client):
+            verdict = client.classify("are these the same?", pair=("s", "t"))
         assert verdict.value is Verdict.YES
         assert json.loads(log_path.read_text(encoding="utf-8"))["reply"] == "Yes."
         assert verdict.attempts == 1

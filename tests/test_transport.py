@@ -6,6 +6,8 @@ import os
 import ssl
 import subprocess
 import sys
+import threading
+import time
 import urllib.request
 from typing import Callable, NamedTuple
 
@@ -15,7 +17,8 @@ import ontomatch
 from ontomatch.embedding import HttpProvider
 from ontomatch.errors import EndpointUnavailable, ProviderUnavailable
 from ontomatch.llm import HttpChatClient
-from ontomatch.transport import Endpoint, _https_opener
+from ontomatch import transport
+from ontomatch.transport import Endpoint
 
 from stubs import RecordingServer, chat_behavior, embedding_behavior
 
@@ -73,6 +76,18 @@ def test_server_error_warning_names_status_and_attempt(client, caplog):
     assert f"{client.service} returned 503 (attempt 1)" in caplog.text
 
 
+def test_rate_limited_reply_is_retried(client, caplog):
+    def behavior(payload, index):
+        if index == 0:
+            return 429, {"error": "slow down"}
+        return client.good(payload, index)
+
+    with RecordingServer(behavior) as server:
+        client.ask(server.url, backoff_seconds=0.01)
+        assert len(server.payloads) == 2
+    assert f"{client.service} returned 429 (attempt 1)" in caplog.text
+
+
 def test_non_json_reply_is_an_unusable_payload(client):
     # [1] is JSON, but neither a chat reply nor a vectors object.
     for body in ("not json {", [1]):
@@ -123,6 +138,7 @@ def test_one_tls_context_per_process(monkeypatch, scheme, contexts):
 
     def counting(*args, **kwargs):
         built.append(args)
+        time.sleep(0.05)  # widen the window for threads that start together
         return original(*args, **kwargs)
 
     # urllib builds its own context through the PEP 476 hook, an alias of
@@ -132,16 +148,31 @@ def test_one_tls_context_per_process(monkeypatch, scheme, contexts):
     for name in ("https_proxy", "HTTPS_PROXY", "http_proxy", "HTTP_PROXY"):
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setattr(urllib.request, "_opener", None)
-    _https_opener.cache_clear()
-    # A closed local port: each attempt fails at connect, after its context.
-    with pytest.raises(EndpointUnavailable, match="unreachable after 3 attempts"):
-        Endpoint(
-            f"{scheme}://127.0.0.1:1/v1", service="chat endpoint",
-            error=EndpointUnavailable, timeout=5.0, max_retries=3,
-            backoff_seconds=0.0,
-        ).post({})
+    monkeypatch.setattr(transport, "_https", None)
+    endpoint = Endpoint(
+        f"{scheme}://127.0.0.1:1/v1", service="chat endpoint",
+        error=EndpointUnavailable, timeout=5.0, max_retries=3,
+        backoff_seconds=0.0,
+    )
+    start = threading.Barrier(4)
+    errors = []
+
+    def post():
+        start.wait()
+        # A closed local port: each attempt fails at connect, after its context.
+        try:
+            endpoint.post({})
+        except EndpointUnavailable as exc:
+            errors.append(str(exc))
+
+    threads = [threading.Thread(target=post) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(errors) == 4
+    assert all("unreachable after 3 attempts" in error for error in errors)
     assert len(built) == contexts
-    _https_opener.cache_clear()
 
 
 def _modules_after(code: str) -> set[str]:
