@@ -184,12 +184,9 @@ def _match(
     llm_reference is the parsed llm.reference when the caller has it.
     """
     run_dir = os.path.join(cfg.out, "runs", run_id)
-    llm = config_mod.build_llm_client(
-        cfg, log_path=os.path.join(run_dir, "llm_log.jsonl"),
-        reference=llm_reference,
-    )
+    log_path = os.path.join(run_dir, "llm_log.jsonl")
+    llm = config_mod.build_llm_client(cfg, log_path=log_path, reference=llm_reference)
     with closing(llm):
-        os.makedirs(run_dir, exist_ok=True)
         if pipeline == PIPELINE_MILA:
             report = match_mila(
                 None, s2t, t2s, llm, template,
@@ -203,6 +200,8 @@ def _match(
                 max_workers=cfg.match_workers,
             )
     report.llm_queries_issued = llm.query_count
+    if not llm.query_count and os.path.exists(log_path):
+        os.remove(log_path)  # an earlier run's log under this run id
     write_alignment(report.alignment, os.path.join(run_dir, "alignment.tsv"))
     write_trace(report.trace, os.path.join(run_dir, "trace.tsv"))
     write_report(report, os.path.join(run_dir, "report.json"))
@@ -288,13 +287,29 @@ def _report_from_run_dir(run_dir: str) -> MatchRunReport:
     for key in ("pipeline", "llm_query_count", "hcb_count"):
         if key not in data:
             raise MalformedRecord(report_path, 1, f"missing key {key!r}")
+    # type(), not isinstance(): a JSON true must not pass as a count
+    wall_times = data.get("wall_times_s", {})
+    for key, ok in (
+        ("pipeline", type(data["pipeline"]) is str),
+        ("llm_query_count", type(data["llm_query_count"]) is int),
+        ("hcb_count", type(data["hcb_count"]) is int),
+        ("wall_times_s", type(wall_times) is dict and all(
+            type(v) in (int, float) for v in wall_times.values()
+        )),
+        ("partial", type(data.get("partial", False)) is bool),
+        ("multi_matched_targets", type(data.get("multi_matched_targets", [])) is list),
+    ):
+        if not ok:
+            raise MalformedRecord(
+                report_path, 1, f"key {key!r} has a value of the wrong type"
+            )
     return MatchRunReport(
         pipeline=data["pipeline"],
         alignment=alignment,
         trace=[],
         llm_query_count=data["llm_query_count"],
         hcb_count=data["hcb_count"],
-        wall_times=data.get("wall_times_s", {}),
+        wall_times=wall_times,
         partial=data.get("partial", False),
         abort_reason=data.get("abort_reason"),
         multi_matched_targets=data.get("multi_matched_targets", []),

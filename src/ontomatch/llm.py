@@ -148,8 +148,8 @@ class LlmClient:
     an Unparseable reply still counts. Subclasses implement _respond and may
     be called from several threads; the counter and the log are synchronized,
     so the log holds one line per counted query, in completion order. The
-    log file and its directory are made at the first query, and the file
-    stays open until close().
+    log file and its directory are made at the first query, replacing any
+    log already there, and the file stays open until close().
     """
 
     def __init__(self, log_path: str | None = None):
@@ -159,7 +159,7 @@ class LlmClient:
         self._log = None
 
     def close(self) -> None:
-        """Close the exchange log; a later query opens it again."""
+        """Close the exchange log; a later query starts it afresh."""
         with self._count_lock:
             if self._log is not None:
                 self._log.close()
@@ -196,7 +196,7 @@ class LlmClient:
                 if self._log is None:
                     log_dir = os.path.dirname(os.path.abspath(self._log_path))
                     os.makedirs(log_dir, exist_ok=True)
-                    self._log = open(self._log_path, "a", encoding="utf-8")
+                    self._log = open(self._log_path, "w", encoding="utf-8")
                 self._log.write(line)
                 self._log.flush()
             self._query_count += 1

@@ -4,7 +4,8 @@ The prioritized depth-first pipeline walks each source entity's candidate
 list in rank order: candidates that are not bidirectional are skipped without
 an LLM call, a high-confidence bidirectional (HCB) pair is accepted outright,
 and anything else goes to the LLM, accepting on the first Yes. The baseline
-pipeline prompts on every candidate and keeps the highest-scored Yes.
+pipeline prompts on every candidate and keeps the highest-scored Yes. Both
+walk a plan that identify builds for every source before the first query.
 
 Source entities are independent; each one's own search is strictly
 sequential because later LLM calls depend on earlier verdicts. With
@@ -22,6 +23,7 @@ import json
 import logging
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
@@ -31,6 +33,7 @@ from .errors import (
     InvalidParameter,
     MalformedRecord,
     StaleKB,
+    UnknownEntity,
 )
 from .fileio import (
     atomic_write_text,
@@ -181,48 +184,51 @@ def _check_db_pair(s2t: CandidateDB, t2s: CandidateDB) -> None:
         )
 
 
-def is_bidirectional(
-    s2t: CandidateDB, t2s: CandidateDB, source_id: str, target_id: str
-) -> bool:
-    """True iff each entity appears in the other's candidate list."""
-    forward = s2t.candidates_of(source_id).score_of(target_id)
-    if forward is None:
-        return False
-    return t2s.candidates_of(target_id).score_of(source_id) is not None
+def identify(
+    sources: Sequence[str] | None,
+    s2t: CandidateDB,
+    t2s: CandidateDB | None,
+    target_onto: Ontology,
+    hcb_enabled: bool = True,
+) -> list[tuple[str, tuple[tuple[str, float, str | None], ...]]]:
+    """Each source's (candidate_id, score, outcome) rows in rank order, in
+    source order (ascending id when sources is None), before any query.
 
-
-def is_hcb(
-    s2t: CandidateDB, t2s: CandidateDB, source_id: str, target_id: str
-) -> bool:
-    """True iff the pair is bidirectional and tops both candidate lists.
-
-    The pair's stored score must equal the maximum of the source's list AND
-    the maximum of the target's list, and the two directional scores must be
-    equal. They can differ even when both DBs come from one provider: an
-    entity score is the best over the labels that made the top-k, and the
-    two directions can retrieve different labels. The equality test is what
-    keeps the check symmetric: is_hcb(s2t, t2s, a, b) == is_hcb(t2s, s2t, b, a).
+    With t2s (MILA), a candidate whose list lacks the source is
+    not-bidirectional; with hcb_enabled, a pair is HCB-accept when its score
+    tops both lists and the two directional scores are equal. They can
+    differ even when both DBs come from one provider: an entity score is the
+    best over the labels that made the top-k, and the two directions can
+    retrieve different labels. The equality test keeps the rule symmetric
+    under swapping s2t and t2s. Other rows, and every row without t2s (the
+    baseline), get None: ask the LLM. An unknown or repeated source, or a
+    candidate that target_onto lacks, raises.
     """
-    source_list = s2t.candidates_of(source_id)
-    target_list = t2s.candidates_of(target_id)
-    forward = source_list.score_of(target_id)
-    backward = target_list.score_of(source_id)
-    if forward is None or backward is None:
-        return False
-    return (
-        forward == backward
-        and forward == source_list.top_score
-        and backward == target_list.top_score
-    )
-
-
-def _resolve_sources(sources: Sequence[str] | None, s2t: CandidateDB) -> list[str]:
-    if sources is None:
-        return sorted(s2t.lists)
-    resolved = list(sources)
-    for source_id in resolved:
-        s2t.candidates_of(source_id)  # raises UnknownEntity on a bad id
-    return resolved
+    plan: dict[str, tuple] = {}
+    for source_id in sorted(s2t.lists) if sources is None else sources:
+        if source_id in plan:
+            raise InvalidParameter(f"source {source_id!r} is listed twice")
+        own = s2t.candidates_of(source_id).candidates
+        rows = []
+        for candidate_id, score in own:
+            if candidate_id not in target_onto:
+                raise UnknownEntity(
+                    f"candidate {candidate_id!r} of {source_id!r} is not in "
+                    f"{target_onto.name!r}; the DB was built from other inputs"
+                )
+            outcome = None
+            if t2s is not None:
+                back = t2s.candidates_of(candidate_id)
+                backward = back.score_of(source_id)
+                if backward is None:
+                    outcome = OUTCOME_NOT_BIDIRECTIONAL
+                elif hcb_enabled and (
+                    score == backward == own[0][1] == back.candidates[0][1]
+                ):
+                    outcome = OUTCOME_HCB_ACCEPT
+            rows.append((candidate_id, score, outcome))
+        plan[source_id] = tuple(rows)
+    return list(plan.items())
 
 
 def _finish_report(
@@ -233,15 +239,9 @@ def _finish_report(
     partial: bool,
     abort_reason: str | None,
 ) -> MatchRunReport:
-    trace: list[TraceEvent] = []
-    correspondences: list[Correspondence] = []
-    for events, corr in per_source:
-        trace.extend(events)
-        if corr is not None:
-            correspondences.append(corr)
-    target_counts: dict[str, int] = {}
-    for corr in correspondences:
-        target_counts[corr.target_id] = target_counts.get(corr.target_id, 0) + 1
+    trace = [event for events, _ in per_source for event in events]
+    correspondences = [corr for _, corr in per_source if corr is not None]
+    target_counts = Counter(corr.target_id for corr in correspondences)
     alignment = Alignment(
         source_onto=s2t.query_name,
         target_onto=s2t.corpus_name,
@@ -250,9 +250,7 @@ def _finish_report(
         fingerprint=s2t.fingerprint,
         correspondences=tuple(correspondences),
     )
-    llm_events = sum(
-        1 for e in trace if e.outcome in (OUTCOME_LLM_YES, OUTCOME_LLM_NO)
-    )
+    llm_events = sum(e.outcome in (OUTCOME_LLM_YES, OUTCOME_LLM_NO) for e in trace)
     hcb_events = sum(1 for e in trace if e.outcome == OUTCOME_HCB_ACCEPT)
     return MatchRunReport(
         pipeline=pipeline,
@@ -271,12 +269,12 @@ def _finish_report(
 
 def _run_per_source(
     pipeline: str,
-    sources: list[str],
+    plan: list,
     s2t: CandidateDB,
     worker,
     max_workers: int,
 ) -> MatchRunReport:
-    """Walk the sources on the calling thread plus max_workers - 1 helpers.
+    """Walk the plan's sources on the calling thread plus max_workers - 1 helpers.
 
     Each thread takes the next source index under a lock. Once a walk
     raises, or the calling thread itself does (say on Ctrl-C), no thread
@@ -285,7 +283,7 @@ def _run_per_source(
     marks it partial, any other exception is re-raised.
     """
     start = time.perf_counter()
-    results: list = [None] * len(sources)
+    results: list = [None] * len(plan)
     failures: dict[int, Exception] = {}
     lock = threading.Lock()
     next_index = 0
@@ -295,12 +293,12 @@ def _run_per_source(
         nonlocal next_index
         while True:
             with lock:
-                if stopped or failures or next_index == len(sources):
+                if stopped or failures or next_index == len(plan):
                     return
                 index = next_index
                 next_index += 1
             try:
-                results[index] = worker(sources[index])
+                results[index] = worker(*plan[index])
             except Exception as exc:
                 with lock:
                     failures[index] = exc
@@ -308,7 +306,7 @@ def _run_per_source(
 
     helpers: list[threading.Thread] = []
     try:
-        for _ in range(min(max_workers, len(sources)) - 1):
+        for _ in range(min(max_workers, len(plan)) - 1):
             helper = threading.Thread(target=take_sources)
             helper.start()
             helpers.append(helper)
@@ -328,7 +326,7 @@ def _run_per_source(
             raise exc
         partial = True
         abort_reason = str(exc)
-        logger.error("aborting %s run at %s: %s", pipeline, sources[first], exc)
+        logger.error("aborting %s run at %s: %s", pipeline, plan[first][0], exc)
         per_source = results[:first]
     elapsed = time.perf_counter() - start
     return _finish_report(pipeline, s2t, per_source, elapsed, partial, abort_reason)
@@ -336,9 +334,8 @@ def _run_per_source(
 
 def _walk(
     source_id: str,
+    rows: tuple[tuple[str, float, str | None], ...],
     *,
-    s2t: CandidateDB,
-    screen,
     accept: dict[str, str],
     stop_at_accept: bool,
     llm: LlmClient,
@@ -346,21 +343,17 @@ def _walk(
     source_onto: Ontology,
     target_onto: Ontology,
 ) -> tuple[list[TraceEvent], Correspondence | None]:
-    """Visit one source's candidates in rank order; both pipelines use it.
+    """Visit one source's planned rows in rank order; both pipelines use it.
 
-    screen(source_id, candidate_id) settles a candidate without the LLM by
-    returning its outcome, or returns None to prompt the LLM with the two
-    preferred labels. accept maps each accepting outcome to a provenance:
-    the first accepted candidate is the correspondence, and the walk ends
-    there when stop_at_accept is set.
+    A row whose outcome identify settled is recorded as is; a row with
+    outcome None prompts the LLM with the two preferred labels. accept maps
+    each accepting outcome to a provenance: the first accepted candidate is
+    the correspondence, and the walk ends there when stop_at_accept is set.
     """
     events: list[TraceEvent] = []
     accepted: Correspondence | None = None
     source_label = source_onto.entity(source_id).preferred_label
-    for rank, (candidate_id, score) in enumerate(
-        s2t.candidates_of(source_id).candidates, start=1
-    ):
-        outcome = screen(source_id, candidate_id)
+    for rank, (candidate_id, score, outcome) in enumerate(rows, start=1):
         if outcome is None:
             prompt = render_prompt(
                 template,
@@ -409,23 +402,14 @@ def match_mila(
     partial=True and the completed prefix of sources; nothing is raised.
     """
     _check_db_pair(s2t, t2s)
-
-    def screen(source_id: str, candidate_id: str) -> str | None:
-        if not is_bidirectional(s2t, t2s, source_id, candidate_id):
-            return OUTCOME_NOT_BIDIRECTIONAL
-        if hcb_enabled and is_hcb(s2t, t2s, source_id, candidate_id):
-            return OUTCOME_HCB_ACCEPT
-        return None
-
+    plan = identify(sources, s2t, t2s, target_onto, hcb_enabled)
     walk = partial(
-        _walk, s2t=s2t, screen=screen,
+        _walk,
         accept={OUTCOME_HCB_ACCEPT: PROVENANCE_HCB, OUTCOME_LLM_YES: PROVENANCE_LLM},
         stop_at_accept=True, llm=llm, template=template,
         source_onto=source_onto, target_onto=target_onto,
     )
-    return _run_per_source(
-        PIPELINE_MILA, _resolve_sources(sources, s2t), s2t, walk, max_workers
-    )
+    return _run_per_source(PIPELINE_MILA, plan, s2t, walk, max_workers)
 
 
 def match_baseline(
@@ -444,15 +428,13 @@ def match_baseline(
     rank order, so the first Yes wins). Total LLM calls equal the summed
     candidate-list lengths.
     """
+    plan = identify(sources, s2t, None, target_onto)
     walk = partial(
-        _walk, s2t=s2t, screen=lambda source_id, candidate_id: None,
-        accept={OUTCOME_LLM_YES: PROVENANCE_BASELINE},
+        _walk, accept={OUTCOME_LLM_YES: PROVENANCE_BASELINE},
         stop_at_accept=False, llm=llm, template=template,
         source_onto=source_onto, target_onto=target_onto,
     )
-    return _run_per_source(
-        PIPELINE_BASELINE, _resolve_sources(sources, s2t), s2t, walk, max_workers
-    )
+    return _run_per_source(PIPELINE_BASELINE, plan, s2t, walk, max_workers)
 
 
 def _require_clean_name(name: str) -> str:

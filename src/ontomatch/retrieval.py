@@ -104,10 +104,6 @@ class CandidateList:
                 return score
         return None
 
-    @property
-    def top_score(self) -> float | None:
-        return self.candidates[0][1] if self.candidates else None
-
 
 class VectorKB:
     """All label vectors of one ontology plus the owning-entity sets.
@@ -601,7 +597,8 @@ def load_candidate_db(path: str, query_ontology: Ontology) -> CandidateDB:
     """Load a candidate DB, restoring empty lists for unlisted entities.
 
     The query ontology supplies the entity-id universe; owners in the file
-    that it does not contain mean the DB belongs to different inputs.
+    that it does not contain mean the DB belongs to different inputs. An
+    owner may list a candidate once.
     """
     headers: dict[str, str] = {}
     for body in read_header(path):
@@ -620,6 +617,7 @@ def load_candidate_db(path: str, query_ontology: Ontology) -> CandidateDB:
     except ValueError as exc:
         raise MalformedRecord(path, 0, f"bad k/tau header: {exc}") from None
     per_owner: dict[str, list[tuple[str, float]]] = {}
+    pairs: set[tuple[str, str]] = set()
     for line_no, (owner, candidate_id, score_field) in read_records(path, 3):
         try:
             score = float(score_field)
@@ -632,6 +630,9 @@ def load_candidate_db(path: str, query_ontology: Ontology) -> CandidateDB:
             raise MalformedRecord(
                 path, line_no, f"scores for owner {owner!r} are not non-increasing"
             )
+        if (owner, candidate_id) in pairs:
+            raise MalformedRecord(path, line_no, f"repeated candidate {candidate_id!r}")
+        pairs.add((owner, candidate_id))
         bucket.append((candidate_id, score))
     unknown = set(per_owner) - set(query_ontology.ids)
     if unknown:

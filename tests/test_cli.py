@@ -426,6 +426,50 @@ def test_llm_log_holds_one_line_per_issued_query_on_every_exit_path(
     assert report["llm_query_count"] <= report["llm_queries_issued"]
 
 
+@pytest.mark.parametrize("pipeline", ["mila", "baseline"])
+@pytest.mark.parametrize("workers", [1, 4])
+def test_a_stale_candidate_exits_parse_before_any_request(
+    tmp_path, capsys, pipeline, workers
+):
+    out, config = make_corpus(tmp_path, n=6, hcb="0.5")
+    assert main(["build-kb", "--config", config]) == EXIT_OK
+    assert main(["predict", "--config", config]) == EXIT_OK
+    # the last row names a target the dump lacks; every other row comes first
+    s2t_path = os.path.join(out, "candidates", "s2t.tsv")
+    lines = read_text(s2t_path).splitlines()
+    owner, _, score = lines[-1].split("\t")
+    lines[-1] = f"{owner}\tT99999\t{score}"
+    with open(s2t_path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    with RecordingServer(prompt_verdicts) as server:
+        rc = main([
+            "match", "--config",
+            chat_config(config, server, {"match.workers": str(workers)}),
+            "--pipeline", pipeline, "--run-id", "stale",
+        ])
+        assert server.payloads == []
+    assert rc == EXIT_PARSE
+    assert "'T99999'" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "runs", "stale"))
+
+
+@pytest.mark.parametrize("again", ["mila", "baseline"])
+def test_a_rerun_under_one_run_id_starts_a_fresh_llm_log(tmp_path, again):
+    # every pair is HCB, so mila asks nothing and the baseline asks 30 times
+    out, config = make_corpus(tmp_path, n=6, hcb="1.0")
+    assert main([
+        "run-all", "--config", config, "--pipeline", "baseline", "--run-id", "r1",
+    ]) == EXIT_OK
+    assert main([
+        "match", "--config", config, "--pipeline", again, "--run-id", "r1",
+    ]) == EXIT_OK
+    run_dir = os.path.join(out, "runs", "r1")
+    report = json.loads(read_text(run_dir, "report.json"))
+    assert report["llm_queries_issued"] == (30 if again == "baseline" else 0)
+    assert len(log_lines(run_dir)) == report["llm_queries_issued"]
+
+
 def test_scripted_replies_with_several_workers_exit_config(tmp_path, capsys):
     out, config = make_corpus(tmp_path, n=6, hcb="0.5")
     assert main(["build-kb", "--config", config]) == EXIT_OK
@@ -620,6 +664,37 @@ def test_compare_on_a_broken_report_exits_parse(
     assert rc == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith(f"error: {report_path}:1: ") and message in err, err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pipeline", 1),
+    ("llm_query_count", "x"),
+    ("llm_query_count", True),
+    ("hcb_count", 1.5),
+    ("wall_times_s", [1]),
+    ("wall_times_s", {"match": "1"}),
+    ("partial", "no"),
+    ("multi_matched_targets", {}),
+])
+def test_compare_on_a_report_value_of_the_wrong_type_exits_parse(
+    tmp_path, capsys, key, value
+):
+    out, config = make_corpus(tmp_path, n=6, hcb="1.0")
+    assert main(["run-all", "--config", config, "--pipeline", "both",
+                 "--run-id", "r"]) == EXIT_OK
+    run_dirs = [os.path.join(out, "runs", f"r-{p}") for p in ("mila", "baseline")]
+    report_path = os.path.join(run_dirs[1], "report.json")
+    report = json.loads(read_text(report_path))
+    report[key] = value
+    with open(report_path, "w", encoding="utf-8") as handle:
+        json.dump(report, handle)
+    reference = os.path.join(out, "synthetic", "reference.tsv")
+    capsys.readouterr()
+    rc = main(["compare", *run_dirs, "--reference", reference, "--config", config])
+    assert rc == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error: {report_path}:1: key {key!r} has a value of the wrong type\n"
+    )
 
 
 @pytest.mark.parametrize("key, value", [

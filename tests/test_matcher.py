@@ -1,4 +1,4 @@
-"""Bidirectional/HCB predicates, both pipelines, and run artifacts."""
+"""The identify rule, both pipelines, and run artifacts."""
 
 import json
 import os
@@ -37,8 +37,7 @@ from ontomatch.matcher import (
     Alignment,
     Correspondence,
     TraceEvent,
-    is_bidirectional,
-    is_hcb,
+    identify,
     match_baseline,
     match_mila,
     read_alignment,
@@ -89,29 +88,26 @@ def run_baseline(pipeline, llm, sources=None, **kwargs):
     )
 
 
+def outcomes(plan):
+    """{(source, candidate): outcome} of an identify plan."""
+    return {
+        (source_id, candidate_id): outcome
+        for source_id, rows in plan
+        for candidate_id, _, outcome in rows
+    }
+
+
 def test_disease_corpus_bidirectional_and_hcb_predicates(disease_pipeline):
     s2t, t2s = disease_pipeline["s2t"], disease_pipeline["t2s"]
+    outcome = outcomes(identify(None, s2t, t2s, disease_pipeline["target"]))
     # (C3745, 4880) scores 0.95621 and is mutual, but C61325 tops the
     # reverse list, so it is bidirectional without being high-confidence.
-    assert is_bidirectional(s2t, t2s, "ncit:C3745", "DOID:4880")
-    assert not is_hcb(s2t, t2s, "ncit:C3745", "DOID:4880")
-    assert is_hcb(s2t, t2s, "ncit:C61325", "DOID:4880")
-    assert is_hcb(s2t, t2s, "ncit:C99383", "DOID:438")
-    assert is_bidirectional(s2t, t2s, "ncit:C3745", "DOID:4233")
-    assert not is_hcb(s2t, t2s, "ncit:C3745", "DOID:4233")
-    assert not is_bidirectional(s2t, t2s, "ncit:C99383", "DOID:4233")
-
-
-def test_predicates_are_symmetric_on_disease_corpus(disease_pipeline):
-    s2t, t2s = disease_pipeline["s2t"], disease_pipeline["t2s"]
-    for source_id, lst in s2t.lists.items():
-        for target_id in lst.ids():
-            assert is_bidirectional(s2t, t2s, source_id, target_id) == (
-                is_bidirectional(t2s, s2t, target_id, source_id)
-            )
-            assert is_hcb(s2t, t2s, source_id, target_id) == (
-                is_hcb(t2s, s2t, target_id, source_id)
-            )
+    assert outcome["ncit:C3745", "DOID:4880"] is None
+    assert outcome["ncit:C61325", "DOID:4880"] == OUTCOME_HCB_ACCEPT
+    assert outcome["ncit:C99383", "DOID:438"] == OUTCOME_HCB_ACCEPT
+    assert outcome["ncit:C3745", "DOID:4233"] is None
+    # not bidirectional: C99383 does not even retrieve DOID:4233
+    assert ("ncit:C99383", "DOID:4233") not in outcome
 
 
 def test_mila_on_disease_corpus_with_scripted_verdicts(disease_pipeline):
@@ -244,6 +240,34 @@ def test_mila_skips_non_bidirectional_without_llm():
     ]
     assert report.llm_query_count == 1
     assert report.alignment.pairs == {("E", "T:2")}
+
+
+def test_identify_raises_before_the_first_query():
+    source = make_ontology("S", {"E": ["e label"], "E2": ["other"]})
+    target = make_ontology("T", {"T:1": ["t1"]})
+    s2t = make_db(
+        "s2t", "S", "T", {"E": [("T:1", 0.9)], "E2": [("T:99", 0.8)]}
+    )
+    t2s = make_db("t2s", "T", "S", {"T:1": [("E", 0.9)]})
+    runs = (
+        lambda sources, llm: match_mila(
+            sources, s2t, t2s, llm, TEMPLATE,
+            source_onto=source, target_onto=target, hcb_enabled=False,
+        ),
+        lambda sources, llm: match_baseline(
+            sources, s2t, llm, TEMPLATE, source_onto=source, target_onto=target,
+        ),
+    )
+    for run in runs:
+        for sources, error in (
+            (None, UnknownEntity),  # E's walk would ask first; T:99 is unknown
+            (["E", "missing"], UnknownEntity),
+            (["E", "E"], InvalidParameter),
+        ):
+            llm = ScriptedClient(["No"] * 4)
+            with pytest.raises(error):
+                run(sources, llm)
+            assert llm.query_count == 0
 
 
 def test_mila_empty_candidate_list_produces_nothing():
@@ -687,3 +711,29 @@ def test_walks_equal_the_linear_scan(s2t_lists, t2s_lists, reference, flip, seed
             for c in report.alignment.correspondences
         } == accepted
         assert report.llm_query_count == llm.query_count == queries
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    s2t_lists=ranked_lists(WALK_SOURCES, WALK_TARGETS),
+    t2s_lists=ranked_lists(WALK_TARGETS, WALK_SOURCES),
+)
+def test_identify_is_symmetric_under_a_swap(s2t_lists, t2s_lists):
+    source = make_ontology("S", {sid: [f"label {sid}"] for sid in WALK_SOURCES})
+    target = make_ontology("T", {tid: [f"label {tid}"] for tid in WALK_TARGETS})
+    s2t = make_db("s2t", "S", "T", s2t_lists)
+    t2s = make_db("t2s", "T", "S", t2s_lists)
+    forward = outcomes(identify(None, s2t, t2s, target))
+    backward = outcomes(identify(None, t2s, s2t, source))
+    for (source_id, target_id), outcome in forward.items():
+        if (target_id, source_id) in backward:
+            assert backward[target_id, source_id] == outcome
+        else:
+            assert outcome == OUTCOME_NOT_BIDIRECTIONAL
+    off = outcomes(identify(None, s2t, t2s, target, hcb_enabled=False))
+    assert OUTCOME_HCB_ACCEPT not in off.values()
+    assert off == {
+        pair: None if outcome == OUTCOME_HCB_ACCEPT else outcome
+        for pair, outcome in forward.items()
+    }
+    assert set(outcomes(identify(None, s2t, None, target)).values()) <= {None}

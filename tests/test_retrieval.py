@@ -387,7 +387,7 @@ def test_disease_corpus_candidate_lists(disease_pipeline):
     assert reverse.candidates == (("ncit:C61325", 1.0), ("ncit:C3745", 0.95621))
     assert t2s.candidates_of("DOID:4233").candidates == (("ncit:C3745", 0.80521),)
     assert s2t.candidates_of("ncit:C61325").ids()[0] == "DOID:4880"
-    assert s2t.candidates_of("ncit:C61325").top_score == 1.0
+    assert s2t.candidates_of("ncit:C61325").candidates[0][1] == 1.0
 
 
 def test_disease_candidates_match_brute_force_oracle(disease_pipeline):
@@ -508,6 +508,21 @@ def test_candidate_db_load_malformed(tmp_path):
         path.write_text(content, encoding="utf-8")
         with pytest.raises(expected):
             load_candidate_db(path, onto)
+
+
+def test_candidate_db_load_rejects_a_candidate_listed_twice(tmp_path):
+    onto = make_ontology("S", {"E:1": ["alpha"], "E:2": ["beta"]})
+    path = tmp_path / "dup.tsv"
+    path.write_text(
+        "# candidate-db s2t\n# query S\n# corpus T\n# k 5\n# tau 0.75\n"
+        "# provider fp\nE:1\tT:1\t0.90000\nE:2\tT:1\t0.90000\n"
+        "E:1\tT:2\t0.80000\nE:1\tT:1\t0.80000\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(MalformedRecord) as caught:
+        load_candidate_db(path, onto)
+    assert caught.value.line_no == 10
+    assert str(caught.value).endswith(":10: repeated candidate 'T:1'")
 
 
 def test_scaled_vectors_do_not_change_scores():

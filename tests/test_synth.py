@@ -11,7 +11,12 @@ from ontomatch.embedding import DeterministicProvider, load_vector_file
 from ontomatch.errors import InvalidParameter
 from ontomatch.evaluation import evaluate, load_reference
 from ontomatch.llm import OracleClient, PromptTemplate
-from ontomatch.matcher import is_hcb, match_baseline, match_mila
+from ontomatch.matcher import (
+    OUTCOME_HCB_ACCEPT,
+    identify,
+    match_baseline,
+    match_mila,
+)
 from ontomatch.ontology import load_ontology
 from ontomatch.retrieval import build_candidate_dbs, build_kb
 from ontomatch.synth import generate_corpus, generate_flat_corpus
@@ -207,9 +212,10 @@ def test_flat_corpus_planted_pairs_are_hcb(tmp_path):
         k=5, tau=0.75,
     )
     reference = load_reference(flat["reference_path"])
+    plan = dict(identify(None, s2t, t2s, target))
     for source_id, target_id in reference.pairs:
         assert s2t.lists[source_id].score_of(target_id) == 1.0
-        assert is_hcb(s2t, t2s, source_id, target_id)
+        assert (target_id, 1.0, OUTCOME_HCB_ACCEPT) in plan[source_id]
     report = match_mila(
         None, s2t, t2s, OracleClient(reference.pairs), TEMPLATE,
         source_onto=source, target_onto=target,
