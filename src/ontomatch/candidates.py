@@ -1,0 +1,144 @@
+"""Candidate databases: each query entity's ranked candidates in one
+direction, and their text format.
+
+retrieval builds them; matcher walks them. This module needs no numpy, so
+the verbs that only read candidate DBs (match) start without it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .errors import MalformedRecord, StaleKB, UnknownEntity
+from .fileio import atomic_write_text, read_header, read_records
+from .ontology import Ontology
+
+DIRECTION_S2T = "s2t"
+DIRECTION_T2S = "t2s"
+
+
+@dataclass(frozen=True)
+class CandidateList:
+    """Ranked candidate entities for one query entity.
+
+    candidates is ((entity_id, rounded_score), ...) in rank order.
+    """
+
+    candidates: tuple[tuple[str, float], ...]
+
+    def __len__(self) -> int:
+        return len(self.candidates)
+
+    def ids(self) -> tuple[str, ...]:
+        return tuple(entity_id for entity_id, _ in self.candidates)
+
+    def score_of(self, entity_id: str) -> float | None:
+        for candidate_id, score in self.candidates:
+            if candidate_id == entity_id:
+                return score
+        return None
+
+
+@dataclass
+class CandidateDB:
+    """Every query entity's ranked candidate list for one direction."""
+
+    direction: str
+    query_name: str
+    corpus_name: str
+    k: int
+    tau: float
+    fingerprint: str
+    lists: dict[str, CandidateList] = field(default_factory=dict)
+
+    def candidates_of(self, entity_id: str) -> CandidateList:
+        try:
+            return self.lists[entity_id]
+        except KeyError:
+            raise UnknownEntity(
+                f"{self.query_name!r} has no entity {entity_id!r} in this "
+                "candidate DB"
+            ) from None
+
+    @property
+    def total_candidates(self) -> int:
+        return sum(len(lst) for lst in self.lists.values())
+
+
+def save_candidate_db(db: CandidateDB, path: str) -> None:
+    """Persist a candidate DB sorted by (owner id, rank)."""
+    lines = [
+        f"# candidate-db {db.direction}",
+        f"# query {db.query_name}",
+        f"# corpus {db.corpus_name}",
+        f"# k {db.k}",
+        f"# tau {db.tau!r}",
+        f"# provider {db.fingerprint}",
+    ]
+    for owner in sorted(db.lists):
+        for candidate_id, score in db.lists[owner].candidates:
+            lines.append(f"{owner}\t{candidate_id}\t{score:.5f}")
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def load_candidate_db(path: str, query_ontology: Ontology) -> CandidateDB:
+    """Load a candidate DB, restoring empty lists for unlisted entities.
+
+    The query ontology supplies the entity-id universe; owners in the file
+    that it does not contain mean the DB belongs to different inputs. An
+    owner may list a candidate once.
+    """
+    headers: dict[str, str] = {}
+    for body in read_header(path):
+        key, _, value = body.strip().partition(" ")
+        if key:
+            headers[key] = value.strip()
+    for key in ("candidate-db", "query", "corpus", "k", "tau", "provider"):
+        if key not in headers:
+            raise MalformedRecord(path, 0, f"missing header '# {key} ...'")
+    direction = headers["candidate-db"]
+    if direction not in (DIRECTION_S2T, DIRECTION_T2S):
+        raise MalformedRecord(path, 0, f"unknown direction {direction!r}")
+    try:
+        k = int(headers["k"])
+        tau = float(headers["tau"])
+    except ValueError as exc:
+        raise MalformedRecord(path, 0, f"bad k/tau header: {exc}") from None
+    per_owner: dict[str, list[tuple[str, float]]] = {}
+    pairs: set[tuple[str, str]] = set()
+    for line_no, (owner, candidate_id, score_field) in read_records(path, 3):
+        try:
+            score = float(score_field)
+        except ValueError:
+            raise MalformedRecord(
+                path, line_no, f"bad score {score_field!r}"
+            ) from None
+        bucket = per_owner.setdefault(owner, [])
+        if bucket and bucket[-1][1] < score:
+            raise MalformedRecord(
+                path, line_no, f"scores for owner {owner!r} are not non-increasing"
+            )
+        if (owner, candidate_id) in pairs:
+            raise MalformedRecord(path, line_no, f"repeated candidate {candidate_id!r}")
+        pairs.add((owner, candidate_id))
+        bucket.append((candidate_id, score))
+    unknown = set(per_owner) - set(query_ontology.ids)
+    if unknown:
+        sample = sorted(unknown)[0]
+        raise StaleKB(
+            f"{path} lists owner {sample!r} which {query_ontology.name!r} does "
+            "not contain; the DB was built from different inputs"
+        )
+    lists = {
+        entity_id: CandidateList(tuple(per_owner.get(entity_id, ())))
+        for entity_id in query_ontology.ids
+    }
+    return CandidateDB(
+        direction=direction,
+        query_name=headers["query"],
+        corpus_name=headers["corpus"],
+        k=k,
+        tau=tau,
+        fingerprint=headers["provider"],
+        lists=lists,
+    )

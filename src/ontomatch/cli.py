@@ -15,9 +15,10 @@ import logging
 import os
 import sys
 import time
-from contextlib import closing
+from contextlib import closing, suppress
 
 from . import config as config_mod
+from .candidates import load_candidate_db
 # EXIT_CONFIG, EXIT_FAILURE and EXIT_PARSE are imported so callers can
 # take every exit code from this module.
 from .errors import (
@@ -56,15 +57,8 @@ from .matcher import (
     write_trace,
 )
 from .ontology import load_ontology
-from .retrieval import (
-    build_candidate_dbs,
-    build_kb,
-    load_candidate_db,
-    load_kb,
-    save_candidate_db,
-    save_kb,
-)
-from .synth import generate_corpus
+# retrieval and synth load numpy, so they are imported inside the verbs
+# that embed, retrieve or generate; match, eval and compare start without it.
 
 def _kb_paths(cfg) -> tuple[str, str]:
     kb_dir = os.path.join(cfg.out, "kb")
@@ -99,6 +93,8 @@ def _load_ontologies(cfg):
 
 def _embed(cfg, source, target, provider):
     """Embed both ontologies; save the KBs under kb/ and return them."""
+    from .retrieval import build_kb, save_kb
+
     start = time.perf_counter()
     source_kb = build_kb(source, provider)
     target_kb = build_kb(target, provider)
@@ -130,6 +126,8 @@ def _require(paths, what: str, verb: str) -> None:
 
 def _retrieve(cfg, source, target, source_kb, target_kb):
     """Build both candidate DBs; save them under candidates/ and return them."""
+    from .retrieval import build_candidate_dbs, save_candidate_db
+
     start = time.perf_counter()
     s2t, t2s = build_candidate_dbs(
         source, target, source_kb, target_kb, cfg.k, cfg.tau
@@ -146,6 +144,8 @@ def _retrieve(cfg, source, target, source_kb, target_kb):
 
 
 def cmd_predict(args) -> int:
+    from .retrieval import load_kb
+
     cfg = _load_cfg(args)
     source, target = _load_ontologies(cfg)
     provider = config_mod.build_provider(cfg)
@@ -175,6 +175,16 @@ def _load_dbs(cfg, source, target):
     return s2t, t2s
 
 
+# What a finished run leaves beside its llm_log.jsonl.
+_RUN_FILES = ("report.json", "alignment.tsv", "trace.tsv", "config.txt", "eval.json")
+
+
+def _remove(run_dir: str, names) -> None:
+    for name in names:
+        with suppress(FileNotFoundError):
+            os.remove(os.path.join(run_dir, name))
+
+
 def _match(
     cfg, pipeline: str, run_id: str, source, target, s2t, t2s, template,
     llm_reference=None,
@@ -186,22 +196,23 @@ def _match(
     run_dir = os.path.join(cfg.out, "runs", run_id)
     log_path = os.path.join(run_dir, "llm_log.jsonl")
     llm = config_mod.build_llm_client(cfg, log_path=log_path, reference=llm_reference)
+    options = dict(
+        source_onto=source, target_onto=target, max_workers=cfg.match_workers
+    )
     with closing(llm):
-        if pipeline == PIPELINE_MILA:
-            report = match_mila(
-                None, s2t, t2s, llm, template,
-                source_onto=source, target_onto=target,
-                max_workers=cfg.match_workers,
-            )
-        else:
-            report = match_baseline(
-                None, s2t, llm, template,
-                source_onto=source, target_onto=target,
-                max_workers=cfg.match_workers,
-            )
+        try:
+            if pipeline == PIPELINE_MILA:
+                report = match_mila(None, s2t, t2s, llm, template, **options)
+            else:
+                report = match_baseline(None, s2t, llm, template, **options)
+        except BaseException:
+            # the new log replaced an earlier run's; drop that run's files too
+            if llm.query_count:
+                _remove(run_dir, _RUN_FILES)
+            raise
     report.llm_queries_issued = llm.query_count
-    if not llm.query_count and os.path.exists(log_path):
-        os.remove(log_path)  # an earlier run's log under this run id
+    if not llm.query_count:
+        _remove(run_dir, ("llm_log.jsonl",))  # an earlier run's log
     write_alignment(report.alignment, os.path.join(run_dir, "alignment.tsv"))
     write_trace(report.trace, os.path.join(run_dir, "trace.tsv"))
     write_report(report, os.path.join(run_dir, "report.json"))
@@ -335,6 +346,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
+    from .synth import generate_corpus
+
     cfg = _load_cfg(args)
     corpus_dir = os.path.join(cfg.out, "synthetic")
     corpus = generate_corpus(

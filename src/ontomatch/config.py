@@ -11,17 +11,15 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
-from .embedding import (
-    DeterministicProvider,
-    EmbeddingProvider,
-    HttpProvider,
-    PrecomputedFileProvider,
-)
 from .errors import ConfigError
 from .evaluation import load_reference
 from .fileio import read_lines
 from .llm import HttpChatClient, LlmClient, OracleClient, PromptTemplate, ScriptedClient
+
+if TYPE_CHECKING:
+    from .embedding import EmbeddingProvider
 
 DEFAULT_K = 5
 DEFAULT_TAU = 0.75
@@ -188,6 +186,9 @@ def snapshot(config: RunConfig) -> str:
 
 
 def build_provider(config: RunConfig) -> EmbeddingProvider:
+    # embedding loads numpy, which only the verbs that embed need
+    from .embedding import DeterministicProvider, HttpProvider, PrecomputedFileProvider
+
     if config.embedding_kind == "deterministic":
         seed = (
             config.embedding_seed

@@ -10,10 +10,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import InvalidParameter, MalformedRecord, MismatchedInputs
 from .fileio import atomic_write_text, format_wall_time, read_records
-from .matcher import MatchRunReport
+
+if TYPE_CHECKING:
+    from .matcher import MatchRunReport
 
 SPLIT_FULL = "full"
 SPLIT_TRAIN = "train"

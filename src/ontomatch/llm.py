@@ -26,7 +26,6 @@ from .errors import (
     MissingPlaceholder,
 )
 from .fileio import read_text
-from .transport import Endpoint
 
 PLACEHOLDERS = ("src_onto_name", "tgt_onto_name", "source_entity", "target_entity")
 
@@ -293,6 +292,8 @@ class HttpChatClient(LlmClient):
         token_env: str | None = None,
         log_path: str | None = None,
     ):
+        from .transport import Endpoint  # urllib.request only for HTTP clients
+
         super().__init__(log_path=log_path)
         self._model = model
         self._temperature = float(temperature)

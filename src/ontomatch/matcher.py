@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
 
+from .candidates import DIRECTION_S2T, DIRECTION_T2S, CandidateDB
 from .errors import (
     EndpointUnavailable,
     InvalidParameter,
@@ -44,7 +45,6 @@ from .fileio import (
 )
 from .llm import LlmClient, PromptTemplate, render_prompt
 from .ontology import Ontology
-from .retrieval import DIRECTION_S2T, DIRECTION_T2S, CandidateDB
 
 logger = logging.getLogger(__name__)
 

@@ -8,19 +8,16 @@ immutable once loaded.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import DuplicateEntityId, EmptyOntology, MalformedRecord, UnknownEntity
 from .fileio import read_records
 
-_WHITESPACE = re.compile(r"\s+")
-
 
 def normalize_label(text: str) -> str:
     """Collapse runs of whitespace and strip the ends."""
-    return _WHITESPACE.sub(" ", text).strip()
+    return " ".join(text.split())
 
 
 @dataclass(frozen=True)

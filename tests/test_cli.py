@@ -7,7 +7,7 @@ import stat
 
 import pytest
 
-from ontomatch import cli, errors
+from ontomatch import cli, errors, retrieval
 from ontomatch.cli import (
     EXIT_CONFIG,
     EXIT_ENDPOINT,
@@ -207,9 +207,11 @@ def test_run_all_reads_each_input_once(tmp_path, monkeypatch):
     # the oracle and the scoring read one reference file in this config
     count(cli.config_mod, "load_reference")
     monkeypatch.setattr(cli, "load_reference", cli.config_mod.load_reference)
-    for name in ("load_ontology", "load_kb", "load_candidate_db", "read_alignment",
+    for name in ("load_ontology", "load_candidate_db", "read_alignment",
                  "read_report"):
         count(cli, name)
+    # cli imports load_kb inside the verb that reads KBs, from retrieval
+    count(retrieval, "load_kb")
     assert main([
         "run-all", "--config", config, "--pipeline", "both", "--run-id", "r",
     ]) == EXIT_OK
@@ -426,6 +428,17 @@ def test_llm_log_holds_one_line_per_issued_query_on_every_exit_path(
     assert report["llm_query_count"] <= report["llm_queries_issued"]
 
 
+def name_a_missing_target(out):
+    """Make the last s2t row name a target the dump lacks; every other row
+    comes first."""
+    s2t_path = os.path.join(out, "candidates", "s2t.tsv")
+    lines = read_text(s2t_path).splitlines()
+    owner, _, score = lines[-1].split("\t")
+    lines[-1] = f"{owner}\tT99999\t{score}"
+    with open(s2t_path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("pipeline", ["mila", "baseline"])
 @pytest.mark.parametrize("workers", [1, 4])
 def test_a_stale_candidate_exits_parse_before_any_request(
@@ -434,13 +447,7 @@ def test_a_stale_candidate_exits_parse_before_any_request(
     out, config = make_corpus(tmp_path, n=6, hcb="0.5")
     assert main(["build-kb", "--config", config]) == EXIT_OK
     assert main(["predict", "--config", config]) == EXIT_OK
-    # the last row names a target the dump lacks; every other row comes first
-    s2t_path = os.path.join(out, "candidates", "s2t.tsv")
-    lines = read_text(s2t_path).splitlines()
-    owner, _, score = lines[-1].split("\t")
-    lines[-1] = f"{owner}\tT99999\t{score}"
-    with open(s2t_path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    name_a_missing_target(out)
     capsys.readouterr()
     with RecordingServer(prompt_verdicts) as server:
         rc = main([
@@ -468,6 +475,60 @@ def test_a_rerun_under_one_run_id_starts_a_fresh_llm_log(tmp_path, again):
     report = json.loads(read_text(run_dir, "report.json"))
     assert report["llm_queries_issued"] == (30 if again == "baseline" else 0)
     assert len(log_lines(run_dir)) == report["llm_queries_issued"]
+
+
+RUN_FILES = ("alignment.tsv", "config.txt", "eval.json", "llm_log.jsonl",
+             "report.json", "trace.tsv")
+
+
+def _earlier_run(tmp_path):
+    """A 30-query baseline run under run id r1; (out, config, its run dir)."""
+    out, config = make_corpus(tmp_path, n=6, hcb="0.5")
+    assert main([
+        "run-all", "--config", config, "--pipeline", "baseline", "--run-id", "r1",
+    ]) == EXIT_OK
+    run_dir = os.path.join(out, "runs", "r1")
+    assert sorted(os.listdir(run_dir)) == list(RUN_FILES)
+    assert len(log_lines(run_dir)) == 30
+    return out, config, run_dir
+
+
+def test_a_rerun_that_fails_after_a_query_keeps_only_its_own_log(tmp_path, capsys):
+    _, config, run_dir = _earlier_run(tmp_path)
+    replies = tmp_path / "replies.txt"
+    replies.write_text("No\n" * 3)
+    scripted = variant_config(
+        config, {"llm.kind": "scripted", "llm.replies": str(replies)}
+    )
+    capsys.readouterr()
+    assert main([
+        "match", "--config", scripted, "--pipeline", "baseline", "--run-id", "r1",
+    ]) == EXIT_CONFIG
+    assert "scripted client exhausted after 3 replies" in capsys.readouterr().err
+    assert os.listdir(run_dir) == ["llm_log.jsonl"]
+    assert len(log_lines(run_dir)) == 3
+
+
+@pytest.mark.parametrize("breaker", ["stale-k", "bad-config", "stale-candidate"])
+def test_a_rerun_that_fails_before_any_query_keeps_the_earlier_run(
+    tmp_path, breaker
+):
+    out, config, run_dir = _earlier_run(tmp_path)
+    earlier = {name: read_bytes(os.path.join(run_dir, name)) for name in RUN_FILES}
+    argv = ["match", "--config", config, "--pipeline", "baseline", "--run-id", "r1"]
+    if breaker == "stale-k":
+        argv += ["--k", "3"]
+        expected = EXIT_CONFIG
+    elif breaker == "bad-config":
+        argv[2] = variant_config(config, {"prompt.template": str(tmp_path / "no")})
+        expected = EXIT_CONFIG
+    else:
+        name_a_missing_target(out)
+        expected = EXIT_PARSE
+    assert main(argv) == expected
+    assert {
+        name: read_bytes(os.path.join(run_dir, name)) for name in RUN_FILES
+    } == earlier
 
 
 def test_scripted_replies_with_several_workers_exit_config(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Label-dump parsing."""
 
 import dataclasses
+import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -123,6 +125,19 @@ def test_normalize_label_is_idempotent(text):
     once = normalize_label(text)
     assert normalize_label(once) == once
     assert once == " ".join(text.split())
+    assert once == re.sub(r"\s+", " ", text).strip()
+
+
+@given(st.text(alphabet=st.sampled_from(" \t\n\x0b\x0c\r\x1c\x85\xa0\u2003\u3000ab")))
+def test_normalize_label_equals_the_regex_form_on_whitespace_runs(text):
+    assert normalize_label(text) == re.sub(r"\s+", " ", text).strip()
+
+
+def test_str_split_and_regex_agree_on_every_whitespace_code_point():
+    # normalize_label splits with str.split; labels were once normalized
+    # with the \s of a str regex. Both must call the same code points space.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert {c for c in every if c.isspace()} == set(re.findall(r"\s", every))
 
 
 def test_disease_corpus_loads(disease_pipeline):

@@ -1,6 +1,6 @@
 """The HTTP transport under both remote clients: timeouts, status codes,
 unusable payloads, retry warnings, proxies, the TLS context, and what
-importing the CLI loads."""
+importing the CLI and running each verb loads."""
 
 import os
 import ssl
@@ -18,6 +18,7 @@ from ontomatch.embedding import HttpProvider
 from ontomatch.errors import EndpointUnavailable, ProviderUnavailable
 from ontomatch.llm import HttpChatClient
 from ontomatch import transport
+from ontomatch.cli import main
 from ontomatch.transport import Endpoint
 
 from stubs import RecordingServer, chat_behavior, embedding_behavior
@@ -194,3 +195,54 @@ def test_cli_import_loads_no_third_party_http_stack():
     assert "ontomatch.cli" in added
     heavy = ("requests", "urllib3", "charset_normalizer", "idna")
     assert sorted(m for m in added if m.split(".")[0] in heavy) == []
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """A matched gen-synthetic corpus with one finished run-all; (config, out)."""
+    out = str(tmp_path_factory.mktemp("verbs") / "out")
+    assert main(["gen-synthetic", "--n", "6", "--hcb-fraction", "0.5",
+                 "--out", out]) == 0
+    config = os.path.join(out, "synthetic", "corpus.config")
+    assert main(["run-all", "--config", config, "--pipeline", "both",
+                 "--run-id", "r"]) == 0
+    return config, out
+
+
+def _verb_modules(argv: list[str]) -> set[str]:
+    return _modules_after(
+        f"import sys\nfrom ontomatch.cli import main\nassert main({argv!r}) == 0"
+    )
+
+
+def test_only_the_vector_verbs_load_numpy(corpus):
+    # Only the verbs that embed or retrieve need numpy, and only the HTTP
+    # clients need urllib.request; each is a large share of a verb's start-up.
+    config, out = corpus
+    reference = os.path.join(out, "synthetic", "reference.tsv")
+    runs = os.path.join(out, "runs")
+    for argv in (
+        ["eval", "--alignment", os.path.join(runs, "r-mila", "alignment.tsv"),
+         "--reference", reference],
+        ["compare", os.path.join(runs, "r-mila"), os.path.join(runs, "r-baseline"),
+         "--reference", reference],
+        ["match", "--pipeline", "mila", "--run-id", "oracle"],
+    ):
+        loaded = _verb_modules(argv + ["--config", config])
+        assert "numpy" not in loaded, argv[0]
+        assert "urllib.request" not in loaded, argv[0]
+    assert "numpy" in _verb_modules(["build-kb", "--config", config])
+
+
+def test_a_chat_match_loads_the_transport_but_not_numpy(corpus):
+    config, out = corpus
+    with RecordingServer(chat_behavior(["No"])) as server:
+        chat = os.path.join(out, "chat.config")
+        with open(config, encoding="utf-8") as handle:
+            text = handle.read().replace("llm.kind = oracle", "llm.kind = http-chat")
+        with open(chat, "w", encoding="utf-8") as handle:
+            handle.write(text + f"llm.url = {server.url}\nllm.model = stub\n")
+        loaded = _verb_modules(["match", "--run-id", "chat", "--config", chat])
+        assert server.payloads
+    assert "urllib.request" in loaded
+    assert "numpy" not in loaded
