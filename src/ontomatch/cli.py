@@ -213,6 +213,7 @@ def _match(
     report.llm_queries_issued = llm.query_count
     if not llm.query_count:
         _remove(run_dir, ("llm_log.jsonl",))  # an earlier run's log
+    _remove(run_dir, ("eval.json",))  # it scored an earlier run's alignment
     write_alignment(report.alignment, os.path.join(run_dir, "alignment.tsv"))
     write_trace(report.trace, os.path.join(run_dir, "trace.tsv"))
     write_report(report, os.path.join(run_dir, "report.json"))

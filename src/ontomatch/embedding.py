@@ -147,24 +147,107 @@ class DeterministicProvider(EmbeddingProvider):
     def fingerprint(self) -> str:
         return self._fingerprint
 
-    def _hash_vector(self, label: str) -> np.ndarray:
-        digest = hashlib.sha256(f"{self._seed}:{label}".encode("utf-8")).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-        vector = rng.standard_normal(self._dim)
-        norm = np.linalg.norm(vector)
-        if norm == 0.0:  # astronomically unlikely; keep the invariant anyway
-            vector[0] = 1.0
-            norm = 1.0
-        return vector / norm
-
     def _encode_batch(self, labels: Sequence[str]) -> np.ndarray:
-        rows = [
-            self._fixtures.get(label)
-            if label in self._fixtures
-            else self._hash_vector(label)
+        hashed = [label for label in labels if label not in self._fixtures]
+        rows = dict(zip(hashed, _hash_rows(self._seed, hashed, self._dim)))
+        return np.stack([
+            self._fixtures[label] if label in self._fixtures else rows[label]
             for label in labels
-        ]
-        return np.stack(rows)
+        ])
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+_SHIFT = np.uint32(16)
+
+
+def _hash_steps(const: int, mult: int):
+    """A running hash constant's (xor, multiply) pairs: each step multiplies it."""
+    while True:
+        product = (const * mult) & 0xFFFFFFFF
+        yield np.uint32(const), np.uint32(product)
+        const = product
+
+
+def _hashmix(value: np.ndarray, steps) -> np.ndarray:
+    xor, mult = next(steps)
+    value = (value ^ xor) * mult
+    return value ^ (value >> _SHIFT)
+
+
+def seed_words(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) for every 64-bit seed s.
+
+    numpy's SeedSequence algorithm (pool size 4, no spawn key), run on all
+    seeds at once in wrapping uint32 arithmetic. A seed's entropy is its
+    low and high 32-bit words; a seed below 2**32 is the one word [w0],
+    which mixes exactly like [w0, 0]. Returns a C-contiguous (n, 4) array.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    entropy = [
+        (seeds & np.uint64(0xFFFFFFFF)).astype(np.uint32),
+        (seeds >> np.uint64(32)).astype(np.uint32),
+    ]
+    entropy += [np.zeros_like(entropy[0])] * (_POOL_SIZE - len(entropy))
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, steps) for word in entropy]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = (_MIX_MULT_L * pool[dst]
+                         - _MIX_MULT_R * _hashmix(pool[src], steps))
+                pool[dst] = mixed ^ (mixed >> _SHIFT)
+    steps = _hash_steps(_INIT_B, _MULT_B)
+    state = np.stack(
+        [_hashmix(pool[i % _POOL_SIZE], steps) for i in range(2 * _POOL_SIZE)],
+        axis=1,
+    )
+    # uint32 pairs, low word first, as SeedSequence assembles its uint64s
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _hash_rows(seed: int, labels: Sequence[str], dim: int) -> np.ndarray:
+    """One unit row per label, each a function of sha256(f"{seed}:{label}").
+
+    The digest's first 8 bytes (big-endian) seed the row exactly as
+    np.random.default_rng(that seed).standard_normal(dim) would, with the
+    SeedSequence words computed for all labels at once; the row is then
+    divided by its 2-norm, as np.linalg.norm computes it.
+    """
+    # numpy.random is loaded here, not at import: the verbs that never hash
+    # a label should not pay for it
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """Hands PCG64 precomputed SeedSequence state words."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    seeds = np.fromiter(
+        (
+            int.from_bytes(
+                hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()[:8],
+                "big",
+            )
+            for label in labels
+        ),
+        dtype=np.uint64, count=len(labels),
+    )
+    rows = np.empty((len(labels), dim), dtype=np.float64)
+    for words, row in zip(seed_words(seeds), rows):
+        Generator(PCG64(Words(words))).standard_normal(out=row)
+    norms = np.sqrt(np.fromiter(map(np.dot, rows, rows), np.float64, len(rows)))
+    zero = norms == 0.0  # astronomically unlikely; keep the invariant anyway
+    rows[zero, 0], norms[zero] = 1.0, 1.0
+    return rows / norms[:, None]
 
 
 def load_vector_file(path: str) -> tuple[dict[str, np.ndarray], str]:

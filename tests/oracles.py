@@ -32,6 +32,23 @@ def oracle_cosine(u, v) -> float:
     return dot / (nu * nv)
 
 
+def oracle_hash_vector(label: str, dim: int, seed: int) -> np.ndarray:
+    """The deterministic embedder's row for one label: one default_rng each.
+
+    sha256(f"{seed}:{label}")'s first 8 bytes, big-endian, seed
+    np.random.default_rng; its standard_normal(dim) draw is divided by its
+    np.linalg.norm.
+    """
+    digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
+    rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    vector = rng.standard_normal(dim)
+    norm = np.linalg.norm(vector)
+    if norm == 0.0:  # astronomically unlikely; keep the invariant anyway
+        vector[0] = 1.0
+        norm = 1.0
+    return vector / norm
+
+
 def oracle_top_k_labels(corpus_vectors, query_vector, k, tau):
     """All-pairs scan: rounded scores >= tau, sorted by (-score, label), cut at k.
 

@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import stat
+import threading
+from contextlib import suppress
 
 import pytest
 
@@ -375,7 +377,16 @@ def test_chat_runs_match_four_sources_at_once_by_default(tmp_path):
     assert main(["build-kb", "--config", config]) == EXIT_OK
     assert main(["predict", "--config", config]) == EXIT_OK
     run_dirs = {w: os.path.join(out, "runs", f"w{w}") for w in (4, 1)}
-    with RecordingServer(prompt_verdicts, delay_s=0.02) as server:
+    # the first four requests wait until all four are in flight at once
+    together = threading.Barrier(4, timeout=10)
+
+    def behavior(payload, index):
+        if index < 4:
+            with suppress(threading.BrokenBarrierError):
+                together.wait()
+        return prompt_verdicts(payload, index)
+
+    with RecordingServer(behavior) as server:
         assert main([
             "match", "--config", chat_config(config, server),
             "--pipeline", "baseline", "--run-id", "w4",
@@ -507,6 +518,34 @@ def test_a_rerun_that_fails_after_a_query_keeps_only_its_own_log(tmp_path, capsy
     assert "scripted client exhausted after 3 replies" in capsys.readouterr().err
     assert os.listdir(run_dir) == ["llm_log.jsonl"]
     assert len(log_lines(run_dir)) == 3
+
+
+@pytest.mark.parametrize("ending", ["complete", "partial"])
+def test_a_rerun_that_writes_an_alignment_drops_the_earlier_eval(tmp_path, ending):
+    # the earlier eval.json scored the earlier alignment, not the new one
+    _, config, run_dir = _earlier_run(tmp_path)
+    replies = tmp_path / "replies.txt"
+    replies.write_text("No\n" * 100)
+
+    def seven_then_gone(payload, index):
+        return (404, {"error": "gone"}) if index >= 7 else (
+            prompt_verdicts(payload, index)
+        )
+
+    with RecordingServer(seven_then_gone) as server:
+        rerun = (
+            variant_config(config, {"llm.kind": "scripted", "llm.replies": str(replies)})
+            if ending == "complete"
+            else chat_config(config, server, {"match.workers": "1"})
+        )
+        assert main([
+            "match", "--config", rerun, "--pipeline", "baseline", "--run-id", "r1",
+        ]) == (EXIT_OK if ending == "complete" else EXIT_ENDPOINT)
+    assert sorted(os.listdir(run_dir)) == [n for n in RUN_FILES if n != "eval.json"]
+    report = json.loads(read_text(run_dir, "report.json"))
+    assert report["partial"] is (ending == "partial")
+    if ending == "complete":  # every reply was No: a header and no rows
+        assert read_text(run_dir, "alignment.tsv").count("\n") == 1
 
 
 @pytest.mark.parametrize("breaker", ["stale-k", "bad-config", "stale-candidate"])

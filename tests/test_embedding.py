@@ -1,6 +1,7 @@
 """Score rounding and the embedding providers."""
 
 import concurrent.futures
+import hashlib
 import math
 import re
 
@@ -16,6 +17,7 @@ from ontomatch.embedding import (
     PrecomputedFileProvider,
     load_vector_file,
     round_score,
+    seed_words,
     write_vector_file,
 )
 from ontomatch.errors import (
@@ -27,7 +29,12 @@ from ontomatch.errors import (
     ProviderUnavailable,
 )
 
-from oracles import oracle_cosine, oracle_round, oracle_vector_fingerprint
+from oracles import (
+    oracle_cosine,
+    oracle_hash_vector,
+    oracle_round,
+    oracle_vector_fingerprint,
+)
 from stubs import RecordingServer, embedding_behavior
 
 finite_scores = st.floats(min_value=-2.0, max_value=2.0,
@@ -121,6 +128,63 @@ def test_deterministic_provider_fixtures_override():
     assert provider.fingerprint.startswith("deterministic/d4/s0/fx")
     with pytest.raises(DimensionMismatch):
         DeterministicProvider(dim=4, seed=0, fixtures={"bad": np.ones(3)})
+
+
+# sha256 of encode(PINNED_LABELS).tobytes(), one default_rng per label
+PINNED_LABELS = ["heart", "heart attack", "Myocardial infarction", "",
+                 "\u00df-Zelle", "\u65e5\u672c\u8a9e", "a" * 100, "heart"]
+
+
+@pytest.mark.parametrize("dim, seed, digest", [
+    (64, 0, "6931450aefa833021b3e7a87fd6a64173723eea222dc0fef21b72ebeee860e08"),
+    (3, 7, "e50c0b569878bf93d0009f3c9636c60c295d3fb7b5f811db143cbb7e66a8b752"),
+])
+def test_deterministic_rows_are_pinned(dim, seed, digest):
+    rows = DeterministicProvider(dim=dim, seed=seed).encode(PINNED_LABELS)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("dim", [1, 3, 64, 402])
+def test_deterministic_rows_equal_the_oracle_at_bench_widths(dim):
+    rows = DeterministicProvider(dim=dim, seed=5).encode(PINNED_LABELS)
+    expected = np.stack([oracle_hash_vector(l, dim, 5) for l in PINNED_LABELS])
+    assert rows.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(min_value=1, max_value=70),
+    seed=st.one_of(
+        st.sampled_from([-1, 0, 2**32, 2**64, -(2**64)]),
+        st.integers(min_value=-(2**70), max_value=2**70),
+    ),
+    distinct=st.lists(st.text(max_size=12), min_size=1, max_size=10, unique=True),
+    data=st.data(),
+)
+def test_deterministic_rows_equal_the_oracle(dim, seed, distinct, data):
+    labels = distinct + data.draw(st.lists(st.sampled_from(distinct), max_size=6))
+    pinned = data.draw(st.lists(st.sampled_from(distinct), unique=True))
+    fixtures = {
+        label: np.arange(dim, dtype=np.float64) + i for i, label in enumerate(pinned)
+    }
+    rows = DeterministicProvider(dim=dim, seed=seed, fixtures=fixtures).encode(labels)
+    expected = np.stack([
+        fixtures[label] if label in fixtures else oracle_hash_vector(label, dim, seed)
+        for label in labels
+    ])
+    assert rows.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=20))
+def test_seed_words_equal_seed_sequence_state(seeds):
+    seeds += [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    words = seed_words(np.array(seeds, dtype=np.uint64))
+    expected = np.stack([
+        np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds
+    ])
+    assert words.dtype == np.uint64 and words.flags.c_contiguous
+    assert words.tobytes() == expected.tobytes()
 
 
 def test_deterministic_provider_rejects_bad_dim():

@@ -234,6 +234,31 @@ def test_only_the_vector_verbs_load_numpy(corpus):
     assert "numpy" in _verb_modules(["build-kb", "--config", config])
 
 
+def test_only_a_deterministic_build_kb_loads_numpy_random(corpus, tmp_path):
+    # numpy.random is about 15 ms of a verb's start-up, and only hashing
+    # labels into vectors needs it
+    config, _ = corpus
+    with open(config, encoding="utf-8") as handle:
+        kept = [line for line in handle.read().splitlines()
+                if not line.startswith(("embedding.", "out ="))]
+    deterministic = str(tmp_path / "deterministic.config")
+    with open(deterministic, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(kept + [
+            "embedding.kind = deterministic", f"out = {tmp_path / 'out'}",
+        ]) + "\n")
+    assert "numpy.random" in _verb_modules(["build-kb", "--config", deterministic])
+    for path in (config, deterministic):
+        assert "numpy.random" not in _verb_modules(["predict", "--config", path])
+        set_up = _modules_after(
+            "import sys\nimport ontomatch.cli\n"
+            "from ontomatch import config\n"
+            f"cfg = config.build_config(config.load_config_file({path!r}))\n"
+            "config.build_provider(cfg)\n"
+            "config.build_llm_client(cfg)\n"
+        )
+        assert "numpy.random" not in set_up, path
+
+
 def test_a_chat_match_loads_the_transport_but_not_numpy(corpus):
     config, out = corpus
     with RecordingServer(chat_behavior(["No"])) as server:
