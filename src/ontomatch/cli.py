@@ -103,7 +103,7 @@ def _embed(cfg, source, target, provider):
     save_kb(target_kb, target_path)
     print(
         f"built KBs: {len(source_kb)} + {len(target_kb)} labels "
-        f"(dim {provider.dim}) in {format_wall_time(time.perf_counter() - start)}"
+        f"(dim {provider.dim}) in {time.perf_counter() - start:.3f} s"
     )
     return source_kb, target_kb
 
@@ -138,7 +138,7 @@ def _retrieve(cfg, source, target, source_kb, target_kb):
     print(
         f"candidate DBs: {s2t.total_candidates} s2t + {t2s.total_candidates} t2s "
         f"pairs (k={cfg.k}, tau={cfg.tau}) "
-        f"in {format_wall_time(time.perf_counter() - start)}"
+        f"in {time.perf_counter() - start:.3f} s"
     )
     return s2t, t2s
 

@@ -14,7 +14,7 @@ import json
 import math
 import threading
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 from urllib.parse import urlparse
 
 import numpy as np
@@ -250,58 +250,172 @@ def _hash_rows(seed: int, labels: Sequence[str], dim: int) -> np.ndarray:
     return rows / norms[:, None]
 
 
+# Tokens per parse block: enough to spread numpy's per-call cost thin, few
+# enough that a block's strings, floats and index arrays stay small. A
+# 2**14 block's Python objects fit in a 2 MiB L2 cache and a 2**16 block's
+# do not; a sparse 2,992 x 402 file parsed in 72 ms at 2**14 and 90 ms at
+# 2**16 (medians of 40 alternating calls).
+_BLOCK_TOKENS = 1 << 14
+_COMMA, _ZERO = ord(","), np.frombuffer(b"0.0", np.uint8)  # repr(0.0)
+
+
+def _record_blocks(path: str) -> Iterator[list[tuple[int, str, str, int]]]:
+    """The vector file's records in runs of about _BLOCK_TOKENS tokens.
+
+    Each run is a list of (line_no, label, payload, token count). A line
+    the reader rejects is raised only after the run read before it, so a
+    fault in an earlier row is still the one reported.
+    """
+    block, size = [], 0
+    try:
+        for line_no, (label, payload) in read_records(path, 2):
+            width = payload.count(",") + 1
+            block.append((line_no, label, payload, width))
+            size += width
+            if size >= _BLOCK_TOKENS:
+                yield block
+                block, size = [], 0
+    except MalformedRecord:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
+
+
+def _split_tokens(
+    payloads: Sequence[str], n_tokens: int
+) -> tuple[np.ndarray, list[str]]:
+    """The comma-separated tokens of the payloads, in order.
+
+    Returns a mask of the tokens spelled exactly '0.0' and the text of every
+    other token. Only the other tokens' bytes are decoded: in a sparse file
+    nearly every token is '0.0', which is repr(0.0) and so its own canonical
+    text. A block without such a token, as in a dense file, has nothing to
+    mask and is split as it is.
+    """
+    text = "," + ",".join(payloads) + ","  # a comma on each side of every token
+    zero = np.zeros(n_tokens, dtype=bool)
+    if ",0.0," in text:
+        data = np.frombuffer(text.encode("utf-8"), np.uint8)
+        commas = np.flatnonzero(data == _COMMA)
+        starts, ends = commas[:-1] + 1, commas[1:]
+        zero = ends - starts == _ZERO.size
+        at = starts[zero]
+        zero[zero] = ((data[at] == _ZERO[0]) & (data[at + 1] == _ZERO[1])
+                      & (data[at + 2] == _ZERO[2]))
+        kept = np.concatenate(([True], np.repeat(~zero, ends - starts + 1)))
+        text = data[kept].tobytes().decode("utf-8")
+    return zero, text.split(",")[1:-1]
+
+
+def _first_fault(
+    labels: Sequence[str], widths: np.ndarray, dim: int,
+    seen: Mapping[str, np.ndarray], zero: np.ndarray, others: list[str],
+) -> tuple[int, str]:
+    """The block's first faulty row and its fault.
+
+    A row's faults are tested in order: empty label, duplicate label, first
+    bad token, non-finite component, dimension. seen holds the labels of
+    earlier blocks.
+    """
+    faults = []  # (row, rank of the fault kind, reason)
+    if "" in labels:
+        faults.append((labels.index(""), 0, "empty label"))
+    earlier = set()
+    for row, label in enumerate(labels):
+        if label in seen or label in earlier:
+            faults.append((row, 1, f"duplicate label {label!r}"))
+            break
+        earlier.add(label)
+    token_rows = np.repeat(np.arange(len(labels)), widths)[~zero]
+    values = []
+    for token in others:
+        try:
+            values.append(float(token))
+        except ValueError as exc:
+            faults.append((int(token_rows[len(values)]), 2, f"bad float: {exc}"))
+            break
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(token_rows[np.argmin(finite)])
+        faults.append((row, 3, "non-finite vector component"))
+    wrong = np.flatnonzero(widths != dim)
+    if wrong.size:
+        row = int(wrong[0])
+        faults.append((row, 4, f"dimension {widths[row]} != first row's {dim}"))
+    row, _, reason = min(faults)
+    return row, reason
+
+
 def load_vector_file(path: str) -> tuple[dict[str, np.ndarray], str]:
     """Parse a precomputed-vector file: label<TAB>comma-separated floats.
 
     Comment (#) and blank lines are skipped. All rows must share one
-    dimensionality and be finite. Returns the rows and their
-    _fixtures_digest, which hashes each row's canonical repr text, so the
-    digest depends on the values and not on how the file spells them.
+    dimensionality and be finite; the first faulty row is reported. Returns
+    the rows and their _fixtures_digest, which hashes each row's canonical
+    repr text, so the digest depends on the values and not on how the file
+    spells them.
 
-    Each distinct token of a row is parsed once. A row whose every token is
-    already its value's repr is its own canonical text, so it is hashed
-    without formatting a float. While labels arrive in ascending order, as
-    write_vector_file writes them, each row is hashed as it is read; the
-    first label out of order falls back to digesting the rows at the end.
+    Rows are parsed a block of about _BLOCK_TOKENS tokens at a time. A
+    token spelled '0.0' is found as bytes and never becomes a Python object;
+    each distinct other token of the block goes through float() once. A row
+    whose every token is already its value's repr is its own canonical
+    text, so it is hashed without formatting a float. While labels arrive
+    in ascending order, as write_vector_file writes them, each block is
+    hashed as it is read; the first label out of order falls back to
+    digesting the rows at the end.
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     hasher = hashlib.sha256()
-    in_order, previous = True, ""
-    for line_no, (label, payload) in read_records(path, 2):
-        if not label:
-            raise MalformedRecord(path, line_no, "empty label")
-        if label in vectors:
-            raise MalformedRecord(path, line_no, f"duplicate label {label!r}")
-        tokens = payload.split(",")
-        distinct = dict.fromkeys(tokens)
+    previous: str | None = ""  # the last label hashed; None once out of order
+    for block in _record_blocks(path):
+        line_nos, labels, payloads, widths = zip(*block)
+        widths = np.array(widths)
+        if dim is None:
+            dim = int(widths[0])
+        zero, others = _split_tokens(payloads, int(widths.sum()))
+        distinct = dict.fromkeys(others)
+        fresh = dict.fromkeys(labels)
         try:
             values = list(map(float, distinct))
-        except ValueError as exc:
-            raise MalformedRecord(path, line_no, f"bad float: {exc}") from None
-        if len(values) == len(tokens):  # no repeats, as in a dense row
-            row = np.array(values, dtype=np.float64)
+        except ValueError:
+            values = None
         else:
-            parsed = dict(zip(distinct, values))
-            row = np.fromiter(map(parsed.__getitem__, tokens), np.float64, len(tokens))
-        if not np.isfinite(row).all():
-            raise MalformedRecord(path, line_no, "non-finite vector component")
-        if dim is None:
-            dim = row.size
-        elif row.size != dim:
-            raise MalformedRecord(
-                path, line_no, f"dimension {row.size} != first row's {dim}"
-            )
-        vectors[label] = row
-        in_order = in_order and label > previous
-        if in_order:
-            canonical = list(map(repr, values)) == list(distinct)
-            text = payload if canonical else _row_text(row)
-            hasher.update(f"{label}\t{text}\n".encode("utf-8"))
-            previous = label
+            parsed = np.array(values, dtype=np.float64)
+        if (values is None or not np.isfinite(parsed).all()
+                or "" in fresh or len(fresh) < len(labels)
+                or not vectors.keys().isdisjoint(fresh) or (widths != dim).any()):
+            row, reason = _first_fault(labels, widths, dim, vectors, zero, others)
+            raise MalformedRecord(path, line_nos[row], reason)
+        flat = np.zeros(zero.size)
+        if len(values) < len(others):  # repeated tokens: one value per token
+            index = dict(zip(distinct, range(len(values))))
+            parsed = parsed[np.fromiter(map(index.__getitem__, others),
+                                        np.intp, len(others))]
+        flat[~zero] = parsed
+        rows = flat.reshape(len(labels), dim)
+        vectors.update(zip(labels, rows))
+        if (previous is None or previous >= labels[0]
+                or list(labels) != sorted(labels)):
+            previous = None
+            continue
+        texts = payloads
+        reprs = list(map(repr, values))
+        if reprs != list(distinct):  # some token is not its value's repr
+            odd = {token for token, text in zip(distinct, reprs) if token != text}
+            odd_tokens = np.zeros(zero.size, dtype=bool)
+            odd_tokens[~zero] = np.fromiter(map(odd.__contains__, others),
+                                            bool, len(others))
+            odd_rows = odd_tokens.reshape(rows.shape).any(axis=1)
+            texts = [_row_text(row) if redo else payload
+                     for row, payload, redo in zip(rows, payloads, odd_rows)]
+        hasher.update("".join(map("{}\t{}\n".format, labels, texts)).encode("utf-8"))
+        previous = labels[-1]
     if not vectors:
         raise MalformedRecord(path, 0, "no vector rows")
-    if not in_order:
+    if previous is None:
         return vectors, _fixtures_digest(vectors)
     return vectors, hasher.hexdigest()[:8]
 
@@ -309,12 +423,20 @@ def load_vector_file(path: str) -> tuple[dict[str, np.ndarray], str]:
 def write_vector_file(path: str, vectors: Mapping[str, np.ndarray]) -> None:
     """Write vectors in the load_vector_file format, sorted by label.
 
-    A label that starts with '#' would be read back as a comment, and the
-    reader ends a line at a lone carriage return too, so such labels are
-    rejected like one that contains a tab or newline.
+    Whatever load_vector_file would refuse is rejected before anything is
+    written: no rows, an empty label, a row that is not one-dimensional or
+    is empty, rows of different widths and non-finite components. A label
+    that starts with '#' would be read back as a comment, and the reader
+    ends a line at a lone carriage return too, so such labels are rejected
+    like one that contains a tab or newline.
     """
+    if not vectors:
+        raise InvalidParameter("a vector file needs at least one row")
     lines = ["# label\tcomma-separated components"]
+    dim: int | None = None
     for label in sorted(vectors):
+        if not label:
+            raise InvalidParameter("a vector file label cannot be empty")
         if any(ch in label for ch in "\t\n\r"):
             raise InvalidParameter(
                 f"label {label!r} cannot contain tab, newline or carriage return"
@@ -324,7 +446,21 @@ def write_vector_file(path: str, vectors: Mapping[str, np.ndarray]) -> None:
                 f"label {label!r} cannot start with '#': vector files read "
                 "'#' lines as comments"
             )
-        row = np.asarray(vectors[label], dtype=np.float64).ravel()
+        row = np.asarray(vectors[label], dtype=np.float64)
+        if row.ndim != 1 or row.size == 0:
+            raise InvalidParameter(
+                f"vector for {label!r} has shape {row.shape}; a vector file "
+                "row is one-dimensional with at least one component"
+            )
+        if dim is None:
+            dim = row.size
+        elif row.size != dim:
+            raise InvalidParameter(
+                f"vector for {label!r} has {row.size} components, "
+                f"the first row {dim}"
+            )
+        if not np.isfinite(row).all():
+            raise InvalidParameter(f"vector for {label!r} has a non-finite component")
         lines.append(f"{label}\t{_row_text(row)}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 

@@ -6,6 +6,11 @@ the package under test. The engine's vectorized results are cross-checked
 against these oracles for byte-identical agreement. The one numpy oracle,
 oracle_direction_lists, is the all-float64 retrieval kernel that the
 float32 prefilter of build_candidate_dbs must reproduce.
+
+oracle_load_vector_file is the vector-file parser as it was before files
+were parsed in blocks, kept unchanged as the reference for rows, digest and
+error text: it parses one row at a time and shares the package's record
+reader and error type, which define the line grammar and message format.
 """
 
 from __future__ import annotations
@@ -13,8 +18,12 @@ from __future__ import annotations
 import hashlib
 import math
 from decimal import ROUND_HALF_UP, Decimal
+from typing import Mapping
 
 import numpy as np
+
+from ontomatch.errors import MalformedRecord
+from ontomatch.fileio import read_records
 
 _QUANTUM = Decimal("0.00001")
 
@@ -287,3 +296,72 @@ def oracle_vector_fingerprint(path) -> str:
         hasher.update(f"{label}\t{text}\n".encode("utf-8"))
     dim = len(next(iter(rows.values())))
     return f"file/d{dim}/{hasher.hexdigest()[:8]}"
+
+
+def _row_text(row: np.ndarray) -> str:
+    """A float64 row as the vector file writes it: each component's repr."""
+    return ",".join(map(repr, row.tolist()))
+
+
+def _fixtures_digest(fixtures: Mapping[str, np.ndarray]) -> str:
+    """sha256 over `label<TAB>row text` lines in label order, first 8 hex."""
+    hasher = hashlib.sha256()
+    for label in sorted(fixtures):
+        hasher.update(f"{label}\t{_row_text(fixtures[label])}\n".encode("utf-8"))
+    return hasher.hexdigest()[:8]
+
+
+def oracle_load_vector_file(path: str) -> tuple[dict[str, np.ndarray], str]:
+    """Parse a precomputed-vector file: label<TAB>comma-separated floats.
+
+    Comment (#) and blank lines are skipped. All rows must share one
+    dimensionality and be finite. Returns the rows and their
+    _fixtures_digest, which hashes each row's canonical repr text, so the
+    digest depends on the values and not on how the file spells them.
+
+    Each distinct token of a row is parsed once. A row whose every token is
+    already its value's repr is its own canonical text, so it is hashed
+    without formatting a float. While labels arrive in ascending order, as
+    write_vector_file writes them, each row is hashed as it is read; the
+    first label out of order falls back to digesting the rows at the end.
+    """
+    vectors: dict[str, np.ndarray] = {}
+    dim: int | None = None
+    hasher = hashlib.sha256()
+    in_order, previous = True, ""
+    for line_no, (label, payload) in read_records(path, 2):
+        if not label:
+            raise MalformedRecord(path, line_no, "empty label")
+        if label in vectors:
+            raise MalformedRecord(path, line_no, f"duplicate label {label!r}")
+        tokens = payload.split(",")
+        distinct = dict.fromkeys(tokens)
+        try:
+            values = list(map(float, distinct))
+        except ValueError as exc:
+            raise MalformedRecord(path, line_no, f"bad float: {exc}") from None
+        if len(values) == len(tokens):  # no repeats, as in a dense row
+            row = np.array(values, dtype=np.float64)
+        else:
+            parsed = dict(zip(distinct, values))
+            row = np.fromiter(map(parsed.__getitem__, tokens), np.float64, len(tokens))
+        if not np.isfinite(row).all():
+            raise MalformedRecord(path, line_no, "non-finite vector component")
+        if dim is None:
+            dim = row.size
+        elif row.size != dim:
+            raise MalformedRecord(
+                path, line_no, f"dimension {row.size} != first row's {dim}"
+            )
+        vectors[label] = row
+        in_order = in_order and label > previous
+        if in_order:
+            canonical = list(map(repr, values)) == list(distinct)
+            text = payload if canonical else _row_text(row)
+            hasher.update(f"{label}\t{text}\n".encode("utf-8"))
+            previous = label
+    if not vectors:
+        raise MalformedRecord(path, 0, "no vector rows")
+    if not in_order:
+        return vectors, _fixtures_digest(vectors)
+    return vectors, hasher.hexdigest()[:8]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import stat
 import threading
 from contextlib import suppress
@@ -140,6 +141,16 @@ def run_artifacts(out):
                         if not line.startswith(b"match_wall_time")]
             found[os.path.relpath(path, out)] = text
     return found
+
+
+def test_stage_lines_print_seconds_to_three_decimals(tmp_path, capsys):
+    _, config = make_corpus(tmp_path, n=6)
+    capsys.readouterr()
+    assert main(["build-kb", "--config", config]) == EXIT_OK
+    assert main(["predict", "--config", config]) == EXIT_OK
+    built, predicted = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"built KBs: .* in \d+\.\d{3} s", built)
+    assert re.fullmatch(r"candidate DBs: .* in \d+\.\d{3} s", predicted)
 
 
 def test_run_all_reproduces_the_stepwise_artifacts(tmp_path, capsys):

@@ -4,12 +4,14 @@ import concurrent.futures
 import hashlib
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ontomatch import embedding
 from ontomatch.embedding import (
     SCORE_DECIMALS,
     DeterministicProvider,
@@ -32,6 +34,7 @@ from ontomatch.errors import (
 from oracles import (
     oracle_cosine,
     oracle_hash_vector,
+    oracle_load_vector_file,
     oracle_round,
     oracle_vector_fingerprint,
 )
@@ -235,10 +238,29 @@ VECTOR_FILE_ERRORS = {
     "a\t1.0,-inf\n": ":1: non-finite vector component",
     "\t1.0\n": ":1: empty label",
     "# nothing\n": ":0: no vector rows",
+    "a\t0.0,0.0,x\n": ":1: bad float: could not convert string to float: 'x'",
+    # the earlier faulty row is named, whatever kinds of fault the two hold
+    "a\t1.0,2.0\nb\t1.0\nc\tx,1.0\n": ":2: dimension 1 != first row's 2",
+    "a\t1.0,2.0\nb\tnan,1.0\n\t1.0,x\n": ":2: non-finite vector component",
+    # a faulty row read before a line the reader rejects
+    "a\t1.0\nb\tx\nno tab\n": ":2: bad float: could not convert string to float: 'x'",
 }
 
+# A fault after more than two blocks of clean rows that are all '0.0'.
+_ZERO_ROWS = 2 * embedding._BLOCK_TOKENS // 100 + 3
+VECTOR_FILE_ERRORS["".join(
+    f"r{i:05d}\t" + ",".join(["0.0"] * 100) + "\n" for i in range(_ZERO_ROWS)
+) + "s\t" + ",".join(["0.0"] * 99 + ["inf"]) + "\n"] = (
+    f":{_ZERO_ROWS + 1}: non-finite vector component"
+)
 
-@pytest.mark.parametrize("content", list(VECTOR_FILE_ERRORS))
+
+def _short_id(content):
+    """None (pytest's own id) for a short file, a summary for a long one."""
+    return None if len(content) < 100 else f"{content.count(chr(10))}-line file"
+
+
+@pytest.mark.parametrize("content", list(VECTOR_FILE_ERRORS), ids=_short_id)
 def test_vector_file_malformed_inputs(tmp_path, content):
     path = tmp_path / "bad.tsv"
     path.write_text(content, encoding="utf-8")
@@ -341,6 +363,122 @@ def test_vector_file_digest_matches_the_oracle(tmp_path_factory, rows, data):
         assert PrecomputedFileProvider(path).fingerprint == (
             oracle_vector_fingerprint(path)
         )
+
+
+# Zero spelled otherwise than repr(0.0), and tokens float() accepts that are
+# not their value's repr.
+ZERO_SPELLINGS = [" 0.0", "0.00", "-0.0", "0", "0e0", "+0.0", "0.0 "]
+ODD_TOKENS = ["1_0", "\u0661", " 2.5", "+1.0", "1E5", "5e-324"]
+VECTOR_FAULTS = ["empty label", "duplicate label", "bad token", "non-finite",
+                 "dimension", "field count"]
+
+
+@st.composite
+def vector_files(draw):
+    """A vector file's text: zero-heavy and all-distinct rows, labels in
+    order or shuffled, and up to two faults at random rows."""
+    dim = draw(st.integers(1, 10))
+    labels = draw(st.lists(
+        st.text(alphabet="ab é_Z1-", min_size=1, max_size=5),
+        max_size=25, unique=True,
+    ))
+    labels = sorted(labels) if draw(st.booleans()) else draw(st.permutations(labels))
+    zero_heavy = st.sampled_from(["0.0"] * 12 + ZERO_SPELLINGS + ODD_TOKENS)
+    component = st.one_of(
+        st.sampled_from(EDGE_COMPONENTS),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    rows = []
+    for label in labels:
+        if draw(st.booleans()):
+            tokens = draw(st.lists(zero_heavy, min_size=dim, max_size=dim))
+        else:
+            tokens = [
+                draw(st.sampled_from([repr(x), f"{x:.16e}", f"{x:.17g}"]))
+                for x in draw(st.lists(component, min_size=dim, max_size=dim))
+            ]
+        rows.append([label, tokens])
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        tokens = row[1]
+        where = draw(st.integers(0, len(tokens) - 1))
+        fault = draw(st.sampled_from(VECTOR_FAULTS))
+        if fault == "empty label":
+            row[0] = ""
+        elif fault == "duplicate label":
+            row[0] = draw(st.sampled_from(rows))[0]
+        elif fault == "bad token":
+            tokens[where] = draw(st.sampled_from(["", "x", "0.0.0", "0. 0"]))
+        elif fault == "non-finite":
+            tokens[where] = draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+        elif fault == "dimension":
+            if len(tokens) > 1 and draw(st.booleans()):
+                del tokens[where]
+            else:
+                tokens.insert(where, "0.0")
+        else:
+            row[0] += "\tx"
+    lines = ["# label\tcomponents"] + [
+        f"{label}\t{','.join(tokens)}" for label, tokens in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _parse_outcome(load, path):
+    """The rows as bytes and the digest, or the MalformedRecord text."""
+    try:
+        rows, digest = load(path)
+    except MalformedRecord as exc:
+        return str(exc)
+    return {label: row.tobytes() for label, row in rows.items()}, digest
+
+
+@settings(deadline=None, max_examples=200)
+@given(text=vector_files(),
+       block=st.sampled_from([1, 2, 7, 40, embedding._BLOCK_TOKENS]))
+def test_vector_file_parse_matches_the_oracle(tmp_path_factory, text, block):
+    """Rows, digest and error text equal the row-by-row parser's, at block
+    sizes from one token (every row a block) to the module's own."""
+    path = tmp_path_factory.mktemp("vectors") / "v.tsv"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(embedding, "_BLOCK_TOKENS", block):
+        outcome = _parse_outcome(load_vector_file, path)
+    assert outcome == _parse_outcome(oracle_load_vector_file, path)
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed"])
+def test_vector_file_of_several_blocks_matches_the_oracle(tmp_path, order):
+    rng = np.random.default_rng(7)
+    shape = (400, 120)
+    rows = np.where(rng.random(shape) < 0.05, rng.standard_normal(shape), 0.0)
+    labels = [f"label {i:03d}" for i in range(len(rows))]
+    if order == "reversed":
+        labels.reverse()
+    path = tmp_path / "v.tsv"
+    path.write_text("".join(
+        f"{label}\t{','.join(map(repr, row.tolist()))}\n"
+        for label, row in zip(labels, rows)
+    ), encoding="utf-8")
+    assert rows.size > 2 * embedding._BLOCK_TOKENS
+    outcome = _parse_outcome(load_vector_file, path)
+    assert outcome == _parse_outcome(oracle_load_vector_file, path)
+
+
+@pytest.mark.parametrize("vectors", [
+    pytest.param({}, id="no-rows"),
+    pytest.param({"": np.ones(2)}, id="empty-label"),
+    pytest.param({"a": np.ones(2), "b": np.ones(1)}, id="mixed-widths"),
+    pytest.param({"a": np.array([1.0, math.nan])}, id="nan"),
+    pytest.param({"a": np.array([math.inf, 1.0])}, id="inf"),
+    pytest.param({"a": np.ones(2), "b": np.array([])}, id="empty-row"),
+    pytest.param({"a": np.ones((2, 2))}, id="two-dimensional"),
+    pytest.param({"a": np.float64(1.0)}, id="scalar"),
+])
+def test_write_vector_file_rejects_what_cannot_load_back(tmp_path, vectors):
+    path = tmp_path / "v.tsv"
+    with pytest.raises(InvalidParameter):
+        write_vector_file(path, vectors)
+    assert not path.exists()
 
 
 def test_write_vector_file_rejects_tab_in_label(tmp_path):
