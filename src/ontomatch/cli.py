@@ -42,7 +42,7 @@ from .evaluation import (
     split_reference,
     write_eval_report,
 )
-from .fileio import atomic_write_text, format_wall_time
+from .fileio import atomic_write_text
 from .matcher import (
     Alignment,
     MatchRunReport,
@@ -101,6 +101,7 @@ def _embed(cfg, source, target, provider):
     source_path, target_path = _kb_paths(cfg)
     save_kb(source_kb, source_path)
     save_kb(target_kb, target_path)
+    provider.save_record(os.path.dirname(source_path))
     print(
         f"built KBs: {len(source_kb)} + {len(target_kb)} labels "
         f"(dim {provider.dim}) in {time.perf_counter() - start:.3f} s"
@@ -151,6 +152,7 @@ def cmd_predict(args) -> int:
     provider = config_mod.build_provider(cfg)
     source_path, target_path = _kb_paths(cfg)
     _require((source_path, target_path), "KB", "build-kb")
+    provider.use_record(os.path.dirname(source_path))
     source_kb = load_kb(source_path, expected_fingerprint=provider.fingerprint)
     target_kb = load_kb(target_path, expected_fingerprint=provider.fingerprint)
     _retrieve(cfg, source, target, source_kb, target_kb)
@@ -223,8 +225,7 @@ def _match(
     print(
         f"{pipeline}: {len(report.alignment)} correspondences, "
         f"{report.llm_query_count} LLM queries, {report.hcb_count} HCB accepts, "
-        f"{format_wall_time(report.wall_times.get('match', 0.0))} "
-        f"-> {run_dir}"
+        f"{report.wall_times.get('match', 0.0):.3f} s -> {run_dir}"
     )
     if report.multi_matched_targets:
         print(

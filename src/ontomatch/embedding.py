@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import re
 import threading
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterator, Mapping, Sequence
@@ -20,13 +22,14 @@ from urllib.parse import urlparse
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     InvalidParameter,
     MalformedRecord,
     MissingVector,
     ProviderUnavailable,
 )
-from .fileio import atomic_write_text, read_records
+from .fileio import atomic_write_text, open_input, read_records, read_text
 from .transport import Endpoint
 
 SCORE_DECIMALS = 5
@@ -69,6 +72,12 @@ class EmbeddingProvider:
 
     def _encode_batch(self, labels: Sequence[str]) -> np.ndarray:
         raise NotImplementedError
+
+    def save_record(self, kb_dir: str) -> None:
+        """Leave under kb_dir what use_record reads; most providers need none."""
+
+    def use_record(self, kb_dir: str) -> None:
+        """Take the fingerprint from save_record's record where it holds."""
 
     def encode(self, labels: Sequence[str]) -> np.ndarray:
         if not labels:
@@ -257,9 +266,10 @@ def _hash_rows(seed: int, labels: Sequence[str], dim: int) -> np.ndarray:
 # 2**16 (medians of 40 alternating calls).
 _BLOCK_TOKENS = 1 << 14
 _COMMA, _ZERO = ord(","), np.frombuffer(b"0.0", np.uint8)  # repr(0.0)
+_NEWLINE = ord("\n")
 
 
-def _record_blocks(path: str) -> Iterator[list[tuple[int, str, str, int]]]:
+def _record_blocks(path: str, raw) -> Iterator[list[tuple[int, str, str, int]]]:
     """The vector file's records in runs of about _BLOCK_TOKENS tokens.
 
     Each run is a list of (line_no, label, payload, token count). A line
@@ -268,7 +278,7 @@ def _record_blocks(path: str) -> Iterator[list[tuple[int, str, str, int]]]:
     """
     block, size = [], 0
     try:
-        for line_no, (label, payload) in read_records(path, 2):
+        for line_no, (label, payload) in read_records(path, 2, raw):
             width = payload.count(",") + 1
             block.append((line_no, label, payload, width))
             size += width
@@ -348,29 +358,27 @@ def _first_fault(
     return row, reason
 
 
-def load_vector_file(path: str) -> tuple[dict[str, np.ndarray], str]:
+def load_vector_file(path: str, raw=None) -> tuple[dict[str, np.ndarray], str]:
     """Parse a precomputed-vector file: label<TAB>comma-separated floats.
 
     Comment (#) and blank lines are skipped. All rows must share one
     dimensionality and be finite; the first faulty row is reported. Returns
     the rows and their _fixtures_digest, which hashes each row's canonical
     repr text, so the digest depends on the values and not on how the file
-    spells them.
+    spells or orders them. raw, a hasher such as hashlib.sha256(), is fed
+    the bytes as they are parsed.
 
     Rows are parsed a block of about _BLOCK_TOKENS tokens at a time. A
     token spelled '0.0' is found as bytes and never becomes a Python object;
     each distinct other token of the block goes through float() once. A row
     whose every token is already its value's repr is its own canonical
-    text, so it is hashed without formatting a float. While labels arrive
-    in ascending order, as write_vector_file writes them, each block is
-    hashed as it is read; the first label out of order falls back to
-    digesting the rows at the end.
+    text, so no float is formatted for it. The rows' `label<TAB>text` lines
+    gather in one buffer, hashed in label order once the file is read.
     """
     vectors: dict[str, np.ndarray] = {}
+    lines, spans = bytearray(), {}  # `label<TAB>text<NL>` of each row; its slice
     dim: int | None = None
-    hasher = hashlib.sha256()
-    previous: str | None = ""  # the last label hashed; None once out of order
-    for block in _record_blocks(path):
+    for block in _record_blocks(path, raw):
         line_nos, labels, payloads, widths = zip(*block)
         widths = np.array(widths)
         if dim is None:
@@ -397,11 +405,6 @@ def load_vector_file(path: str) -> tuple[dict[str, np.ndarray], str]:
         flat[~zero] = parsed
         rows = flat.reshape(len(labels), dim)
         vectors.update(zip(labels, rows))
-        if (previous is None or previous >= labels[0]
-                or list(labels) != sorted(labels)):
-            previous = None
-            continue
-        texts = payloads
         reprs = list(map(repr, values))
         if reprs != list(distinct):  # some token is not its value's repr
             odd = {token for token, text in zip(distinct, reprs) if token != text}
@@ -409,14 +412,18 @@ def load_vector_file(path: str) -> tuple[dict[str, np.ndarray], str]:
             odd_tokens[~zero] = np.fromiter(map(odd.__contains__, others),
                                             bool, len(others))
             odd_rows = odd_tokens.reshape(rows.shape).any(axis=1)
-            texts = [_row_text(row) if redo else payload
-                     for row, payload, redo in zip(rows, payloads, odd_rows)]
-        hasher.update("".join(map("{}\t{}\n".format, labels, texts)).encode("utf-8"))
-        previous = labels[-1]
+            payloads = [_row_text(row) if redo else payload
+                        for row, payload, redo in zip(rows, payloads, odd_rows)]
+        start = len(lines)
+        lines += "".join(map("{}\t{}\n".format, labels, payloads)).encode("utf-8")
+        ends = np.flatnonzero(np.frombuffer(lines, np.uint8, offset=start) == _NEWLINE)
+        ends = (ends + start + 1).tolist()
+        spans.update(zip(labels, map(slice, [start] + ends[:-1], ends)))
     if not vectors:
         raise MalformedRecord(path, 0, "no vector rows")
-    if previous is None:
-        return vectors, _fixtures_digest(vectors)
+    hasher, view = hashlib.sha256(), memoryview(lines)
+    for label in sorted(spans):
+        hasher.update(view[spans[label]])
     return vectors, hasher.hexdigest()[:8]
 
 
@@ -465,29 +472,65 @@ def write_vector_file(path: str, vectors: Mapping[str, np.ndarray]) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+# build-kb's one-line record under kb/: the sha256 of the vector file's bytes,
+# a tab and the fingerprint; keyed on content alone, not path, size or mtime.
+RECORD_NAME = "vectors.sha256"
+_RECORD = re.compile(r"([0-9a-f]{64})\t(file/d[1-9][0-9]*/[0-9a-f]{8})\n")
+
+
 class PrecomputedFileProvider(EmbeddingProvider):
-    """Serves vectors from a file; unknown labels raise MissingVector."""
+    """Serves vectors from a file; unknown labels raise MissingVector.
+
+    The file is parsed at the first encode, or at the first dim or
+    fingerprint read unless use_record found a record of the file's bytes.
+    """
 
     def __init__(self, path: str):
         super().__init__()
         self._path = path
-        self._vectors, digest = load_vector_file(path)
-        self._dim = next(iter(self._vectors.values())).size
-        self._fingerprint = f"file/d{self._dim}/{digest}"
+        self._vectors = self._fingerprint = None  # until _parse or use_record
+
+    def _parse(self) -> dict[str, np.ndarray]:
+        with self._cache_lock:
+            if self._vectors is None:
+                raw = hashlib.sha256()
+                self._vectors, digest = load_vector_file(self._path, raw)
+                dim = next(iter(self._vectors.values())).size
+                self._fingerprint = f"file/d{dim}/{digest}"
+                self._record = f"{raw.hexdigest()}\t{self._fingerprint}\n"
+        return self._vectors
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return int(self.fingerprint.split("/")[1][1:])  # file/d<dim>/<hex>
 
     @property
     def fingerprint(self) -> str:
+        if self._fingerprint is None:
+            self._parse()
         return self._fingerprint
 
+    def save_record(self, kb_dir: str) -> None:
+        self._parse()
+        atomic_write_text(os.path.join(kb_dir, RECORD_NAME), self._record)
+
+    def use_record(self, kb_dir: str) -> None:
+        try:
+            found = _RECORD.fullmatch(read_text(os.path.join(kb_dir, RECORD_NAME)))
+        except (ConfigError, MalformedRecord):  # no record, or not UTF-8
+            return
+        raw = hashlib.sha256()
+        with open_input(self._path, "rb") as handle:
+            for chunk in iter(lambda: handle.read(1 << 20), b""):
+                raw.update(chunk)
+        if found and found[1] == raw.hexdigest():
+            self._fingerprint = found[2]
+
     def _encode_batch(self, labels: Sequence[str]) -> np.ndarray:
-        rows = []
+        vectors, rows = self._parse(), []
         for label in labels:
             try:
-                rows.append(self._vectors[label])
+                rows.append(vectors[label])
             except KeyError:
                 hint = (
                     "; '#' lines are comments in a vector file, so such a "

@@ -3,6 +3,7 @@ writes and wall-time formatting."""
 
 from __future__ import annotations
 
+import io
 import os
 import secrets
 from typing import IO, Iterator
@@ -23,13 +24,34 @@ def open_input(path: str, mode: str = "r", what: str = "") -> IO:
         raise ConfigError(f"cannot read {name}: {exc}") from exc
 
 
-def read_lines(path: str, what: str = "") -> Iterator[str]:
+class _HashingReader(io.RawIOBase):
+    """A binary file's reader that feeds every byte it reads to a hasher."""
+
+    def __init__(self, handle: IO[bytes], hasher):
+        super().__init__()
+        self._handle, self._hasher = handle, hasher
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        size = self._handle.readinto(buffer)
+        self._hasher.update(memoryview(buffer)[:size])
+        return size
+
+
+def read_lines(path: str, what: str = "", hasher=None) -> Iterator[str]:
     """The lines of a UTF-8 text file opened by open_input.
 
     Bytes that are not UTF-8 raise MalformedRecord at line 0: the decoder
-    reads ahead in chunks, so the failing line is not known.
+    reads ahead in chunks, so the failing line is not known. A hasher, such
+    as hashlib.sha256(), is fed the raw bytes as they are read, so after the
+    last line it holds the digest of exactly the bytes decoded.
     """
-    with open_input(path, what=what) as handle:
+    with open_input(path, "r" if hasher is None else "rb", what) as handle:
+        if hasher is not None:
+            handle = io.TextIOWrapper(io.BufferedReader(
+                _HashingReader(handle, hasher), 1 << 16), encoding="utf-8")
         try:
             yield from handle
         except UnicodeDecodeError as exc:
@@ -42,16 +64,17 @@ def read_text(path: str, what: str = "") -> str:
 
 
 def read_records(
-    path: str, n_fields: int | None = None
+    path: str, n_fields: int | None = None, hasher=None
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield (line_no, fields) for each record of a tab-separated text file.
 
     This is the one line grammar of every text format: blank lines and lines
     whose first non-blank character is '#' are skipped, line endings (LF or
     CRLF) are stripped, and the rest splits on tab. With n_fields set, any
-    other field count raises MalformedRecord at that line.
+    other field count raises MalformedRecord at that line. hasher is passed
+    to read_lines.
     """
-    for line_no, raw in enumerate(read_lines(path), start=1):
+    for line_no, raw in enumerate(read_lines(path, hasher=hasher), start=1):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue

@@ -10,7 +10,7 @@ from contextlib import suppress
 
 import pytest
 
-from ontomatch import cli, errors, retrieval
+from ontomatch import cli, embedding, errors, retrieval
 from ontomatch.cli import (
     EXIT_CONFIG,
     EXIT_ENDPOINT,
@@ -18,6 +18,7 @@ from ontomatch.cli import (
     EXIT_PARSE,
     main,
 )
+from ontomatch.embedding import RECORD_NAME
 
 from stubs import RecordingServer
 
@@ -153,6 +154,17 @@ def test_stage_lines_print_seconds_to_three_decimals(tmp_path, capsys):
     assert re.fullmatch(r"candidate DBs: .* in \d+\.\d{3} s", predicted)
 
 
+def test_match_summary_prints_seconds_to_three_decimals(tmp_path, capsys):
+    _, config = make_corpus(tmp_path, n=6)
+    assert main(["build-kb", "--config", config]) == EXIT_OK
+    assert main(["predict", "--config", config]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["match", "--config", config, "--run-id", "m"]) == EXIT_OK
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(r"mila: 6 correspondences, .*, \d+\.\d{3} s -> .*m",
+                        summary), summary
+
+
 def test_run_all_reproduces_the_stepwise_artifacts(tmp_path, capsys):
     out, config = make_corpus(tmp_path, n=12, hcb="0.5")
     reference = os.path.abspath(os.path.join(out, "synthetic", "reference.tsv"))
@@ -186,9 +198,9 @@ def test_run_all_reproduces_the_stepwise_artifacts(tmp_path, capsys):
     together = run_artifacts(out2)
     assert sorted(together) == sorted(stepwise)
     assert {os.path.basename(path) for path in together} == {
-        "source.kb", "target.kb", "s2t.tsv", "t2s.tsv", "alignment.tsv",
-        "trace.tsv", "report.json", "llm_log.jsonl", "config.txt", "eval.json",
-        "compare.txt", "compare.tsv",
+        "source.kb", "target.kb", RECORD_NAME, "s2t.tsv", "t2s.tsv",
+        "alignment.tsv", "trace.tsv", "report.json", "llm_log.jsonl",
+        "config.txt", "eval.json", "compare.txt", "compare.tsv",
     }
     for path, data in together.items():
         assert data == stepwise[path], path
@@ -896,3 +908,115 @@ def test_non_utf8_inputs_exit_parse(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:0: not UTF-8 text: "), err
         assert err.count("\n") == 1
+
+
+def kb_files(out):
+    """The bytes of every file under out/kb, by name."""
+    kb_dir = os.path.join(out, "kb")
+    return {name: read_bytes(os.path.join(kb_dir, name))
+            for name in sorted(os.listdir(kb_dir))}
+
+
+def vector_file(out):
+    return os.path.join(out, "synthetic", "vectors.tsv")
+
+
+def built_corpus(tmp_path):
+    out, config = make_corpus(tmp_path, n=8, hcb="0.75")
+    assert main(["build-kb", "--config", config]) == EXIT_OK
+    return out, config
+
+
+def candidate_dbs(out):
+    return [read_bytes(os.path.join(out, "candidates", name))
+            for name in ("s2t.tsv", "t2s.tsv")]
+
+
+def test_build_kb_records_the_vector_file_bytes_and_fingerprint(tmp_path):
+    out, _ = built_corpus(tmp_path)
+    provider = embedding.PrecomputedFileProvider(vector_file(out))
+    raw = hashlib.sha256(read_bytes(vector_file(out))).hexdigest()
+    assert kb_files(out)[RECORD_NAME] == (
+        f"{raw}\t{provider.fingerprint}\n".encode()
+    )
+
+
+def test_predict_with_a_record_never_parses_the_vector_file(
+    tmp_path, monkeypatch
+):
+    out, config = built_corpus(tmp_path)
+    real = embedding.load_vector_file
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("predict parsed the vector file")
+
+    monkeypatch.setattr(embedding, "load_vector_file", refuse)
+    assert main(["predict", "--config", config]) == EXIT_OK
+    recorded = candidate_dbs(out)
+    monkeypatch.setattr(embedding, "load_vector_file", real)
+    os.remove(os.path.join(out, "kb", RECORD_NAME))
+    assert main(["predict", "--config", config]) == EXIT_OK
+    assert candidate_dbs(out) == recorded
+
+
+def test_predict_after_an_edit_that_keeps_size_and_mtime_is_stale(
+    tmp_path, capsys
+):
+    out, config = built_corpus(tmp_path)
+    path = vector_file(out)
+    before = os.stat(path)
+    text = read_bytes(path)
+    # one digit of the first row's first nonzero component
+    at = re.search(rb"\t(?:0\.0,)*-?0?\.?0*([1-8])", text).start(1)
+    edited = text[:at] + bytes([text[at] + 1]) + text[at + 1:]
+    with open(path, "wb") as handle:
+        handle.write(edited)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    capsys.readouterr()
+    assert main(["predict", "--config", config]) == EXIT_CONFIG
+    assert "rebuild the KB" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: text[:-1],
+    lambda text: text[:40],
+    lambda text: b"",
+    lambda text: b"\xff\xfe" + text,
+    lambda text: text.replace(b"\t", b" "),
+    lambda text: text.replace(b"file/d", b"file/x"),
+    lambda text: b"0" * 64 + text[64:],
+], ids=["last-byte-cut", "half-cut", "empty", "not-utf8", "no-tab",
+        "bad-fingerprint", "other-bytes"])
+def test_a_damaged_record_falls_back_to_the_parse(tmp_path, monkeypatch, damage):
+    out, config = built_corpus(tmp_path)
+    assert main(["predict", "--config", config]) == EXIT_OK
+    recorded = candidate_dbs(out)
+    record = os.path.join(out, "kb", RECORD_NAME)
+    with open(record, "wb") as handle:
+        handle.write(damage(read_bytes(record)))
+    parses = []
+    real = embedding.load_vector_file
+    monkeypatch.setattr(embedding, "load_vector_file",
+                        lambda *args: parses.append(1) or real(*args))
+    assert main(["predict", "--config", config]) == EXIT_OK
+    assert parses == [1]
+    assert candidate_dbs(out) == recorded
+
+
+def test_predict_without_the_vector_file_exits_config(tmp_path, capsys):
+    out, config = built_corpus(tmp_path)
+    os.remove(vector_file(out))
+    capsys.readouterr()
+    assert main(["predict", "--config", config]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {vector_file(out)}: "), err
+
+
+def test_kb_bytes_do_not_depend_on_the_directory_built_in(tmp_path):
+    first, _ = built_corpus(tmp_path / "a")
+    second, _ = built_corpus(tmp_path / "elsewhere")
+    assert read_bytes(vector_file(first)) == read_bytes(vector_file(second))
+    assert RECORD_NAME in kb_files(first)
+    assert kb_files(first) == kb_files(second)

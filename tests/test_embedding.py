@@ -3,6 +3,7 @@
 import concurrent.futures
 import hashlib
 import math
+import os
 import re
 from unittest import mock
 
@@ -326,9 +327,9 @@ def vector_rows(draw):
 @settings(deadline=None, max_examples=150)
 @given(rows=vector_rows(), data=st.data())
 def test_vector_file_digest_matches_the_oracle(tmp_path_factory, rows, data):
-    """Sorted files are hashed as they are read, unsorted ones at the end;
-    both give the oracle's fingerprint and the exact rows, whether each
-    component is written as its repr or with 17 significant digits."""
+    """Sorted and shuffled files give the oracle's fingerprint and the exact
+    rows, whether each component is written as its repr or with 17
+    significant digits."""
     directory = tmp_path_factory.mktemp("vectors")
     spell = {
         label: data.draw(st.lists(st.booleans(), min_size=len(row),
@@ -462,6 +463,80 @@ def test_vector_file_of_several_blocks_matches_the_oracle(tmp_path, order):
     assert rows.size > 2 * embedding._BLOCK_TOKENS
     outcome = _parse_outcome(load_vector_file, path)
     assert outcome == _parse_outcome(oracle_load_vector_file, path)
+
+
+def test_a_shuffled_vector_file_has_the_sorted_file_digest(tmp_path):
+    rng = np.random.default_rng(3)
+    shape = (400, 100)
+    rows = np.where(rng.random(shape) < 0.1, rng.standard_normal(shape), 0.0)
+    lines = [f"l{i:03d}\t{','.join(map(repr, row.tolist()))}\n"
+             for i, row in enumerate(rows)]
+    sorted_path, shuffled_path = tmp_path / "sorted.tsv", tmp_path / "shuffled.tsv"
+    sorted_path.write_text("".join(lines), encoding="utf-8")
+    # every fifth row also spells one zero otherwise than repr(0.0)
+    respelled = [line if i % 5 else line.replace(",0.0,", ",0e0,", 1)
+                 for i, line in enumerate(lines)]
+    shuffled_path.write_text("".join(rng.permutation(respelled)), encoding="utf-8")
+    assert rows.size > 2 * embedding._BLOCK_TOKENS
+    vectors, digest = load_vector_file(sorted_path)
+    shuffled, shuffled_digest = load_vector_file(shuffled_path)
+    assert shuffled_digest == digest
+    assert {k: v.tobytes() for k, v in shuffled.items()} == {
+        k: v.tobytes() for k, v in vectors.items()
+    }
+    assert (PrecomputedFileProvider(shuffled_path).fingerprint
+            == oracle_vector_fingerprint(sorted_path))
+
+
+@pytest.mark.parametrize("text", [
+    "# c\nb\t1.0,2\r\na\t0.0,-0.5\r\n",
+    "a\t1.0\rb\t2.0\n\n# end",
+    "é\t" + ",".join(["0.0"] * 5000) + "\n",
+], ids=["crlf", "lone-cr", "one-long-row"])
+def test_the_parse_hashes_the_raw_bytes_it_reads(tmp_path, text):
+    path = tmp_path / "v.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    raw = hashlib.sha256()
+    load_vector_file(path, raw)
+    assert raw.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_the_file_provider_parses_at_first_use(tmp_path, monkeypatch):
+    path = tmp_path / "v.tsv"
+    provider = PrecomputedFileProvider(str(path))  # the file need not exist yet
+    with pytest.raises(ConfigError, match="cannot read"):
+        provider.fingerprint
+    write_vector_file(path, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 2.0])})
+    parses = []
+    monkeypatch.setattr(embedding, "load_vector_file",
+                        lambda *args: parses.append(1) or load_vector_file(*args))
+    provider = PrecomputedFileProvider(str(path))
+    assert parses == []
+    np.testing.assert_array_equal(provider.encode(["b"]), [[0.0, 2.0]])
+    assert (provider.dim, parses) == (2, [1])
+    provider.encode(["a"])
+    assert provider.fingerprint == oracle_vector_fingerprint(path)
+    assert parses == [1]
+
+
+def test_a_record_answers_only_for_the_bytes_it_names(tmp_path, monkeypatch):
+    path, kb_dir = tmp_path / "v.tsv", str(tmp_path / "kb")
+    write_vector_file(path, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 2.0])})
+    built = PrecomputedFileProvider(str(path))
+    built.save_record(kb_dir)
+    monkeypatch.setattr(embedding, "load_vector_file", None)  # no parse below
+    answered = PrecomputedFileProvider(str(path))
+    answered.use_record(kb_dir)
+    assert (answered.fingerprint, answered.dim) == (built.fingerprint, 2)
+    monkeypatch.undo()
+    # the same values spelled otherwise: another record key, the same fingerprint
+    path.write_text("a\t1.0,0.0\nb\t0.0,2.00\n", encoding="utf-8")
+    reparsed = PrecomputedFileProvider(str(path))
+    reparsed.use_record(kb_dir)
+    assert reparsed._fingerprint is None
+    assert reparsed.fingerprint == built.fingerprint
+    DeterministicProvider(dim=2).save_record(kb_dir)  # writes nothing
+    assert os.listdir(kb_dir) == [embedding.RECORD_NAME]
 
 
 @pytest.mark.parametrize("vectors", [
