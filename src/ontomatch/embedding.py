@@ -29,7 +29,7 @@ from .errors import (
     MissingVector,
     ProviderUnavailable,
 )
-from .fileio import atomic_write_text, open_input, read_records, read_text
+from .fileio import atomic_write_text, open_input, read_records
 from .transport import Endpoint
 
 SCORE_DECIMALS = 5
@@ -73,10 +73,10 @@ class EmbeddingProvider:
     def _encode_batch(self, labels: Sequence[str]) -> np.ndarray:
         raise NotImplementedError
 
-    def save_record(self, kb_dir: str) -> None:
-        """Leave under kb_dir what use_record reads; most providers need none."""
+    def save_record(self, out_dir: str) -> None:
+        """Leave in out_dir what use_record reads; most providers need none."""
 
-    def use_record(self, kb_dir: str) -> None:
+    def use_record(self, out_dir: str) -> None:
         """Take the fingerprint from save_record's record where it holds."""
 
     def encode(self, labels: Sequence[str]) -> np.ndarray:
@@ -266,7 +266,6 @@ def _hash_rows(seed: int, labels: Sequence[str], dim: int) -> np.ndarray:
 # 2**16 (medians of 40 alternating calls).
 _BLOCK_TOKENS = 1 << 14
 _COMMA, _ZERO = ord(","), np.frombuffer(b"0.0", np.uint8)  # repr(0.0)
-_NEWLINE = ord("\n")
 
 
 def _record_blocks(path: str, raw) -> Iterator[list[tuple[int, str, str, int]]]:
@@ -365,19 +364,22 @@ def load_vector_file(path: str, raw=None) -> tuple[dict[str, np.ndarray], str]:
     dimensionality and be finite; the first faulty row is reported. Returns
     the rows and their _fixtures_digest, which hashes each row's canonical
     repr text, so the digest depends on the values and not on how the file
-    spells or orders them. raw, a hasher such as hashlib.sha256(), is fed
-    the bytes as they are parsed.
+    spells them. raw, a hasher such as hashlib.sha256(), is fed the bytes
+    as they are parsed.
 
     Rows are parsed a block of about _BLOCK_TOKENS tokens at a time. A
     token spelled '0.0' is found as bytes and never becomes a Python object;
     each distinct other token of the block goes through float() once. A row
     whose every token is already its value's repr is its own canonical
-    text, so no float is formatted for it. The rows' `label<TAB>text` lines
-    gather in one buffer, hashed in label order once the file is read.
+    text, so it is hashed without formatting a float. While labels arrive
+    in ascending order, as write_vector_file writes them, each block is
+    hashed as it is read; the first label out of order falls back to
+    digesting the rows at the end.
     """
     vectors: dict[str, np.ndarray] = {}
-    lines, spans = bytearray(), {}  # `label<TAB>text<NL>` of each row; its slice
     dim: int | None = None
+    hasher = hashlib.sha256()
+    previous: str | None = ""  # the last label hashed; None once out of order
     for block in _record_blocks(path, raw):
         line_nos, labels, payloads, widths = zip(*block)
         widths = np.array(widths)
@@ -405,6 +407,11 @@ def load_vector_file(path: str, raw=None) -> tuple[dict[str, np.ndarray], str]:
         flat[~zero] = parsed
         rows = flat.reshape(len(labels), dim)
         vectors.update(zip(labels, rows))
+        if (previous is None or previous >= labels[0]
+                or list(labels) != sorted(labels)):
+            previous = None
+            continue
+        texts = payloads
         reprs = list(map(repr, values))
         if reprs != list(distinct):  # some token is not its value's repr
             odd = {token for token, text in zip(distinct, reprs) if token != text}
@@ -412,18 +419,14 @@ def load_vector_file(path: str, raw=None) -> tuple[dict[str, np.ndarray], str]:
             odd_tokens[~zero] = np.fromiter(map(odd.__contains__, others),
                                             bool, len(others))
             odd_rows = odd_tokens.reshape(rows.shape).any(axis=1)
-            payloads = [_row_text(row) if redo else payload
-                        for row, payload, redo in zip(rows, payloads, odd_rows)]
-        start = len(lines)
-        lines += "".join(map("{}\t{}\n".format, labels, payloads)).encode("utf-8")
-        ends = np.flatnonzero(np.frombuffer(lines, np.uint8, offset=start) == _NEWLINE)
-        ends = (ends + start + 1).tolist()
-        spans.update(zip(labels, map(slice, [start] + ends[:-1], ends)))
+            texts = [_row_text(row) if redo else payload
+                     for row, payload, redo in zip(rows, payloads, odd_rows)]
+        hasher.update("".join(map("{}\t{}\n".format, labels, texts)).encode("utf-8"))
+        previous = labels[-1]
     if not vectors:
         raise MalformedRecord(path, 0, "no vector rows")
-    hasher, view = hashlib.sha256(), memoryview(lines)
-    for label in sorted(spans):
-        hasher.update(view[spans[label]])
+    if previous is None:
+        return vectors, _fixtures_digest(vectors)
     return vectors, hasher.hexdigest()[:8]
 
 
@@ -472,10 +475,10 @@ def write_vector_file(path: str, vectors: Mapping[str, np.ndarray]) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-# build-kb's one-line record under kb/: the sha256 of the vector file's bytes,
-# a tab and the fingerprint; keyed on content alone, not path, size or mtime.
+# build-kb's record in the output directory, outside kb/: the sha256 of the
+# vector file's bytes, a tab and the fingerprint; keyed on content alone.
 RECORD_NAME = "vectors.sha256"
-_RECORD = re.compile(r"([0-9a-f]{64})\t(file/d[1-9][0-9]*/[0-9a-f]{8})\n")
+_RECORD = re.compile(rb"([0-9a-f]{64})\t(file/d[1-9][0-9]*/[0-9a-f]{8})\n")
 
 
 class PrecomputedFileProvider(EmbeddingProvider):
@@ -510,21 +513,24 @@ class PrecomputedFileProvider(EmbeddingProvider):
             self._parse()
         return self._fingerprint
 
-    def save_record(self, kb_dir: str) -> None:
+    def save_record(self, out_dir: str) -> None:
         self._parse()
-        atomic_write_text(os.path.join(kb_dir, RECORD_NAME), self._record)
+        atomic_write_text(os.path.join(out_dir, RECORD_NAME), self._record)
 
-    def use_record(self, kb_dir: str) -> None:
+    def use_record(self, out_dir: str) -> None:
         try:
-            found = _RECORD.fullmatch(read_text(os.path.join(kb_dir, RECORD_NAME)))
-        except (ConfigError, MalformedRecord):  # no record, or not UTF-8
+            with open_input(os.path.join(out_dir, RECORD_NAME), "rb") as handle:
+                found = _RECORD.fullmatch(handle.read())
+        except ConfigError:  # no record
+            return
+        if not found:
             return
         raw = hashlib.sha256()
         with open_input(self._path, "rb") as handle:
             for chunk in iter(lambda: handle.read(1 << 20), b""):
                 raw.update(chunk)
-        if found and found[1] == raw.hexdigest():
-            self._fingerprint = found[2]
+        if raw.hexdigest().encode() == found[1]:
+            self._fingerprint = found[2].decode()
 
     def _encode_batch(self, labels: Sequence[str]) -> np.ndarray:
         vectors, rows = self._parse(), []

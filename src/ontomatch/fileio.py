@@ -28,7 +28,6 @@ class _HashingReader(io.RawIOBase):
     """A binary file's reader that feeds every byte it reads to a hasher."""
 
     def __init__(self, handle: IO[bytes], hasher):
-        super().__init__()
         self._handle, self._hasher = handle, hasher
 
     def readable(self) -> bool:
@@ -45,8 +44,7 @@ def read_lines(path: str, what: str = "", hasher=None) -> Iterator[str]:
 
     Bytes that are not UTF-8 raise MalformedRecord at line 0: the decoder
     reads ahead in chunks, so the failing line is not known. A hasher, such
-    as hashlib.sha256(), is fed the raw bytes as they are read, so after the
-    last line it holds the digest of exactly the bytes decoded.
+    as hashlib.sha256(), is fed exactly the bytes decoded.
     """
     with open_input(path, "r" if hasher is None else "rb", what) as handle:
         if hasher is not None:
@@ -71,8 +69,8 @@ def read_records(
     This is the one line grammar of every text format: blank lines and lines
     whose first non-blank character is '#' are skipped, line endings (LF or
     CRLF) are stripped, and the rest splits on tab. With n_fields set, any
-    other field count raises MalformedRecord at that line. hasher is passed
-    to read_lines.
+    other field count raises MalformedRecord at that line; hasher as for
+    read_lines.
     """
     for line_no, raw in enumerate(read_lines(path, hasher=hasher), start=1):
         line = raw.rstrip("\n").rstrip("\r")

@@ -936,9 +936,10 @@ def test_build_kb_records_the_vector_file_bytes_and_fingerprint(tmp_path):
     out, _ = built_corpus(tmp_path)
     provider = embedding.PrecomputedFileProvider(vector_file(out))
     raw = hashlib.sha256(read_bytes(vector_file(out))).hexdigest()
-    assert kb_files(out)[RECORD_NAME] == (
+    assert read_bytes(os.path.join(out, RECORD_NAME)) == (
         f"{raw}\t{provider.fingerprint}\n".encode()
     )
+    assert RECORD_NAME not in kb_files(out)  # KB bytes do not depend on it
 
 
 def test_predict_with_a_record_never_parses_the_vector_file(
@@ -954,7 +955,7 @@ def test_predict_with_a_record_never_parses_the_vector_file(
     assert main(["predict", "--config", config]) == EXIT_OK
     recorded = candidate_dbs(out)
     monkeypatch.setattr(embedding, "load_vector_file", real)
-    os.remove(os.path.join(out, "kb", RECORD_NAME))
+    os.remove(os.path.join(out, RECORD_NAME))
     assert main(["predict", "--config", config]) == EXIT_OK
     assert candidate_dbs(out) == recorded
 
@@ -993,7 +994,7 @@ def test_a_damaged_record_falls_back_to_the_parse(tmp_path, monkeypatch, damage)
     out, config = built_corpus(tmp_path)
     assert main(["predict", "--config", config]) == EXIT_OK
     recorded = candidate_dbs(out)
-    record = os.path.join(out, "kb", RECORD_NAME)
+    record = os.path.join(out, RECORD_NAME)
     with open(record, "wb") as handle:
         handle.write(damage(read_bytes(record)))
     parses = []
@@ -1018,5 +1019,6 @@ def test_kb_bytes_do_not_depend_on_the_directory_built_in(tmp_path):
     first, _ = built_corpus(tmp_path / "a")
     second, _ = built_corpus(tmp_path / "elsewhere")
     assert read_bytes(vector_file(first)) == read_bytes(vector_file(second))
-    assert RECORD_NAME in kb_files(first)
     assert kb_files(first) == kb_files(second)
+    assert (read_bytes(os.path.join(first, RECORD_NAME))
+            == read_bytes(os.path.join(second, RECORD_NAME)))

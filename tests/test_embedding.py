@@ -327,9 +327,9 @@ def vector_rows(draw):
 @settings(deadline=None, max_examples=150)
 @given(rows=vector_rows(), data=st.data())
 def test_vector_file_digest_matches_the_oracle(tmp_path_factory, rows, data):
-    """Sorted and shuffled files give the oracle's fingerprint and the exact
-    rows, whether each component is written as its repr or with 17
-    significant digits."""
+    """Sorted files are hashed as they are read, unsorted ones at the end;
+    both give the oracle's fingerprint and the exact rows, whether each
+    component is written as its repr or with 17 significant digits."""
     directory = tmp_path_factory.mktemp("vectors")
     spell = {
         label: data.draw(st.lists(st.booleans(), min_size=len(row),
@@ -520,23 +520,23 @@ def test_the_file_provider_parses_at_first_use(tmp_path, monkeypatch):
 
 
 def test_a_record_answers_only_for_the_bytes_it_names(tmp_path, monkeypatch):
-    path, kb_dir = tmp_path / "v.tsv", str(tmp_path / "kb")
+    path, out_dir = tmp_path / "v.tsv", str(tmp_path / "out")
     write_vector_file(path, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 2.0])})
     built = PrecomputedFileProvider(str(path))
-    built.save_record(kb_dir)
+    built.save_record(out_dir)
     monkeypatch.setattr(embedding, "load_vector_file", None)  # no parse below
     answered = PrecomputedFileProvider(str(path))
-    answered.use_record(kb_dir)
+    answered.use_record(out_dir)
     assert (answered.fingerprint, answered.dim) == (built.fingerprint, 2)
     monkeypatch.undo()
     # the same values spelled otherwise: another record key, the same fingerprint
     path.write_text("a\t1.0,0.0\nb\t0.0,2.00\n", encoding="utf-8")
     reparsed = PrecomputedFileProvider(str(path))
-    reparsed.use_record(kb_dir)
+    reparsed.use_record(out_dir)
     assert reparsed._fingerprint is None
     assert reparsed.fingerprint == built.fingerprint
-    DeterministicProvider(dim=2).save_record(kb_dir)  # writes nothing
-    assert os.listdir(kb_dir) == [embedding.RECORD_NAME]
+    DeterministicProvider(dim=2).save_record(out_dir)  # writes nothing
+    assert os.listdir(out_dir) == [embedding.RECORD_NAME]
 
 
 @pytest.mark.parametrize("vectors", [
