@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import secrets
+import shutil
 import sys
 import time
 from contextlib import closing, suppress
@@ -30,6 +32,7 @@ from .errors import (
     ConfigError,
     MalformedRecord,
     OntomatchError,
+    PersistFailure,
     StaleKB,
 )
 from .evaluation import (
@@ -159,8 +162,15 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _default_run_id(pipeline: str) -> str:
-    return f"{time.strftime('%Y%m%dT%H%M%S')}-{pipeline}-{os.getpid()}"
+def _run_id(args, pipeline: str) -> str:
+    """--run-id, one path component not starting with '.' (as stage names
+    do), or timestamp-pipeline-pid."""
+    run_id = args.run_id or f"{time.strftime('%Y%m%dT%H%M%S')}-{pipeline}-{os.getpid()}"
+    if run_id.startswith(".") or any(s and s in run_id for s in (os.sep, os.altsep)):
+        raise ConfigError(
+            f"--run-id {run_id!r} must be one path component not starting with '.'"
+        )
+    return run_id
 
 
 def _load_dbs(cfg, source, target):
@@ -177,14 +187,16 @@ def _load_dbs(cfg, source, target):
     return s2t, t2s
 
 
-# What a finished run leaves beside its llm_log.jsonl.
-_RUN_FILES = ("report.json", "alignment.tsv", "trace.tsv", "config.txt", "eval.json")
-
-
-def _remove(run_dir: str, names) -> None:
-    for name in names:
+def _swap_in(stage: str, run_dir: str) -> None:
+    """Replace run_dir, if any, with the finished run in stage."""
+    aside = f"{stage}-old"
+    try:
         with suppress(FileNotFoundError):
-            os.remove(os.path.join(run_dir, name))
+            os.rename(run_dir, aside)
+        os.rename(stage, run_dir)
+    except OSError as exc:
+        raise PersistFailure(f"could not move {stage} to {run_dir}: {exc}") from exc
+    shutil.rmtree(aside, ignore_errors=True)
 
 
 def _match(
@@ -193,35 +205,32 @@ def _match(
 ) -> tuple[MatchRunReport, str]:
     """Run one pipeline, write its run directory and print its summary.
 
-    llm_reference is the parsed llm.reference when the caller has it.
+    The run is written under a stage, runs/.<run_id>-<8 hex>, made by the
+    first query or file, and swapped in whole for runs/<run_id> after its
+    last file. A run that fails or is killed before then leaves the earlier
+    run as it was; its stage, if made, keeps the log of the queries it paid
+    for. llm_reference is the parsed llm.reference when the caller has it.
     """
-    run_dir = os.path.join(cfg.out, "runs", run_id)
-    log_path = os.path.join(run_dir, "llm_log.jsonl")
-    llm = config_mod.build_llm_client(cfg, log_path=log_path, reference=llm_reference)
+    runs_dir = os.path.join(cfg.out, "runs")
+    run_dir = os.path.join(runs_dir, run_id)
+    stage = os.path.join(runs_dir, f".{run_id}-{secrets.token_hex(4)}")
+    llm = config_mod.build_llm_client(
+        cfg, log_path=os.path.join(stage, "llm_log.jsonl"), reference=llm_reference
+    )
     options = dict(
         source_onto=source, target_onto=target, max_workers=cfg.match_workers
     )
     with closing(llm):
-        try:
-            if pipeline == PIPELINE_MILA:
-                report = match_mila(None, s2t, t2s, llm, template, **options)
-            else:
-                report = match_baseline(None, s2t, llm, template, **options)
-        except BaseException:
-            # the new log replaced an earlier run's; drop that run's files too
-            if llm.query_count:
-                _remove(run_dir, _RUN_FILES)
-            raise
+        if pipeline == PIPELINE_MILA:
+            report = match_mila(None, s2t, t2s, llm, template, **options)
+        else:
+            report = match_baseline(None, s2t, llm, template, **options)
     report.llm_queries_issued = llm.query_count
-    if not llm.query_count:
-        _remove(run_dir, ("llm_log.jsonl",))  # an earlier run's log
-    _remove(run_dir, ("eval.json",))  # it scored an earlier run's alignment
-    write_alignment(report.alignment, os.path.join(run_dir, "alignment.tsv"))
-    write_trace(report.trace, os.path.join(run_dir, "trace.tsv"))
-    write_report(report, os.path.join(run_dir, "report.json"))
-    atomic_write_text(
-        os.path.join(run_dir, "config.txt"), config_mod.snapshot(cfg)
-    )
+    write_alignment(report.alignment, os.path.join(stage, "alignment.tsv"))
+    write_trace(report.trace, os.path.join(stage, "trace.tsv"))
+    write_report(report, os.path.join(stage, "report.json"))
+    atomic_write_text(os.path.join(stage, "config.txt"), config_mod.snapshot(cfg))
+    _swap_in(stage, run_dir)
     print(
         f"{pipeline}: {len(report.alignment)} correspondences, "
         f"{report.llm_query_count} LLM queries, {report.hcb_count} HCB accepts, "
@@ -243,7 +252,7 @@ def _match(
 
 def cmd_match(args) -> int:
     cfg = _load_cfg(args)
-    run_id = args.run_id or _default_run_id(args.pipeline)
+    run_id = _run_id(args, args.pipeline)
     source, target = _load_ontologies(cfg)
     s2t, t2s = _load_dbs(cfg, source, target)
     template = config_mod.load_template(cfg)
@@ -387,6 +396,7 @@ def cmd_gen_synthetic(args) -> int:
 
 def cmd_run_all(args) -> int:
     cfg = _load_cfg(args)
+    base_run_id = _run_id(args, "all")
     source, target = _load_ontologies(cfg)
     provider = config_mod.build_provider(cfg)
     template = config_mod.load_template(cfg)
@@ -397,7 +407,6 @@ def cmd_run_all(args) -> int:
     s2t, t2s = _retrieve(cfg, source, target, source_kb, target_kb)
     both = args.pipeline == "both"
     pipelines = [PIPELINE_MILA, PIPELINE_BASELINE] if both else [args.pipeline]
-    base_run_id = args.run_id or _default_run_id("all")
     runs = []
     for pipeline in pipelines:
         run_id = f"{base_run_id}-{pipeline}" if both else base_run_id

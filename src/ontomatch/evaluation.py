@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import InvalidParameter, MalformedRecord, MismatchedInputs
-from .fileio import atomic_write_text, format_wall_time, read_records
+from .fileio import atomic_write_text, read_records
 
 if TYPE_CHECKING:
     from .matcher import MatchRunReport
@@ -212,7 +212,7 @@ def compare_runs(
          fmt_ratio(report_a.hcb_count, report_b.hcb_count)),
         ("alignment_size", str(len(align_a)), str(len(align_b)),
          fmt_ratio(len(align_a), len(align_b))),
-        ("match_wall_time", format_wall_time(wall_a), format_wall_time(wall_b),
+        ("match_wall_time", f"{wall_a:.3f}", f"{wall_b:.3f}",
          fmt_ratio(wall_a, wall_b)),
     )
     return RunComparison(rows=rows, label_a=report_a.pipeline, label_b=report_b.pipeline)

@@ -1,5 +1,5 @@
-"""Small file helpers: opening inputs, the text record grammar, atomic
-writes and wall-time formatting."""
+"""Small file helpers: opening inputs, the text record grammar and atomic
+writes."""
 
 from __future__ import annotations
 
@@ -127,12 +127,3 @@ def atomic_write_text(path: str, text: str) -> None:
     """Write UTF-8 text to path atomically; see atomic_write_bytes."""
     atomic_write_bytes(path, text.encode("utf-8"))
 
-
-def format_wall_time(seconds: float) -> str:
-    """Render elapsed seconds as HH:MM:SS, rounding to whole seconds."""
-    total = int(round(seconds))
-    if total < 0:
-        total = 0
-    hours, rem = divmod(total, 3600)
-    minutes, secs = divmod(rem, 60)
-    return f"{hours:02d}:{minutes:02d}:{secs:02d}"

@@ -147,8 +147,9 @@ class LlmClient:
     an Unparseable reply still counts. Subclasses implement _respond and may
     be called from several threads; the counter and the log are synchronized,
     so the log holds one line per counted query, in completion order. The
-    log file and its directory are made at the first query, replacing any
-    log already there, and the file stays open until close().
+    log file and its directory are made at the first query, so a client
+    that is never asked writes nothing, and the file stays open until
+    close().
     """
 
     def __init__(self, log_path: str | None = None):

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .fileio import (
     atomic_write_text,
-    format_wall_time,
     read_header,
     read_records,
     read_text,
@@ -151,9 +150,6 @@ class MatchRunReport:
             "hcb_count": self.hcb_count,
             "trace_length": len(self.trace),
             "wall_times_s": {k: round(v, 3) for k, v in self.wall_times.items()},
-            "wall_times": {
-                k: format_wall_time(v) for k, v in self.wall_times.items()
-            },
             "partial": self.partial,
             "abort_reason": self.abort_reason,
             "multi_matched_targets": self.multi_matched_targets,

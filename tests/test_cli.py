@@ -4,7 +4,10 @@ import hashlib
 import json
 import os
 import re
+import signal
 import stat
+import subprocess
+import sys
 import threading
 from contextlib import suppress
 
@@ -128,7 +131,7 @@ def run_artifacts(out):
             text = read_bytes(path)
             if name == "report.json":
                 text = json.loads(text)
-                del text["wall_times"], text["wall_times_s"]
+                del text["wall_times_s"]
             elif name == "llm_log.jsonl":
                 text = [json.loads(line) for line in text.splitlines()]
                 for entry in text:
@@ -515,6 +518,20 @@ RUN_FILES = ("alignment.tsv", "config.txt", "eval.json", "llm_log.jsonl",
              "report.json", "trace.tsv")
 
 
+def dir_bytes(path):
+    """{name: bytes} of every file in a directory."""
+    return {name: read_bytes(os.path.join(path, name)) for name in os.listdir(path)}
+
+
+def stages(out, run_id="r1"):
+    """The staging directories that runs of run_id left under runs/."""
+    return [
+        os.path.join(out, "runs", name)
+        for name in os.listdir(os.path.join(out, "runs"))
+        if name.startswith(f".{run_id}-")
+    ]
+
+
 def _earlier_run(tmp_path):
     """A 30-query baseline run under run id r1; (out, config, its run dir)."""
     out, config = make_corpus(tmp_path, n=6, hcb="0.5")
@@ -528,7 +545,9 @@ def _earlier_run(tmp_path):
 
 
 def test_a_rerun_that_fails_after_a_query_keeps_only_its_own_log(tmp_path, capsys):
-    _, config, run_dir = _earlier_run(tmp_path)
+    # the earlier run stays whole; the rerun's paid queries stay in its stage
+    out, config, run_dir = _earlier_run(tmp_path)
+    earlier = dir_bytes(run_dir)
     replies = tmp_path / "replies.txt"
     replies.write_text("No\n" * 3)
     scripted = variant_config(
@@ -539,8 +558,10 @@ def test_a_rerun_that_fails_after_a_query_keeps_only_its_own_log(tmp_path, capsy
         "match", "--config", scripted, "--pipeline", "baseline", "--run-id", "r1",
     ]) == EXIT_CONFIG
     assert "scripted client exhausted after 3 replies" in capsys.readouterr().err
-    assert os.listdir(run_dir) == ["llm_log.jsonl"]
-    assert len(log_lines(run_dir)) == 3
+    assert dir_bytes(run_dir) == earlier
+    (stage,) = stages(out)
+    assert os.listdir(stage) == ["llm_log.jsonl"]
+    assert len(log_lines(stage)) == 3
 
 
 @pytest.mark.parametrize("ending", ["complete", "partial"])
@@ -576,7 +597,7 @@ def test_a_rerun_that_fails_before_any_query_keeps_the_earlier_run(
     tmp_path, breaker
 ):
     out, config, run_dir = _earlier_run(tmp_path)
-    earlier = {name: read_bytes(os.path.join(run_dir, name)) for name in RUN_FILES}
+    earlier = dir_bytes(run_dir)
     argv = ["match", "--config", config, "--pipeline", "baseline", "--run-id", "r1"]
     if breaker == "stale-k":
         argv += ["--k", "3"]
@@ -588,9 +609,79 @@ def test_a_rerun_that_fails_before_any_query_keeps_the_earlier_run(
         name_a_missing_target(out)
         expected = EXIT_PARSE
     assert main(argv) == expected
-    assert {
-        name: read_bytes(os.path.join(run_dir, name)) for name in RUN_FILES
-    } == earlier
+    assert dir_bytes(run_dir) == earlier
+    assert os.listdir(os.path.join(out, "runs")) == ["r1"]
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+@pytest.mark.parametrize("answered", [0, 3])
+def test_a_killed_rerun_leaves_the_earlier_run_and_a_stage_of_its_paid_queries(
+    tmp_path, answered
+):
+    # SIGKILL skips every cleanup, so only the order of the writes protects
+    # the earlier run
+    out, config, run_dir = _earlier_run(tmp_path)
+    earlier = dir_bytes(run_dir)
+    held, release = threading.Event(), threading.Event()
+
+    def hold_after_answered(payload, index):
+        if index >= answered:
+            held.set()
+            release.wait(30)
+        return prompt_verdicts(payload, index)
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    output = tmp_path / "rerun.out"
+    with RecordingServer(hold_after_answered) as server, open(output, "wb") as sink:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ontomatch.cli", "match", "--config",
+             chat_config(config, server, {"match.workers": "1"}),
+             "--pipeline", "baseline", "--run-id", "r1"],
+            env=env, stdout=sink, stderr=subprocess.STDOUT,
+        )
+        try:
+            while not held.wait(0.05):
+                assert proc.poll() is None, output.read_text()
+        finally:
+            proc.kill()
+            proc.wait()
+            release.set()
+        paid = [p["messages"][0]["content"] for p in server.payloads[:answered]]
+    assert proc.returncode == -signal.SIGKILL
+    assert dir_bytes(run_dir) == earlier
+    if not answered:  # nothing was paid for, so nothing was staged
+        assert stages(out) == []
+        return
+    (stage,) = stages(out)
+    assert os.listdir(stage) == ["llm_log.jsonl"]
+    assert [json.loads(line)["prompt"] for line in log_lines(stage)] == paid
+
+
+@pytest.mark.parametrize("run_id", [".", "..", ".r1-0123abcd", "a/b", "r1/"])
+def test_a_run_id_that_is_not_one_plain_path_component_exits_config(
+    tmp_path, capsys, monkeypatch, run_id
+):
+    out, config = make_corpus(tmp_path, n=6, hcb="0.5")
+
+    def no_client(*args, **kwargs):
+        raise AssertionError("the LLM client was built")
+
+    monkeypatch.setattr(cli.config_mod, "build_llm_client", no_client)
+    capsys.readouterr()
+    assert main(["run-all", "--config", config, "--run-id", run_id]) == EXIT_CONFIG
+    assert sorted(os.listdir(out)) == ["synthetic"]
+    assert main(["build-kb", "--config", config]) == EXIT_OK
+    assert main(["predict", "--config", config]) == EXIT_OK
+    written = run_artifacts(out)
+    capsys.readouterr()
+    assert main(["match", "--config", config, "--run-id", run_id]) == EXIT_CONFIG
+    assert run_artifacts(out) == written
+    assert capsys.readouterr().err == (
+        f"error: --run-id {run_id!r} must be one path component not starting with '.'\n"
+    )
 
 
 def test_scripted_replies_with_several_workers_exit_config(tmp_path, capsys):

@@ -437,8 +437,7 @@ def test_report_json_round_trip(disease_pipeline, tmp_path):
     }
     assert data["partial"] is False
     assert data["multi_matched_targets"] == []
-    match_time = data["wall_times"]["match"]
-    assert len(match_time.split(":")) == 3
+    assert "wall_times" not in data
     assert data["wall_times_s"]["match"] >= 0.0
     assert json.loads(path.read_text())  # valid JSON on disk
 
