@@ -3,15 +3,14 @@
 Three providers share one interface: a deterministic hash-based encoder for
 tests and synthetic corpora (optionally overridden by fixture vectors), a
 precomputed-vector file, and a remote HTTP service. All scores the pipeline
-compares or persists go through round_score, which is the single place the
-5-decimal half-away-from-zero rule lives.
+compares or persists go through round_scores (round_score for one value),
+the single place the 5-decimal half-away-from-zero rule lives.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import re
 import threading
@@ -30,24 +29,52 @@ from .errors import (
     ProviderUnavailable,
 )
 from .fileio import atomic_write_text, open_input, read_records
-from .transport import Endpoint
 
 SCORE_DECIMALS = 5
+_SCALE = 10.0 ** SCORE_DECIMALS
 _QUANTUM = Decimal(1).scaleb(-SCORE_DECIMALS)
 
 
-def round_score(score: float) -> float:
-    """Round a similarity to 5 decimals, halves away from zero.
+def round_window(scaled: np.ndarray) -> np.ndarray:
+    """Largest |scaled - 1e5 * d| for scaled = |x| * 1e5 in float64 and d the
+    decimal repr(x) spells, x any finite float.
 
-    Works on the shortest decimal representation of the float (via repr), so
-    a stored 0.123455 rounds up to 0.12346 instead of falling into binary
-    representation noise. Python's built-in round() is banker's rounding and
-    must not be used for scores.
+    The product is off by at most 2**-53 of itself and repr(x) by at most
+    2**-53 * |x| for a normal x, together under 2**-52 * scaled * (1 + 2**-52);
+    a subnormal x or product adds under 2**-1057. The window is twice
+    the first bound plus a cover for the second.
     """
-    value = float(score)
-    if not math.isfinite(value):
-        raise InvalidParameter(f"cannot round non-finite score {score!r}")
-    return float(Decimal(repr(value)).quantize(_QUANTUM, rounding=ROUND_HALF_UP))
+    return scaled * 2.0 ** -51 + 2.0 ** -1056
+
+
+def round_scores(scores) -> np.ndarray:
+    """Round similarities to 5 decimals, halves away from zero, as float64.
+
+    The rule works on each float's shortest decimal, its repr, so 0.123455
+    rounds up to 0.12346 (Python's round() is banker's rounding on the binary
+    value). With y = |x| * 1e5 and f = floor(y), that is copysign((f +
+    (y - f > 0.5)) / 1e5, x) unless y - f is within round_window(y) of one
+    half; only those values go through Decimal.
+    """
+    values = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise InvalidParameter(f"cannot round non-finite scores in {scores!r}")
+    scaled = np.abs(values) * _SCALE
+    whole = np.floor(scaled)
+    frac = scaled - whole
+    rounded = np.copysign((whole + (frac > 0.5)) / _SCALE, values)
+    near = np.abs(frac - 0.5) <= round_window(scaled)
+    if near.any():
+        rounded[near] = [
+            float(Decimal(repr(x)).quantize(_QUANTUM, rounding=ROUND_HALF_UP))
+            for x in values[near].tolist()
+        ]
+    return rounded
+
+
+def round_score(score: float) -> float:
+    """round_scores for one value."""
+    return float(round_scores([float(score)])[0])
 
 
 class EmbeddingProvider:
@@ -576,6 +603,8 @@ class HttpProvider(EmbeddingProvider):
             raise InvalidParameter(f"batch_size must be >= 1, got {batch_size}")
         self._dim = int(dim)
         self._batch_size = int(batch_size)
+        from .transport import Endpoint  # urllib.request only for HTTP clients
+
         self._endpoint = Endpoint(
             url, service="embedding service", error=ProviderUnavailable,
             timeout=timeout, max_retries=max_retries,

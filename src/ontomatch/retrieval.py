@@ -17,19 +17,25 @@ rule: at or above tau - _TAU_MARGIN - e, and within _RANK_MARGIN + 2e of
 its row's k-th largest float32 score. The base margins cover the largest
 shift 5-decimal rounding can introduce; e = f32_dot_error(dim) + a little
 for cutting in float32 covers the float32 error, about (dim + 2) * 2**-24.
-The exact rule then runs on the survivors only: float64 dot products of
-the unit rows, round_score, the tau cut, the order and the cut at k, so
-the result is exactly the rounded semantics.
+The exact rule then runs on the survivors only, as array work: row-wise
+float64 dot products of the unit rows, round_scores, the tau cut, one
+lexsort by (query row, score desc, label asc) and the cut at k by position
+in each row's run, so the result is exactly the rounded semantics.
 
 build_candidate_dbs runs the prefilter for both directions in one pass over
 row blocks of the score matrix, with the larger KB's labels as rows and
 the smaller KB held whole in float32 as columns. The row direction cuts
-each row within its block; the column direction keeps, after every block,
-only the scores within the rank margin of each column's running k-th. Each
-column then holds at most k scores plus those tied with its k-th within
-the margin, at any tau, including tau = 0. Entity scores are computed from
-the float64 unit rows as before, and only for entities that own a label
-with a hit.
+each row within its block, and partitions only the rows that hold more than
+k scores at or above the floor; the column direction keeps, after every
+block, only the scores within the rank margin of each column's running
+k-th. Each column then holds at most k scores plus those tied with its k-th
+within the margin, at any tau, including tau = 0. Entities are assembled
+only for the owners of a hit label, from index arrays: their label rows,
+the union of those labels' hits, a segment max of the float64 label-pair
+cosines per (entity, candidate), rounded once and ordered by (score desc,
+id asc). A raw score within _f64_dot_gap of 0 or of a tie is taken instead
+from the entity's BLAS product, which sums in the order the float64 kernel
+has always used.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .candidates import (
     DIRECTION_S2T, DIRECTION_T2S, CandidateDB, CandidateList,
     load_candidate_db, save_candidate_db,
 )
-from .embedding import EmbeddingProvider, round_score
+from .embedding import EmbeddingProvider, round_scores
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -288,6 +294,18 @@ def f32_dot_error(dim: int) -> float:
     return 2.0 * n * a + a * a + gamma * (n + a) ** 2 + 2 * dim * _F32_TINY
 
 
+def _f64_dot_gap(dim: int) -> float:
+    """Largest difference between two float64 dot products of the same two
+    float64 unit vectors of length dim, each summed in any order.
+
+    Each is within gamma * n**2 of the exact dot, with n and gamma as in
+    f32_dot_error but for eps = 2**-53, plus 2**-1074 for each product or
+    partial sum that underflows.
+    """
+    gamma = dim * 2.0 ** -53 / (1.0 - dim * 2.0 ** -53)
+    return 2.0 * (gamma * (1.0 + _F64_NORM_SLACK) ** 2 + 2 * dim * 2.0 ** -1074)
+
+
 def _cuts(dim: int, tau: float) -> tuple[float, float]:
     """The float32 prefilter's tau floor and rank margin for this dim.
 
@@ -303,14 +321,19 @@ def _row_survivors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(row, col) of the float32 scores that may make their row's exact
     top k: at or above the floor and within rank_margin of the row's k-th
-    largest score. Rows whose maximum is below the floor cost no sort."""
+    largest score. Rows whose maximum is below the floor cost no count, and
+    a row with at most k scores at or above the floor keeps exactly those,
+    so only rows with more are partitioned."""
     live = np.flatnonzero(sims.max(axis=1, initial=-np.inf) >= floor)
     block = sims if live.size == len(sims) else sims[live]
-    cut = np.full(live.size, floor, dtype=np.float32)
-    if live.size and block.shape[1] > k:
-        kth = np.partition(block, -k, axis=1)[:, -k]
-        cut = np.maximum(cut, kth - rank_margin)
-    rows, cols = np.nonzero(block >= cut[:, None])
+    keep = block >= floor
+    busy = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+    if busy.size:
+        rows = block if busy.size == len(block) else block[busy]
+        kth = np.partition(rows, -k, axis=1)[:, -k]
+        keep[busy] = rows >= np.maximum(kth - rank_margin, floor)[:, None]
+    # Flat indices: several times faster than np.nonzero on a wide block.
+    rows, cols = np.divmod(np.flatnonzero(keep), keep.shape[1])
     return live[rows], cols
 
 
@@ -349,10 +372,46 @@ class _ColumnCut:
         self.top[live] = pool[:, -self.k:]
         cut = self._cut()
         keep = self.vals >= cut[self.cols]
-        rows, cols = np.nonzero(block >= cut[live])
+        rows, cols = np.divmod(np.flatnonzero(block >= cut[live]), len(live))
         self.cols = np.concatenate([self.cols[keep], live[cols]])
         self.rows = np.concatenate([self.rows[keep], rows + first_row])
         self.vals = np.concatenate([self.vals[keep], block[rows, cols]])
+
+
+def _row_dots(
+    left: np.ndarray, left_rows: np.ndarray, right: np.ndarray, right_rows: np.ndarray
+) -> np.ndarray:
+    """The float64 dot of left[left_rows[i]] and right[right_rows[i]] for
+    each i, gathering at most _RESCORE_ELEMENTS elements a side at once."""
+    dots = np.empty(left_rows.size)
+    step = max(1, _RESCORE_ELEMENTS // max(left.shape[1], 1))
+    for start in range(0, dots.size, step):
+        span = slice(start, start + step)
+        dots[span] = np.einsum(
+            "ij,ij->i", left[left_rows[span]], right[right_rows[span]]
+        )
+    return dots
+
+
+def _runs(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in a grouped array of indices."""
+    return np.flatnonzero(np.diff(keys, prepend=-1))
+
+
+def _csr(groups: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(size of each group, the groups' items end to end) as index arrays."""
+    return (
+        np.array([len(group) for group in groups], dtype=np.intp),
+        np.array([item for group in groups for item in group], dtype=np.intp),
+    )
+
+
+def _gather(sizes: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """The positions of the items of groups `which`, end to end, in a layout
+    where group i holds sizes[i] consecutive items."""
+    per = sizes[which]
+    shift = np.cumsum(sizes)[which] - np.cumsum(per)
+    return np.arange(per.sum()) + np.repeat(shift, per)
 
 
 def _exact_hits(
@@ -362,78 +421,103 @@ def _exact_hits(
     corpus_rows: np.ndarray,
     k: int,
     tau: float,
-) -> dict[int, list[tuple[int, float]]]:
-    """The exact rule on the survivor pairs: {query row: [(corpus row,
-    score), ...]} in final rank order, for the rows with at least one hit.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exact rule on the survivor pairs: the (query rows, corpus rows)
+    of the hits, grouped by ascending query row, in rank order in a row.
 
-    Each pair's float64 cosine is rounded with round_score; a query row
-    keeps the scores at or above tau, ordered by (score desc, label asc)
-    and cut at k.
+    Each pair's float64 cosine goes through round_scores; a query row keeps
+    the scores at or above tau, ordered by (score desc, label asc) in one
+    lexsort and cut at k by position in the row's run.
     """
-    raw = np.empty(query_rows.size)
-    step = max(1, _RESCORE_ELEMENTS // max(corpus_kb.dim, 1))
-    for start in range(0, query_rows.size, step):
-        span = slice(start, start + step)
-        raw[span] = np.einsum(
-            "ij,ij->i",
-            query_unit[query_rows[span]],
-            corpus_kb.unit_matrix[corpus_rows[span]],
-        )
-    hits: dict[int, list[tuple[int, float]]] = {}
-    for query_row, corpus_row, value in zip(
-        query_rows.tolist(), corpus_rows.tolist(), raw.tolist()
-    ):
-        score = round_score(value)
-        if score >= tau:
-            hits.setdefault(query_row, []).append((corpus_row, score))
-    labels = corpus_kb.labels
-    for row_hits in hits.values():
-        row_hits.sort(key=lambda pair: (-pair[1], labels[pair[0]]))
-        del row_hits[k:]
-    return hits
-
-
-def _entity_candidates(
-    query_unit_rows: np.ndarray,
-    label_hits: list[list[tuple[int, float]]],
-    corpus_kb: VectorKB,
-) -> CandidateList:
-    """Assemble one entity's ranked candidates from its labels' hits; at
-    least one of its labels has a hit."""
-    union_rows = sorted({row for hits in label_hits for row, _ in hits})
-    cross = query_unit_rows @ corpus_kb.unit_matrix[union_rows].T
-    col_max = cross.max(axis=0)
-    best_raw: dict[str, float] = {}
-    for j, row in enumerate(union_rows):
-        raw = float(col_max[j])
-        for owner in corpus_kb.owners[row]:
-            if owner not in best_raw or raw > best_raw[owner]:
-                best_raw[owner] = raw
-    ranked = sorted(
-        ((owner, round_score(raw)) for owner, raw in best_raw.items()),
-        key=lambda pair: (-pair[1], pair[0]),
+    scores = round_scores(
+        _row_dots(query_unit, query_rows, corpus_kb.unit_matrix, corpus_rows)
     )
-    return CandidateList(tuple(ranked))
+    hit = scores >= tau
+    query_rows, corpus_rows, scores = query_rows[hit], corpus_rows[hit], scores[hit]
+    by_label = sorted(set(corpus_rows.tolist()), key=corpus_kb.labels.__getitem__)
+    label_rank = np.zeros(len(corpus_kb), dtype=np.intp)
+    label_rank[by_label] = np.arange(len(by_label))
+    order = np.lexsort((label_rank[corpus_rows], -scores, query_rows))
+    query_rows, corpus_rows = query_rows[order], corpus_rows[order]
+    # A hit's position in its row: its index less its row's first index.
+    kept = np.arange(query_rows.size) - np.searchsorted(query_rows, query_rows) < k
+    return query_rows[kept], corpus_rows[kept]
 
 
 def _direction_lists(
     query_onto: Ontology,
     query_kb: VectorKB,
     corpus_kb: VectorKB,
-    hits: dict[int, list[tuple[int, float]]],
+    hit_rows: np.ndarray,
+    hit_cols: np.ndarray,
 ) -> dict[str, CandidateList]:
-    """Every query entity's candidate list; only entities that own a hit
-    label are assembled, the rest get an empty list."""
-    hit_owners = set().union(*(query_kb.owners[row] for row in hits))
-    lists: dict[str, CandidateList] = {}
-    for entity in query_onto:
-        if entity.id not in hit_owners:
-            lists[entity.id] = CandidateList(())
-            continue
-        rows = [query_kb.label_to_row[label] for label in entity.labels]
-        lists[entity.id] = _entity_candidates(
-            query_kb.unit_matrix[rows], [hits.get(r, []) for r in rows], corpus_kb
-        )
+    """Every query entity's candidate list from the hits of _exact_hits;
+    an entity that owns no hit label gets an empty list.
+
+    The owners of hit labels are assembled together: each one's label rows
+    and the union of their hits as index arrays, the max float64 dot of a
+    union row over the entity's labels, then the max per (entity, owner of
+    a union row), rounded once and ordered by (score desc, id asc).
+    """
+    lists = dict.fromkeys(query_onto.ids, CandidateList(()))
+    if not hit_rows.size:
+        return lists
+    owner_sets = map(query_kb.owners.__getitem__, set(hit_rows.tolist()))
+    entities = sorted(set().union(*owner_sets))
+    n_labels, label_rows = _csr([
+        [query_kb.label_to_row[label] for label in query_onto.entity(e).labels]
+        for e in entities
+    ])
+    n_hits = np.bincount(hit_rows, minlength=len(query_kb))
+    pairs = np.sort(
+        np.repeat(np.arange(len(entities)), n_labels).repeat(n_hits[label_rows])
+        * len(corpus_kb) + hit_cols[_gather(n_hits, label_rows)]
+    )
+    pair_entity, pair_col = np.divmod(pairs[_runs(pairs)], len(corpus_kb))
+    per = n_labels[pair_entity]
+    dots = _row_dots(
+        query_kb.unit_matrix, label_rows[_gather(n_labels, pair_entity)],
+        corpus_kb.unit_matrix, pair_col.repeat(per),
+    )
+    best = np.maximum.reduceat(dots, np.cumsum(per) - per)
+    cols = sorted(set(pair_col.tolist()))
+    ids = sorted(set().union(*(corpus_kb.owners[col] for col in cols)))
+    index = {entity_id: i for i, entity_id in enumerate(ids)}
+    n_owners, owner_index = _csr(
+        [[index[owner] for owner in corpus_kb.owners[col]] for col in cols]
+    )
+    col_of = np.searchsorted(cols, pair_col)
+    per = n_owners[col_of]
+    keys = pair_entity.repeat(per) * len(ids) + owner_index[_gather(n_owners, col_of)]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = _runs(keys)
+    raw = np.maximum.reduceat(best.repeat(per)[order], starts)
+    entity, owner = np.divmod(keys[starts], len(ids))
+    # The kernel has always scored an entity with one BLAS product of its
+    # labels x its union rows, which sums in another order. Where that can
+    # change the rounded score (a cosine within the gap of 0 or of a tie),
+    # the raw score is taken from that product.
+    gap = _f64_dot_gap(query_kb.dim)
+    low, high = round_scores(raw - gap), round_scores(raw + gap)
+    unsure = np.flatnonzero(low.view(np.int64) != high.view(np.int64))
+    for e in set(entity[unsure].tolist()):
+        union = pair_col[slice(*np.searchsorted(pair_entity, [e, e + 1]))].tolist()
+        rows = label_rows[_gather(n_labels, np.array([e]))]
+        cross = query_kb.unit_matrix[rows] @ corpus_kb.unit_matrix[union].T
+        col_max = list(zip(union, cross.max(axis=0).tolist()))
+        for i in unsure[entity[unsure] == e].tolist():
+            owner_id = ids[owner[i]]
+            raw[i] = max(v for col, v in col_max if owner_id in corpus_kb.owners[col])
+    scores = round_scores(raw)
+    order = np.lexsort((owner, -scores, entity))
+    entity = entity[order]
+    ranked = list(zip(
+        map(ids.__getitem__, owner[order].tolist()), scores[order].tolist()
+    ))
+    bounds = _runs(entity).tolist() + [len(ranked)]
+    for e, lo, hi in zip(entity[bounds[:-1]].tolist(), bounds, bounds[1:]):
+        lists[entities[e]] = CandidateList(tuple(ranked[lo:hi]))
     return lists
 
 
@@ -506,7 +590,7 @@ def build_candidate_dbs(
         fingerprint=source_kb.fingerprint,
         lists=_direction_lists(
             source, source_kb, target_kb,
-            _exact_hits(source_kb.unit_matrix, target_kb, *s2t_pairs, k, tau),
+            *_exact_hits(source_kb.unit_matrix, target_kb, *s2t_pairs, k, tau),
         ),
     )
     t2s = CandidateDB(
@@ -518,7 +602,7 @@ def build_candidate_dbs(
         fingerprint=target_kb.fingerprint,
         lists=_direction_lists(
             target, target_kb, source_kb,
-            _exact_hits(target_kb.unit_matrix, source_kb, *t2s_pairs, k, tau),
+            *_exact_hits(target_kb.unit_matrix, source_kb, *t2s_pairs, k, tau),
         ),
     )
     return s2t, t2s

@@ -3,9 +3,11 @@
 Everything here is written directly from the documented contracts using
 plain Python (math.fsum, Decimal, linear scans) so it shares no code with
 the package under test. The engine's vectorized results are cross-checked
-against these oracles for byte-identical agreement. The one numpy oracle,
-oracle_direction_lists, is the all-float64 retrieval kernel that the
-float32 prefilter of build_candidate_dbs must reproduce.
+against these oracles for byte-identical agreement. Two oracles use numpy:
+oracle_direction_lists, the all-float64 retrieval kernel that the float32
+prefilter of build_candidate_dbs must reproduce, and oracle_row_survivors,
+the prefilter's row cut as it was before it counted each row's scores at
+or above the floor.
 
 oracle_load_vector_file is the vector-file parser as it was before files
 were parsed in blocks, kept unchanged as the reference for rows, digest and
@@ -201,6 +203,21 @@ def oracle_direction_lists(query_onto, query_kb, corpus_kb, k, tau):
             key=lambda pair: (-pair[1], pair[0]),
         ))
     return lists
+
+
+def oracle_row_survivors(sims, k, floor, rank_margin):
+    """(row, col) of the float32 scores at or above the floor and within
+    rank_margin of their row's k-th largest score, with a partition of
+    every live row wider than k. Rows whose maximum is below the floor
+    cost no sort."""
+    live = np.flatnonzero(sims.max(axis=1, initial=-np.inf) >= floor)
+    block = sims if live.size == len(sims) else sims[live]
+    cut = np.full(live.size, floor, dtype=np.float32)
+    if live.size and block.shape[1] > k:
+        kth = np.partition(block, -k, axis=1)[:, -k]
+        cut = np.maximum(cut, kth - rank_margin)
+    rows, cols = np.nonzero(block >= cut[:, None])
+    return live[rows], cols
 
 
 def oracle_first_positive(s2t_lists, t2s_lists, reference_pairs, source_id):

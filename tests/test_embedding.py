@@ -5,6 +5,8 @@ import hashlib
 import math
 import os
 import re
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -20,6 +22,8 @@ from ontomatch.embedding import (
     PrecomputedFileProvider,
     load_vector_file,
     round_score,
+    round_scores,
+    round_window,
     seed_words,
     write_vector_file,
 )
@@ -93,6 +97,59 @@ def test_round_score_idempotent_and_close(x):
 def test_round_score_monotone(x, y):
     lo, hi = min(x, y), max(x, y)
     assert round_score(lo) <= round_score(hi)
+
+
+def _half_and_neighbours(m: int) -> list[float]:
+    """(m + 0.5) / 1e5, a tie for 5-decimal rounding, and the floats on
+    either side of it."""
+    half = (m + 0.5) / 1e5
+    return [half, float(np.nextafter(half, np.inf)), float(np.nextafter(half, -np.inf))]
+
+
+edge_scores = (
+    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    | st.integers(min_value=-100000, max_value=99999).flatmap(
+        lambda m: st.sampled_from(_half_and_neighbours(m))
+    )
+    | st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-310, -2e-308])
+)
+
+
+def _bits(values) -> list[int]:
+    # bit patterns, so that the sign of a zero counts too
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@given(st.lists(edge_scores, min_size=1, max_size=40))
+def test_round_scores_equal_the_oracle_element_for_element(values):
+    assert _bits(round_scores(np.array(values))) == _bits(
+        [oracle_round(x) for x in values]
+    )
+
+
+def test_round_scores_equal_the_oracle_on_ties_and_their_neighbours():
+    rng = np.random.default_rng(5)
+    values = np.concatenate([
+        rng.uniform(-1.0, 1.0, 20000),
+        [x for m in range(-100000, 100000, 13) for x in _half_and_neighbours(m)],
+    ])
+    assert _bits(round_scores(values)) == _bits([oracle_round(x) for x in values])
+
+
+@given(edge_scores)
+def test_round_window_covers_the_float_error_of_the_scaled_value(x):
+    # |x| * 1e5 in float64 against 1e5 times the decimal repr(x) spells,
+    # which is what the Decimal rule rounds
+    scaled = np.abs(np.float64(x)) * 1e5
+    exact = abs(Fraction(Decimal(repr(x)))) * 100000
+    window = round_window(np.array([scaled]))[0]
+    assert abs(Fraction(float(scaled)) - exact) <= Fraction(float(window))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_round_scores_rejects_non_finite(bad):
+    with pytest.raises(InvalidParameter):
+        round_scores(np.array([0.5, bad]))
 
 
 def test_cosine_similarity_known_value():

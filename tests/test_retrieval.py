@@ -27,6 +27,8 @@ from ontomatch.errors import (
 from ontomatch.ontology import load_ontology
 from ontomatch.retrieval import (
     DIRECTION_S2T,
+    _f64_dot_gap,
+    _row_survivors,
     VectorKB,
     build_candidate_dbs,
     build_kb,
@@ -41,6 +43,7 @@ from conftest import make_ontology, disease_vector_table
 from oracles import (
     oracle_direction_lists,
     oracle_entity_candidates,
+    oracle_row_survivors,
     oracle_top_k_labels,
 )
 
@@ -610,6 +613,29 @@ def test_f32_dot_error_bounds_the_float32_score(dim, case, seed):
             assert abs(Fraction(float(f32[i, j])) - _exact_dot(u, v)) <= bound
 
 
+@settings(deadline=None, max_examples=120)
+@given(
+    dim=st.integers(min_value=1, max_value=4096)
+    | st.sampled_from([1, 2, 64, 400, 2002, 4096]),
+    case=st.sampled_from(["gaussian", "same", "equal", "cancel", "tiny"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_f64_dot_gap_bounds_two_summation_orders(dim, case, seed):
+    # Entity scores come from row-wise einsum dots; the kernel's reference
+    # takes them from a BLAS product, which sums in another order.
+    rng = np.random.default_rng(seed)
+    pairs = [_raw_pair(case, dim, rng) for _ in range(3)]
+    left = np.array([u / np.linalg.norm(u) for u, _ in pairs])
+    right = np.array([v / np.linalg.norm(v) for _, v in pairs])
+    rowwise = np.einsum("ij,ij->i", left, right)
+    product = np.diag(left @ right.T)
+    half = Fraction(_f64_dot_gap(dim)) / 2
+    for u, v, a, b in zip(left, right, rowwise, product):
+        exact = _exact_dot(u, v)
+        assert abs(Fraction(float(a)) - exact) <= half
+        assert abs(Fraction(float(b)) - exact) <= half
+
+
 @st.composite
 def planted_corpora(draw):
     """Multi-label source and target ontologies over one fixture provider.
@@ -694,3 +720,57 @@ def test_candidate_dbs_equal_the_float64_kernel(corpus, k, chunk):
         got = {owner: lst.candidates for owner, lst in db.lists.items()}
         assert _db_rows(got) == _db_rows(expected)
         assert list(got) == list(expected)
+
+
+ROW_KINDS = ("dead", "exactly-k", "k-plus-1", "ties", "random", "busy")
+
+
+@st.composite
+def score_blocks(draw):
+    """A float32 score block and the (k, floor, rank_margin) of its row cut.
+
+    Rows are dead (every score below the floor), hold exactly k or k + 1
+    scores at the floor, tie with their k-th score within, at and beyond
+    the margin, are random, or are busy (every score at or above the
+    floor). Widths run from 0 to past k, and whole blocks may have no live
+    row or only busy rows.
+    """
+    k = draw(st.integers(min_value=1, max_value=5))
+    width = draw(st.integers(min_value=0, max_value=k)
+                 | st.integers(min_value=k + 1, max_value=12))
+    floor = draw(st.sampled_from([-0.5, 0.0, 0.3, 0.74997]))
+    margin = draw(st.sampled_from([0.0, 2e-5, 0.05]))
+    block_kind = draw(st.sampled_from(["mixed", "no-live-row", "all-busy"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    at_floor = np.float32(floor)
+    below = float(np.nextafter(at_floor, np.float32(-np.inf)))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        kind = {"no-live-row": "dead", "all-busy": "busy"}.get(
+            block_kind, draw(st.sampled_from(ROW_KINDS))
+        )
+        row = rng.uniform(-1.0, below, width).astype(np.float32)
+        if kind in ("exactly-k", "k-plus-1"):
+            row[rng.permutation(width)[:k + (kind == "k-plus-1")]] = at_floor
+        elif kind == "ties":
+            kth = at_floor + np.float32(0.1)
+            steps = rng.choice([0.0, 0.25, 0.5, 1.0, 1.5], width)
+            row = kth - np.float32(margin) * steps.astype(np.float32)
+        elif kind == "random":
+            row = rng.uniform(-1.0, 1.0, width).astype(np.float32)
+        elif kind == "busy":
+            row = rng.uniform(float(at_floor), 1.0, width).astype(np.float32)
+        rows.append(row)
+    sims = np.array(rows, dtype=np.float32).reshape(len(rows), width)
+    return sims, k, floor, margin
+
+
+@settings(deadline=None, max_examples=400)
+@given(block=score_blocks())
+def test_the_count_first_row_cut_keeps_what_the_partition_kept(block):
+    # A row with at most k scores at or above the floor skips the partition;
+    # the pairs must be those of a partition of every live row wider than k.
+    sims, k, floor, margin = block
+    got = _row_survivors(sims, k, floor, margin)
+    expected = oracle_row_survivors(sims, k, floor, margin)
+    assert [a.tolist() for a in got] == [a.tolist() for a in expected]

@@ -215,7 +215,31 @@ def _verb_modules(argv: list[str]) -> set[str]:
     )
 
 
-def test_only_the_vector_verbs_load_numpy(corpus):
+def _with_embedding(config: str, directory, name: str, lines: list[str]) -> str:
+    """A copy of config with its embedding settings replaced by lines and
+    its output in directory / name."""
+    with open(config, encoding="utf-8") as handle:
+        kept = [line for line in handle.read().splitlines()
+                if not line.startswith(("embedding.", "out ="))]
+    path = str(directory / f"{name}.config")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(kept + lines + [f"out = {directory / name}"]) + "\n")
+    return path
+
+
+def _set_up_modules(config: str) -> set[str]:
+    """What the start-up every verb pays loads: the CLI import, the config,
+    the provider and the LLM client."""
+    return _modules_after(
+        "import sys\nimport ontomatch.cli\n"
+        "from ontomatch import config\n"
+        f"cfg = config.build_config(config.load_config_file({config!r}))\n"
+        "config.build_provider(cfg)\n"
+        "config.build_llm_client(cfg)\n"
+    )
+
+
+def test_only_the_vector_verbs_load_numpy(corpus, tmp_path):
     # Only the verbs that embed or retrieve need numpy, and only the HTTP
     # clients need urllib.request; each is a large share of a verb's start-up.
     config, out = corpus
@@ -232,31 +256,34 @@ def test_only_the_vector_verbs_load_numpy(corpus):
         assert "numpy" not in loaded, argv[0]
         assert "urllib.request" not in loaded, argv[0]
     assert "numpy" in _verb_modules(["build-kb", "--config", config])
+    deterministic = _with_embedding(
+        config, tmp_path, "deterministic", ["embedding.kind = deterministic"]
+    )
+    for path in (config, deterministic):
+        for verb in ("build-kb", "predict"):
+            loaded = _verb_modules([verb, "--config", path])
+            assert "urllib.request" not in loaded, (verb, path)
+        assert "urllib.request" not in _set_up_modules(path), path
+    with RecordingServer(embedding_behavior(4)) as server:
+        http = _with_embedding(config, tmp_path, "http", [
+            "embedding.kind = http", f"embedding.url = {server.url}",
+            "embedding.dim = 4",
+        ])
+        assert "urllib.request" in _verb_modules(["build-kb", "--config", http])
+        assert server.payloads
 
 
 def test_only_a_deterministic_build_kb_loads_numpy_random(corpus, tmp_path):
     # numpy.random is about 15 ms of a verb's start-up, and only hashing
     # labels into vectors needs it
     config, _ = corpus
-    with open(config, encoding="utf-8") as handle:
-        kept = [line for line in handle.read().splitlines()
-                if not line.startswith(("embedding.", "out ="))]
-    deterministic = str(tmp_path / "deterministic.config")
-    with open(deterministic, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(kept + [
-            "embedding.kind = deterministic", f"out = {tmp_path / 'out'}",
-        ]) + "\n")
+    deterministic = _with_embedding(
+        config, tmp_path, "deterministic", ["embedding.kind = deterministic"]
+    )
     assert "numpy.random" in _verb_modules(["build-kb", "--config", deterministic])
     for path in (config, deterministic):
         assert "numpy.random" not in _verb_modules(["predict", "--config", path])
-        set_up = _modules_after(
-            "import sys\nimport ontomatch.cli\n"
-            "from ontomatch import config\n"
-            f"cfg = config.build_config(config.load_config_file({path!r}))\n"
-            "config.build_provider(cfg)\n"
-            "config.build_llm_client(cfg)\n"
-        )
-        assert "numpy.random" not in set_up, path
+        assert "numpy.random" not in _set_up_modules(path), path
 
 
 def test_a_chat_match_loads_the_transport_but_not_numpy(corpus):
