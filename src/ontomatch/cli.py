@@ -104,7 +104,6 @@ def _embed(cfg, source, target, provider):
     source_path, target_path = _kb_paths(cfg)
     save_kb(source_kb, source_path)
     save_kb(target_kb, target_path)
-    provider.save_record(cfg.out)
     print(
         f"built KBs: {len(source_kb)} + {len(target_kb)} labels "
         f"(dim {provider.dim}) in {time.perf_counter() - start:.3f} s"
@@ -155,7 +154,6 @@ def cmd_predict(args) -> int:
     provider = config_mod.build_provider(cfg)
     source_path, target_path = _kb_paths(cfg)
     _require((source_path, target_path), "KB", "build-kb")
-    provider.use_record(cfg.out)
     source_kb = load_kb(source_path, expected_fingerprint=provider.fingerprint)
     target_kb = load_kb(target_path, expected_fingerprint=provider.fingerprint)
     _retrieve(cfg, source, target, source_kb, target_kb)

@@ -3,16 +3,14 @@
 Three providers share one interface: a deterministic hash-based encoder for
 tests and synthetic corpora (optionally overridden by fixture vectors), a
 precomputed-vector file, and a remote HTTP service. All scores the pipeline
-compares or persists go through round_scores (round_score for one value),
-the single place the 5-decimal half-away-from-zero rule lives.
+compares or persists go through round_scores, the single place the
+5-decimal half-away-from-zero rule lives.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import re
 import threading
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterator, Mapping, Sequence
@@ -21,7 +19,6 @@ from urllib.parse import urlparse
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DimensionMismatch,
     InvalidParameter,
     MalformedRecord,
@@ -72,11 +69,6 @@ def round_scores(scores) -> np.ndarray:
     return rounded
 
 
-def round_score(score: float) -> float:
-    """round_scores for one value."""
-    return float(round_scores([float(score)])[0])
-
-
 class EmbeddingProvider:
     """Base class: batch label encoding with a thread-safe cache.
 
@@ -99,12 +91,6 @@ class EmbeddingProvider:
 
     def _encode_batch(self, labels: Sequence[str]) -> np.ndarray:
         raise NotImplementedError
-
-    def save_record(self, out_dir: str) -> None:
-        """Leave in out_dir what use_record reads; most providers need none."""
-
-    def use_record(self, out_dir: str) -> None:
-        """Take the fingerprint from save_record's record where it holds."""
 
     def encode(self, labels: Sequence[str]) -> np.ndarray:
         if not labels:
@@ -295,16 +281,17 @@ _BLOCK_TOKENS = 1 << 14
 _COMMA, _ZERO = ord(","), np.frombuffer(b"0.0", np.uint8)  # repr(0.0)
 
 
-def _record_blocks(path: str, raw) -> Iterator[list[tuple[int, str, str, int]]]:
+def _record_blocks(path: str, hasher) -> Iterator[list[tuple[int, str, str, int]]]:
     """The vector file's records in runs of about _BLOCK_TOKENS tokens.
 
     Each run is a list of (line_no, label, payload, token count). A line
     the reader rejects is raised only after the run read before it, so a
-    fault in an earlier row is still the one reported.
+    fault in an earlier row is still the one reported. hasher is fed the
+    file's bytes as they are read.
     """
     block, size = [], 0
     try:
-        for line_no, (label, payload) in read_records(path, 2, raw):
+        for line_no, (label, payload) in read_records(path, 2, hasher):
             width = payload.count(",") + 1
             block.append((line_no, label, payload, width))
             size += width
@@ -384,30 +371,22 @@ def _first_fault(
     return row, reason
 
 
-def load_vector_file(path: str, raw=None) -> tuple[dict[str, np.ndarray], str]:
+def load_vector_file(path: str) -> tuple[dict[str, np.ndarray], str]:
     """Parse a precomputed-vector file: label<TAB>comma-separated floats.
 
     Comment (#) and blank lines are skipped. All rows must share one
     dimensionality and be finite; the first faulty row is reported. Returns
-    the rows and their _fixtures_digest, which hashes each row's canonical
-    repr text, so the digest depends on the values and not on how the file
-    spells them. raw, a hasher such as hashlib.sha256(), is fed the bytes
-    as they are parsed.
+    the rows and the sha256 hex digest of the bytes the parse read, so the
+    rows and the digest come from one read of the file.
 
     Rows are parsed a block of about _BLOCK_TOKENS tokens at a time. A
     token spelled '0.0' is found as bytes and never becomes a Python object;
-    each distinct other token of the block goes through float() once. A row
-    whose every token is already its value's repr is its own canonical
-    text, so it is hashed without formatting a float. While labels arrive
-    in ascending order, as write_vector_file writes them, each block is
-    hashed as it is read; the first label out of order falls back to
-    digesting the rows at the end.
+    each distinct other token of the block goes through float() once.
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     hasher = hashlib.sha256()
-    previous: str | None = ""  # the last label hashed; None once out of order
-    for block in _record_blocks(path, raw):
+    for block in _record_blocks(path, hasher):
         line_nos, labels, payloads, widths = zip(*block)
         widths = np.array(widths)
         if dim is None:
@@ -416,45 +395,24 @@ def load_vector_file(path: str, raw=None) -> tuple[dict[str, np.ndarray], str]:
         distinct = dict.fromkeys(others)
         fresh = dict.fromkeys(labels)
         try:
-            values = list(map(float, distinct))
+            parsed = np.array(list(map(float, distinct)), dtype=np.float64)
         except ValueError:
-            values = None
-        else:
-            parsed = np.array(values, dtype=np.float64)
-        if (values is None or not np.isfinite(parsed).all()
+            parsed = None
+        if (parsed is None or not np.isfinite(parsed).all()
                 or "" in fresh or len(fresh) < len(labels)
                 or not vectors.keys().isdisjoint(fresh) or (widths != dim).any()):
             row, reason = _first_fault(labels, widths, dim, vectors, zero, others)
             raise MalformedRecord(path, line_nos[row], reason)
         flat = np.zeros(zero.size)
-        if len(values) < len(others):  # repeated tokens: one value per token
-            index = dict(zip(distinct, range(len(values))))
+        if len(parsed) < len(others):  # repeated tokens: one value per token
+            index = dict(zip(distinct, range(len(parsed))))
             parsed = parsed[np.fromiter(map(index.__getitem__, others),
                                         np.intp, len(others))]
         flat[~zero] = parsed
-        rows = flat.reshape(len(labels), dim)
-        vectors.update(zip(labels, rows))
-        if (previous is None or previous >= labels[0]
-                or list(labels) != sorted(labels)):
-            previous = None
-            continue
-        texts = payloads
-        reprs = list(map(repr, values))
-        if reprs != list(distinct):  # some token is not its value's repr
-            odd = {token for token, text in zip(distinct, reprs) if token != text}
-            odd_tokens = np.zeros(zero.size, dtype=bool)
-            odd_tokens[~zero] = np.fromiter(map(odd.__contains__, others),
-                                            bool, len(others))
-            odd_rows = odd_tokens.reshape(rows.shape).any(axis=1)
-            texts = [_row_text(row) if redo else payload
-                     for row, payload, redo in zip(rows, payloads, odd_rows)]
-        hasher.update("".join(map("{}\t{}\n".format, labels, texts)).encode("utf-8"))
-        previous = labels[-1]
+        vectors.update(zip(labels, flat.reshape(len(labels), dim)))
     if not vectors:
         raise MalformedRecord(path, 0, "no vector rows")
-    if previous is None:
-        return vectors, _fixtures_digest(vectors)
-    return vectors, hasher.hexdigest()[:8]
+    return vectors, hasher.hexdigest()
 
 
 def write_vector_file(path: str, vectors: Mapping[str, np.ndarray]) -> None:
@@ -502,32 +460,26 @@ def write_vector_file(path: str, vectors: Mapping[str, np.ndarray]) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-# build-kb's record in the output directory, outside kb/: the sha256 of the
-# vector file's bytes, a tab and the fingerprint; keyed on content alone.
-RECORD_NAME = "vectors.sha256"
-_RECORD = re.compile(rb"([0-9a-f]{64})\t(file/d[1-9][0-9]*/[0-9a-f]{8})\n")
-
-
 class PrecomputedFileProvider(EmbeddingProvider):
     """Serves vectors from a file; unknown labels raise MissingVector.
 
-    The file is parsed at the first encode, or at the first dim or
-    fingerprint read unless use_record found a record of the file's bytes.
+    The fingerprint is `file/d<dim>/<first 8 hex of the file's sha256>`.
+    Read before the first encode, it costs a hash of the file and a read of
+    its first record; the file is parsed at the first encode, and the parse
+    sets the fingerprint from the bytes it read.
     """
 
     def __init__(self, path: str):
         super().__init__()
         self._path = path
-        self._vectors = self._fingerprint = None  # until _parse or use_record
+        self._vectors = self._fingerprint = None  # until read
 
     def _parse(self) -> dict[str, np.ndarray]:
         with self._cache_lock:
             if self._vectors is None:
-                raw = hashlib.sha256()
-                self._vectors, digest = load_vector_file(self._path, raw)
+                self._vectors, digest = load_vector_file(self._path)
                 dim = next(iter(self._vectors.values())).size
-                self._fingerprint = f"file/d{dim}/{digest}"
-                self._record = f"{raw.hexdigest()}\t{self._fingerprint}\n"
+                self._fingerprint = f"file/d{dim}/{digest[:8]}"
         return self._vectors
 
     @property
@@ -537,27 +489,17 @@ class PrecomputedFileProvider(EmbeddingProvider):
     @property
     def fingerprint(self) -> str:
         if self._fingerprint is None:
-            self._parse()
+            hasher = hashlib.sha256()
+            with open_input(self._path, "rb") as handle:
+                for chunk in iter(lambda: handle.read(1 << 20), b""):
+                    hasher.update(chunk)
+            for _, (_, payload) in read_records(self._path, 2):
+                dim = payload.count(",") + 1
+                break
+            else:
+                raise MalformedRecord(self._path, 0, "no vector rows")
+            self._fingerprint = f"file/d{dim}/{hasher.hexdigest()[:8]}"
         return self._fingerprint
-
-    def save_record(self, out_dir: str) -> None:
-        self._parse()
-        atomic_write_text(os.path.join(out_dir, RECORD_NAME), self._record)
-
-    def use_record(self, out_dir: str) -> None:
-        try:
-            with open_input(os.path.join(out_dir, RECORD_NAME), "rb") as handle:
-                found = _RECORD.fullmatch(handle.read())
-        except ConfigError:  # no record
-            return
-        if not found:
-            return
-        raw = hashlib.sha256()
-        with open_input(self._path, "rb") as handle:
-            for chunk in iter(lambda: handle.read(1 << 20), b""):
-                raw.update(chunk)
-        if raw.hexdigest().encode() == found[1]:
-            self._fingerprint = found[2].decode()
 
     def _encode_batch(self, labels: Sequence[str]) -> np.ndarray:
         vectors, rows = self._parse(), []

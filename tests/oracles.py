@@ -10,9 +10,10 @@ the prefilter's row cut as it was before it counted each row's scores at
 or above the floor.
 
 oracle_load_vector_file is the vector-file parser as it was before files
-were parsed in blocks, kept unchanged as the reference for rows, digest and
-error text: it parses one row at a time and shares the package's record
-reader and error type, which define the line grammar and message format.
+were parsed in blocks, kept as the reference for rows, digest and error
+text: it parses one row at a time and shares the package's record reader
+and error type, which define the line grammar and message format. Its
+digest is the sha256 of the file's bytes, read apart from the parse.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import math
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Mapping
 
 import numpy as np
 
@@ -295,57 +295,31 @@ def oracle_metrics(alignment_pairs, reference_pairs):
 def oracle_vector_fingerprint(path) -> str:
     """A vector file's provider fingerprint, `file/d<dim>/<8 hex>`.
 
-    The hex is sha256 over `label<TAB>` + the repr of each parsed component
-    joined by commas + a newline, for each label in sorted order, however
-    the file orders its rows or spells its numbers.
+    The dim is the component count of the first line that is neither blank
+    nor a comment; the hex is the start of the sha256 of the file's bytes,
+    so any change to the bytes, a reordering or a respelling included,
+    changes it.
     """
-    rows = {}
     with open(path, encoding="utf-8") as handle:
         for raw in handle:
             line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            label, payload = line.split("\t")
-            rows[label] = [float(token) for token in payload.split(",")]
-    hasher = hashlib.sha256()
-    for label in sorted(rows):
-        text = ",".join(repr(float(x)) for x in rows[label])
-        hasher.update(f"{label}\t{text}\n".encode("utf-8"))
-    dim = len(next(iter(rows.values())))
-    return f"file/d{dim}/{hasher.hexdigest()[:8]}"
-
-
-def _row_text(row: np.ndarray) -> str:
-    """A float64 row as the vector file writes it: each component's repr."""
-    return ",".join(map(repr, row.tolist()))
-
-
-def _fixtures_digest(fixtures: Mapping[str, np.ndarray]) -> str:
-    """sha256 over `label<TAB>row text` lines in label order, first 8 hex."""
-    hasher = hashlib.sha256()
-    for label in sorted(fixtures):
-        hasher.update(f"{label}\t{_row_text(fixtures[label])}\n".encode("utf-8"))
-    return hasher.hexdigest()[:8]
+            if line.strip() and not line.lstrip().startswith("#"):
+                dim = len(line.split("\t")[1].split(","))
+                break
+    with open(path, "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()
+    return f"file/d{dim}/{digest[:8]}"
 
 
 def oracle_load_vector_file(path: str) -> tuple[dict[str, np.ndarray], str]:
     """Parse a precomputed-vector file: label<TAB>comma-separated floats.
 
     Comment (#) and blank lines are skipped. All rows must share one
-    dimensionality and be finite. Returns the rows and their
-    _fixtures_digest, which hashes each row's canonical repr text, so the
-    digest depends on the values and not on how the file spells them.
-
-    Each distinct token of a row is parsed once. A row whose every token is
-    already its value's repr is its own canonical text, so it is hashed
-    without formatting a float. While labels arrive in ascending order, as
-    write_vector_file writes them, each row is hashed as it is read; the
-    first label out of order falls back to digesting the rows at the end.
+    dimensionality and be finite. Returns the rows and the sha256 hex
+    digest of the file's bytes. Each distinct token of a row is parsed once.
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    hasher = hashlib.sha256()
-    in_order, previous = True, ""
     for line_no, (label, payload) in read_records(path, 2):
         if not label:
             raise MalformedRecord(path, line_no, "empty label")
@@ -371,14 +345,7 @@ def oracle_load_vector_file(path: str) -> tuple[dict[str, np.ndarray], str]:
                 path, line_no, f"dimension {row.size} != first row's {dim}"
             )
         vectors[label] = row
-        in_order = in_order and label > previous
-        if in_order:
-            canonical = list(map(repr, values)) == list(distinct)
-            text = payload if canonical else _row_text(row)
-            hasher.update(f"{label}\t{text}\n".encode("utf-8"))
-            previous = label
     if not vectors:
         raise MalformedRecord(path, 0, "no vector rows")
-    if not in_order:
-        return vectors, _fixtures_digest(vectors)
-    return vectors, hasher.hexdigest()[:8]
+    with open(path, "rb") as handle:
+        return vectors, hashlib.sha256(handle.read()).hexdigest()

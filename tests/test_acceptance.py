@@ -18,7 +18,7 @@ import pytest
 import ontomatch
 
 from ontomatch.config import RunConfig, snapshot
-from ontomatch.embedding import SCORE_DECIMALS, DeterministicProvider, round_score
+from ontomatch.embedding import SCORE_DECIMALS, DeterministicProvider, round_scores
 from ontomatch.evaluation import evaluate, load_reference
 from ontomatch.llm import OracleClient, PromptTemplate, ScriptedClient
 from ontomatch.matcher import (
@@ -397,7 +397,7 @@ def test_criterion_7_metric_correctness(verdict):
         )
         assert report.precision == 0.75
         assert report.recall == 0.6
-        assert round_score(report.f_measure) == 0.66667
+        assert round_scores([report.f_measure])[0] == 0.66667
 
         rng = random.Random(0)
         universe = [(f"s{i}", f"t{j}") for i in range(15) for j in range(15)]
@@ -432,8 +432,8 @@ def test_criterion_8_default_settings(verdict):
         assert "tau = 0.75" in lines
         assert "llm.temperature = 0.7" in lines
         assert SCORE_DECIMALS == 5
-        assert round_score(0.123456789) == 0.12346
-        assert round_score(0.000005) == 1e-05
+        assert round_scores([0.123456789])[0] == 0.12346
+        assert round_scores([0.000005])[0] == 1e-05
         return "k=5, tau=0.75, temperature=0.7, 5-decimal half-up rounding"
 
     verdict(8, "default configuration matches the reported settings", body)

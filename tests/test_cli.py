@@ -21,7 +21,6 @@ from ontomatch.cli import (
     EXIT_PARSE,
     main,
 )
-from ontomatch.embedding import RECORD_NAME
 
 from stubs import RecordingServer
 
@@ -201,7 +200,7 @@ def test_run_all_reproduces_the_stepwise_artifacts(tmp_path, capsys):
     together = run_artifacts(out2)
     assert sorted(together) == sorted(stepwise)
     assert {os.path.basename(path) for path in together} == {
-        "source.kb", "target.kb", RECORD_NAME, "s2t.tsv", "t2s.tsv",
+        "source.kb", "target.kb", "s2t.tsv", "t2s.tsv",
         "alignment.tsv", "trace.tsv", "report.json", "llm_log.jsonl",
         "config.txt", "eval.json", "compare.txt", "compare.tsv",
     }
@@ -1023,32 +1022,50 @@ def candidate_dbs(out):
             for name in ("s2t.tsv", "t2s.tsv")]
 
 
-def test_build_kb_records_the_vector_file_bytes_and_fingerprint(tmp_path):
-    out, _ = built_corpus(tmp_path)
-    provider = embedding.PrecomputedFileProvider(vector_file(out))
-    raw = hashlib.sha256(read_bytes(vector_file(out))).hexdigest()
-    assert read_bytes(os.path.join(out, RECORD_NAME)) == (
-        f"{raw}\t{provider.fingerprint}\n".encode()
-    )
-    assert RECORD_NAME not in kb_files(out)  # KB bytes do not depend on it
+def refuse_to_parse(*args, **kwargs):
+    raise AssertionError("predict parsed the vector file")
 
 
-def test_predict_with_a_record_never_parses_the_vector_file(
-    tmp_path, monkeypatch
+def test_predict_hashes_the_vector_file_and_never_parses_it(
+    tmp_path, monkeypatch, capsys
 ):
     out, config = built_corpus(tmp_path)
-    real = embedding.load_vector_file
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("predict parsed the vector file")
-
-    monkeypatch.setattr(embedding, "load_vector_file", refuse)
+    path = vector_file(out)
+    monkeypatch.setattr(embedding, "load_vector_file", refuse_to_parse)
     assert main(["predict", "--config", config]) == EXIT_OK
-    recorded = candidate_dbs(out)
-    monkeypatch.setattr(embedding, "load_vector_file", real)
-    os.remove(os.path.join(out, RECORD_NAME))
+    assert all(candidate_dbs(out))
+    # malformed bytes: the stale-KB check answers before any parse could
+    with open(path, "wb") as handle:
+        handle.write(b"a\t1.0,x\nno tab\n")
+    capsys.readouterr()
+    assert main(["predict", "--config", config]) == EXIT_CONFIG
+    assert "rebuild the KB" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: text[:-1],
+    lambda text: text[:40],
+    lambda text: b"",
+    lambda text: b"\xff\xfe" + text,
+    lambda text: text.replace(b"\t", b" "),
+    lambda text: text.replace(b"file/d", b"file/x"),
+    lambda text: b"0" * 64 + text[64:],
+    lambda text: text,
+], ids=["last-byte-cut", "half-cut", "empty", "not-utf8", "no-tab",
+        "bad-fingerprint", "other-bytes", "intact"])
+def test_a_damaged_record_falls_back_to_the_parse(tmp_path, monkeypatch, damage):
+    # predict never reads a vectors.sha256 left by an older build: whatever
+    # its shape, the fingerprint comes from hashing the vector file's bytes,
+    # the one check that replaced the parse the record once fell back to
+    out, config = built_corpus(tmp_path)
     assert main(["predict", "--config", config]) == EXIT_OK
-    assert candidate_dbs(out) == recorded
+    expected = candidate_dbs(out)
+    raw = hashlib.sha256(read_bytes(vector_file(out))).hexdigest()
+    with open(os.path.join(out, "vectors.sha256"), "wb") as handle:
+        handle.write(damage(f"{raw}\tfile/d1/00000000\n".encode()))
+    monkeypatch.setattr(embedding, "load_vector_file", refuse_to_parse)
+    assert main(["predict", "--config", config]) == EXIT_OK
+    assert candidate_dbs(out) == expected
 
 
 def test_predict_after_an_edit_that_keeps_size_and_mtime_is_stale(
@@ -1071,32 +1088,6 @@ def test_predict_after_an_edit_that_keeps_size_and_mtime_is_stale(
     assert "rebuild the KB" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", [
-    lambda text: text[:-1],
-    lambda text: text[:40],
-    lambda text: b"",
-    lambda text: b"\xff\xfe" + text,
-    lambda text: text.replace(b"\t", b" "),
-    lambda text: text.replace(b"file/d", b"file/x"),
-    lambda text: b"0" * 64 + text[64:],
-], ids=["last-byte-cut", "half-cut", "empty", "not-utf8", "no-tab",
-        "bad-fingerprint", "other-bytes"])
-def test_a_damaged_record_falls_back_to_the_parse(tmp_path, monkeypatch, damage):
-    out, config = built_corpus(tmp_path)
-    assert main(["predict", "--config", config]) == EXIT_OK
-    recorded = candidate_dbs(out)
-    record = os.path.join(out, RECORD_NAME)
-    with open(record, "wb") as handle:
-        handle.write(damage(read_bytes(record)))
-    parses = []
-    real = embedding.load_vector_file
-    monkeypatch.setattr(embedding, "load_vector_file",
-                        lambda *args: parses.append(1) or real(*args))
-    assert main(["predict", "--config", config]) == EXIT_OK
-    assert parses == [1]
-    assert candidate_dbs(out) == recorded
-
-
 def test_predict_without_the_vector_file_exits_config(tmp_path, capsys):
     out, config = built_corpus(tmp_path)
     os.remove(vector_file(out))
@@ -1111,5 +1102,3 @@ def test_kb_bytes_do_not_depend_on_the_directory_built_in(tmp_path):
     second, _ = built_corpus(tmp_path / "elsewhere")
     assert read_bytes(vector_file(first)) == read_bytes(vector_file(second))
     assert kb_files(first) == kb_files(second)
-    assert (read_bytes(os.path.join(first, RECORD_NAME))
-            == read_bytes(os.path.join(second, RECORD_NAME)))

@@ -3,7 +3,6 @@
 import concurrent.futures
 import hashlib
 import math
-import os
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -21,7 +20,6 @@ from ontomatch.embedding import (
     HttpProvider,
     PrecomputedFileProvider,
     load_vector_file,
-    round_score,
     round_scores,
     round_window,
     seed_words,
@@ -71,24 +69,24 @@ def test_score_decimals_constant():
     ],
 )
 def test_round_score_half_away_from_zero(raw, expected):
-    assert round_score(raw) == expected
+    assert round_scores([raw])[0] == expected
 
 
 def test_round_score_differs_from_bankers_rounding():
     assert round(0.123455, 5) == 0.12345  # banker's / representation rounding
-    assert round_score(0.123455) == 0.12346
+    assert round_scores([0.123455])[0] == 0.12346
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_round_score_rejects_non_finite(bad):
     with pytest.raises(InvalidParameter):
-        round_score(bad)
+        round_scores([bad])
 
 
 @given(finite_scores)
 def test_round_score_idempotent_and_close(x):
-    once = round_score(x)
-    assert round_score(once) == once
+    once = round_scores([x])[0]
+    assert round_scores([once])[0] == once
     assert abs(once - x) <= 5.000001e-06
     assert once == oracle_round(x)
 
@@ -96,7 +94,7 @@ def test_round_score_idempotent_and_close(x):
 @given(finite_scores, finite_scores)
 def test_round_score_monotone(x, y):
     lo, hi = min(x, y), max(x, y)
-    assert round_score(lo) <= round_score(hi)
+    assert round_scores([lo])[0] <= round_scores([hi])[0]
 
 
 def _half_and_neighbours(m: int) -> list[float]:
@@ -157,7 +155,7 @@ def test_cosine_similarity_known_value():
     v = np.array([4.0, 5.0, 6.0])
     expected = 32.0 / math.sqrt(14.0 * 77.0)
     assert oracle_cosine(u, v) == pytest.approx(expected, abs=1e-15)
-    assert round_score(oracle_cosine(u, v)) == 0.97463
+    assert round_scores([oracle_cosine(u, v)])[0] == 0.97463
 
 
 def test_deterministic_provider_repeatable_and_unit_norm():
@@ -329,7 +327,7 @@ def test_vector_file_malformed_inputs(tmp_path, content):
 
 # Unsorted rows, and tokens that are not their value's repr: a leading space,
 # a sign, an underscore, an exponent, surplus digits, '-0'. The fingerprint
-# was computed with the rule before rows were hashed as they are read.
+# is the start of the sha256 of these bytes.
 PINNED_VECTOR_FILE = (
     "# c\n"
     "b\t1,1e0,0.50,-0, 2.5,+1.0,1_0,1.0000000000000001,5e-324,-0.0\n"
@@ -342,7 +340,7 @@ def test_vector_file_fingerprint_is_pinned(tmp_path):
     path = tmp_path / "pinned.tsv"
     path.write_text(PINNED_VECTOR_FILE, encoding="utf-8")
     provider = PrecomputedFileProvider(path)
-    assert provider.fingerprint == "file/d10/52166b1c"
+    assert provider.fingerprint == "file/d10/210b464a"
     assert provider.fingerprint == oracle_vector_fingerprint(path)
     loaded, _ = load_vector_file(path)
     for line in PINNED_VECTOR_FILE.splitlines()[1:]:
@@ -384,9 +382,9 @@ def vector_rows(draw):
 @settings(deadline=None, max_examples=150)
 @given(rows=vector_rows(), data=st.data())
 def test_vector_file_digest_matches_the_oracle(tmp_path_factory, rows, data):
-    """Sorted files are hashed as they are read, unsorted ones at the end;
-    both give the oracle's fingerprint and the exact rows, whether each
-    component is written as its repr or with 17 significant digits."""
+    """Sorted and unsorted files give the oracle's fingerprint and the exact
+    rows, whether each component is written as its repr or with 17
+    significant digits."""
     directory = tmp_path_factory.mktemp("vectors")
     spell = {
         label: data.draw(st.lists(st.booleans(), min_size=len(row),
@@ -522,7 +520,7 @@ def test_vector_file_of_several_blocks_matches_the_oracle(tmp_path, order):
     assert outcome == _parse_outcome(oracle_load_vector_file, path)
 
 
-def test_a_shuffled_vector_file_has_the_sorted_file_digest(tmp_path):
+def test_a_reordered_vector_file_has_the_same_rows_and_another_digest(tmp_path):
     rng = np.random.default_rng(3)
     shape = (400, 100)
     rows = np.where(rng.random(shape) < 0.1, rng.standard_normal(shape), 0.0)
@@ -530,19 +528,17 @@ def test_a_shuffled_vector_file_has_the_sorted_file_digest(tmp_path):
              for i, row in enumerate(rows)]
     sorted_path, shuffled_path = tmp_path / "sorted.tsv", tmp_path / "shuffled.tsv"
     sorted_path.write_text("".join(lines), encoding="utf-8")
-    # every fifth row also spells one zero otherwise than repr(0.0)
-    respelled = [line if i % 5 else line.replace(",0.0,", ",0e0,", 1)
-                 for i, line in enumerate(lines)]
-    shuffled_path.write_text("".join(rng.permutation(respelled)), encoding="utf-8")
+    shuffled_path.write_text("".join(rng.permutation(lines)), encoding="utf-8")
     assert rows.size > 2 * embedding._BLOCK_TOKENS
     vectors, digest = load_vector_file(sorted_path)
     shuffled, shuffled_digest = load_vector_file(shuffled_path)
-    assert shuffled_digest == digest
     assert {k: v.tobytes() for k, v in shuffled.items()} == {
         k: v.tobytes() for k, v in vectors.items()
     }
+    # the fingerprint names the bytes, so a reordered file needs a new KB
+    assert shuffled_digest != digest
     assert (PrecomputedFileProvider(shuffled_path).fingerprint
-            == oracle_vector_fingerprint(sorted_path))
+            == oracle_vector_fingerprint(shuffled_path))
 
 
 @pytest.mark.parametrize("text", [
@@ -553,9 +549,8 @@ def test_a_shuffled_vector_file_has_the_sorted_file_digest(tmp_path):
 def test_the_parse_hashes_the_raw_bytes_it_reads(tmp_path, text):
     path = tmp_path / "v.tsv"
     path.write_bytes(text.encode("utf-8"))
-    raw = hashlib.sha256()
-    load_vector_file(path, raw)
-    assert raw.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+    _, digest = load_vector_file(path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_the_file_provider_parses_at_first_use(tmp_path, monkeypatch):
@@ -576,24 +571,59 @@ def test_the_file_provider_parses_at_first_use(tmp_path, monkeypatch):
     assert parses == [1]
 
 
-def test_a_record_answers_only_for_the_bytes_it_names(tmp_path, monkeypatch):
-    path, out_dir = tmp_path / "v.tsv", str(tmp_path / "out")
-    write_vector_file(path, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 2.0])})
-    built = PrecomputedFileProvider(str(path))
-    built.save_record(out_dir)
-    monkeypatch.setattr(embedding, "load_vector_file", None)  # no parse below
-    answered = PrecomputedFileProvider(str(path))
-    answered.use_record(out_dir)
-    assert (answered.fingerprint, answered.dim) == (built.fingerprint, 2)
-    monkeypatch.undo()
-    # the same values spelled otherwise: another record key, the same fingerprint
-    path.write_text("a\t1.0,0.0\nb\t0.0,2.00\n", encoding="utf-8")
-    reparsed = PrecomputedFileProvider(str(path))
-    reparsed.use_record(out_dir)
-    assert reparsed._fingerprint is None
-    assert reparsed.fingerprint == built.fingerprint
-    DeterministicProvider(dim=2).save_record(out_dir)  # writes nothing
-    assert os.listdir(out_dir) == [embedding.RECORD_NAME]
+@st.composite
+def spelled_vector_files(draw):
+    """A well-formed vector file's bytes: rows sorted or shuffled, LF or
+    CRLF line ends, comment and blank lines, tokens spelled otherwise than
+    their value's repr."""
+    dim = draw(st.integers(1, 6))
+    labels = draw(st.lists(
+        st.text(alphabet="ab é_Z1-", min_size=1, max_size=5),
+        min_size=1, max_size=8, unique=True,
+    ))
+    labels = sorted(labels) if draw(st.booleans()) else draw(st.permutations(labels))
+    component = st.one_of(
+        st.sampled_from(EDGE_COMPONENTS),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    lines = []
+    for label in labels:
+        lines += draw(st.lists(st.sampled_from(["# c", "", "  ", " # x\ty"]),
+                               max_size=2))
+        tokens = [
+            draw(st.sampled_from([repr(x), f"{x:.17e}", f"{x:.17g}"]))
+            for x in draw(st.lists(component, min_size=dim, max_size=dim))
+        ]
+        for where in draw(st.lists(st.integers(0, dim - 1), max_size=2)):
+            tokens[where] = draw(st.sampled_from(ZERO_SPELLINGS + ODD_TOKENS))
+        lines.append(f"{label}\t{','.join(tokens)}")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    tail = end if draw(st.booleans()) else ""
+    return (end.join(lines) + tail).encode("utf-8")
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=spelled_vector_files())
+def test_the_file_fingerprint_is_the_sha256_of_the_bytes(tmp_path_factory, data):
+    """Read before any parse, the fingerprint hashes the file and never
+    parses it; after encode it comes from the parse. Both are the raw-bytes
+    rule."""
+    path = tmp_path_factory.mktemp("vectors") / "v.tsv"
+    path.write_bytes(data)
+
+    def refuse(*args):
+        raise AssertionError("the fingerprint parsed the vector file")
+
+    with mock.patch.object(embedding, "load_vector_file", refuse):
+        unparsed = PrecomputedFileProvider(str(path))
+        hashed = (unparsed.fingerprint, unparsed.dim)
+    rows, _ = load_vector_file(path)
+    parsed = PrecomputedFileProvider(str(path))
+    parsed.encode(list(rows))
+    dim = next(iter(rows.values())).size
+    expected = f"file/d{dim}/{hashlib.sha256(path.read_bytes()).hexdigest()[:8]}"
+    assert hashed == (parsed.fingerprint, parsed.dim) == (expected, dim)
+    assert expected == oracle_vector_fingerprint(path)
 
 
 @pytest.mark.parametrize("vectors", [
@@ -754,7 +784,7 @@ def test_disease_vectors_reproduce_designed_similarities(disease_pipeline):
 
     def sim(a, b):
         rows = provider.encode([a, b])
-        return round_score(oracle_cosine(rows[0], rows[1]))
+        return round_scores([oracle_cosine(rows[0], rows[1])])[0]
 
     assert sim("clear cell sarcoma of soft tissue", "clear cell sarcoma") == 0.80521
     assert sim("clear cell sarcoma - not kidney",

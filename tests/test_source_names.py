@@ -3,10 +3,11 @@ user in the shipped code.
 
 A function, class or constant that only the tests call is a second code
 path that no verb runs. The first scan takes each top-level name defined in
-src/ontomatch/*.py and looks for it, as a whole word, in the rest of
-src/ontomatch and in perfbench/*.py, with the lines of its own definition
-left out. Dunder names are not checked: Python itself reads them
-(`__all__`, `__version__`).
+src/ontomatch/*.py and looks for it as code, a name or an attribute (f-string
+expressions included), in the rest of src/ontomatch and in perfbench/*.py,
+with the lines of its own definition left out. A mention in a docstring,
+comment or other string does not count. Dunder names are not checked:
+Python itself reads them (`__all__`, `__version__`).
 
 A dataclass field that nothing reads is built, copied and compared for no
 one. The second scan fails on a field of a @dataclass in src/ontomatch whose
@@ -18,7 +19,6 @@ src/ontomatch module but fileio.py, so every input is read through fileio.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,20 +39,31 @@ def _top_level_names(tree):
             yield node.target.id, node
 
 
+def _uses(tree):
+    """(name, line) for each name and attribute the code reads or sets."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
 def test_every_top_level_name_is_used_in_src_or_perfbench():
-    texts = {path: path.read_text(encoding="utf-8") for path in PACKAGE + BENCH}
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE + BENCH
+    }
+    uses = {path: list(_uses(tree)) for path, tree in trees.items()}
     orphans = []
     for path in PACKAGE:
-        lines = texts[path].splitlines(keepends=True)
-        for name, node in _top_level_names(ast.parse(texts[path])):
+        for name, node in _top_level_names(trees[path]):
             if name.startswith("__") and name.endswith("__"):
                 continue
-            outside = lines[:node.lineno - 1] + lines[node.end_lineno:]
-            rest = ["".join(outside)] + [
-                text for other, text in texts.items() if other != path
-            ]
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            if not any(word.search(text) for text in rest):
+            if not any(
+                used == name
+                and (other != path or not node.lineno <= line <= node.end_lineno)
+                for other, found in uses.items()
+                for used, line in found
+            ):
                 orphans.append(f"{path.name}:{name}")
     assert orphans == []
 
