@@ -82,7 +82,7 @@ def save_candidate_db(db: CandidateDB, path: str) -> None:
 
 
 def load_candidate_db(path: str, query_ontology: Ontology) -> CandidateDB:
-    """Load a candidate DB, restoring empty lists for unlisted entities.
+    """Load a candidate DB; unlisted entities share one empty list.
 
     The query ontology supplies the entity-id universe; owners in the file
     that it does not contain mean the DB belongs to different inputs. An
@@ -122,17 +122,15 @@ def load_candidate_db(path: str, query_ontology: Ontology) -> CandidateDB:
             raise MalformedRecord(path, line_no, f"repeated candidate {candidate_id!r}")
         pairs.add((owner, candidate_id))
         bucket.append((candidate_id, score))
-    unknown = set(per_owner) - set(query_ontology.ids)
+    unknown = [owner for owner in per_owner if owner not in query_ontology]
     if unknown:
-        sample = sorted(unknown)[0]
         raise StaleKB(
-            f"{path} lists owner {sample!r} which {query_ontology.name!r} does "
-            "not contain; the DB was built from different inputs"
+            f"{path} lists owner {min(unknown)!r} which {query_ontology.name!r} "
+            "does not contain; the DB was built from different inputs"
         )
-    lists = {
-        entity_id: CandidateList(tuple(per_owner.get(entity_id, ())))
-        for entity_id in query_ontology.ids
-    }
+    lists = dict.fromkeys(query_ontology.ids, CandidateList(()))
+    for owner, bucket in per_owner.items():
+        lists[owner] = CandidateList(tuple(bucket))
     return CandidateDB(
         direction=direction,
         query_name=headers["query"],

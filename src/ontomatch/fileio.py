@@ -58,7 +58,11 @@ def read_lines(path: str, what: str = "", hasher=None) -> Iterator[str]:
 
 def read_text(path: str, what: str = "") -> str:
     """The whole of a UTF-8 text file; errors as for read_lines."""
-    return "".join(read_lines(path, what))
+    with open_input(path, "r", what) as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedRecord(path, 0, f"not UTF-8 text: {exc}") from None
 
 
 def read_records(
@@ -67,16 +71,17 @@ def read_records(
     """Yield (line_no, fields) for each record of a tab-separated text file.
 
     This is the one line grammar of every text format: blank lines and lines
-    whose first non-blank character is '#' are skipped, line endings (LF or
-    CRLF) are stripped, and the rest splits on tab. With n_fields set, any
-    other field count raises MalformedRecord at that line; hasher as for
-    read_lines.
+    whose first non-blank character is '#' are skipped, line endings (LF,
+    CRLF or a lone CR) are stripped, and the rest splits on tab. With
+    n_fields set, any other field count raises MalformedRecord at that line;
+    hasher as for read_lines.
     """
+    # Universal newlines end every line read in "\n" alone, so no "\r" is left.
     for line_no, raw in enumerate(read_lines(path, hasher=hasher), start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
+        head = raw.lstrip()
+        if not head or head[0] == "#":
             continue
-        fields = line.split("\t")
+        fields = raw.rstrip("\n").split("\t")
         if n_fields is not None and len(fields) != n_fields:
             raise MalformedRecord(
                 path, line_no,
@@ -91,7 +96,7 @@ def read_header(path: str) -> list[str]:
     for raw in read_lines(path):
         if not raw.startswith("#"):
             break
-        header.append(raw[1:].rstrip("\n").rstrip("\r"))
+        header.append(raw[1:].rstrip("\n"))
     return header
 
 

@@ -272,13 +272,15 @@ def _run_per_source(
 ) -> MatchRunReport:
     """Walk the plan's sources on the calling thread plus max_workers - 1 helpers.
 
-    Each thread takes the next source index under a lock. Once a walk
+    A source without candidates adds nothing to the report, so it is not
+    walked. Each thread takes the next source index under a lock. Once a walk
     raises, or the calling thread itself does (say on Ctrl-C), no thread
     takes another source; the walks already running end first. The report
     keeps the walks before the first failed source: EndpointUnavailable
     marks it partial, any other exception is re-raised.
     """
     start = time.perf_counter()
+    plan = [entry for entry in plan if entry[1]]
     results: list = [None] * len(plan)
     failures: dict[int, Exception] = {}
     lock = threading.Lock()

@@ -2,8 +2,8 @@
 
 An ontology arrives as a label dump: one entity per line,
 ``entity_id<TAB>preferred_label<TAB>syn1|syn2|...`` with ``#`` comments and
-blank lines ignored. The synonym field may be empty or absent. Entities are
-immutable once loaded.
+blank lines ignored; a line ends at LF, CRLF or a lone CR. The synonym field
+may be empty or absent. Entities are immutable once loaded.
 """
 
 from __future__ import annotations
@@ -78,43 +78,36 @@ class Ontology:
         return tuple(entity.id for entity in self.entities)
 
 
-def _parse_line(path: str, line_no: int, fields: list[str]) -> Entity:
-    if len(fields) == 2:
-        fields.append("")
-    if len(fields) != 3:
-        raise MalformedRecord(
-            path, line_no, f"expected 2 or 3 tab-separated fields, got {len(fields)}"
-        )
-    entity_id = fields[0].strip()
-    preferred = normalize_label(fields[1])
-    if not entity_id:
-        raise MalformedRecord(path, line_no, "empty entity id")
-    if not preferred:
-        raise MalformedRecord(path, line_no, "empty preferred label")
-    synonyms: list[str] = []
-    for raw in fields[2].split("|"):
-        synonym = normalize_label(raw)
-        if synonym and synonym != preferred and synonym not in synonyms:
-            synonyms.append(synonym)
-    return Entity(id=entity_id, preferred_label=preferred, synonyms=tuple(synonyms))
-
-
 def load_ontology(path: str, name: str) -> Ontology:
     """Parse a label dump into an Ontology.
 
     Raises MalformedRecord with the offending line number, DuplicateEntityId
     on repeated ids, and EmptyOntology when no entity lines remain.
     """
-    entities: list[Entity] = []
-    seen: set[str] = set()
+    by_id: dict[str, Entity] = {}
     for line_no, fields in read_records(path):
-        entity = _parse_line(path, line_no, fields)
-        if entity.id in seen:
-            raise DuplicateEntityId(
-                f"{path}:{line_no}: entity id {entity.id!r} already defined"
+        if len(fields) == 2:
+            fields.append("")
+        if len(fields) != 3:
+            raise MalformedRecord(
+                path, line_no, f"expected 2 or 3 tab-separated fields, got {len(fields)}"
             )
-        seen.add(entity.id)
-        entities.append(entity)
-    if not entities:
+        entity_id = fields[0].strip()
+        preferred = normalize_label(fields[1])
+        if not entity_id:
+            raise MalformedRecord(path, line_no, "empty entity id")
+        if not preferred:
+            raise MalformedRecord(path, line_no, "empty preferred label")
+        if entity_id in by_id:
+            raise DuplicateEntityId(
+                f"{path}:{line_no}: entity id {entity_id!r} already defined"
+            )
+        synonyms: list[str] = []
+        for raw in fields[2].split("|"):
+            synonym = normalize_label(raw)
+            if synonym and synonym != preferred and synonym not in synonyms:
+                synonyms.append(synonym)
+        by_id[entity_id] = Entity(entity_id, preferred, tuple(synonyms))
+    if not by_id:
         raise EmptyOntology(f"{path} contains no entities")
-    return Ontology(name=name, entities=tuple(entities))
+    return Ontology(name=name, entities=tuple(by_id.values()))

@@ -14,6 +14,13 @@ were parsed in blocks, kept as the reference for rows, digest and error
 text: it parses one row at a time and shares the package's record reader
 and error type, which define the line grammar and message format. Its
 digest is the sha256 of the file's bytes, read apart from the parse.
+
+oracle_read_records and oracle_load_ontology are the record grammar and the
+label-dump parser as they were before load_ontology parsed each line in its
+own loop: a line end is stripped twice, as LF then CR, a line is blank when
+its strip() is empty, and each entity is parsed apart, then checked against
+a set of the ids seen. They share only the error and entity types and
+normalize_label, the one label rule.
 """
 
 from __future__ import annotations
@@ -24,8 +31,9 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from ontomatch.errors import MalformedRecord
+from ontomatch.errors import DuplicateEntityId, EmptyOntology, MalformedRecord
 from ontomatch.fileio import read_records
+from ontomatch.ontology import Entity, Ontology, normalize_label
 
 _QUANTUM = Decimal("0.00001")
 
@@ -349,3 +357,62 @@ def oracle_load_vector_file(path: str) -> tuple[dict[str, np.ndarray], str]:
         raise MalformedRecord(path, 0, "no vector rows")
     with open(path, "rb") as handle:
         return vectors, hashlib.sha256(handle.read()).hexdigest()
+
+
+def oracle_read_records(path, n_fields=None):
+    """Yield (line_no, fields) for each record of a tab-separated text file:
+    blank and '#' lines skipped, LF then CR stripped, split on tab."""
+    with open(path, encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            fields = line.split("\t")
+            if n_fields is not None and len(fields) != n_fields:
+                raise MalformedRecord(
+                    path, line_no,
+                    f"expected {n_fields} tab-separated fields, got {len(fields)}",
+                )
+            yield line_no, fields
+
+
+def _oracle_parse_line(path, line_no, fields):
+    if len(fields) == 2:
+        fields.append("")
+    if len(fields) != 3:
+        raise MalformedRecord(
+            path, line_no, f"expected 2 or 3 tab-separated fields, got {len(fields)}"
+        )
+    entity_id = fields[0].strip()
+    preferred = normalize_label(fields[1])
+    if not entity_id:
+        raise MalformedRecord(path, line_no, "empty entity id")
+    if not preferred:
+        raise MalformedRecord(path, line_no, "empty preferred label")
+    synonyms = []
+    for raw in fields[2].split("|"):
+        synonym = normalize_label(raw)
+        if synonym and synonym != preferred and synonym not in synonyms:
+            synonyms.append(synonym)
+    return Entity(id=entity_id, preferred_label=preferred, synonyms=tuple(synonyms))
+
+
+def oracle_load_ontology(path, name):
+    """Parse a label dump: id<TAB>preferred[<TAB>syn1|syn2|...] per record.
+
+    MalformedRecord at the offending line, DuplicateEntityId on a repeated
+    id, EmptyOntology when no entity line remains.
+    """
+    entities = []
+    seen = set()
+    for line_no, fields in oracle_read_records(path):
+        entity = _oracle_parse_line(path, line_no, fields)
+        if entity.id in seen:
+            raise DuplicateEntityId(
+                f"{path}:{line_no}: entity id {entity.id!r} already defined"
+            )
+        seen.add(entity.id)
+        entities.append(entity)
+    if not entities:
+        raise EmptyOntology(f"{path} contains no entities")
+    return Ontology(name=name, entities=tuple(entities))

@@ -1,10 +1,12 @@
 """The shared text record grammar: read_records, read_header and read_text."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontomatch.errors import MalformedRecord
+from ontomatch.errors import ConfigError, MalformedRecord
 from ontomatch.fileio import read_header, read_records, read_text
 
 # Fields hold no tab or line break; the file is UTF-8, so no surrogates.
@@ -94,3 +96,18 @@ def test_text_that_is_not_utf8_is_a_malformed_record(tmp_path):
         with pytest.raises(MalformedRecord, match="not UTF-8 text") as info:
             read(path)
         assert info.value.line_no == 0
+
+
+def test_a_file_that_cannot_be_opened_is_a_config_error(tmp_path):
+    for path in (tmp_path / "missing.txt", tmp_path):
+        message = re.escape(f"cannot read prompt template {path}: ")
+        with pytest.raises(ConfigError, match=message):
+            read_text(path, "prompt template")
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read {path}: ")):
+            list(read_records(path))
+
+
+def test_read_text_ends_every_line_in_lf(tmp_path):
+    path = tmp_path / "text.txt"
+    path.write_bytes("a\r\nb\rc\x85d\u2028e\n\nf".encode("utf-8"))
+    assert read_text(path) == "a\nb\nc\x85d\u2028e\n\nf"

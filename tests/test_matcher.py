@@ -481,6 +481,110 @@ def test_endpoint_death_yields_partial_report(max_workers):
     assert all(c.source_id != "E2" for c in report.alignment.correspondences)
 
 
+def sparse_sources():
+    """Ten sources S0..S9 of which S0, S3, S4, S7 and S9 have no candidates;
+    the others have Tia (0.9) and Tib (0.8), both bidirectional, and S1's
+    Tia is HCB."""
+    ids = [f"S{i}" for i in range(10)]
+    listed = [i for i in range(10) if i not in (0, 3, 4, 7, 9)]
+    source = make_ontology("S", {sid: [f"source {sid}"] for sid in ids})
+    target_ids = [f"T{i}{end}" for i in listed for end in "ab"]
+    target = make_ontology("T", {tid: [f"target {tid}"] for tid in target_ids})
+    s2t = make_db("s2t", "S", "T", {
+        sid: ([(f"T{i}a", 0.9), (f"T{i}b", 0.8)] if i in listed else [])
+        for i, sid in enumerate(ids)
+    })
+    t2s_lists = {}
+    for i in listed:
+        t2s_lists[f"T{i}a"] = ([] if i == 1 else [("X", 0.95)]) + [(f"S{i}", 0.9)]
+        t2s_lists[f"T{i}b"] = [(f"S{i}", 0.8)]
+    t2s = make_db("t2s", "T", "S", t2s_lists)
+    with_rows = [ids[i] for i in listed]
+    return source, target, s2t, t2s, with_rows
+
+
+class FailAtQuery(LlmClient):
+    """Yes for candidates T*b, No for the rest; the nth query (from 1)
+    raises EndpointUnavailable."""
+
+    def __init__(self, n=0):
+        super().__init__()
+        self._n = n
+        self._asked = 0
+
+    def _respond(self, prompt, pair):
+        self._asked += 1
+        if self._asked == self._n:
+            raise EndpointUnavailable("endpoint went away")
+        return ("Yes" if pair[1].endswith("b") else "No"), 1
+
+
+def sparse_runs(source, target, s2t, t2s):
+    def mila(sources, llm, workers=1):
+        return match_mila(
+            sources, s2t, t2s, llm, TEMPLATE, source_onto=source,
+            target_onto=target, max_workers=workers,
+        )
+
+    def baseline(sources, llm, workers=1):
+        return match_baseline(
+            sources, s2t, llm, TEMPLATE, source_onto=source,
+            target_onto=target, max_workers=workers,
+        )
+
+    return mila, baseline
+
+
+def report_fields(report):
+    return (
+        report.trace, report.alignment, report.llm_query_count,
+        report.hcb_count, report.multi_matched_targets, report.partial,
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sources_without_candidates_change_nothing(workers):
+    source, target, s2t, t2s, with_rows = sparse_sources()
+    for run in sparse_runs(source, target, s2t, t2s):
+        every = run(None, FailAtQuery(), workers)
+        listed = run(with_rows, FailAtQuery(), workers)
+        assert report_fields(every) == report_fields(listed)
+        assert {e.source_id for e in every.trace} == set(with_rows)
+        assert every.llm_query_count > 0
+
+
+def test_sources_without_candidates_are_still_validated():
+    source, target, s2t, t2s, _ = sparse_sources()
+    for run in sparse_runs(source, target, s2t, t2s):
+        for sources, error in (
+            (["S1", "S0", "S0"], InvalidParameter),
+            (["S9", "S9"], InvalidParameter),
+            (["S1", "S4", "missing"], UnknownEntity),
+        ):
+            llm = FailAtQuery()
+            with pytest.raises(error):
+                run(sources, llm)
+            assert llm.query_count == 0
+
+
+def test_a_partial_run_keeps_the_walks_of_the_sources_before_the_failure():
+    # The reference is the run's own full report cut before the source
+    # that asks the nth query: the walks of every source before it.
+    source, target, s2t, t2s, _ = sparse_sources()
+    for run in sparse_runs(source, target, s2t, t2s):
+        full = run(None, FailAtQuery())
+        asks = [e for e in full.trace if e.outcome in (OUTCOME_LLM_YES, OUTCOME_LLM_NO)]
+        for n, failing in enumerate(asks, start=1):
+            report = run(None, FailAtQuery(n))
+            assert report.partial is True
+            kept = [e for e in full.trace if e.source_id < failing.source_id]
+            assert report.trace == kept
+            assert report.alignment.correspondences == tuple(
+                c for c in full.alignment.correspondences
+                if c.source_id < failing.source_id
+            )
+
+
 def one_candidate_sources(n):
     """n sources S00.., each with the single candidate T<source id>."""
     ids = [f"S{i:02d}" for i in range(n)]

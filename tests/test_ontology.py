@@ -5,7 +5,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontomatch.errors import (
@@ -14,6 +14,7 @@ from ontomatch.errors import (
     MalformedRecord,
     UnknownEntity,
 )
+from ontomatch.fileio import read_records
 from ontomatch.ontology import (
     Entity,
     Ontology,
@@ -22,6 +23,7 @@ from ontomatch.ontology import (
 )
 
 from conftest import make_ontology
+from oracles import oracle_load_ontology, oracle_read_records
 
 
 def write_dump(tmp_path, text):
@@ -70,6 +72,12 @@ def test_malformed_line_reports_position(tmp_path):
         load_ontology(path, name="X")
     assert excinfo.value.line_no == 2
     assert str(path) in str(excinfo.value)
+
+
+def test_a_lone_cr_ends_a_line(tmp_path):
+    path = tmp_path / "dump.tsv"
+    path.write_bytes(b"S1\talpha\rS2\tbeta\n")
+    assert load_ontology(path, name="X").ids == ("S1", "S2")
 
 
 def test_single_field_line_is_malformed(tmp_path):
@@ -150,3 +158,76 @@ def test_disease_corpus_loads(disease_pipeline):
         "clear cell sarcoma - not kidney",
     )
     assert len(target.entity("DOID:4880").labels) == 4
+
+
+# str.splitlines() ends a line at each of these; a file read must not.
+SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028"
+dump_labels = st.text(st.sampled_from("ab |#\xa0" + SPLITLINES_ONLY), max_size=5)
+# Mostly a label with a word in it, else one that may be blank.
+worded_labels = st.one_of(
+    st.tuples(dump_labels, st.sampled_from("xyz"), dump_labels).map("".join),
+    st.tuples(dump_labels, st.sampled_from("xyz"), dump_labels).map("".join),
+    dump_labels,
+)
+
+
+@st.composite
+def dump_lines(draw):
+    """One line of a label dump, without its end: mostly a record of 2 or 3
+    fields, else one of 1 or 4, a blank line or a comment."""
+    kind = draw(st.sampled_from(["record"] * 6 + ["blank", "comment"]))
+    lead = draw(st.sampled_from(["", " ", "\t", "\x0c ", "\x85"]))
+    if kind == "blank":
+        return lead + draw(st.sampled_from(["", " ", "\u2028", "\x1f"]))
+    if kind == "comment":
+        return lead + "#" + draw(dump_labels)
+    entity_id = draw(st.one_of(
+        st.integers(0, 9).map("E:{}".format),
+        st.integers(0, 9).map("E:{}".format),
+        st.sampled_from([" E:1 ", "E:\x85", "E\x1c2", "", " "]),
+    ))
+    preferred = draw(worded_labels)
+    synonyms = draw(st.lists(
+        st.one_of(worded_labels, st.just(preferred), st.just(f" {preferred} "),
+                  st.just("")),
+        max_size=4,
+    ))
+    fields = [entity_id, preferred, "|".join(synonyms), draw(dump_labels)]
+    return "\t".join(fields[:draw(st.sampled_from([2, 3] * 6 + [1, 4]))])
+
+
+@st.composite
+def dump_texts(draw):
+    lines = draw(st.lists(dump_lines(), max_size=8))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+def outcome(read):
+    """What read() returns, or its error's type, line number and message;
+    a generator's records before the error are kept."""
+    records = []
+    try:
+        result = read()
+        if not isinstance(result, Ontology):
+            records.extend(result)
+            result = records
+    except (MalformedRecord, DuplicateEntityId, EmptyOntology) as exc:
+        return records, type(exc), getattr(exc, "line_no", None), str(exc)
+    return result
+
+
+@settings(deadline=None, max_examples=150)
+@given(text=dump_texts())
+def test_dump_parse_equals_the_per_line_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("dump") / "dump.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(lambda: load_ontology(path, "X")) == outcome(
+        lambda: oracle_load_ontology(path, "X")
+    )
+    for n_fields in (None, 3):
+        assert outcome(lambda: read_records(path, n_fields)) == outcome(
+            lambda: oracle_read_records(path, n_fields)
+        )

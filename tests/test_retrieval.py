@@ -39,7 +39,7 @@ from ontomatch.retrieval import (
     save_kb,
 )
 
-from conftest import make_ontology, disease_vector_table
+from conftest import make_db, make_ontology, disease_vector_table
 from oracles import (
     oracle_direction_lists,
     oracle_entity_candidates,
@@ -457,6 +457,35 @@ def test_candidate_db_save_load_round_trip(disease_pipeline, tmp_path):
         assert loaded.lists[entity_id].candidates == lst.candidates
     with pytest.raises(UnknownEntity):
         loaded.candidates_of("ncit:MISSING")
+
+
+def test_candidate_db_round_trip_with_mostly_unlisted_entities(tmp_path):
+    ids = [f"E:{i:02d}" for i in range(40)][::-1]
+    onto = make_ontology("S", {entity_id: [f"label {entity_id}"] for entity_id in ids})
+    listed = {
+        "E:31": [("T:1", 0.9), ("T:2", 0.8)],
+        "E:05": [("T:2", 0.95)],
+        "E:17": [("T:3", 0.85), ("T:1", 0.85), ("T:4", 0.8)],
+    }
+    db = make_db("s2t", "S", "T", listed)
+    path = tmp_path / "s2t.tsv"
+    save_candidate_db(db, path)
+    loaded = load_candidate_db(path, onto)
+    assert list(loaded.lists) == list(onto.ids) == ids
+    for entity_id in ids:
+        assert loaded.lists[entity_id].candidates == tuple(listed.get(entity_id, ()))
+    assert loaded.total_candidates == db.total_candidates == 6
+
+    # Owners the ontology lacks, in file order Z:2, B:1, E:17 (known), A:9:
+    # the error names the sorted-first.
+    text = path.read_text(encoding="utf-8")
+    path.write_text(
+        text + "Z:2\tT:1\t0.90000\nB:1\tT:1\t0.90000\n"
+        "E:17\tT:9\t0.10000\nA:9\tT:1\t0.90000\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(StaleKB, match="lists owner 'A:9' which 'S' does not contain"):
+        load_candidate_db(path, onto)
 
 
 def test_candidate_db_restores_empty_lists(tmp_path):
