@@ -18,9 +18,9 @@ import shutil
 import sys
 import time
 from contextlib import closing, suppress
+from typing import TYPE_CHECKING
 
 from . import config as config_mod
-from .candidates import load_candidate_db
 # EXIT_CONFIG, EXIT_FAILURE and EXIT_PARSE are imported so callers can
 # take every exit code from this module.
 from .errors import (
@@ -35,33 +35,17 @@ from .errors import (
     PersistFailure,
     StaleKB,
 )
-from .evaluation import (
-    SPLIT_FULL,
-    SPLIT_TEST,
-    SPLIT_TRAIN,
-    compare_runs,
-    evaluate,
-    load_reference,
-    split_reference,
-    write_eval_report,
-)
 from .fileio import atomic_write_text
-from .matcher import (
-    Alignment,
-    MatchRunReport,
-    PIPELINE_BASELINE,
-    PIPELINE_MILA,
-    match_baseline,
-    match_mila,
-    read_alignment,
-    read_report,
-    write_alignment,
-    write_report,
-    write_trace,
-)
 from .ontology import load_ontology
-# retrieval and synth load numpy, so they are imported inside the verbs
-# that embed, retrieve or generate; match, eval and compare start without it.
+
+# Each verb imports what only it runs: retrieval and synth load numpy, and
+# candidates, matcher, llm and evaluation are not needed to embed or retrieve.
+if TYPE_CHECKING:
+    from .matcher import Alignment, MatchRunReport
+
+PIPELINES = ("mila", "baseline")  # matcher's PIPELINE_MILA, PIPELINE_BASELINE
+SPLIT_FULL, SPLIT_TRAIN, SPLIT_TEST = "full", "train", "test"
+
 
 def _kb_paths(cfg) -> tuple[str, str]:
     kb_dir = os.path.join(cfg.out, "kb")
@@ -172,6 +156,8 @@ def _run_id(args, pipeline: str) -> str:
 
 
 def _load_dbs(cfg, source, target):
+    from .candidates import load_candidate_db
+
     s2t_path, t2s_path = _db_paths(cfg)
     _require((s2t_path, t2s_path), "candidate DB", "predict")
     s2t = load_candidate_db(s2t_path, source)
@@ -209,6 +195,11 @@ def _match(
     run as it was; its stage, if made, keeps the log of the queries it paid
     for. llm_reference is the parsed llm.reference when the caller has it.
     """
+    from .matcher import (
+        PIPELINE_MILA, match_baseline, match_mila, write_alignment, write_report,
+        write_trace,
+    )
+
     runs_dir = os.path.join(cfg.out, "runs")
     run_dir = os.path.join(runs_dir, run_id)
     stage = os.path.join(runs_dir, f".{run_id}-{secrets.token_hex(4)}")
@@ -261,6 +252,8 @@ def cmd_match(args) -> int:
 
 
 def _pick_split(reference, split: str, fraction: float, seed: int):
+    from .evaluation import split_reference
+
     if split == SPLIT_FULL:
         return reference
     train, test = split_reference(reference, fraction=fraction, seed=seed)
@@ -270,6 +263,8 @@ def _pick_split(reference, split: str, fraction: float, seed: int):
 def _eval(alignment: Alignment, alignment_path: str, reference,
           reference_path: str, split: str):
     """Score an alignment, write eval.json beside its file, return the report."""
+    from .evaluation import evaluate, write_eval_report
+
     metadata = {
         "alignment_path": alignment_path,
         "reference_path": reference_path,
@@ -282,6 +277,9 @@ def _eval(alignment: Alignment, alignment_path: str, reference,
 
 
 def cmd_eval(args) -> int:
+    from .evaluation import load_reference
+    from .matcher import read_alignment
+
     cfg = _load_cfg(args)
     reference = _pick_split(
         load_reference(args.reference), args.split, args.split_fraction, cfg.seed
@@ -295,6 +293,8 @@ def cmd_eval(args) -> int:
 
 
 def _report_from_run_dir(run_dir: str) -> MatchRunReport:
+    from .matcher import MatchRunReport, read_alignment, read_report
+
     alignment_path = os.path.join(run_dir, "alignment.tsv")
     report_path = os.path.join(run_dir, "report.json")
     for path in (alignment_path, report_path):
@@ -338,6 +338,8 @@ def _report_from_run_dir(run_dir: str) -> MatchRunReport:
 
 def _compare(cfg, reference, report_a, report_b) -> None:
     """Compare two match runs; write and print the table."""
+    from .evaluation import compare_runs, evaluate
+
     eval_a = evaluate(report_a.alignment, reference)
     eval_b = evaluate(report_b.alignment, reference)
     comparison = compare_runs(report_a, eval_a, report_b, eval_b)
@@ -348,6 +350,8 @@ def _compare(cfg, reference, report_a, report_b) -> None:
 
 
 def cmd_compare(args) -> int:
+    from .evaluation import load_reference
+
     cfg = _load_cfg(args)
     reference = load_reference(args.reference)
     _compare(cfg, reference, *map(_report_from_run_dir, args.run_dirs))
@@ -393,6 +397,8 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_run_all(args) -> int:
+    from .evaluation import load_reference
+
     cfg = _load_cfg(args)
     base_run_id = _run_id(args, "all")
     source, target = _load_ontologies(cfg)
@@ -404,7 +410,7 @@ def cmd_run_all(args) -> int:
     source_kb, target_kb = _embed(cfg, source, target, provider)
     s2t, t2s = _retrieve(cfg, source, target, source_kb, target_kb)
     both = args.pipeline == "both"
-    pipelines = [PIPELINE_MILA, PIPELINE_BASELINE] if both else [args.pipeline]
+    pipelines = list(PIPELINES) if both else [args.pipeline]
     runs = []
     for pipeline in pipelines:
         run_id = f"{base_run_id}-{pipeline}" if both else base_run_id
@@ -465,10 +471,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "match", parents=[common], help="run a matching pipeline over the DBs"
     )
-    p.add_argument(
-        "--pipeline", choices=[PIPELINE_MILA, PIPELINE_BASELINE],
-        default=PIPELINE_MILA,
-    )
+    p.add_argument("--pipeline", choices=PIPELINES, default=PIPELINES[0])
     p.add_argument(
         "--run-id", help="run directory name (default: timestamp-pipeline-pid)"
     )
@@ -508,9 +511,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="build-kb, predict, match, and eval in one go",
     )
     p.add_argument(
-        "--pipeline",
-        choices=[PIPELINE_MILA, PIPELINE_BASELINE, "both"],
-        default=PIPELINE_MILA,
+        "--pipeline", choices=PIPELINES + ("both",), default=PIPELINES[0]
     )
     p.add_argument("--run-id")
     p.set_defaults(func=cmd_run_all)

@@ -14,12 +14,11 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError
-from .evaluation import load_reference
 from .fileio import read_lines
-from .llm import HttpChatClient, LlmClient, OracleClient, PromptTemplate, ScriptedClient
 
 if TYPE_CHECKING:
     from .embedding import EmbeddingProvider
+    from .llm import LlmClient, PromptTemplate
 
 DEFAULT_K = 5
 DEFAULT_TAU = 0.75
@@ -216,6 +215,9 @@ def build_llm_client(
 ) -> LlmClient:
     """The client llm.kind names; reference is the parsed llm.reference of
     an oracle, loaded here when None."""
+    # llm and evaluation load only in the verbs that match
+    from .llm import HttpChatClient, OracleClient, ScriptedClient
+
     if config.llm_kind == "oracle":
         if not config.llm_reference:
             raise ConfigError(
@@ -223,6 +225,8 @@ def build_llm_client(
                 "alignment the oracle answers from)"
             )
         if reference is None:
+            from .evaluation import load_reference
+
             reference = load_reference(config.llm_reference)
         return OracleClient(
             reference.pairs,
@@ -251,6 +255,8 @@ def build_llm_client(
 
 
 def load_template(config: RunConfig) -> PromptTemplate:
+    from .llm import PromptTemplate
+
     if config.prompt_template:
         if not os.path.exists(config.prompt_template):
             raise ConfigError(

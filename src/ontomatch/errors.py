@@ -87,7 +87,7 @@ class MissingPlaceholder(OntomatchError):
 
 
 class StaleKB(OntomatchError):
-    """Stored artifacts were produced under a different provider fingerprint."""
+    """Stored artifacts no longer fit the run's inputs or settings."""
     exit_code = EXIT_CONFIG
 
 

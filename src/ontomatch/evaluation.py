@@ -18,11 +18,6 @@ from .fileio import atomic_write_text, read_records
 if TYPE_CHECKING:
     from .matcher import MatchRunReport
 
-SPLIT_FULL = "full"
-SPLIT_TRAIN = "train"
-SPLIT_TEST = "test"
-
-
 @dataclass(frozen=True)
 class ReferenceAlignment:
     """The ground-truth pair set."""

@@ -182,15 +182,16 @@ class LlmClient:
         reply, attempts = self._respond(prompt, pair)
         latency = time.perf_counter() - start
         verdict = LlmVerdict(value=parse_reply(reply), attempts=attempts)
-        record = {
-            "pair": list(pair) if pair else None,
-            "prompt": prompt,
-            "reply": reply,
-            "verdict": verdict.value.value,
-            "latency_s": round(latency, 6),
-            "attempts": attempts,
-        }
-        line = json.dumps(record, ensure_ascii=False) + "\n"
+        if self._log_path:
+            record = {
+                "pair": list(pair) if pair else None,
+                "prompt": prompt,
+                "reply": reply,
+                "verdict": verdict.value.value,
+                "latency_s": round(latency, 6),
+                "attempts": attempts,
+            }
+            line = json.dumps(record, ensure_ascii=False) + "\n"
         with self._count_lock:
             if self._log_path:
                 if self._log is None:

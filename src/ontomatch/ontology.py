@@ -8,11 +8,11 @@ may be empty or absent. Entities are immutable once loaded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import FrozenInstanceError, dataclass, field
+from typing import Iterator, NamedTuple
 
 from .errors import DuplicateEntityId, EmptyOntology, MalformedRecord, UnknownEntity
-from .fileio import read_records
+from .fileio import read_text
 
 
 def normalize_label(text: str) -> str:
@@ -20,17 +20,19 @@ def normalize_label(text: str) -> str:
     return " ".join(text.split())
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(NamedTuple):
     """One ontology entity: an id, a preferred label, optional synonyms.
 
     Synonyms keep their dump order, minus duplicates and minus any synonym
-    identical to the preferred label.
+    identical to the preferred label. A tuple, built at tuple speed.
     """
 
     id: str
     preferred_label: str
     synonyms: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):  # immutable, as a frozen dataclass
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -44,9 +46,12 @@ class Ontology:
 
     name: str
     entities: tuple[Entity, ...]
-    _by_id: dict[str, Entity] = field(init=False, repr=False, compare=False)
+    # load_ontology passes the id -> entity dict it has checked for duplicates
+    _by_id: dict[str, Entity] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self._by_id is not None:
+            return
         by_id: dict[str, Entity] = {}
         for entity in self.entities:
             if entity.id in by_id:
@@ -82,10 +87,15 @@ def load_ontology(path: str, name: str) -> Ontology:
     """Parse a label dump into an Ontology.
 
     Raises MalformedRecord with the offending line number, DuplicateEntityId
-    on repeated ids, and EmptyOntology when no entity lines remain.
+    on repeated ids, and EmptyOntology when no entity lines remain. The dump
+    is read whole; each line follows the record grammar of fileio.read_records.
     """
     by_id: dict[str, Entity] = {}
-    for line_no, fields in read_records(path):
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        head = line.lstrip()
+        if not head or head[0] == "#":
+            continue
+        fields = line.split("\t")
         if len(fields) == 2:
             fields.append("")
         if len(fields) != 3:
@@ -102,12 +112,16 @@ def load_ontology(path: str, name: str) -> Ontology:
             raise DuplicateEntityId(
                 f"{path}:{line_no}: entity id {entity_id!r} already defined"
             )
-        synonyms: list[str] = []
-        for raw in fields[2].split("|"):
-            synonym = normalize_label(raw)
-            if synonym and synonym != preferred and synonym not in synonyms:
-                synonyms.append(synonym)
-        by_id[entity_id] = Entity(entity_id, preferred, tuple(synonyms))
+        synonyms: tuple[str, ...] = ()
+        if fields[2]:
+            kept: list[str] = []
+            for raw in fields[2].split("|"):
+                synonym = normalize_label(raw)
+                if synonym and synonym != preferred and synonym not in kept:
+                    kept.append(synonym)
+            synonyms = tuple(kept)
+        # _make builds the tuple without the keyword-argument __new__
+        by_id[entity_id] = Entity._make((entity_id, preferred, synonyms))
     if not by_id:
         raise EmptyOntology(f"{path} contains no entities")
-    return Ontology(name=name, entities=tuple(by_id.values()))
+    return Ontology(name, tuple(by_id.values()), by_id)

@@ -563,7 +563,7 @@ def build_candidate_dbs(
     One pass over row blocks of the float32 score matrix of the two KBs
     feeds both directions: one cuts each row inside its block, the other
     keeps a running cut per column. The survivors then go through the exact
-    rule.
+    rule. StaleKB if a label of either dump has no row in its KB.
     """
     _validate_k_tau(k, tau)
     if source_kb.fingerprint != target_kb.fingerprint:
@@ -575,6 +575,12 @@ def build_candidate_dbs(
         raise DimensionMismatch(
             f"KB dims differ: {source_kb.dim} vs {target_kb.dim}"
         )
+    for onto, kb in ((source, source_kb), (target, target_kb)):
+        missing = {label for e in onto for label in e.labels} - kb.label_to_row.keys()
+        if missing:
+            raise StaleKB(
+                f"{onto.name!r} label {min(missing)!r} has no row in its KB; run build-kb"
+            )
     # The pass holds its column side whole in float32, so the larger KB is
     # the one it walks in row blocks.
     if len(source_kb) >= len(target_kb):

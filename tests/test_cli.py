@@ -13,7 +13,9 @@ from contextlib import suppress
 
 import pytest
 
-from ontomatch import cli, embedding, errors, retrieval
+from ontomatch import (
+    candidates, cli, embedding, errors, evaluation, matcher, retrieval,
+)
 from ontomatch.cli import (
     EXIT_CONFIG,
     EXIT_ENDPOINT,
@@ -216,6 +218,10 @@ def test_run_all_reproduces_the_stepwise_artifacts(tmp_path, capsys):
         }
 
 
+def test_the_parser_offers_the_matcher_pipelines():
+    assert cli.PIPELINES == (matcher.PIPELINE_MILA, matcher.PIPELINE_BASELINE)
+
+
 def test_run_all_reads_each_input_once(tmp_path, monkeypatch):
     out, config = make_corpus(tmp_path, n=8, hcb="0.75")
     calls = {}
@@ -231,13 +237,14 @@ def test_run_all_reads_each_input_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(cli.config_mod, "build_provider")
-    # the oracle and the scoring read one reference file in this config
-    count(cli.config_mod, "load_reference")
-    monkeypatch.setattr(cli, "load_reference", cli.config_mod.load_reference)
-    for name in ("load_ontology", "load_candidate_db", "read_alignment",
-                 "read_report"):
-        count(cli, name)
-    # cli imports load_kb inside the verb that reads KBs, from retrieval
+    count(cli, "load_ontology")
+    # cli and config import the other readers inside the verbs that use
+    # them, so each is counted in the module that defines it; the oracle and
+    # the scoring read one reference file in this config
+    count(evaluation, "load_reference")
+    count(candidates, "load_candidate_db")
+    for name in ("read_alignment", "read_report"):
+        count(matcher, name)
     count(retrieval, "load_kb")
     assert main([
         "run-all", "--config", config, "--pipeline", "both", "--run-id", "r",
@@ -1086,6 +1093,23 @@ def test_predict_after_an_edit_that_keeps_size_and_mtime_is_stale(
     capsys.readouterr()
     assert main(["predict", "--config", config]) == EXIT_CONFIG
     assert "rebuild the KB" in capsys.readouterr().err
+
+
+def test_predict_after_a_dump_label_changed_is_stale(tmp_path, capsys):
+    out, config = built_corpus(tmp_path)
+    assert main(["predict", "--config", config]) == EXIT_OK
+    expected = candidate_dbs(out)
+    source = os.path.join(out, "synthetic", "source.tsv")
+    text = read_text(source)
+    assert "source concept 00002\t" in text
+    with open(source, "w", encoding="utf-8") as handle:
+        handle.write(text.replace("source concept 00002\t", "brand new label\t"))
+    capsys.readouterr()
+    assert main(["predict", "--config", config]) == errors.StaleKB.exit_code
+    err = capsys.readouterr().err
+    assert "label 'brand new label' has no row in its KB" in err
+    assert "run build-kb" in err
+    assert candidate_dbs(out) == expected
 
 
 def test_predict_without_the_vector_file_exits_config(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import types
 from contextlib import closing
 
 import pytest
@@ -200,6 +201,16 @@ def test_query_count_includes_unparseable_and_is_thread_safe():
         verdicts = list(pool.map(lambda i: client.classify(f"p{i}"), range(64)))
     assert all(v.value is Verdict.UNPARSEABLE for v in verdicts)
     assert client.query_count == 64
+
+
+def test_a_client_without_a_log_serializes_no_record(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a log record was built with no log to write")
+
+    monkeypatch.setattr(llm, "json", types.SimpleNamespace(dumps=refuse))
+    client = OracleClient([("s", "t")])
+    assert client.classify("prompt", pair=("s", "t")).is_yes
+    assert client.query_count == 1
 
 
 def test_exchange_log_written_as_jsonl(tmp_path, monkeypatch):

@@ -116,6 +116,29 @@ def test_ontology_constructor_rejects_duplicates():
         )
 
 
+def test_a_loaded_ontology_equals_one_built_by_the_constructor(tmp_path):
+    path = write_dump(
+        tmp_path, "A:1\talpha\tbeta|gamma\n# comment\nA:2\tdelta\nA:3\tepsilon\t\n"
+    )
+    loaded = load_ontology(path, name="X")
+    built = Ontology("X", (
+        Entity("A:1", "alpha", ("beta", "gamma")),
+        Entity("A:2", "delta"),
+        Entity(id="A:3", preferred_label="epsilon"),
+    ))
+    assert loaded == built
+    assert loaded.entities == built.entities
+    assert loaded.ids == built.ids == ("A:1", "A:2", "A:3")
+    for entity in built:
+        assert entity.id in loaded
+        assert loaded.entity(entity.id) == entity
+        assert hash(loaded.entity(entity.id)) == hash(entity)
+    assert "A:9" not in loaded
+    for onto in (loaded, built):
+        with pytest.raises(UnknownEntity, match="'X' has no entity 'A:9'"):
+            onto.entity("A:9")
+
+
 def test_entity_lookup_unknown_id():
     onto = make_ontology("X", {"A:1": ["alpha"]})
     with pytest.raises(UnknownEntity):

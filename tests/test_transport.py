@@ -273,6 +273,22 @@ def test_only_the_vector_verbs_load_numpy(corpus, tmp_path):
         assert server.payloads
 
 
+def test_build_kb_and_predict_load_no_matcher_llm_or_evaluation(corpus, tmp_path):
+    # Neither verb matches or scores, and importing these three modules is
+    # a large share of a verb's start-up when bytecode is not cached.
+    config, _ = corpus
+    match_stack = {"ontomatch.matcher", "ontomatch.llm", "ontomatch.evaluation"}
+    deterministic = _with_embedding(
+        config, tmp_path, "deterministic", ["embedding.kind = deterministic"]
+    )
+    for path in (config, deterministic):
+        for verb in ("build-kb", "predict"):
+            loaded = _verb_modules([verb, "--config", path])
+            assert sorted(match_stack & loaded) == [], (verb, path)
+    loaded = _verb_modules(["match", "--run-id", "stack", "--config", config])
+    assert match_stack <= loaded
+
+
 def test_only_a_deterministic_build_kb_loads_numpy_random(corpus, tmp_path):
     # numpy.random is about 15 ms of a verb's start-up, and only hashing
     # labels into vectors needs it
