@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import logging
 import os
-import secrets
 import shutil
 import sys
 import time
@@ -43,7 +42,6 @@ from .ontology import load_ontology
 if TYPE_CHECKING:
     from .matcher import Alignment, MatchRunReport
 
-PIPELINES = ("mila", "baseline")  # matcher's PIPELINE_MILA, PIPELINE_BASELINE
 SPLIT_FULL, SPLIT_TRAIN, SPLIT_TEST = "full", "train", "test"
 
 
@@ -196,13 +194,12 @@ def _match(
     for. llm_reference is the parsed llm.reference when the caller has it.
     """
     from .matcher import (
-        PIPELINE_MILA, match_baseline, match_mila, write_alignment, write_report,
-        write_trace,
+        match_baseline, match_mila, write_alignment, write_report, write_trace,
     )
 
     runs_dir = os.path.join(cfg.out, "runs")
     run_dir = os.path.join(runs_dir, run_id)
-    stage = os.path.join(runs_dir, f".{run_id}-{secrets.token_hex(4)}")
+    stage = os.path.join(runs_dir, f".{run_id}-{os.urandom(4).hex()}")
     llm = config_mod.build_llm_client(
         cfg, log_path=os.path.join(stage, "llm_log.jsonl"), reference=llm_reference
     )
@@ -210,7 +207,7 @@ def _match(
         source_onto=source, target_onto=target, max_workers=cfg.match_workers
     )
     with closing(llm):
-        if pipeline == PIPELINE_MILA:
+        if pipeline == config_mod.PIPELINE_MILA:
             report = match_mila(None, s2t, t2s, llm, template, **options)
         else:
             report = match_baseline(None, s2t, llm, template, **options)
@@ -410,7 +407,7 @@ def cmd_run_all(args) -> int:
     source_kb, target_kb = _embed(cfg, source, target, provider)
     s2t, t2s = _retrieve(cfg, source, target, source_kb, target_kb)
     both = args.pipeline == "both"
-    pipelines = list(PIPELINES) if both else [args.pipeline]
+    pipelines = list(config_mod.PIPELINES) if both else [args.pipeline]
     runs = []
     for pipeline in pipelines:
         run_id = f"{base_run_id}-{pipeline}" if both else base_run_id
@@ -471,7 +468,9 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "match", parents=[common], help="run a matching pipeline over the DBs"
     )
-    p.add_argument("--pipeline", choices=PIPELINES, default=PIPELINES[0])
+    p.add_argument(
+        "--pipeline", choices=config_mod.PIPELINES, default=config_mod.PIPELINE_MILA
+    )
     p.add_argument(
         "--run-id", help="run directory name (default: timestamp-pipeline-pid)"
     )
@@ -511,7 +510,8 @@ def make_parser() -> argparse.ArgumentParser:
         help="build-kb, predict, match, and eval in one go",
     )
     p.add_argument(
-        "--pipeline", choices=PIPELINES + ("both",), default=PIPELINES[0]
+        "--pipeline", choices=config_mod.PIPELINES + ("both",),
+        default=config_mod.PIPELINE_MILA,
     )
     p.add_argument("--run-id")
     p.set_defaults(func=cmd_run_all)

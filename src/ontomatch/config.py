@@ -26,6 +26,9 @@ DEFAULT_TEMPERATURE = 0.7
 
 EMBEDDING_KINDS = ("deterministic", "file", "http")
 LLM_KINDS = ("oracle", "scripted", "http-chat")
+PIPELINE_MILA = "mila"
+PIPELINE_BASELINE = "baseline"
+PIPELINES = (PIPELINE_MILA, PIPELINE_BASELINE)
 # match.workers when unset: a chat query waits on the network, so a few
 # sources walk at once; the in-process clients never wait, and the
 # scripted one hands out its replies in call order.
@@ -215,7 +218,6 @@ def build_llm_client(
 ) -> LlmClient:
     """The client llm.kind names; reference is the parsed llm.reference of
     an oracle, loaded here when None."""
-    # llm and evaluation load only in the verbs that match
     from .llm import HttpChatClient, OracleClient, ScriptedClient
 
     if config.llm_kind == "oracle":

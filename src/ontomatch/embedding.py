@@ -9,8 +9,6 @@ compares or persists go through round_scores, the single place the
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterator, Mapping, Sequence
@@ -26,6 +24,7 @@ from .errors import (
     ProviderUnavailable,
 )
 from .fileio import atomic_write_text, open_input, read_records
+# hashlib and json load where used: a deterministic predict needs neither
 
 SCORE_DECIMALS = 5
 _SCALE = 10.0 ** SCORE_DECIMALS
@@ -123,6 +122,8 @@ def _row_text(row: np.ndarray) -> str:
 
 def _fixtures_digest(fixtures: Mapping[str, np.ndarray]) -> str:
     """sha256 over `label<TAB>row text` lines in label order, first 8 hex."""
+    import hashlib
+
     hasher = hashlib.sha256()
     for label in sorted(fixtures):
         hasher.update(f"{label}\t{_row_text(fixtures[label])}\n".encode("utf-8"))
@@ -239,8 +240,10 @@ def _hash_rows(seed: int, labels: Sequence[str], dim: int) -> np.ndarray:
     SeedSequence words computed for all labels at once; the row is then
     divided by its 2-norm, as np.linalg.norm computes it.
     """
-    # numpy.random is loaded here, not at import: the verbs that never hash
-    # a label should not pay for it
+    # numpy.random and hashlib are loaded here, not at import: the verbs that
+    # never hash a label should not pay for them
+    import hashlib
+
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
@@ -383,6 +386,8 @@ def load_vector_file(path: str) -> tuple[dict[str, np.ndarray], str]:
     token spelled '0.0' is found as bytes and never becomes a Python object;
     each distinct other token of the block goes through float() once.
     """
+    import hashlib
+
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     hasher = hashlib.sha256()
@@ -489,6 +494,8 @@ class PrecomputedFileProvider(EmbeddingProvider):
     @property
     def fingerprint(self) -> str:
         if self._fingerprint is None:
+            import hashlib
+
             hasher = hashlib.sha256()
             with open_input(self._path, "rb") as handle:
                 for chunk in iter(lambda: handle.read(1 << 20), b""):
@@ -545,6 +552,8 @@ class HttpProvider(EmbeddingProvider):
             raise InvalidParameter(f"batch_size must be >= 1, got {batch_size}")
         self._dim = int(dim)
         self._batch_size = int(batch_size)
+        import hashlib
+
         from .transport import Endpoint  # urllib.request only for HTTP clients
 
         self._endpoint = Endpoint(
@@ -565,6 +574,8 @@ class HttpProvider(EmbeddingProvider):
         return self._fingerprint
 
     def _post_batch(self, batch: list[str]) -> np.ndarray:
+        import json
+
         body, _ = self._endpoint.post({"inputs": batch})
         try:
             vectors = np.asarray(json.loads(body)["vectors"], dtype=np.float64)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import io
 import os
-import secrets
 from typing import IO, Iterator
 
 from .errors import ConfigError, MalformedRecord, PersistFailure
@@ -110,7 +109,7 @@ def atomic_write_bytes(path: str, *chunks) -> None:
     the artifact's permissions.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    tmp_path = os.path.join(directory, f".tmp-{secrets.token_hex(8)}~")
+    tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     try:
         os.makedirs(directory, exist_ok=True)

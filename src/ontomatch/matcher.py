@@ -29,6 +29,7 @@ from functools import partial
 from typing import Sequence
 
 from .candidates import DIRECTION_S2T, DIRECTION_T2S, CandidateDB
+from .config import PIPELINE_BASELINE, PIPELINE_MILA
 from .errors import (
     EndpointUnavailable,
     InvalidParameter,
@@ -57,9 +58,6 @@ OUTCOME_NOT_BIDIRECTIONAL = "not-bidirectional"
 OUTCOME_HCB_ACCEPT = "HCB-accept"
 OUTCOME_LLM_YES = "LLM-yes"
 OUTCOME_LLM_NO = "LLM-no"
-
-PIPELINE_MILA = "mila"
-PIPELINE_BASELINE = "baseline"
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterator, NamedTuple
 
 from .errors import DuplicateEntityId, EmptyOntology, MalformedRecord, UnknownEntity
-from .fileio import read_text
+from .fileio import read_records
 
 
 def normalize_label(text: str) -> str:
@@ -46,19 +46,18 @@ class Ontology:
 
     name: str
     entities: tuple[Entity, ...]
-    # load_ontology passes the id -> entity dict it has checked for duplicates
-    _by_id: dict[str, Entity] | None = field(default=None, repr=False, compare=False)
+    _by_id: dict[str, Entity] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._by_id is not None:
-            return
-        by_id: dict[str, Entity] = {}
-        for entity in self.entities:
-            if entity.id in by_id:
-                raise DuplicateEntityId(
-                    f"entity id {entity.id!r} appears more than once in {self.name!r}"
-                )
-            by_id[entity.id] = entity
+        by_id = {entity.id: entity for entity in self.entities}
+        if len(by_id) < len(self.entities):
+            seen: set[str] = set()
+            for entity in self.entities:
+                if entity.id in seen:
+                    raise DuplicateEntityId(
+                        f"entity id {entity.id!r} appears more than once in {self.name!r}"
+                    )
+                seen.add(entity.id)
         object.__setattr__(self, "_by_id", by_id)
 
     def __len__(self) -> int:
@@ -87,15 +86,10 @@ def load_ontology(path: str, name: str) -> Ontology:
     """Parse a label dump into an Ontology.
 
     Raises MalformedRecord with the offending line number, DuplicateEntityId
-    on repeated ids, and EmptyOntology when no entity lines remain. The dump
-    is read whole; each line follows the record grammar of fileio.read_records.
+    on repeated ids, and EmptyOntology when no entity lines remain.
     """
     by_id: dict[str, Entity] = {}
-    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
-        head = line.lstrip()
-        if not head or head[0] == "#":
-            continue
-        fields = line.split("\t")
+    for line_no, fields in read_records(path):
         if len(fields) == 2:
             fields.append("")
         if len(fields) != 3:
@@ -112,16 +106,12 @@ def load_ontology(path: str, name: str) -> Ontology:
             raise DuplicateEntityId(
                 f"{path}:{line_no}: entity id {entity_id!r} already defined"
             )
-        synonyms: tuple[str, ...] = ()
-        if fields[2]:
-            kept: list[str] = []
-            for raw in fields[2].split("|"):
-                synonym = normalize_label(raw)
-                if synonym and synonym != preferred and synonym not in kept:
-                    kept.append(synonym)
-            synonyms = tuple(kept)
-        # _make builds the tuple without the keyword-argument __new__
-        by_id[entity_id] = Entity._make((entity_id, preferred, synonyms))
+        synonyms: list[str] = []
+        for raw in fields[2].split("|") if fields[2] else ():
+            synonym = normalize_label(raw)
+            if synonym and synonym != preferred and synonym not in synonyms:
+                synonyms.append(synonym)
+        by_id[entity_id] = Entity(entity_id, preferred, tuple(synonyms))
     if not by_id:
         raise EmptyOntology(f"{path} contains no entities")
-    return Ontology(name, tuple(by_id.values()), by_id)
+    return Ontology(name=name, entities=tuple(by_id.values()))

@@ -563,7 +563,7 @@ def build_candidate_dbs(
     One pass over row blocks of the float32 score matrix of the two KBs
     feeds both directions: one cuts each row inside its block, the other
     keeps a running cut per column. The survivors then go through the exact
-    rule. StaleKB if a label of either dump has no row in its KB.
+    rule. StaleKB if a dump label has no KB row or a KB owner left its dump.
     """
     _validate_k_tau(k, tau)
     if source_kb.fingerprint != target_kb.fingerprint:
@@ -576,10 +576,13 @@ def build_candidate_dbs(
             f"KB dims differ: {source_kb.dim} vs {target_kb.dim}"
         )
     for onto, kb in ((source, source_kb), (target, target_kb)):
-        missing = {label for e in onto for label in e.labels} - kb.label_to_row.keys()
-        if missing:
+        ids = set(onto.ids)
+        stale = {label for e in onto for label in e.labels} - kb.label_to_row.keys()
+        stale.update(label for label, owners in zip(kb.labels, kb.owners)
+                     if not owners <= ids)
+        if stale:
             raise StaleKB(
-                f"{onto.name!r} label {min(missing)!r} has no row in its KB; run build-kb"
+                f"{onto.name!r} label {min(stale)!r} does not match its KB; run build-kb"
             )
     # The pass holds its column side whole in float32, so the larger KB is
     # the one it walks in row blocks.

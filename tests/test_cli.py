@@ -218,10 +218,6 @@ def test_run_all_reproduces_the_stepwise_artifacts(tmp_path, capsys):
         }
 
 
-def test_the_parser_offers_the_matcher_pipelines():
-    assert cli.PIPELINES == (matcher.PIPELINE_MILA, matcher.PIPELINE_BASELINE)
-
-
 def test_run_all_reads_each_input_once(tmp_path, monkeypatch):
     out, config = make_corpus(tmp_path, n=8, hcb="0.75")
     calls = {}
@@ -1095,19 +1091,26 @@ def test_predict_after_an_edit_that_keeps_size_and_mtime_is_stale(
     assert "rebuild the KB" in capsys.readouterr().err
 
 
-def test_predict_after_a_dump_label_changed_is_stale(tmp_path, capsys):
+@pytest.mark.parametrize("old, new, message", [
+    ("source concept 00002\t", "brand new label\t",
+     "label 'brand new label' does not match its KB"),
+    ("S00002\t", "S99999\t", "label 'source concept 00002' does not match its KB"),
+], ids=["label", "id"])
+def test_predict_after_a_dump_record_changed_is_stale(
+    tmp_path, capsys, old, new, message
+):
     out, config = built_corpus(tmp_path)
     assert main(["predict", "--config", config]) == EXIT_OK
     expected = candidate_dbs(out)
     source = os.path.join(out, "synthetic", "source.tsv")
     text = read_text(source)
-    assert "source concept 00002\t" in text
+    assert text.count(old) == 1
     with open(source, "w", encoding="utf-8") as handle:
-        handle.write(text.replace("source concept 00002\t", "brand new label\t"))
+        handle.write(text.replace(old, new))
     capsys.readouterr()
     assert main(["predict", "--config", config]) == errors.StaleKB.exit_code
     err = capsys.readouterr().err
-    assert "label 'brand new label' has no row in its KB" in err
+    assert message in err
     assert "run build-kb" in err
     assert candidate_dbs(out) == expected
 

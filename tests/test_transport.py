@@ -273,7 +273,7 @@ def test_only_the_vector_verbs_load_numpy(corpus, tmp_path):
         assert server.payloads
 
 
-def test_build_kb_and_predict_load_no_matcher_llm_or_evaluation(corpus, tmp_path):
+def test_build_kb_and_predict_load_only_what_they_run(corpus, tmp_path):
     # Neither verb matches or scores, and importing these three modules is
     # a large share of a verb's start-up when bytecode is not cached.
     config, _ = corpus
@@ -285,6 +285,10 @@ def test_build_kb_and_predict_load_no_matcher_llm_or_evaluation(corpus, tmp_path
         for verb in ("build-kb", "predict"):
             loaded = _verb_modules([verb, "--config", path])
             assert sorted(match_stack & loaded) == [], (verb, path)
+    # a deterministic predict takes no digest and parses no JSON, so it
+    # loads neither module, nor secrets for its temp-file names
+    loaded = _verb_modules(["predict", "--config", deterministic])
+    assert sorted({"hashlib", "json", "secrets"} & loaded) == []
     loaded = _verb_modules(["match", "--run-id", "stack", "--config", config])
     assert match_stack <= loaded
 
