@@ -20,16 +20,10 @@ from contextlib import closing, suppress
 from typing import TYPE_CHECKING
 
 from . import config as config_mod
-# EXIT_CONFIG, EXIT_FAILURE and EXIT_PARSE are imported so callers can
-# take every exit code from this module.
 from .errors import (
-    EXIT_CONFIG,
     EXIT_ENDPOINT,
-    EXIT_FAILURE,
     EXIT_OK,
-    EXIT_PARSE,
     ConfigError,
-    MalformedRecord,
     OntomatchError,
     PersistFailure,
     StaleKB,
@@ -290,47 +284,14 @@ def cmd_eval(args) -> int:
 
 
 def _report_from_run_dir(run_dir: str) -> MatchRunReport:
-    from .matcher import MatchRunReport, read_alignment, read_report
+    from .matcher import read_alignment, read_report
 
     alignment_path = os.path.join(run_dir, "alignment.tsv")
     report_path = os.path.join(run_dir, "report.json")
     for path in (alignment_path, report_path):
         if not os.path.exists(path):
             raise ConfigError(f"{run_dir} is not a run directory ({path} missing)")
-    alignment: Alignment = read_alignment(alignment_path)
-    data = read_report(report_path)
-    if not isinstance(data, dict):
-        raise MalformedRecord(report_path, 1, "not a JSON object")
-    for key in ("pipeline", "llm_query_count", "hcb_count"):
-        if key not in data:
-            raise MalformedRecord(report_path, 1, f"missing key {key!r}")
-    # type(), not isinstance(): a JSON true must not pass as a count
-    wall_times = data.get("wall_times_s", {})
-    for key, ok in (
-        ("pipeline", type(data["pipeline"]) is str),
-        ("llm_query_count", type(data["llm_query_count"]) is int),
-        ("hcb_count", type(data["hcb_count"]) is int),
-        ("wall_times_s", type(wall_times) is dict and all(
-            type(v) in (int, float) for v in wall_times.values()
-        )),
-        ("partial", type(data.get("partial", False)) is bool),
-        ("multi_matched_targets", type(data.get("multi_matched_targets", [])) is list),
-    ):
-        if not ok:
-            raise MalformedRecord(
-                report_path, 1, f"key {key!r} has a value of the wrong type"
-            )
-    return MatchRunReport(
-        pipeline=data["pipeline"],
-        alignment=alignment,
-        trace=[],
-        llm_query_count=data["llm_query_count"],
-        hcb_count=data["hcb_count"],
-        wall_times=wall_times,
-        partial=data.get("partial", False),
-        abort_reason=data.get("abort_reason"),
-        multi_matched_targets=data.get("multi_matched_targets", []),
-    )
+    return read_report(report_path, read_alignment(alignment_path))
 
 
 def _compare(cfg, reference, report_a, report_b) -> None:

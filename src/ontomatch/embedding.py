@@ -1,10 +1,9 @@
 """Label embedding providers and score rounding.
 
 Three providers share one interface: a deterministic hash-based encoder for
-tests and synthetic corpora (optionally overridden by fixture vectors), a
-precomputed-vector file, and a remote HTTP service. All scores the pipeline
-compares or persists go through round_scores, the single place the
-5-decimal half-away-from-zero rule lives.
+tests and synthetic corpora, a precomputed-vector file, and a remote HTTP
+service. All scores the pipeline compares or persists go through
+round_scores, the single place the 5-decimal half-away-from-zero rule lives.
 """
 
 from __future__ import annotations
@@ -120,47 +119,16 @@ def _row_text(row: np.ndarray) -> str:
     return ",".join(map(repr, row.tolist()))
 
 
-def _fixtures_digest(fixtures: Mapping[str, np.ndarray]) -> str:
-    """sha256 over `label<TAB>row text` lines in label order, first 8 hex."""
-    import hashlib
-
-    hasher = hashlib.sha256()
-    for label in sorted(fixtures):
-        hasher.update(f"{label}\t{_row_text(fixtures[label])}\n".encode("utf-8"))
-    return hasher.hexdigest()[:8]
-
-
 class DeterministicProvider(EmbeddingProvider):
-    """Hash-seeded unit vectors; same label + seed always gives the same row.
+    """Hash-seeded unit vectors; same label + seed always gives the same row."""
 
-    Optional fixtures pin exact vectors for chosen labels (worked-example
-    corpora); everything else falls back to the hashed vector. Fixture
-    presence is part of the fingerprint.
-    """
-
-    def __init__(
-        self,
-        dim: int = 32,
-        seed: int = 0,
-        fixtures: Mapping[str, np.ndarray] | None = None,
-    ):
+    def __init__(self, dim: int = 32, seed: int = 0):
         super().__init__()
         if dim < 1:
             raise InvalidParameter(f"dim must be >= 1, got {dim}")
         self._dim = int(dim)
         self._seed = int(seed)
-        self._fixtures: dict[str, np.ndarray] = {}
-        if fixtures:
-            for label, vector in fixtures.items():
-                row = np.asarray(vector, dtype=np.float64)
-                if row.shape != (self._dim,):
-                    raise DimensionMismatch(
-                        f"fixture for {label!r} has shape {row.shape}, "
-                        f"expected ({self._dim},)"
-                    )
-                self._fixtures[label] = row
-        suffix = f"/fx{_fixtures_digest(self._fixtures)}" if self._fixtures else ""
-        self._fingerprint = f"deterministic/d{self._dim}/s{self._seed}{suffix}"
+        self._fingerprint = f"deterministic/d{self._dim}/s{self._seed}"
 
     @property
     def dim(self) -> int:
@@ -171,12 +139,7 @@ class DeterministicProvider(EmbeddingProvider):
         return self._fingerprint
 
     def _encode_batch(self, labels: Sequence[str]) -> np.ndarray:
-        hashed = [label for label in labels if label not in self._fixtures]
-        rows = dict(zip(hashed, _hash_rows(self._seed, hashed, self._dim)))
-        return np.stack([
-            self._fixtures[label] if label in self._fixtures else rows[label]
-            for label in labels
-        ])
+        return _hash_rows(self._seed, labels, self._dim)
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).

@@ -19,6 +19,7 @@ order (ascending source id by default) regardless of completion order.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import threading
@@ -517,10 +518,43 @@ def write_report(report: MatchRunReport, path: str) -> None:
     )
 
 
-def read_report(path: str):
-    """The JSON value of a report.json; MalformedRecord if it is not UTF-8
-    text or not JSON."""
+# Each report.json key that read_report takes back: the MatchRunReport field
+# it fills, a test of its value and its default. A key with no default is
+# required; a report without the key gets a copy of the default. The tests
+# use type(), not isinstance(): a JSON true must not pass as a count.
+REPORT_KEYS = {
+    "pipeline": ("pipeline", lambda v: type(v) is str),
+    "llm_query_count": ("llm_query_count", lambda v: type(v) is int),
+    "hcb_count": ("hcb_count", lambda v: type(v) is int),
+    "wall_times_s": ("wall_times", lambda v: type(v) is dict and all(
+        type(t) in (int, float) for t in v.values()
+    ), {}),
+    "partial": ("partial", lambda v: type(v) is bool, False),
+    "abort_reason": ("abort_reason", lambda v: type(v) in (str, type(None)), None),
+    "multi_matched_targets": ("multi_matched_targets", lambda v: type(v) is list, []),
+}
+
+
+def read_report(path: str, alignment: Alignment) -> MatchRunReport:
+    """The report a report.json gives for alignment, with an empty trace.
+
+    MalformedRecord if the file is not UTF-8 JSON or not an object, if a
+    required key is missing or if a value fails its test; every missing key
+    is reported before any wrong type.
+    """
     try:
-        return json.loads(read_text(path))
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise MalformedRecord(path, exc.lineno, f"bad JSON: {exc.msg}") from None
+    if not isinstance(data, dict):
+        raise MalformedRecord(path, 1, "not a JSON object")
+    for key, (_, _, *default) in REPORT_KEYS.items():
+        if not default and key not in data:
+            raise MalformedRecord(path, 1, f"missing key {key!r}")
+    values = {}
+    for key, (name, test, *default) in REPORT_KEYS.items():
+        value = data[key] if key in data else copy.copy(*default)
+        if not test(value):
+            raise MalformedRecord(path, 1, f"key {key!r} has a value of the wrong type")
+        values[name] = value
+    return MatchRunReport(alignment=alignment, trace=[], **values)

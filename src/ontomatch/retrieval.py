@@ -101,15 +101,15 @@ class VectorKB:
     ):
         if len(labels) != len(owners) or len(labels) != matrix.shape[0]:
             raise DimensionMismatch("labels, owners, and matrix rows must align")
-        if len(set(labels)) != len(labels):
+        self.label_to_row = {label: i for i, label in enumerate(labels)}
+        if len(self.label_to_row) != len(labels):
             raise InvalidParameter("KB labels must be unique")
         self.ontology_name = ontology_name
         self.labels = list(labels)
-        self.owners = [frozenset(o) for o in owners]
+        self.owners = list(owners)
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self.fingerprint = fingerprint
         self.dim = int(self.matrix.shape[1]) if self.matrix.size else 0
-        self.label_to_row = {label: i for i, label in enumerate(self.labels)}
         norms = np.linalg.norm(self.matrix, axis=1)
         zero_rows = np.flatnonzero(norms == 0.0)
         if zero_rows.size:
@@ -219,22 +219,20 @@ def load_kb(path: str, expected_fingerprint: str | None = None) -> VectorKB:
             f"{path} was built with provider {fingerprint!r}, "
             f"expected {expected_fingerprint!r}; rebuild the KB"
         )
-    index_start = pos
-    for row in range(rows):
-        end = data.find(b"\n", pos)
-        if end < 0:
-            raise MalformedRecord(
-                path, 5 + row, f"index ends after {row} of {rows} lines"
-            )
-        pos = end + 1
-    expected_bytes = rows * dim * 8
-    if len(data) - pos != expected_bytes:
+    # the matrix fills the file's last rows * dim * 8 bytes, so the index is
+    # whole when its rows lines end exactly where the matrix starts
+    end = len(data) - rows * dim * 8
+    if not (pos < end and data[end - 1] == 10 and data.count(b"\n", pos, end) == rows):
+        lines = data[pos:].split(b"\n", rows)
+        if len(lines) <= rows:
+            got = len(lines) - 1
+            raise MalformedRecord(path, 5 + got, f"index ends after {got} of {rows} lines")
         raise MalformedRecord(
             path, 5 + rows,
-            f"matrix block has {len(data) - pos} bytes, expected {expected_bytes}",
+            f"matrix block has {len(lines[-1])} bytes, expected {rows * dim * 8}",
         )
     try:
-        index_lines = data[index_start:pos - 1].decode("utf-8").split("\n")
+        index_lines = data[pos:end - 1].decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise MalformedRecord(path, 5, f"bad index text: {exc}") from None
     labels: list[str] = []
@@ -250,7 +248,7 @@ def load_kb(path: str, expected_fingerprint: str | None = None) -> VectorKB:
             raise MalformedRecord(path, line_no, "empty owner list")
         labels.append(label)
         owners.append(frozenset(owner_field.split(",")))
-    matrix = np.frombuffer(data, dtype="<f8", count=rows * dim, offset=pos)
+    matrix = np.frombuffer(data, dtype="<f8", count=rows * dim, offset=end)
     matrix = matrix.reshape(rows, dim)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():

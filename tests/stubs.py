@@ -1,11 +1,40 @@
-"""In-process HTTP stubs for exercising the remote embedding/chat clients."""
+"""In-process HTTP stubs for exercising the remote embedding/chat clients,
+and a provider that pins chosen labels' vectors."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import numpy as np
+
+from ontomatch.embedding import DeterministicProvider
+
+
+class PinnedProvider(DeterministicProvider):
+    """DeterministicProvider that returns exact vectors for chosen labels.
+
+    Every other label gets its hashed row. The pinned rows are part of the
+    fingerprint, so a KB built with them never passes for a plain one.
+    """
+
+    def __init__(self, pinned, dim: int, seed: int = 0):
+        super().__init__(dim=dim, seed=seed)
+        self._pinned = {
+            label: np.asarray(row, dtype=np.float64) for label, row in pinned.items()
+        }
+        text = repr(sorted((k, v.tolist()) for k, v in self._pinned.items()))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:8]
+        self._fingerprint += f"/pin{digest}"
+
+    def _encode_batch(self, labels):
+        hashed = super()._encode_batch(labels)
+        return np.stack([
+            self._pinned.get(label, row) for label, row in zip(labels, hashed)
+        ])
 
 
 class RecordingServer:

@@ -16,13 +16,8 @@ import pytest
 from ontomatch import (
     candidates, cli, embedding, errors, evaluation, matcher, retrieval,
 )
-from ontomatch.cli import (
-    EXIT_CONFIG,
-    EXIT_ENDPOINT,
-    EXIT_OK,
-    EXIT_PARSE,
-    main,
-)
+from ontomatch.cli import main
+from ontomatch.errors import EXIT_CONFIG, EXIT_ENDPOINT, EXIT_OK, EXIT_PARSE
 
 from stubs import RecordingServer
 

@@ -178,17 +178,6 @@ def test_deterministic_provider_output_order_and_dedup():
     assert not np.array_equal(rows[0], rows[1])
 
 
-def test_deterministic_provider_fixtures_override():
-    pinned = np.array([1.0, 0.0, 0.0, 0.0])
-    provider = DeterministicProvider(dim=4, seed=0, fixtures={"pinned": pinned})
-    rows = provider.encode(["pinned", "free"])
-    np.testing.assert_array_equal(rows[0], pinned)
-    assert provider.fingerprint != DeterministicProvider(dim=4, seed=0).fingerprint
-    assert provider.fingerprint.startswith("deterministic/d4/s0/fx")
-    with pytest.raises(DimensionMismatch):
-        DeterministicProvider(dim=4, seed=0, fixtures={"bad": np.ones(3)})
-
-
 # sha256 of encode(PINNED_LABELS).tobytes(), one default_rng per label
 PINNED_LABELS = ["heart", "heart attack", "Myocardial infarction", "",
                  "\u00df-Zelle", "\u65e5\u672c\u8a9e", "a" * 100, "heart"]
@@ -222,15 +211,8 @@ def test_deterministic_rows_equal_the_oracle_at_bench_widths(dim):
 )
 def test_deterministic_rows_equal_the_oracle(dim, seed, distinct, data):
     labels = distinct + data.draw(st.lists(st.sampled_from(distinct), max_size=6))
-    pinned = data.draw(st.lists(st.sampled_from(distinct), unique=True))
-    fixtures = {
-        label: np.arange(dim, dtype=np.float64) + i for i, label in enumerate(pinned)
-    }
-    rows = DeterministicProvider(dim=dim, seed=seed, fixtures=fixtures).encode(labels)
-    expected = np.stack([
-        fixtures[label] if label in fixtures else oracle_hash_vector(label, dim, seed)
-        for label in labels
-    ])
+    rows = DeterministicProvider(dim=dim, seed=seed).encode(labels)
+    expected = np.stack([oracle_hash_vector(label, dim, seed) for label in labels])
     assert rows.tobytes() == expected.tobytes()
 
 

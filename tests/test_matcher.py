@@ -4,6 +4,7 @@ import json
 import os
 import signal
 import sys
+import tempfile
 import threading
 import time
 
@@ -34,8 +35,10 @@ from ontomatch.matcher import (
     PROVENANCE_BASELINE,
     PROVENANCE_HCB,
     PROVENANCE_LLM,
+    REPORT_KEYS,
     Alignment,
     Correspondence,
+    MatchRunReport,
     TraceEvent,
     identify,
     match_baseline,
@@ -427,7 +430,7 @@ def test_report_json_round_trip(disease_pipeline, tmp_path):
     report = run_mila(disease_pipeline, fixture_oracle(disease_pipeline))
     path = tmp_path / "report.json"
     write_report(report, path)
-    data = read_report(path)
+    data = json.loads(path.read_text(encoding="utf-8"))
     assert data["pipeline"] == "mila"
     assert data["alignment_size"] == 3
     assert data["llm_query_count"] == 2
@@ -439,7 +442,60 @@ def test_report_json_round_trip(disease_pipeline, tmp_path):
     assert data["multi_matched_targets"] == []
     assert "wall_times" not in data
     assert data["wall_times_s"]["match"] >= 0.0
-    assert json.loads(path.read_text())  # valid JSON on disk
+
+
+REPORT_ALIGNMENT = Alignment("S", "T", 5, 0.75, "test/fp", ())
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    pipeline=st.text(),
+    counts=st.tuples(*[st.integers(min_value=0, max_value=2**63)] * 3),
+    partial=st.booleans(),
+    abort_reason=st.none() | st.text(),
+    multi_matched_targets=st.lists(st.text(), max_size=4),
+    wall_times=st.dictionaries(
+        st.text(), st.floats(min_value=0.0, max_value=1e6), max_size=3
+    ),
+)
+def test_report_json_reads_back_what_was_written(
+    pipeline, counts, partial, abort_reason, multi_matched_targets, wall_times
+):
+    report = MatchRunReport(
+        pipeline=pipeline, alignment=REPORT_ALIGNMENT, trace=[],
+        llm_query_count=counts[0], hcb_count=counts[1],
+        llm_queries_issued=counts[2], wall_times=wall_times, partial=partial,
+        abort_reason=abort_reason, multi_matched_targets=multi_matched_targets,
+    )
+    written = report.to_json_dict()
+    # the writer and the reader share every key the reader declares
+    for key, (_, test, *_) in REPORT_KEYS.items():
+        assert key in written and test(written[key]), key
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        write_report(report, path)
+        back = read_report(path, REPORT_ALIGNMENT)
+    assert back.alignment is REPORT_ALIGNMENT and back.trace == []
+    assert (back.pipeline, back.llm_query_count, back.hcb_count) == (
+        pipeline, counts[0], counts[1]
+    )
+    assert back.wall_times == {k: round(v, 3) for k, v in wall_times.items()}
+    assert (back.partial, back.abort_reason, back.multi_matched_targets) == (
+        partial, abort_reason, multi_matched_targets
+    )
+
+
+def test_reports_without_the_optional_keys_share_no_default(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(
+        '{"pipeline": "mila", "llm_query_count": 1, "hcb_count": 0}',
+        encoding="utf-8",
+    )
+    first, second = (read_report(path, REPORT_ALIGNMENT) for _ in range(2))
+    assert (first.wall_times, first.partial, first.abort_reason) == ({}, False, None)
+    first.wall_times["match"] = 1.0
+    first.multi_matched_targets.append("T:1")
+    assert second.wall_times == {} and second.multi_matched_targets == []
 
 
 class FailAfter(LlmClient):

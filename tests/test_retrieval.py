@@ -40,6 +40,7 @@ from ontomatch.retrieval import (
 )
 
 from conftest import make_db, make_ontology, disease_vector_table
+from stubs import PinnedProvider
 from oracles import (
     oracle_direction_lists,
     oracle_entity_candidates,
@@ -52,8 +53,7 @@ CHUNKS = (1, 3, 128)
 
 
 def fixture_provider(vectors, dim):
-    arrays = {label: np.asarray(vec, dtype=np.float64) for label, vec in vectors.items()}
-    return DeterministicProvider(dim=dim, seed=0, fixtures=arrays)
+    return PinnedProvider(vectors, dim=dim)
 
 
 def hit_lists(provider, source_labels, target_labels, k, tau, chunk):
@@ -176,6 +176,25 @@ def test_kb_load_malformed(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(MalformedRecord):
         load_kb(path)
+
+
+@pytest.mark.parametrize("content, line_no, reason", [
+    (kb_bytes(rows="2", values=(1.0, 0.0) * 2), 6, "index ends after 1 of 2 lines"),
+    # the one index line ends, but not where the matrix starts
+    (kb_bytes(index="a\tE:1\nX"), 6, "matrix block has 17 bytes, expected 16"),
+    (kb_bytes(values=(1.0,)), 6, "matrix block has 8 bytes, expected 16"),
+    (kb_bytes(index="a\tE:1\tx\n"), 5, "expected 2 tab-separated fields, got 3"),
+    (kb_bytes(rows="2", index="a\tE:1\nb\t\n", values=(1.0, 0.0) * 2), 6,
+     "empty owner list"),
+    (kb_bytes(values=(float("inf"), 0.0)), 5,
+     "label 'a' has a non-finite vector value"),
+])
+def test_kb_load_names_the_line_and_the_fault(tmp_path, content, line_no, reason):
+    path = tmp_path / "bad.kb"
+    path.write_bytes(content)
+    with pytest.raises(MalformedRecord) as caught:
+        load_kb(path)
+    assert (caught.value.line_no, caught.value.reason) == (line_no, reason)
 
 
 def test_kb_keeps_labels_that_start_with_hash(tmp_path):

@@ -16,6 +16,17 @@ src/ontomatch or perfbench/*.py.
 
 The third scan fails on a call of the builtin open() in a read mode in any
 src/ontomatch module but fileio.py, so every input is read through fileio.
+
+A parameter with a default that no shipped call passes is an option only
+the tests can turn. The fourth scan fails on a defaulted parameter of a
+function, method or constructor in src/ontomatch that no call in
+src/ontomatch or perfbench/*.py passes, by keyword, by position or through
+`**name`, where name is assigned a dict literal or dict(...) call naming
+the key. Calls match by the called name (a class name for __init__,
+super().__init__ for the bases of the class it is in), so a method is
+passed a parameter when any call of that method name passes it. The
+__init__ a dataclass generates is not scanned: its fields are the second
+scan's.
 """
 
 import ast
@@ -124,3 +135,121 @@ def test_only_fileio_opens_files_for_reading():
                     and "+" not in mode.value):
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+# Defaulted parameters that no shipped call passes, each with its reason.
+UNPASSED_ALLOWED = {
+    # test hooks: the tests shorten the retry loop of the HTTP clients
+    "embedding.py:HttpProvider.__init__(max_retries)",
+    "embedding.py:HttpProvider.__init__(backoff_seconds)",
+    "llm.py:HttpChatClient.__init__(max_retries)",
+    "llm.py:HttpChatClient.__init__(backoff_seconds)",
+    # test hook: the tests run the blocked pass at block sizes 1 and 3
+    "retrieval.py:build_candidate_dbs(chunk)",
+    # test hook: the search-equivalence checks prompt every bidirectional pair
+    "matcher.py:match_mila(hcb_enabled)",
+    # the entry point reads sys.argv unless a caller hands it the arguments
+    "cli.py:main(argv)",
+    # numpy's ISeedSequence protocol signature, which numpy calls
+    "embedding.py:Words.generate_state(dtype)",
+}
+
+
+def _defaulted_parameters(tree):
+    """(qualified name, called name, parameter, position or None) for each
+    parameter with a default; position counts the arguments a call passes
+    positionally, self or cls left out, and is None for keyword-only ones."""
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, cls)
+                continue
+            args = child.args
+            positional = args.posonlyargs + args.args
+            if cls and not any(getattr(d, "id", None) == "staticmethod"
+                               for d in child.decorator_list):
+                positional = positional[1:]
+            qualified = f"{cls}.{child.name}" if cls else child.name
+            called = cls if cls and child.name == "__init__" else child.name
+            first = len(positional) - len(args.defaults)
+            for position, arg in enumerate(positional[first:], start=first):
+                yield qualified, called, arg.arg, position
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield qualified, called, arg.arg, None
+            yield from visit(child, None)
+
+    return visit(tree, None)
+
+
+def _dict_keys(node):
+    """The keys a dict literal or dict(...) call names."""
+    if isinstance(node, ast.Dict):
+        return {key.value for key in node.keys if isinstance(key, ast.Constant)}
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+        return {keyword.arg for keyword in node.keywords if keyword.arg}
+    return set()
+
+
+def _called_names(call, bases):
+    """The names a call may reach: the bases of the class it is in for
+    super().__init__(...), else the called name or attribute."""
+    func = call.func
+    if (isinstance(func, ast.Attribute) and func.attr == "__init__"
+            and isinstance(func.value, ast.Call)
+            and getattr(func.value.func, "id", None) == "super"):
+        return bases
+    return [getattr(func, "id", None) or getattr(func, "attr", None)]
+
+
+def _calls(tree):
+    """(called name, positional count, starred, keyword names) per call."""
+    dicts = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    dicts.setdefault(target.id, set()).update(_dict_keys(node.value))
+
+    def visit(node, bases):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, [getattr(b, "id", None) for b in child.bases])
+                continue
+            if isinstance(child, ast.Call):
+                keys = set()
+                for keyword in child.keywords:
+                    if keyword.arg:
+                        keys.add(keyword.arg)
+                    elif isinstance(keyword.value, ast.Name):
+                        keys |= dicts.get(keyword.value.id, set())
+                    else:
+                        keys |= _dict_keys(keyword.value)
+                starred = any(isinstance(arg, ast.Starred) for arg in child.args)
+                for name in _called_names(child, bases):
+                    yield name, len(child.args), starred, keys
+            yield from visit(child, bases)
+
+    return visit(tree, [])
+
+
+def test_every_defaulted_parameter_is_passed_in_src_or_perfbench():
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE + BENCH
+    }
+    calls = [call for tree in trees.values() for call in _calls(tree)]
+    unpassed = {
+        f"{path.name}:{qualified}({param})"
+        for path in PACKAGE
+        for qualified, called, param, position in _defaulted_parameters(trees[path])
+        if not any(
+            name == called and (param in keys or position is not None
+                                and (position < count or starred))
+            for name, count, starred, keys in calls
+        )
+    }
+    assert sorted(unpassed - UNPASSED_ALLOWED) == []
+    assert sorted(UNPASSED_ALLOWED - unpassed) == []  # no stale exception
