@@ -7,9 +7,7 @@ the verbs that only read candidate DBs (match) start without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import MalformedRecord, StaleKB, UnknownEntity
+from .errors import MalformedRecord, StaleKB, UnknownEntity, refuse_assignment
 from .fileio import atomic_write_text, read_header, read_records
 from .ontology import Ontology
 
@@ -17,14 +15,17 @@ DIRECTION_S2T = "s2t"
 DIRECTION_T2S = "t2s"
 
 
-@dataclass(frozen=True)
 class CandidateList:
-    """Ranked candidate entities for one query entity.
+    """Ranked candidate entities for one query entity; immutable.
 
     candidates is ((entity_id, rounded_score), ...) in rank order.
     """
 
-    candidates: tuple[tuple[str, float], ...]
+    __slots__ = ("candidates",)
+    __setattr__ = refuse_assignment
+
+    def __init__(self, candidates: tuple[tuple[str, float], ...]):
+        object.__setattr__(self, "candidates", candidates)
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -39,17 +40,17 @@ class CandidateList:
         return None
 
 
-@dataclass
 class CandidateDB:
     """Every query entity's ranked candidate list for one direction."""
 
-    direction: str
-    query_name: str
-    corpus_name: str
-    k: int
-    tau: float
-    fingerprint: str
-    lists: dict[str, CandidateList] = field(default_factory=dict)
+    def __init__(
+        self, direction: str, query_name: str, corpus_name: str, k: int,
+        tau: float, fingerprint: str, lists: dict[str, CandidateList] | None = None,
+    ):
+        self.direction, self.query_name = direction, query_name
+        self.corpus_name, self.k, self.tau = corpus_name, k, tau
+        self.fingerprint = fingerprint
+        self.lists = {} if lists is None else lists
 
     def candidates_of(self, entity_id: str) -> CandidateList:
         try:

@@ -205,7 +205,7 @@ def _match(
             report = match_mila(None, s2t, t2s, llm, template, **options)
         else:
             report = match_baseline(None, s2t, llm, template, **options)
-    report.llm_queries_issued = llm.query_count
+    report = report._replace(llm_queries_issued=llm.query_count)
     write_alignment(report.alignment, os.path.join(stage, "alignment.tsv"))
     write_trace(report.trace, os.path.join(stage, "trace.tsv"))
     write_report(report, os.path.join(stage, "report.json"))
@@ -365,6 +365,8 @@ def cmd_run_all(args) -> int:
     llm_reference = None
     if cfg.llm_kind == "oracle" and cfg.llm_reference:
         llm_reference = load_reference(cfg.llm_reference)
+    # a client that cannot be built fails the run before anything is written
+    config_mod.build_llm_client(cfg, reference=llm_reference).close()
     source_kb, target_kb = _embed(cfg, source, target, provider)
     s2t, t2s = _retrieve(cfg, source, target, source_kb, target_kb)
     both = args.pipeline == "both"

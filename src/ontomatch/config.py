@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigError
 from .fileio import read_lines
@@ -35,13 +34,8 @@ PIPELINES = (PIPELINE_MILA, PIPELINE_BASELINE)
 HTTP_CHAT_WORKERS = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a pipeline run needs; defaults are k=5, tau=0.75, temperature 0.7.
-
-    An unset match_workers resolves from llm_kind: HTTP_CHAT_WORKERS for
-    http-chat, 1 for the in-process clients.
-    """
+class _Settings(NamedTuple):
+    """RunConfig's fields, with their defaults."""
 
     source_dump: str | None = None
     source_name: str = "SOURCE"
@@ -72,10 +66,21 @@ class RunConfig:
     eval_reference: str | None = None
     match_workers: int | None = None
 
-    def __post_init__(self):
+
+class RunConfig(_Settings):
+    """Everything a pipeline run needs; defaults are k=5, tau=0.75, temperature 0.7.
+
+    An unset match_workers resolves from llm_kind: HTTP_CHAT_WORKERS for
+    http-chat, 1 for the in-process clients.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.match_workers is None:
             workers = HTTP_CHAT_WORKERS if self.llm_kind == "http-chat" else 1
-            object.__setattr__(self, "match_workers", workers)
+            self = self._replace(match_workers=workers)
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if not 0.0 <= self.tau <= 1.0:
@@ -106,13 +111,19 @@ class RunConfig:
         ):
             if not 0.0 < timeout < math.inf:
                 raise ConfigError(f"{key} must be finite and > 0, got {timeout}")
+        return self
 
 
 # config-file key <-> RunConfig field: the key is the field name with its
 # first "_" replaced by "."
-_KEY_BY_FIELD = {f.name: f.name.replace("_", ".", 1) for f in fields(RunConfig)}
+_KEY_BY_FIELD = {name: name.replace("_", ".", 1) for name in RunConfig._fields}
 _FIELD_BY_KEY = {key: name for name, key in _KEY_BY_FIELD.items()}
-# RunConfig annotation -> parser of the config-file text; other types stay text
+# RunConfig field -> its annotation's text, which typing may wrap in a ForwardRef
+_TYPE_BY_FIELD = {
+    name: getattr(hint, "__forward_arg__", hint)
+    for name, hint in _Settings.__annotations__.items()
+}
+# annotation -> parser of the config-file text; other types stay text
 _PARSERS = {"int": int, "int | None": int, "float": float}
 
 
@@ -136,7 +147,7 @@ def load_config_file(path: str) -> dict[str, str]:
 
 
 def _convert(key: str, field_name: str, text: str):
-    field_type = {f.name: f.type for f in fields(RunConfig)}[field_name]
+    field_type = _TYPE_BY_FIELD[field_name]
     parser = _PARSERS.get(field_type)
     if parser is None:
         return text
@@ -179,10 +190,7 @@ def snapshot(config: RunConfig) -> str:
         value = getattr(config, field_name)
         if value is None:
             continue
-        if isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
+        text = repr(value) if isinstance(value, float) else str(value)
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 

@@ -98,3 +98,10 @@ class PersistFailure(OntomatchError):
 class MismatchedInputs(OntomatchError):
     """Two runs being compared were produced under different settings."""
     exit_code = EXIT_CONFIG
+
+
+def refuse_assignment(record, name, value):
+    """__setattr__ of the immutable records; dataclasses loads only here."""
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -9,20 +9,22 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InvalidParameter, MalformedRecord, MismatchedInputs
+from .errors import InvalidParameter, MalformedRecord, MismatchedInputs, refuse_assignment
 from .fileio import atomic_write_text, read_records
 
 if TYPE_CHECKING:
     from .matcher import MatchRunReport
 
-@dataclass(frozen=True)
 class ReferenceAlignment:
-    """The ground-truth pair set."""
+    """The ground-truth pair set; immutable."""
 
-    pairs: frozenset[tuple[str, str]]
+    __slots__ = ("pairs",)
+    __setattr__ = refuse_assignment
+
+    def __init__(self, pairs: frozenset[tuple[str, str]]):
+        object.__setattr__(self, "pairs", pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -64,15 +66,14 @@ def split_reference(
     )
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     precision: float
     recall: float
     f_measure: float
     aligned_count: int
     reference_count: int
     overlap_count: int
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = {}
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,8 +139,7 @@ def _ratio(a: float, b: float) -> float | None:
     return a / b
 
 
-@dataclass(frozen=True)
-class RunComparison:
+class RunComparison(NamedTuple):
     """Side-by-side quality and cost of two runs over one reference."""
 
     rows: tuple[tuple[str, str, str, str], ...]  # metric, a, b, ratio

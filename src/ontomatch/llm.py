@@ -10,20 +10,19 @@ accounting and exchange logging.
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 import os
 import re
 import string
 import threading
 import time
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     EndpointUnavailable,
     InvalidParameter,
     MissingPlaceholder,
+    refuse_assignment,
 )
 from .fileio import read_text
 
@@ -50,15 +49,16 @@ _PLACEHOLDER_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
 class PromptTemplate:
-    """Prompt text with the four placeholders, each appearing exactly once."""
+    """Prompt text with the four placeholders, each appearing exactly once;
+    immutable."""
 
-    text: str
+    __slots__ = ("text",)
+    __setattr__ = refuse_assignment
 
-    def __post_init__(self):
+    def __init__(self, text: str):
         for name in PLACEHOLDERS:
-            count = self.text.count("{" + name + "}")
+            count = text.count("{" + name + "}")
             if count == 0:
                 raise MissingPlaceholder(
                     f"template lacks the {{{name}}} placeholder"
@@ -67,6 +67,7 @@ class PromptTemplate:
                 raise MissingPlaceholder(
                     f"template must contain {{{name}}} exactly once, found {count}"
                 )
+        object.__setattr__(self, "text", text)
 
     @classmethod
     def default(cls) -> "PromptTemplate":
@@ -130,8 +131,7 @@ def parse_reply(text: str) -> Verdict:
     return Verdict.UNPARSEABLE
 
 
-@dataclass(frozen=True)
-class LlmVerdict:
+class LlmVerdict(NamedTuple):
     value: Verdict
     attempts: int
 
@@ -230,6 +230,8 @@ class OracleClient(LlmClient):
         self._seed = int(seed)
 
     def _flip_decision(self, source_id: str, target_id: str) -> bool:
+        import hashlib  # OpenSSL loads only for a run that flips verdicts
+
         digest = hashlib.sha256(
             f"{self._seed}:{source_id}:{target_id}".encode("utf-8")
         ).digest()

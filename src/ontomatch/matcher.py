@@ -25,9 +25,8 @@ import logging
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .candidates import DIRECTION_S2T, DIRECTION_T2S, CandidateDB
 from .config import PIPELINE_BASELINE, PIPELINE_MILA
@@ -37,6 +36,7 @@ from .errors import (
     MalformedRecord,
     StaleKB,
     UnknownEntity,
+    refuse_assignment,
 )
 from .fileio import (
     atomic_write_text,
@@ -61,8 +61,7 @@ OUTCOME_LLM_YES = "LLM-yes"
 OUTCOME_LLM_NO = "LLM-no"
 
 
-@dataclass(frozen=True)
-class Correspondence:
+class Correspondence(NamedTuple):
     """One accepted equivalence with its score and how it was decided."""
 
     source_id: str
@@ -72,25 +71,33 @@ class Correspondence:
     provenance: str
 
 
-@dataclass(frozen=True)
 class Alignment:
-    """A set of correspondences plus the parameters they were produced under."""
+    """Correspondences and the parameters they were made under; immutable."""
 
-    source_onto: str
-    target_onto: str
-    k: int
-    tau: float
-    fingerprint: str
-    correspondences: tuple[Correspondence, ...]
+    __slots__ = (
+        "source_onto", "target_onto", "k", "tau", "fingerprint", "correspondences"
+    )
+    __setattr__ = refuse_assignment
 
-    def __post_init__(self):
+    def __init__(
+        self, source_onto: str, target_onto: str, k: int, tau: float,
+        fingerprint: str, correspondences: tuple[Correspondence, ...],
+    ):
         seen: set[str] = set()
-        for corr in self.correspondences:
+        for corr in correspondences:
             if corr.source_id in seen:
                 raise InvalidParameter(
                     f"more than one correspondence for source {corr.source_id!r}"
                 )
             seen.add(corr.source_id)
+        values = (source_onto, target_onto, k, tau, fingerprint, correspondences)
+        for slot, value in zip(self.__slots__, values):
+            object.__setattr__(self, slot, value)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Alignment and all(
+            getattr(self, slot) == getattr(other, slot) for slot in self.__slots__
+        )
 
     def __len__(self) -> int:
         return len(self.correspondences)
@@ -102,20 +109,18 @@ class Alignment:
         )
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     source_id: str
     rank: int
     candidate_id: str
     outcome: str
 
 
-@dataclass
-class MatchRunReport:
+class MatchRunReport(NamedTuple):
     """Everything one pipeline run produced, with query accounting.
 
     llm_query_count counts the LLM visits in the trace. llm_queries_issued is
-    every query the client completed, set by the caller that owns the
+    every query the client completed, filled in by the caller that owns the
     client; it is larger when an aborted run drops walks that had paid
     queries.
     """
@@ -126,10 +131,10 @@ class MatchRunReport:
     llm_query_count: int
     hcb_count: int
     llm_queries_issued: int | None = None
-    wall_times: dict[str, float] = field(default_factory=dict)
+    wall_times: dict[str, float] = {}
     partial: bool = False
     abort_reason: str | None = None
-    multi_matched_targets: list[str] = field(default_factory=list)
+    multi_matched_targets: list[str] = []
 
     def to_json_dict(self) -> dict:
         by_provenance: dict[str, int] = {}
@@ -313,20 +318,15 @@ def _run_per_source(
             stopped = True
         for helper in helpers:
             helper.join()
-    per_source = results
-    partial = False
-    abort_reason = None
-    if failures:
-        first = min(failures)
-        exc = failures[first]
-        if not isinstance(exc, EndpointUnavailable):
-            raise exc
-        partial = True
-        abort_reason = str(exc)
-        logger.error("aborting %s run at %s: %s", pipeline, plan[first][0], exc)
-        per_source = results[:first]
     elapsed = time.perf_counter() - start
-    return _finish_report(pipeline, s2t, per_source, elapsed, partial, abort_reason)
+    if not failures:
+        return _finish_report(pipeline, s2t, results, elapsed, False, None)
+    first = min(failures)
+    exc = failures[first]
+    if not isinstance(exc, EndpointUnavailable):
+        raise exc
+    logger.error("aborting %s run at %s: %s", pipeline, plan[first][0], exc)
+    return _finish_report(pipeline, s2t, results[:first], elapsed, True, str(exc))
 
 
 def _walk(
@@ -486,21 +486,10 @@ def read_alignment(path: str) -> Alignment:
                 path, line_no, f"bad confidence {confidence_text!r}"
             ) from None
         correspondences.append(
-            Correspondence(
-                source_id=source_id,
-                target_id=target_id,
-                relation=relation,
-                confidence=confidence,
-                provenance=provenance,
-            )
+            Correspondence(source_id, target_id, relation, confidence, provenance)
         )
     return Alignment(
-        source_onto=source_onto,
-        target_onto=target_onto,
-        k=k,
-        tau=tau,
-        fingerprint=fingerprint,
-        correspondences=tuple(correspondences),
+        source_onto, target_onto, k, tau, fingerprint, tuple(correspondences)
     )
 
 

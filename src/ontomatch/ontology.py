@@ -8,10 +8,11 @@ may be empty or absent. Entities are immutable once loaded.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterator, NamedTuple
 
-from .errors import DuplicateEntityId, EmptyOntology, MalformedRecord, UnknownEntity
+from .errors import (
+    DuplicateEntityId, EmptyOntology, MalformedRecord, UnknownEntity, refuse_assignment,
+)
 from .fileio import read_records
 
 
@@ -31,8 +32,7 @@ class Entity(NamedTuple):
     preferred_label: str
     synonyms: tuple[str, ...] = ()
 
-    def __setattr__(self, name, value):  # immutable, as a frozen dataclass
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    __setattr__ = refuse_assignment  # immutable, as a frozen dataclass
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -40,25 +40,29 @@ class Entity(NamedTuple):
         return (self.preferred_label,) + self.synonyms
 
 
-@dataclass(frozen=True)
 class Ontology:
-    """An immutable named collection of entities."""
+    """An immutable named collection of entities, compared by value."""
 
-    name: str
-    entities: tuple[Entity, ...]
-    _by_id: dict[str, Entity] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "entities", "_by_id")
+    __setattr__ = refuse_assignment
 
-    def __post_init__(self):
-        by_id = {entity.id: entity for entity in self.entities}
-        if len(by_id) < len(self.entities):
+    def __init__(self, name: str, entities: tuple[Entity, ...]):
+        by_id = {entity.id: entity for entity in entities}
+        if len(by_id) < len(entities):
             seen: set[str] = set()
-            for entity in self.entities:
+            for entity in entities:
                 if entity.id in seen:
                     raise DuplicateEntityId(
-                        f"entity id {entity.id!r} appears more than once in {self.name!r}"
+                        f"entity id {entity.id!r} appears more than once in {name!r}"
                     )
                 seen.add(entity.id)
-        object.__setattr__(self, "_by_id", by_id)
+        for slot, value in zip(self.__slots__, (name, entities, by_id)):
+            object.__setattr__(self, slot, value)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Ontology and (self.name, self.entities) == (
+            other.name, other.entities
+        )
 
     def __len__(self) -> int:
         return len(self.entities)

@@ -27,7 +27,7 @@ import logging
 import math
 import os
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ VISIBLE_PARASITES_PER_ANCHOR = 4
 DEGENERATE_CROSS_SCORE = 0.5
 
 
-@dataclass
-class SynthCorpus:
+class SynthCorpus(NamedTuple):
     """Paths and construction stats for one generated corpus."""
 
     out_dir: str
@@ -74,8 +73,8 @@ class SynthCorpus:
     synonym_rate: float
     noise_level: float
     hcb_fraction: float
-    sabotaged_sources: list[str] = field(default_factory=list)
-    planned: dict = field(default_factory=dict)
+    sabotaged_sources: list[str] = []
+    planned: dict = {}
 
     def to_json_dict(self) -> dict:
         return {
@@ -283,26 +282,12 @@ def generate_corpus(
         n, n_hcb, parasites_of_group, sabotaged_set, synonym_rate, source_id
     )
 
-    corpus = SynthCorpus(
-        out_dir=out_dir,
-        source_path=os.path.join(out_dir, "source.tsv"),
-        target_path=os.path.join(out_dir, "target.tsv"),
-        reference_path=os.path.join(out_dir, "reference.tsv"),
-        vectors_path=os.path.join(out_dir, "vectors.tsv"),
-        manifest_path=os.path.join(out_dir, "manifest.json"),
-        n_pairs=n,
-        hcb_pairs=n_hcb,
-        parasite_pairs=n_parasites,
-        dim=dim,
-        seed=seed,
-        synonym_rate=synonym_rate,
-        noise_level=noise_level,
-        hcb_fraction=hcb_fraction,
-        sabotaged_sources=sabotaged,
-        planned=planned,
+    return _write_corpus(
+        out_dir, source_rows, target_rows, reference, vectors,
+        n_pairs=n, hcb_pairs=n_hcb, parasite_pairs=n_parasites, dim=dim, seed=seed,
+        synonym_rate=synonym_rate, noise_level=noise_level, hcb_fraction=hcb_fraction,
+        sabotaged_sources=sabotaged, planned=planned,
     )
-    _write_corpus(corpus, source_rows, target_rows, reference, vectors)
-    return corpus
 
 
 def _plan_counts(
@@ -389,40 +374,30 @@ def _generate_degenerate(
         source_rows.append((sid, s_label, s_syn))
         target_rows.append((tid, t_label, t_syn))
         reference.append((sid, tid))
-    corpus = SynthCorpus(
-        out_dir=out_dir,
-        source_path=os.path.join(out_dir, "source.tsv"),
-        target_path=os.path.join(out_dir, "target.tsv"),
-        reference_path=os.path.join(out_dir, "reference.tsv"),
-        vectors_path=os.path.join(out_dir, "vectors.tsv"),
-        manifest_path=os.path.join(out_dir, "manifest.json"),
-        n_pairs=n,
-        hcb_pairs=0,
-        parasite_pairs=0,
-        dim=dim,
-        seed=seed,
-        synonym_rate=synonym_rate,
-        noise_level=0.0,
-        hcb_fraction=hcb_fraction,
-        sabotaged_sources=[],
-        planned={
-            "hcb_accepts": 0,
-            "mila_llm_calls": 0,
-            "baseline_llm_calls": 0,
-            "sum_source_candidates": 0,
+    return _write_corpus(
+        out_dir, source_rows, target_rows, reference, vectors,
+        n_pairs=n, hcb_pairs=0, parasite_pairs=0, dim=dim, seed=seed,
+        synonym_rate=synonym_rate, noise_level=0.0, hcb_fraction=hcb_fraction,
+        sabotaged_sources=[], planned={
+            "hcb_accepts": 0, "mila_llm_calls": 0,
+            "baseline_llm_calls": 0, "sum_source_candidates": 0,
         },
     )
-    _write_corpus(corpus, source_rows, target_rows, reference, vectors)
-    return corpus
 
 
 def _write_corpus(
-    corpus: SynthCorpus,
+    out_dir: str,
     source_rows: list[tuple[str, str, list[str]]],
     target_rows: list[tuple[str, str, list[str]]],
     reference: list[tuple[str, str]],
     vectors: dict[str, np.ndarray],
-) -> None:
+    **stats,
+) -> SynthCorpus:
+    """Write a corpus's files under their fixed names in out_dir; its record."""
+    corpus = SynthCorpus(out_dir, *(
+        os.path.join(out_dir, name) for name in
+        ("source.tsv", "target.tsv", "reference.tsv", "vectors.tsv", "manifest.json")
+    ), **stats)
     atomic_write_text(corpus.source_path, _dump_lines(source_rows))
     atomic_write_text(corpus.target_path, _dump_lines(target_rows))
     write_reference(ReferenceAlignment(frozenset(reference)), corpus.reference_path)
@@ -436,6 +411,7 @@ def _write_corpus(
         corpus.n_pairs, corpus.hcb_pairs, corpus.parasite_pairs, corpus.dim,
         corpus.out_dir,
     )
+    return corpus
 
 
 def generate_flat_corpus(

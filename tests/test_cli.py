@@ -964,6 +964,23 @@ def test_bad_prompt_template_exits_config_before_any_artifact(tmp_path, capsys):
     assert err[0].startswith(f"error: cannot read prompt template {tmp_path}: ")
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"llm.flip_probability": "2"}, "flip_probability must be in [0, 1], got 2.0"),
+    ({"llm.kind": "http-chat"}, "llm.kind=http-chat requires llm.url and llm.model"),
+    ({"llm.kind": "scripted"},
+     "llm.kind=scripted requires llm.replies (path to a file with one reply per line)"),
+], ids=["flip", "http-chat", "scripted"])
+def test_run_all_rejects_llm_settings_before_embedding(tmp_path, capsys, settings, message):
+    _, config = make_corpus(tmp_path, n=6, hcb="0.5", seed="1")
+    fresh = tmp_path / "fresh"
+    bad = variant_config(config, {**settings, "out": str(fresh)})
+    capsys.readouterr()
+    assert main(["run-all", "--config", bad, "--pipeline", "mila"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not fresh.exists()
+
+
 def test_non_utf8_inputs_exit_parse(tmp_path, capsys):
     out, config = make_corpus(tmp_path, n=6, hcb="1.0")
     latin1 = str(tmp_path / "latin1.tsv")

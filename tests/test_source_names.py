@@ -1,5 +1,5 @@
-"""Every top-level name and every dataclass field of the package has a
-user in the shipped code.
+"""Every top-level name and every record field of the package has a user
+in the shipped code.
 
 A function, class or constant that only the tests call is a second code
 path that no verb runs. The first scan takes each top-level name defined in
@@ -9,10 +9,13 @@ with the lines of its own definition left out. A mention in a docstring,
 comment or other string does not count. Dunder names are not checked:
 Python itself reads them (`__all__`, `__version__`).
 
-A dataclass field that nothing reads is built, copied and compared for no
-one. The second scan fails on a field of a @dataclass in src/ontomatch whose
+A record field that nothing reads is built, copied and compared for no
+one. The second scan fails on a field of a class in src/ontomatch whose
 name is never read as an attribute (`x.name` in a load context) anywhere in
-src/ontomatch or perfbench/*.py.
+src/ontomatch or perfbench/*.py. A class's fields are its annotated names
+(the fields of a NamedTuple or dataclass), its __slots__ and the attributes
+its __init__ sets on self. The exceptions in errors.py are left out: their
+fields are for the callers that catch them.
 
 The third scan fails on a call of the builtin open() in a read mode in any
 src/ontomatch module but fileio.py, so every input is read through fileio.
@@ -25,8 +28,8 @@ src/ontomatch or perfbench/*.py passes, by keyword, by position or through
 the key. Calls match by the called name (a class name for __init__,
 super().__init__ for the bases of the class it is in), so a method is
 passed a parameter when any call of that method name passes it. The
-__init__ a dataclass generates is not scanned: its fields are the second
-scan's.
+constructor a NamedTuple generates is not scanned: its fields are the
+second scan's.
 """
 
 import ast
@@ -79,13 +82,27 @@ def test_every_top_level_name_is_used_in_src_or_perfbench():
     assert orphans == []
 
 
-def _is_dataclass(decorator) -> bool:
-    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    name = target.attr if isinstance(target, ast.Attribute) else target.id
-    return name == "dataclass"
+def _fields(cls):
+    """A class's record fields: its annotated names (the fields of a
+    dataclass or NamedTuple), its __slots__ and what its __init__ sets on
+    self."""
+    for item in cls.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            yield item.target.id
+        elif isinstance(item, ast.Assign) and any(
+            getattr(target, "id", None) == "__slots__" for target in item.targets
+        ):
+            yield from (slot.value for slot in ast.walk(item.value)
+                        if isinstance(slot, ast.Constant))
+        elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+            yield from (
+                node.attr for node in ast.walk(item)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and getattr(node.value, "id", None) == "self"
+            )
 
 
-def test_every_dataclass_field_is_read_in_src_or_perfbench():
+def test_every_record_field_is_read_in_src_or_perfbench():
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE + BENCH
     }
@@ -96,14 +113,13 @@ def test_every_dataclass_field_is_read_in_src_or_perfbench():
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     unread = [
-        f"{path.name}:{node.name}.{item.target.id}"
+        f"{path.name}:{node.name}.{name}"
         for path in PACKAGE
-        for node in trees[path].body
+        if path.name != "errors.py"  # an exception's fields are for its catchers
+        for node in ast.walk(trees[path])
         if isinstance(node, ast.ClassDef)
-        and any(_is_dataclass(d) for d in node.decorator_list)
-        for item in node.body
-        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-        and item.target.id not in read
+        for name in _fields(node)
+        if name not in read
     ]
     assert unread == []
 

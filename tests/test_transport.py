@@ -273,6 +273,30 @@ def test_only_the_vector_verbs_load_numpy(corpus, tmp_path):
         assert server.payloads
 
 
+def test_the_numpy_free_verbs_load_no_dataclasses_and_no_hashlib(corpus, tmp_path):
+    # dataclasses (which imports inspect) and hashlib (which loads OpenSSL)
+    # were a sixth of a match verb's time; only a flipping oracle digests
+    config, out = corpus
+    reference = os.path.join(out, "synthetic", "reference.tsv")
+    runs = os.path.join(out, "runs")
+    for argv in (
+        ["eval", "--alignment", os.path.join(runs, "r-mila", "alignment.tsv"),
+         "--reference", reference],
+        ["compare", os.path.join(runs, "r-mila"), os.path.join(runs, "r-baseline"),
+         "--reference", reference],
+        ["match", "--pipeline", "mila", "--run-id", "diet"],
+    ):
+        loaded = _verb_modules(argv + ["--config", config])
+        assert sorted({"dataclasses", "inspect", "hashlib"} & loaded) == [], argv[0]
+    flipping = str(tmp_path / "flip.config")
+    with open(config, encoding="utf-8") as handle:
+        text = handle.read()
+    with open(flipping, "w", encoding="utf-8") as handle:
+        handle.write(text + "llm.flip_probability = 0.1\n")
+    loaded = _verb_modules(["match", "--run-id", "flip", "--config", flipping])
+    assert "hashlib" in loaded
+
+
 def test_build_kb_and_predict_load_only_what_they_run(corpus, tmp_path):
     # Neither verb matches or scores, and importing these three modules is
     # a large share of a verb's start-up when bytecode is not cached.
