@@ -72,7 +72,9 @@ class EmbeddingProvider:
 
     Subclasses implement _encode_batch for labels not yet cached. encode
     preserves input order, dedups repeated labels, and validates shape and
-    finiteness of whatever the subclass returns.
+    finiteness of whatever the subclass returns. When every label is new
+    and distinct, encode returns that batch itself, read-only, and the cache
+    keeps views of its rows, so the batch is held once.
     """
 
     def __init__(self):
@@ -107,9 +109,12 @@ class EmbeddingProvider:
                 raise ProviderUnavailable(
                     f"{self.fingerprint} returned non-finite vector components"
                 )
+            vectors.flags.writeable = False
             with self._cache_lock:
                 for label, vector in zip(missing, vectors):
                     self._cache[label] = vector
+            if len(missing) == len(labels):
+                return vectors
         with self._cache_lock:
             return np.stack([self._cache[label] for label in labels])
 
@@ -232,10 +237,12 @@ def _hash_rows(seed: int, labels: Sequence[str], dim: int) -> np.ndarray:
     rows = np.empty((len(labels), dim), dtype=np.float64)
     for words, row in zip(seed_words(seeds), rows):
         Generator(PCG64(Words(words))).standard_normal(out=row)
-    norms = np.sqrt(np.fromiter(map(np.dot, rows, rows), np.float64, len(rows)))
+    # one stacked matmul takes every row's dot with itself, as np.dot does
+    norms = np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
     zero = norms == 0.0  # astronomically unlikely; keep the invariant anyway
     rows[zero, 0], norms[zero] = 1.0, 1.0
-    return rows / norms[:, None]
+    rows /= norms[:, None]
+    return rows
 
 
 # Tokens per parse block: enough to spread numpy's per-call cost thin, few

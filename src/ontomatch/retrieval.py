@@ -80,15 +80,35 @@ _F64_NORM_SLACK = 2.0 ** -30
 _F32_CUT_SLACK = 2.0 ** -22
 
 _DEF_CHUNK = 128
-# Float64 elements of each side gathered at once when rescoring survivors.
-_RESCORE_ELEMENTS = 1 << 16
+# Float64 elements of a matrix handled at once: when its norms are taken,
+# when its unit rows are cast to float32, and per side when survivors are
+# rescored. No temporary the size of a whole KB matrix is built.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _row_blocks(n_rows: int, dim: int) -> list[slice]:
+    """Consecutive row slices of an n_rows x dim matrix, each of at most
+    _BLOCK_ELEMENTS elements or one row."""
+    step = max(1, _BLOCK_ELEMENTS // max(dim, 1))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(matrix, axis=1), a block of rows at a time: each row's
+    sum is the same, and no full-size x*x temporary is built."""
+    norms = np.empty(len(matrix))
+    for rows in _row_blocks(*matrix.shape):
+        norms[rows] = np.linalg.norm(matrix[rows], axis=1)
+    return norms
 
 
 class VectorKB:
     """All label vectors of one ontology plus the owning-entity sets.
 
     Rows are unique labels. The provider fingerprint is stored so later
-    stages can detect artifacts built under a different provider.
+    stages can detect artifacts built under a different provider. The KB
+    holds its raw rows and their norms; retrieval divides only the rows it
+    touches, through unit_rows, so no unit matrix is ever held whole.
     """
 
     def __init__(
@@ -110,20 +130,20 @@ class VectorKB:
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self.fingerprint = fingerprint
         self.dim = int(self.matrix.shape[1]) if self.matrix.size else 0
-        norms = np.linalg.norm(self.matrix, axis=1)
-        zero_rows = np.flatnonzero(norms == 0.0)
+        self.norms = _row_norms(self.matrix)
+        zero_rows = np.flatnonzero(self.norms == 0.0)
         if zero_rows.size:
             raise ZeroVector(
                 f"label {self.labels[int(zero_rows[0])]!r} has a zero vector"
             )
-        self._unit = self.matrix / norms[:, None]
 
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def unit_matrix(self) -> np.ndarray:
-        return self._unit
+    def unit_rows(self, rows) -> np.ndarray:
+        """The unit rows at rows (a slice or an index array), each bit-equal
+        to that row of matrix / norms[:, None]."""
+        return self.matrix[rows] / self.norms[rows, None]
 
 
 def build_kb(
@@ -377,16 +397,16 @@ class _ColumnCut:
 
 
 def _row_dots(
-    left: np.ndarray, left_rows: np.ndarray, right: np.ndarray, right_rows: np.ndarray
+    left: VectorKB, left_rows: np.ndarray, right: VectorKB, right_rows: np.ndarray
 ) -> np.ndarray:
-    """The float64 dot of left[left_rows[i]] and right[right_rows[i]] for
-    each i, gathering at most _RESCORE_ELEMENTS elements a side at once."""
+    """The float64 dot of the unit rows left_rows[i] of left and
+    right_rows[i] of right for each i, gathering at most _BLOCK_ELEMENTS
+    elements a side at once."""
     dots = np.empty(left_rows.size)
-    step = max(1, _RESCORE_ELEMENTS // max(left.shape[1], 1))
-    for start in range(0, dots.size, step):
-        span = slice(start, start + step)
+    for span in _row_blocks(dots.size, left.dim):
         dots[span] = np.einsum(
-            "ij,ij->i", left[left_rows[span]], right[right_rows[span]]
+            "ij,ij->i", left.unit_rows(left_rows[span]),
+            right.unit_rows(right_rows[span]),
         )
     return dots
 
@@ -413,7 +433,7 @@ def _gather(sizes: np.ndarray, which: np.ndarray) -> np.ndarray:
 
 
 def _exact_hits(
-    query_unit: np.ndarray,
+    query_kb: VectorKB,
     corpus_kb: VectorKB,
     query_rows: np.ndarray,
     corpus_rows: np.ndarray,
@@ -427,9 +447,7 @@ def _exact_hits(
     the scores at or above tau, ordered by (score desc, label asc) in one
     lexsort and cut at k by position in the row's run.
     """
-    scores = round_scores(
-        _row_dots(query_unit, query_rows, corpus_kb.unit_matrix, corpus_rows)
-    )
+    scores = round_scores(_row_dots(query_kb, query_rows, corpus_kb, corpus_rows))
     hit = scores >= tau
     query_rows, corpus_rows, scores = query_rows[hit], corpus_rows[hit], scores[hit]
     by_label = sorted(set(corpus_rows.tolist()), key=corpus_kb.labels.__getitem__)
@@ -474,8 +492,8 @@ def _direction_lists(
     pair_entity, pair_col = np.divmod(pairs[_runs(pairs)], len(corpus_kb))
     per = n_labels[pair_entity]
     dots = _row_dots(
-        query_kb.unit_matrix, label_rows[_gather(n_labels, pair_entity)],
-        corpus_kb.unit_matrix, pair_col.repeat(per),
+        query_kb, label_rows[_gather(n_labels, pair_entity)],
+        corpus_kb, pair_col.repeat(per),
     )
     best = np.maximum.reduceat(dots, np.cumsum(per) - per)
     cols = sorted(set(pair_col.tolist()))
@@ -502,7 +520,7 @@ def _direction_lists(
     for e in set(entity[unsure].tolist()):
         union = pair_col[slice(*np.searchsorted(pair_entity, [e, e + 1]))].tolist()
         rows = label_rows[_gather(n_labels, np.array([e]))]
-        cross = query_kb.unit_matrix[rows] @ corpus_kb.unit_matrix[union].T
+        cross = query_kb.unit_rows(rows) @ corpus_kb.unit_rows(union).T
         col_max = list(zip(union, cross.max(axis=0).tolist()))
         for i in unsure[entity[unsure] == e].tolist():
             owner_id = ids[owner[i]]
@@ -530,12 +548,14 @@ def _blocked_pass(
     cut per column by a _ColumnCut.
     """
     floor, rank_margin = _cuts(row_kb.dim, tau)
-    col32 = col_kb.unit_matrix.astype(np.float32)
+    col32 = np.empty(col_kb.matrix.shape, dtype=np.float32)
+    for rows in _row_blocks(*col32.shape):
+        col32[rows] = col_kb.unit_rows(rows)
     columns = _ColumnCut(len(col_kb), k, floor, rank_margin)
     rows_out = [np.empty(0, dtype=np.intp)]
     cols_out = [np.empty(0, dtype=np.intp)]
     for start in range(0, len(row_kb), chunk):
-        block = row_kb.unit_matrix[start:start + chunk].astype(np.float32)
+        block = row_kb.unit_rows(slice(start, start + chunk)).astype(np.float32)
         sims = block @ col32.T
         rows, cols = _row_survivors(sims, k, floor, rank_margin)
         rows_out.append(rows + start)
@@ -597,7 +617,7 @@ def build_candidate_dbs(
         fingerprint=source_kb.fingerprint,
         lists=_direction_lists(
             source, source_kb, target_kb,
-            *_exact_hits(source_kb.unit_matrix, target_kb, *s2t_pairs, k, tau),
+            *_exact_hits(source_kb, target_kb, *s2t_pairs, k, tau),
         ),
     )
     t2s = CandidateDB(
@@ -609,7 +629,7 @@ def build_candidate_dbs(
         fingerprint=target_kb.fingerprint,
         lists=_direction_lists(
             target, target_kb, source_kb,
-            *_exact_hits(target_kb.unit_matrix, source_kb, *t2s_pairs, k, tau),
+            *_exact_hits(target_kb, source_kb, *t2s_pairs, k, tau),
         ),
     )
     return s2t, t2s

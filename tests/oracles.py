@@ -163,10 +163,15 @@ _TAU_MARGIN = 1.5e-5
 _RANK_MARGIN = 2.0e-5
 
 
+def oracle_unit_matrix(kb):
+    """A KB's rows divided by their 2-norms, the whole matrix at once."""
+    return kb.matrix / np.linalg.norm(kb.matrix, axis=1)[:, None]
+
+
 def oracle_top_rows_batch(query_unit, corpus_kb, k, tau):
     """Per query unit row: [(corpus row, rounded score), ...] in final rank
     order, from the full float64 score matrix, one row at a time."""
-    sims = query_unit @ corpus_kb.unit_matrix.T
+    sims = query_unit @ oracle_unit_matrix(corpus_kb).T
     results = []
     for row in sims:
         keep = np.flatnonzero(row >= tau - _TAU_MARGIN)
@@ -192,7 +197,9 @@ def oracle_direction_lists(query_onto, query_kb, corpus_kb, k, tau):
     scored by the max float64 cosine over (entity labels) x (the hit labels
     it owns), rounded once and ordered by (score desc, id asc).
     """
-    hits_by_row = oracle_top_rows_batch(query_kb.unit_matrix, corpus_kb, k, tau)
+    query_unit = oracle_unit_matrix(query_kb)
+    corpus_unit = oracle_unit_matrix(corpus_kb)
+    hits_by_row = oracle_top_rows_batch(query_unit, corpus_kb, k, tau)
     lists = {}
     for entity in query_onto:
         rows = [query_kb.label_to_row[label] for label in entity.labels]
@@ -200,7 +207,7 @@ def oracle_direction_lists(query_onto, query_kb, corpus_kb, k, tau):
         if not union:
             lists[entity.id] = ()
             continue
-        cross = query_kb.unit_matrix[rows] @ corpus_kb.unit_matrix[union].T
+        cross = query_unit[rows] @ corpus_unit[union].T
         best = {}
         for j, hit in enumerate(union):
             raw = float(cross[:, j].max())

@@ -248,6 +248,26 @@ def test_encode_cache_is_thread_safe():
         np.testing.assert_array_equal(rows, expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    labels=st.lists(st.text(max_size=8), min_size=1, max_size=20, unique=True),
+    dim=st.integers(min_value=1, max_value=40),
+    data=st.data(),
+)
+def test_a_fresh_encode_is_read_only_and_equals_a_cached_encode(labels, dim, data):
+    provider = DeterministicProvider(dim=dim, seed=2)
+    fresh = provider.encode(labels)
+    assert not fresh.flags.writeable
+    with pytest.raises(ValueError):
+        fresh[0, 0] = 1.0
+    assert provider.encode(labels).tobytes() == fresh.tobytes()
+    picks = data.draw(st.lists(
+        st.integers(min_value=0, max_value=len(labels) - 1), min_size=1, max_size=30,
+    ))
+    cached = provider.encode([labels[i] for i in picks])
+    assert cached.tobytes() == fresh[picks].tobytes()
+
+
 def test_vector_file_round_trip_is_exact(tmp_path):
     path = tmp_path / "vectors.tsv"
     vectors = {

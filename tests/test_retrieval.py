@@ -5,9 +5,11 @@ per entity and entity ids that sort like labels, an entity's candidate list
 is its label's hit list.
 """
 
+import gc
 import math
 import os
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontomatch.embedding import DeterministicProvider
+from ontomatch.embedding import (
+    DeterministicProvider,
+    PrecomputedFileProvider,
+    write_vector_file,
+)
 from ontomatch.errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -27,7 +33,9 @@ from ontomatch.errors import (
 from ontomatch.ontology import load_ontology
 from ontomatch.retrieval import (
     DIRECTION_S2T,
+    _BLOCK_ELEMENTS,
     _f64_dot_gap,
+    _row_norms,
     _row_survivors,
     VectorKB,
     build_candidate_dbs,
@@ -278,6 +286,117 @@ def test_kb_binary_round_trip_property(kb):
     assert loaded.labels == [kb.labels[i] for i in order]
     assert loaded.owners == [kb.owners[i] for i in order]
     assert loaded.matrix.tobytes() == kb.matrix[order].tobytes()
+
+
+@st.composite
+def norm_matrices(draw):
+    """A float64 matrix whose row count is near or across a multiple of the
+    norm block, of dense, sparse, huge, tiny and subnormal rows."""
+    dim = draw(st.integers(min_value=1, max_value=800))
+    step = max(1, _BLOCK_ELEMENTS // dim)
+    n = draw(st.one_of(
+        st.integers(min_value=0, max_value=2 * step + 1),
+        st.sampled_from([step - 1, step, step + 1, 2 * step]),
+    ))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    matrix = rng.standard_normal((n, dim))
+    kind = rng.integers(0, 5, n)[:, None]
+    matrix[(kind == 1) & (rng.random((n, dim)) < 0.95)] = 0.0  # sparse
+    matrix *= np.where(kind == 2, 10.0 ** rng.uniform(100, 307, (n, 1)), 1.0)
+    matrix *= np.where(kind == 3, 10.0 ** -rng.uniform(100, 300, (n, 1)), 1.0)
+    # subnormal components, and for some rows one normal component besides
+    subnormal = rng.integers(-2**20, 2**20, (n, dim)) * 5e-324
+    matrix = np.where(kind == 4, subnormal, matrix)
+    mixed = (kind[:, 0] == 4) & (rng.random(n) < 0.5)
+    matrix[mixed, 0] += 1e-300
+    return matrix
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Huge components overflow x*x, in the blocked norms as in the whole-matrix one.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(deadline=None, max_examples=150)
+@given(matrix=norm_matrices(), data=st.data())
+def test_blocked_norms_and_unit_rows_equal_the_whole_matrix_ones(matrix, data):
+    norms = np.linalg.norm(matrix, axis=1)
+    assert same_bits(_row_norms(matrix), norms)
+    keep = norms > 0.0  # VectorKB rejects a zero vector
+    matrix, norms = matrix[keep], norms[keep]
+    if not len(matrix):
+        return
+    kb = VectorKB("X", [str(i) for i in range(len(matrix))],
+                  [frozenset({"E"})] * len(matrix), matrix, "fp")
+    unit = matrix / norms[:, None]
+    assert same_bits(kb.norms, norms)
+    start = data.draw(st.integers(min_value=0, max_value=len(matrix)))
+    stop = data.draw(st.integers(min_value=start, max_value=len(matrix)))
+    assert same_bits(kb.unit_rows(slice(start, stop)), unit[start:stop])
+    rows = np.array(data.draw(st.lists(
+        st.integers(min_value=0, max_value=len(matrix) - 1), max_size=40,
+    )), dtype=np.intp)
+    assert same_bits(kb.unit_rows(rows), unit[rows])
+
+
+def traced(fn):
+    """fn()'s result and the (current, peak) bytes allocated while it ran;
+    numpy reports its buffers to tracemalloc, so every array counts."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
+
+
+def one_label_ontology(name, n):
+    return make_ontology(name, {f"{name}:{i}": [f"{name} label {i}"] for i in range(n)})
+
+
+def test_a_deterministic_kb_build_peaks_below_two_matrices():
+    onto = one_label_ontology("S", 4000)
+    kb, _, peak = traced(lambda: build_kb(onto, DeterministicProvider(dim=256)))
+    assert peak < 2 * kb.matrix.nbytes
+
+
+def test_a_file_provider_build_holds_the_parsed_rows_and_each_kb_once(tmp_path):
+    n, dim = 1000, 512
+    source, target = one_label_ontology("S", n), one_label_ontology("T", n)
+    rng = np.random.default_rng(0)
+    rows = rng.integers(-64, 64, (2 * n, dim)) / 8 * (rng.random((2 * n, dim)) < 0.1)
+    rows[:, 0] = 1.0
+    labels = [e.labels[0] for onto in (source, target) for e in onto]
+    path = tmp_path / "vectors.tsv"
+    write_vector_file(path, dict(zip(labels, rows)))
+
+    def build_both():
+        provider = PrecomputedFileProvider(str(path))
+        return build_kb(source, provider), build_kb(target, provider)
+
+    kbs, _, peak = traced(build_both)
+    matrices = sum(kb.matrix.nbytes for kb in kbs)
+    assert peak < 1.25 * (rows.nbytes + matrices)
+
+
+def test_loaded_kbs_hold_one_matrix_copy_each_after_retrieval(tmp_path):
+    source, target = one_label_ontology("S", 1000), one_label_ontology("T", 1000)
+    provider = DeterministicProvider(dim=512, seed=1)
+    paths = [str(tmp_path / "s.kb"), str(tmp_path / "t.kb")]
+    for onto, path in zip((source, target), paths):
+        save_kb(build_kb(onto, provider), path)
+
+    def load_and_retrieve():
+        kbs = [load_kb(path) for path in paths]
+        build_candidate_dbs(source, target, *kbs, k=5, tau=0.0)
+        return kbs
+
+    kbs, current, _ = traced(load_and_retrieve)
+    assert current < 1.5 * sum(kb.matrix.nbytes for kb in kbs)
 
 
 def disease_query_hits(target_kb, query, k):
