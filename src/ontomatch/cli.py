@@ -11,6 +11,7 @@ the exit_code of its error class (see errors.py).
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import shutil
@@ -496,7 +497,18 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    """The process entry point: ``python -m ontomatch.cli`` and the
+    ``ontomatch`` script.
+
+    A verb makes no cyclic garbage, so its process runs without the cyclic
+    collector and freezes the heap after main(): the collections made at
+    exit skip it, while atexit handlers and flushes still run. A caller of
+    main() in its own process keeps its collector.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

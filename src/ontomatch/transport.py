@@ -59,12 +59,18 @@ def _https_opener() -> OpenerDirector:
 
 
 def _send(request: Request, timeout: float) -> tuple[int, bytes]:
-    """One POST; return the reply's status and body, whatever the status."""
+    """One POST; return the reply's status and body, whatever the status.
+
+    A non-2xx reply comes as an HTTPError and is read inside its handler:
+    kept past it, the error, its traceback and this frame form a cycle that
+    only the cyclic collector frees.
+    """
     send = _https_opener().open if request.type == "https" else urlopen
     try:
         response = send(request, timeout=timeout)
     except HTTPError as exc:  # a non-2xx status is still a reply
-        response = exc
+        with exc:
+            return exc.status, exc.read()
     with response:
         return response.status, response.read()
 

@@ -1,8 +1,10 @@
 """In-process HTTP stubs for exercising the remote embedding/chat clients,
-and a provider that pins chosen labels' vectors."""
+a provider that pins chosen labels' vectors, and a count of the cyclic
+garbage a call leaves."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import threading
@@ -132,3 +134,16 @@ def chat_behavior(replies):
         return 200, {"choices": [{"message": {"content": reply}}]}
 
     return behavior
+
+
+def cyclic_garbage(call):
+    """Run call() with the cyclic collector off; return its result and the
+    number of objects it left that only the collector frees."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return call(), gc.collect()
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,5 +1,6 @@
 """End-to-end command-line flows, exit codes, and artifact layout."""
 
+import gc
 import hashlib
 import json
 import os
@@ -10,16 +11,17 @@ import subprocess
 import sys
 import threading
 from contextlib import suppress
+from types import SimpleNamespace
 
 import pytest
 
 from ontomatch import (
-    candidates, cli, embedding, errors, evaluation, matcher, retrieval,
+    candidates, cli, embedding, errors, evaluation, matcher, retrieval, transport,
 )
 from ontomatch.cli import main
 from ontomatch.errors import EXIT_CONFIG, EXIT_ENDPOINT, EXIT_OK, EXIT_PARSE
 
-from stubs import RecordingServer
+from stubs import RecordingServer, cyclic_garbage
 
 
 def make_corpus(tmp_path, n=12, hcb="0.5", seed="0"):
@@ -1141,3 +1143,117 @@ def test_kb_bytes_do_not_depend_on_the_directory_built_in(tmp_path):
     second, _ = built_corpus(tmp_path / "elsewhere")
     assert read_bytes(vector_file(first)) == read_bytes(vector_file(second))
     assert kb_files(first) == kb_files(second)
+
+
+def test_no_verb_makes_cyclic_garbage_that_grows_with_its_input(
+    tmp_path, monkeypatch
+):
+    # A verb's process runs without the cyclic collector. What a verb leaves
+    # for it (its argument parser) must not grow with the corpus, nor with
+    # the chat queries, each of which is first answered by a 500.
+    monkeypatch.setattr(transport, "time", SimpleNamespace(sleep=lambda s: None))
+    garbage = {}
+    for n in (6, 24):
+        out, config = make_corpus(tmp_path / str(n), n=n)
+        refused, lock = set(), threading.Lock()
+
+        def behavior(payload, index):
+            prompt = payload["messages"][0]["content"]
+            with lock:
+                first = prompt not in refused
+                refused.add(prompt)
+            if first:
+                return 500, {"error": "busy"}
+            return prompt_verdicts(payload, index)
+
+        alignment = os.path.join(out, "runs", "c", "alignment.tsv")
+        reference = os.path.join(out, "synthetic", "reference.tsv")
+        with RecordingServer(behavior) as server:
+            chat = chat_config(config, server, {"match.workers": "4"})
+            verbs = {
+                "build-kb": ["build-kb", "--config", config],
+                "predict": ["predict", "--config", config],
+                "oracle match": ["match", "--config", config, "--run-id", "o"],
+                "chat match": ["match", "--config", chat,
+                               "--pipeline", "baseline", "--run-id", "c"],
+                "eval": ["eval", "--config", config, "--alignment", alignment,
+                         "--reference", reference],
+            }
+            for verb, argv in verbs.items():
+                rc, garbage[verb, n] = cyclic_garbage(lambda: main(argv))
+                assert rc == EXIT_OK, verb
+            report = json.loads(read_text(out, "runs", "c", "report.json"))
+            assert report["llm_query_count"] == 5 * n
+            assert len(server.payloads) == 2 * 5 * n
+    for verb in verbs:
+        assert garbage[verb, 24] <= garbage[verb, 6], verb
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        _, config = make_corpus(tmp_path, n=4)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
+        assert main(["predict", "--config", config]) == EXIT_CONFIG  # no KB
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+def masked(text, out):
+    """Console lines with the out path and the wall times masked, and the
+    match_wall_time row of the compare table left out."""
+    return [
+        re.sub(r"\b\d+\.\d{3} s\b", "T s", line)
+        for line in text.replace(out, "OUT").splitlines()
+        if not line.startswith("match_wall_time")
+    ]
+
+
+@pytest.mark.parametrize("verb, code", [
+    ("run-all", EXIT_OK), ("predict", EXIT_CONFIG), ("match", EXIT_ENDPOINT),
+])
+def test_the_entry_point_changes_nothing_but_the_collector(
+    tmp_path, capsys, caplog, verb, code
+):
+    # run-all succeeds, predict finds no KB, and the chat match ends partial
+    _, config = make_corpus(tmp_path, n=6)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    ends = []
+    with RecordingServer(lambda payload, index: (404, {"error": "gone"})) as server:
+        argv = {
+            "run-all": ["run-all", "--config", config, "--pipeline", "both",
+                        "--run-id", "r"],
+            "predict": ["predict", "--config", config],
+            "match": ["match", "--config",
+                      chat_config(config, server, {"match.workers": "1"}),
+                      "--run-id", "r"],
+        }[verb]
+        for way in ("child", "in process"):
+            out = str(tmp_path / way)
+            if verb == "match":
+                for stage in ("build-kb", "predict"):
+                    assert main([stage, "--config", config, "--out", out]) == EXIT_OK
+            capsys.readouterr()
+            if way == "child":
+                child = subprocess.run(
+                    [sys.executable, "-m", "ontomatch.cli", *argv, "--out", out],
+                    env=env, capture_output=True, text=True, timeout=120,
+                )
+                rc, stdout, stderr = child.returncode, child.stdout, child.stderr
+            else:
+                caplog.clear()
+                rc = main([*argv, "--out", out])
+                stdout, stderr = capsys.readouterr()
+                # in process, log records go to pytest, not to stderr
+                stderr = "".join(
+                    f"{r.levelname} {r.name}: {r.getMessage()}\n"
+                    for r in caplog.records
+                ) + stderr
+            ends.append((rc, masked(stdout, out), masked(stderr, out),
+                         run_artifacts(out)))
+    assert ends[0] == ends[1]
+    assert ends[0][0] == code

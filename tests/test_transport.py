@@ -21,7 +21,9 @@ from ontomatch import transport
 from ontomatch.cli import main
 from ontomatch.transport import Endpoint
 
-from stubs import RecordingServer, chat_behavior, embedding_behavior
+from stubs import (
+    RecordingServer, chat_behavior, cyclic_garbage, embedding_behavior,
+)
 
 
 class Client(NamedTuple):
@@ -112,6 +114,27 @@ def test_rejection_message_carries_the_reply_body(client):
     with RecordingServer(lambda p, i: (403, "quota spent")) as server:
         with pytest.raises(client.error, match=r"\(403\): quota spent"):
             client.ask(server.url, backoff_seconds=0.01)
+
+
+def test_retried_error_replies_leave_no_cyclic_garbage():
+    # each post is answered by a 500 and then a 200; a verb's process runs
+    # without the cyclic collector, so nothing a reply leaves may need it
+    def behavior(payload, index):
+        return (500, {"error": "busy"}) if index % 2 == 0 else (200, {})
+
+    with RecordingServer(behavior) as server:
+        endpoint = Endpoint(
+            server.url, service="chat endpoint", error=EndpointUnavailable,
+            timeout=5.0, max_retries=2, backoff_seconds=0.0,
+        )
+        endpoint.post({})  # the first post builds urllib's opener
+
+        def posts():
+            return [endpoint.post({})[1] for _ in range(20)]
+
+        attempts, garbage = cyclic_garbage(posts)
+    assert attempts == [2] * 20
+    assert garbage == 0
 
 
 def test_url_without_scheme_is_the_callers_error(client):
