@@ -8,7 +8,9 @@ the verbs that only read candidate DBs (match) start without it.
 from __future__ import annotations
 
 from .errors import MalformedRecord, StaleKB, UnknownEntity, refuse_assignment
-from .fileio import atomic_write_text, read_header, read_records
+from .fileio import (
+    atomic_write_text, format_header, open_input, parse_header, read_records,
+)
 from .ontology import Ontology
 
 DIRECTION_S2T = "s2t"
@@ -66,20 +68,27 @@ class CandidateDB:
         return sum(len(lst) for lst in self.lists.values())
 
 
+def _direction(text: str) -> str:
+    if text not in (DIRECTION_S2T, DIRECTION_T2S):
+        raise ValueError(text)
+    return text
+
+
+# In CandidateDB's argument order.
+_DB_HEADER = (
+    ("candidate-db", _direction), ("query", str), ("corpus", str),
+    ("k", int), ("tau", float), ("provider", str),
+)
+
+
 def save_candidate_db(db: CandidateDB, path: str) -> None:
     """Persist a candidate DB sorted by (owner id, rank)."""
-    lines = [
-        f"# candidate-db {db.direction}",
-        f"# query {db.query_name}",
-        f"# corpus {db.corpus_name}",
-        f"# k {db.k}",
-        f"# tau {db.tau!r}",
-        f"# provider {db.fingerprint}",
-    ]
+    values = (db.direction, db.query_name, db.corpus_name, db.k, db.tau, db.fingerprint)
+    lines = [format_header(_DB_HEADER, values)]
     for owner in sorted(db.lists):
         for candidate_id, score in db.lists[owner].candidates:
-            lines.append(f"{owner}\t{candidate_id}\t{score:.5f}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+            lines.append(f"{owner}\t{candidate_id}\t{score:.5f}\n")
+    atomic_write_text(path, "".join(lines))
 
 
 def load_candidate_db(path: str, query_ontology: Ontology) -> CandidateDB:
@@ -89,22 +98,9 @@ def load_candidate_db(path: str, query_ontology: Ontology) -> CandidateDB:
     that it does not contain mean the DB belongs to different inputs. An
     owner may list a candidate once.
     """
-    headers: dict[str, str] = {}
-    for body in read_header(path):
-        key, _, value = body.strip().partition(" ")
-        if key:
-            headers[key] = value.strip()
-    for key in ("candidate-db", "query", "corpus", "k", "tau", "provider"):
-        if key not in headers:
-            raise MalformedRecord(path, 0, f"missing header '# {key} ...'")
-    direction = headers["candidate-db"]
-    if direction not in (DIRECTION_S2T, DIRECTION_T2S):
-        raise MalformedRecord(path, 0, f"unknown direction {direction!r}")
-    try:
-        k = int(headers["k"])
-        tau = float(headers["tau"])
-    except ValueError as exc:
-        raise MalformedRecord(path, 0, f"bad k/tau header: {exc}") from None
+    with open_input(path, "rb") as handle:
+        head = b"".join(handle.readline() for _ in _DB_HEADER)
+    header, _ = parse_header(path, head, _DB_HEADER)
     per_owner: dict[str, list[tuple[str, float]]] = {}
     pairs: set[tuple[str, str]] = set()
     for line_no, (owner, candidate_id, score_field) in read_records(path, 3):
@@ -132,12 +128,4 @@ def load_candidate_db(path: str, query_ontology: Ontology) -> CandidateDB:
     lists = dict.fromkeys(query_ontology.ids, CandidateList(()))
     for owner, bucket in per_owner.items():
         lists[owner] = CandidateList(tuple(bucket))
-    return CandidateDB(
-        direction=direction,
-        query_name=headers["query"],
-        corpus_name=headers["corpus"],
-        k=k,
-        tau=tau,
-        fingerprint=headers["provider"],
-        lists=lists,
-    )
+    return CandidateDB(*header, lists=lists)

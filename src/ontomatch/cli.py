@@ -165,12 +165,18 @@ def _load_dbs(cfg, source, target):
 
 
 def _swap_in(stage: str, run_dir: str) -> None:
-    """Replace run_dir, if any, with the finished run in stage."""
+    """Replace run_dir, if any, with the finished run in stage; if stage
+    cannot take its place, the earlier run is put back."""
     aside = f"{stage}-old"
     try:
         with suppress(FileNotFoundError):
             os.rename(run_dir, aside)
-        os.rename(stage, run_dir)
+        try:
+            os.rename(stage, run_dir)
+        except OSError:
+            with suppress(FileNotFoundError):
+                os.rename(aside, run_dir)
+            raise
     except OSError as exc:
         raise PersistFailure(f"could not move {stage} to {run_dir}: {exc}") from exc
     shutil.rmtree(aside, ignore_errors=True)

@@ -239,7 +239,7 @@ def build_llm_client(
 
             reference = load_reference(config.llm_reference)
         return OracleClient(
-            reference.pairs,
+            reference,
             flip_probability=config.llm_flip_probability,
             seed=config.seed,
             log_path=log_path,

@@ -11,43 +11,32 @@ import json
 import random
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import InvalidParameter, MalformedRecord, MismatchedInputs, refuse_assignment
+from .errors import InvalidParameter, MalformedRecord, MismatchedInputs
 from .fileio import atomic_write_text, read_records
 
 if TYPE_CHECKING:
     from .matcher import MatchRunReport
 
-class ReferenceAlignment:
-    """The ground-truth pair set; immutable."""
 
-    __slots__ = ("pairs",)
-    __setattr__ = refuse_assignment
-
-    def __init__(self, pairs: frozenset[tuple[str, str]]):
-        object.__setattr__(self, "pairs", pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def load_reference(path: str) -> ReferenceAlignment:
-    """Read a TSV of source_id<TAB>target_id rows; duplicates collapse."""
+def load_reference(path: str) -> frozenset[tuple[str, str]]:
+    """The ground-truth pairs of a TSV of source_id<TAB>target_id rows;
+    duplicates collapse."""
     pairs: set[tuple[str, str]] = set()
     for line_no, fields in read_records(path):
         if len(fields) != 2 or not fields[0] or not fields[1]:
             raise MalformedRecord(path, line_no, "expected source_id<TAB>target_id")
         pairs.add((fields[0], fields[1]))
-    return ReferenceAlignment(pairs=frozenset(pairs))
+    return frozenset(pairs)
 
 
-def write_reference(reference: ReferenceAlignment, path: str) -> None:
-    lines = [f"{s}\t{t}" for s, t in sorted(reference.pairs)]
+def write_reference(reference: frozenset[tuple[str, str]], path: str) -> None:
+    lines = [f"{s}\t{t}" for s, t in sorted(reference)]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def split_reference(
-    reference: ReferenceAlignment, fraction: float = 0.7, seed: int = 0
-) -> tuple[ReferenceAlignment, ReferenceAlignment]:
+    reference: frozenset[tuple[str, str]], fraction: float = 0.7, seed: int = 0
+) -> tuple[frozenset[tuple[str, str]], frozenset[tuple[str, str]]]:
     """Deterministically split the reference into (train, test).
 
     No training ever happens here; the split only restricts which pairs an
@@ -56,14 +45,11 @@ def split_reference(
     """
     if not 0.0 <= fraction <= 1.0:
         raise InvalidParameter(f"split fraction must be in [0, 1], got {fraction}")
-    ordered = sorted(reference.pairs)
+    ordered = sorted(reference)
     rng = random.Random(seed)
     rng.shuffle(ordered)
     cut = int(round(fraction * len(ordered)))
-    return (
-        ReferenceAlignment(pairs=frozenset(ordered[:cut])),
-        ReferenceAlignment(pairs=frozenset(ordered[cut:])),
-    )
+    return frozenset(ordered[:cut]), frozenset(ordered[cut:])
 
 
 class EvalReport(NamedTuple):
@@ -75,17 +61,6 @@ class EvalReport(NamedTuple):
     overlap_count: int
     metadata: dict = {}
 
-    def to_json_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_measure": self.f_measure,
-            "aligned_count": self.aligned_count,
-            "reference_count": self.reference_count,
-            "overlap_count": self.overlap_count,
-            "metadata": self.metadata,
-        }
-
     def summary(self) -> str:
         return (
             f"P={self.precision:.3f} R={self.recall:.3f} F={self.f_measure:.3f} "
@@ -94,7 +69,9 @@ class EvalReport(NamedTuple):
         )
 
 
-def evaluate(alignment, reference: ReferenceAlignment, metadata: dict | None = None) -> EvalReport:
+def evaluate(
+    alignment, reference: frozenset[tuple[str, str]], metadata: dict | None = None
+) -> EvalReport:
     """Score an alignment against a reference.
 
     alignment may be an Alignment object or any iterable of (source, target)
@@ -106,9 +83,9 @@ def evaluate(alignment, reference: ReferenceAlignment, metadata: dict | None = N
     pairs = getattr(alignment, "pairs", None)
     if pairs is None:
         pairs = frozenset((str(s), str(t)) for s, t in alignment)
-    overlap = len(pairs & reference.pairs)
+    overlap = len(pairs & reference)
     precision = overlap / len(pairs) if pairs else 0.0
-    recall = overlap / len(reference.pairs) if reference.pairs else 0.0
+    recall = overlap / len(reference) if reference else 0.0
     f_measure = (
         2.0 * precision * recall / (precision + recall)
         if precision + recall > 0.0
@@ -119,7 +96,7 @@ def evaluate(alignment, reference: ReferenceAlignment, metadata: dict | None = N
         recall=recall,
         f_measure=f_measure,
         aligned_count=len(pairs),
-        reference_count=len(reference.pairs),
+        reference_count=len(reference),
         overlap_count=overlap,
         metadata=dict(metadata or {}),
     )
@@ -127,7 +104,7 @@ def evaluate(alignment, reference: ReferenceAlignment, metadata: dict | None = N
 
 def write_eval_report(report: EvalReport, path: str) -> None:
     atomic_write_text(
-        path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        path, json.dumps(report._asdict(), indent=2, sort_keys=True) + "\n"
     )
 
 
@@ -168,7 +145,14 @@ def compare_runs(
     report_b: MatchRunReport,
     eval_b: EvalReport,
 ) -> RunComparison:
-    """Build the comparison table; both runs must share inputs and settings."""
+    """Build the comparison table; both runs must be complete and share
+    inputs and settings."""
+    for report in (report_a, report_b):
+        if report.partial:
+            raise MismatchedInputs(
+                f"the {report.pipeline} run is partial ({report.abort_reason}); "
+                "compare needs complete runs"
+            )
     align_a, align_b = report_a.alignment, report_b.alignment
     settings_a = (
         align_a.source_onto, align_a.target_onto, align_a.k, align_a.tau,

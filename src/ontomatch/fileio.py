@@ -1,5 +1,5 @@
-"""Small file helpers: opening inputs, the text record grammar and atomic
-writes."""
+"""Small file helpers: opening inputs, the text record grammar, the
+`# key value` header codec and atomic writes."""
 
 from __future__ import annotations
 
@@ -97,6 +97,35 @@ def read_header(path: str) -> list[str]:
             break
         header.append(raw[1:].rstrip("\n"))
     return header
+
+
+def format_header(layout, values) -> str:
+    """A `# <key> <value>` line per (key, converter) of layout and value."""
+    return "".join(f"# {key} {value}\n" for (key, _), value in zip(layout, values))
+
+
+def parse_header(path: str, data: bytes, layout) -> tuple[list, int]:
+    """(converted values, end offset) of the header format_header wrote for
+    layout at the start of data; only the header's bytes are copied.
+
+    A line that is missing, out of order or not UTF-8, or whose value its
+    converter rejects with ValueError, is a MalformedRecord at that line.
+    """
+    values, pos = [], 0
+    for line_no, (key, convert) in enumerate(layout, start=1):
+        end = data.find(b"\n", pos)
+        prefix = f"# {key} ".encode()
+        if end < 0 or not data.startswith(prefix, pos):
+            raise MalformedRecord(path, line_no, f"missing header '# {key} ...'")
+        try:
+            text = data[pos + len(prefix):end].decode("utf-8")
+            values.append(convert(text))
+        except UnicodeDecodeError as exc:
+            raise MalformedRecord(path, line_no, f"bad header: {exc}") from None
+        except ValueError:
+            raise MalformedRecord(path, line_no, f"bad {key} header {text!r}") from None
+        pos = end + 1
+    return values, pos
 
 
 def atomic_write_bytes(path: str, *chunks) -> None:

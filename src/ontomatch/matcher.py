@@ -137,27 +137,25 @@ class MatchRunReport(NamedTuple):
     multi_matched_targets: list[str] = []
 
     def to_json_dict(self) -> dict:
-        by_provenance: dict[str, int] = {}
-        for corr in self.alignment.correspondences:
-            by_provenance[corr.provenance] = by_provenance.get(corr.provenance, 0) + 1
-        return {
-            "pipeline": self.pipeline,
-            "source_onto": self.alignment.source_onto,
-            "target_onto": self.alignment.target_onto,
-            "k": self.alignment.k,
-            "tau": self.alignment.tau,
-            "provider_fingerprint": self.alignment.fingerprint,
-            "alignment_size": len(self.alignment),
-            "correspondences_by_provenance": by_provenance,
-            "llm_query_count": self.llm_query_count,
-            "llm_queries_issued": self.llm_queries_issued,
-            "hcb_count": self.hcb_count,
-            "trace_length": len(self.trace),
-            "wall_times_s": {k: round(v, 3) for k, v in self.wall_times.items()},
-            "partial": self.partial,
-            "abort_reason": self.abort_reason,
-            "multi_matched_targets": self.multi_matched_targets,
-        }
+        """REPORT_KEYS' keys from their fields, plus what the alignment and
+        the trace give."""
+        fields = self._asdict()
+        data = {key: fields[name] for key, (name, *_) in REPORT_KEYS.items()}
+        data["wall_times_s"] = {k: round(v, 3) for k, v in self.wall_times.items()}
+        alignment = self.alignment
+        data.update(
+            source_onto=alignment.source_onto,
+            target_onto=alignment.target_onto,
+            k=alignment.k,
+            tau=alignment.tau,
+            provider_fingerprint=alignment.fingerprint,
+            alignment_size=len(alignment),
+            correspondences_by_provenance=Counter(
+                corr.provenance for corr in alignment.correspondences
+            ),
+            trace_length=len(self.trace),
+        )
+        return data
 
 
 def _check_db_pair(s2t: CandidateDB, t2s: CandidateDB) -> None:
@@ -507,14 +505,18 @@ def write_report(report: MatchRunReport, path: str) -> None:
     )
 
 
-# Each report.json key that read_report takes back: the MatchRunReport field
-# it fills, a test of its value and its default. A key with no default is
-# required; a report without the key gets a copy of the default. The tests
-# use type(), not isinstance(): a JSON true must not pass as a count.
+# Each report.json key that is a MatchRunReport field, written by
+# to_json_dict and taken back by read_report: the field, a test of its value
+# and its default. A key with no default is required; a report without the
+# key gets a copy of the default. The tests use type(), not isinstance(): a
+# JSON true must not pass as a count.
 REPORT_KEYS = {
     "pipeline": ("pipeline", lambda v: type(v) is str),
     "llm_query_count": ("llm_query_count", lambda v: type(v) is int),
     "hcb_count": ("hcb_count", lambda v: type(v) is int),
+    "llm_queries_issued": (
+        "llm_queries_issued", lambda v: type(v) in (int, type(None)), None
+    ),
     "wall_times_s": ("wall_times", lambda v: type(v) is dict and all(
         type(t) in (int, float) for t in v.values()
     ), {}),

@@ -59,7 +59,7 @@ from .errors import (
     StaleKB,
     ZeroVector,
 )
-from .fileio import atomic_write_bytes, open_input
+from .fileio import atomic_write_bytes, format_header, open_input, parse_header
 from .ontology import Ontology
 
 logger = logging.getLogger(__name__)
@@ -168,7 +168,16 @@ def build_kb(
     )
 
 
-_KB_HEADER_KEYS = ("vector-kb", "dim", "provider", "rows")
+def _positive(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise ValueError(text)
+    return count
+
+
+_KB_HEADER = (
+    ("vector-kb", str), ("dim", _positive), ("provider", str), ("rows", _positive),
+)
 
 
 def save_kb(kb: VectorKB, path: str) -> None:
@@ -182,7 +191,7 @@ def save_kb(kb: VectorKB, path: str) -> None:
     """
     order = sorted(range(len(kb.labels)), key=kb.labels.__getitem__)
     values = (kb.ontology_name, kb.dim, kb.fingerprint, len(order))
-    lines = [f"# {key} {value}\n" for key, value in zip(_KB_HEADER_KEYS, values)]
+    lines = [format_header(_KB_HEADER, values)]
     for i in order:
         label = kb.labels[i]
         if "\t" in label or "\n" in label:
@@ -199,16 +208,6 @@ def save_kb(kb: VectorKB, path: str) -> None:
     atomic_write_bytes(path, "".join(lines).encode("utf-8"), block.data)
 
 
-def _kb_count(path: str, line_no: int, key: str, value: str) -> int:
-    try:
-        count = int(value)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise MalformedRecord(path, line_no, f"bad {key} header {value!r}")
-    return count
-
-
 def load_kb(path: str, expected_fingerprint: str | None = None) -> VectorKB:
     """Load a KB written by save_kb; StaleKB if the fingerprint is not the
     expected one.
@@ -219,21 +218,7 @@ def load_kb(path: str, expected_fingerprint: str | None = None) -> VectorKB:
     """
     with open_input(path, "rb") as handle:
         data = handle.read()
-    headers: dict[str, str] = {}
-    pos = 0
-    for line_no, key in enumerate(_KB_HEADER_KEYS, start=1):
-        end = data.find(b"\n", pos)
-        prefix = f"# {key} ".encode()
-        if end < 0 or not data.startswith(prefix, pos):
-            raise MalformedRecord(path, line_no, f"missing header '# {key} ...'")
-        try:
-            headers[key] = data[pos + len(prefix):end].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedRecord(path, line_no, f"bad header: {exc}") from None
-        pos = end + 1
-    dim = _kb_count(path, 2, "dim", headers["dim"])
-    rows = _kb_count(path, 4, "rows", headers["rows"])
-    fingerprint = headers["provider"]
+    (name, dim, fingerprint, rows), pos = parse_header(path, data, _KB_HEADER)
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         raise StaleKB(
             f"{path} was built with provider {fingerprint!r}, "
@@ -277,7 +262,7 @@ def load_kb(path: str, expected_fingerprint: str | None = None) -> VectorKB:
             path, 5 + row, f"label {labels[row]!r} has a non-finite vector value"
         )
     return VectorKB(
-        ontology_name=headers["vector-kb"],
+        ontology_name=name,
         labels=labels,
         owners=owners,
         matrix=matrix,

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import InvalidParameter
 from .fileio import atomic_write_text
 from .embedding import write_vector_file
-from .evaluation import ReferenceAlignment, write_reference
+from .evaluation import write_reference
 
 logger = logging.getLogger(__name__)
 
@@ -400,7 +400,7 @@ def _write_corpus(
     ), **stats)
     atomic_write_text(corpus.source_path, _dump_lines(source_rows))
     atomic_write_text(corpus.target_path, _dump_lines(target_rows))
-    write_reference(ReferenceAlignment(frozenset(reference)), corpus.reference_path)
+    write_reference(frozenset(reference), corpus.reference_path)
     write_vector_file(corpus.vectors_path, vectors)
     atomic_write_text(
         corpus.manifest_path,
@@ -464,7 +464,7 @@ def generate_flat_corpus(
         target_path,
         _dump_lines([(f"FT{i:06d}", lbl, []) for i, lbl in enumerate(target_labels)]),
     )
-    write_reference(ReferenceAlignment(frozenset(reference)), reference_path)
+    write_reference(frozenset(reference), reference_path)
     return {
         "source_path": source_path,
         "target_path": target_path,

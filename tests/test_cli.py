@@ -1,5 +1,6 @@
 """End-to-end command-line flows, exit codes, and artifact layout."""
 
+import errno
 import gc
 import hashlib
 import json
@@ -659,6 +660,27 @@ def test_a_killed_rerun_leaves_the_earlier_run_and_a_stage_of_its_paid_queries(
     assert [json.loads(line)["prompt"] for line in log_lines(stage)] == paid
 
 
+def test_a_rerun_whose_swap_fails_puts_the_earlier_run_back(
+    tmp_path, capsys, monkeypatch
+):
+    out, config, run_dir = _earlier_run(tmp_path)
+    earlier = dir_bytes(run_dir)
+    rename = os.rename
+
+    def the_stage_cannot_move(src, dst):
+        if os.path.basename(src).startswith(".r1-") and not src.endswith("-old"):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", the_stage_cannot_move)
+    capsys.readouterr()
+    assert main([
+        "match", "--config", config, "--pipeline", "baseline", "--run-id", "r1",
+    ]) == errors.EXIT_FAILURE
+    assert "could not move" in capsys.readouterr().err
+    assert dir_bytes(run_dir) == earlier
+
+
 @pytest.mark.parametrize("run_id", [".", "..", ".r1-0123abcd", "a/b", "r1/"])
 def test_a_run_id_that_is_not_one_plain_path_component_exits_config(
     tmp_path, capsys, monkeypatch, run_id
@@ -743,6 +765,33 @@ def test_compare_rejects_runs_with_different_settings(tmp_path, capsys):
     ])
     assert rc == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+def test_compare_refuses_a_partial_run(tmp_path, capsys):
+    out, config = make_corpus(tmp_path, n=6, hcb="0.5")
+    assert main(["build-kb", "--config", config]) == EXIT_OK
+    assert main(["predict", "--config", config]) == EXIT_OK
+    assert main(["match", "--config", config, "--run-id", "whole"]) == EXIT_OK
+
+    def three_then_gone(payload, index):
+        return (404, {"error": "gone"}) if index >= 3 else (
+            prompt_verdicts(payload, index)
+        )
+
+    with RecordingServer(three_then_gone) as server:
+        assert main([
+            "match", "--config", chat_config(config, server, {"match.workers": "1"}),
+            "--pipeline", "baseline", "--run-id", "cut",
+        ]) == EXIT_ENDPOINT
+    capsys.readouterr()
+    rc = main([
+        "compare", *(os.path.join(out, "runs", r) for r in ("whole", "cut")),
+        "--reference", os.path.join(out, "synthetic", "reference.tsv"),
+        "--config", config,
+    ])
+    assert rc == EXIT_CONFIG
+    assert "the baseline run is partial (" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "compare.txt"))
 
 
 def test_compare_on_a_non_run_directory_is_a_config_error(tmp_path, capsys):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ontomatch.errors import InvalidParameter, MalformedRecord, MismatchedInputs
 from ontomatch.evaluation import (
     EvalReport,
-    ReferenceAlignment,
     compare_runs,
     evaluate,
     load_reference,
@@ -26,20 +25,16 @@ from conftest import make_db, make_ontology
 from oracles import oracle_metrics
 
 
-def ref(pairs):
-    return ReferenceAlignment(pairs=frozenset(pairs))
-
-
 def test_perfect_alignment_scores_one():
     pairs = {("s1", "t1"), ("s2", "t2")}
-    report = evaluate(pairs, ref(pairs))
+    report = evaluate(pairs, frozenset(pairs))
     assert (report.precision, report.recall, report.f_measure) == (1.0, 1.0, 1.0)
     assert report.overlap_count == 2
 
 
 def test_hand_worked_metrics():
     aligned = {("s1", "t1"), ("s2", "t2"), ("s3", "t3"), ("s4", "tX")}
-    reference = ref(
+    reference = frozenset(
         {("s1", "t1"), ("s2", "t2"), ("s3", "t3"), ("s5", "t5"), ("s6", "t6")}
     )
     report = evaluate(aligned, reference)
@@ -51,15 +46,15 @@ def test_hand_worked_metrics():
 
 
 def test_empty_alignment_and_empty_reference():
-    report = evaluate(set(), ref({("s", "t")}))
+    report = evaluate(set(), frozenset({("s", "t")}))
     assert (report.precision, report.recall, report.f_measure) == (0.0, 0.0, 0.0)
-    report = evaluate({("s", "t")}, ref(set()))
+    report = evaluate({("s", "t")}, frozenset())
     assert report.recall == 0.0
     assert report.f_measure == 0.0
 
 
 def test_duplicates_and_order_do_not_matter():
-    reference = ref({("s1", "t1"), ("s2", "t2")})
+    reference = frozenset({("s1", "t1"), ("s2", "t2")})
     as_list = [("s2", "t2"), ("s1", "t1"), ("s1", "t1")]
     as_set = {("s1", "t1"), ("s2", "t2")}
     assert evaluate(as_list, reference) == evaluate(as_set, reference)
@@ -74,23 +69,23 @@ def test_evaluate_accepts_alignment_objects():
         None, s2t, t2s, ScriptedClient([]), PromptTemplate.default(),
         source_onto=source, target_onto=target,
     )
-    scored = evaluate(report.alignment, ref({("E", "T:1")}))
+    scored = evaluate(report.alignment, frozenset({("E", "T:1")}))
     assert scored.f_measure == 1.0
 
 
 def test_metadata_is_carried():
-    report = evaluate(set(), ref(set()), metadata={"run": "x"})
+    report = evaluate(set(), frozenset(), metadata={"run": "x"})
     assert report.metadata == {"run": "x"}
-    assert report.to_json_dict()["metadata"] == {"run": "x"}
+    assert report._asdict()["metadata"] == {"run": "x"}
 
 
 def test_reference_round_trip(tmp_path):
-    reference = ref({("s2", "t2"), ("s1", "t1")})
+    reference = frozenset({("s2", "t2"), ("s1", "t1")})
     path = tmp_path / "reference.tsv"
     write_reference(reference, path)
     assert path.read_text() == "s1\tt1\ns2\tt2\n"
     loaded = load_reference(path)
-    assert loaded.pairs == reference.pairs
+    assert loaded == reference
 
 
 def test_reference_duplicates_collapse(tmp_path):
@@ -109,20 +104,20 @@ def test_reference_malformed(tmp_path, content):
 
 def test_split_reference_partitions_deterministically():
     pairs = {(f"s{i}", f"t{i}") for i in range(20)}
-    reference = ref(pairs)
+    reference = frozenset(pairs)
     train, test = split_reference(reference, fraction=0.7, seed=5)
     train2, test2 = split_reference(reference, fraction=0.7, seed=5)
-    assert train.pairs == train2.pairs and test.pairs == test2.pairs
-    assert train.pairs | test.pairs == pairs
-    assert not train.pairs & test.pairs
+    assert train == train2 and test == test2
+    assert train | test == pairs
+    assert not train & test
     assert len(train) == 14 and len(test) == 6
     other_train, _ = split_reference(reference, fraction=0.7, seed=6)
-    assert other_train.pairs != train.pairs
+    assert other_train != train
 
 
 @pytest.mark.parametrize("fraction", [1.5, -0.5, float("nan"), float("inf")])
 def test_split_fraction_outside_the_unit_interval_is_rejected(fraction):
-    reference = ref({(f"s{i}", f"t{i}") for i in range(4)})
+    reference = frozenset({(f"s{i}", f"t{i}") for i in range(4)})
     with pytest.raises(InvalidParameter, match=r"fraction must be in \[0, 1\]"):
         split_reference(reference, fraction=fraction)
     train, test = split_reference(reference, fraction=1.0)
@@ -132,7 +127,7 @@ def test_split_fraction_outside_the_unit_interval_is_rejected(fraction):
 
 
 def test_eval_report_file(tmp_path):
-    report = evaluate({("s", "t")}, ref({("s", "t")}))
+    report = evaluate({("s", "t")}, frozenset({("s", "t")}))
     path = tmp_path / "eval.json"
     write_eval_report(report, path)
     data = json.loads(path.read_text())
@@ -165,7 +160,7 @@ def make_report(pipeline, pairs, llm_queries, hcb, wall=2.0, **kwargs):
 
 
 def test_compare_runs_table_layout():
-    reference = ref({("s1", "t1"), ("s2", "t2")})
+    reference = frozenset({("s1", "t1"), ("s2", "t2")})
     report_a = make_report("mila", {("s1", "t1"), ("s2", "t2")}, 4, 1, wall=0.1064)
     report_b = make_report("baseline", {("s1", "t1")}, 10, 0, wall=2.128)
     comparison = compare_runs(
@@ -188,7 +183,7 @@ def test_compare_runs_table_layout():
 
 
 def test_compare_runs_equal_runs_give_unit_ratios():
-    reference = ref({("s1", "t1")})
+    reference = frozenset({("s1", "t1")})
     report_a = make_report("mila", {("s1", "t1")}, 3, 2, wall=1.5)
     report_b = make_report("baseline", {("s1", "t1")}, 3, 2, wall=1.5)
     comparison = compare_runs(
@@ -199,7 +194,7 @@ def test_compare_runs_equal_runs_give_unit_ratios():
 
 
 def test_compare_runs_rejects_mismatched_settings():
-    reference = ref({("s1", "t1")})
+    reference = frozenset({("s1", "t1")})
     report_a = make_report("mila", {("s1", "t1")}, 1, 0)
     eval_a = evaluate(report_a.alignment, reference)
     for report_b in (
@@ -213,11 +208,17 @@ def test_compare_runs_rejects_mismatched_settings():
                 report_a, eval_a, report_b, evaluate(report_b.alignment, reference)
             )
     report_b = make_report("baseline", {("s1", "t1")}, 1, 0)
-    other_ref = ref({("s1", "t1"), ("s9", "t9")})
+    other_ref = frozenset({("s1", "t1"), ("s9", "t9")})
     with pytest.raises(MismatchedInputs):
         compare_runs(
             report_a, eval_a, report_b, evaluate(report_b.alignment, other_ref)
         )
+    cut = report_b._replace(partial=True, abort_reason="chat endpoint gone")
+    eval_b = evaluate(cut.alignment, reference)
+    for runs in ((report_a, eval_a, cut, eval_b), (cut, eval_b, report_a, eval_a)):
+        with pytest.raises(MismatchedInputs, match=r"the baseline run is partial "
+                           r"\(chat endpoint gone\)"):
+            compare_runs(*runs)
 
 
 def test_metrics_match_oracle_on_random_pairs():
@@ -226,7 +227,7 @@ def test_metrics_match_oracle_on_random_pairs():
     for _ in range(1000):
         aligned = set(rng.sample(universe, rng.randint(0, 20)))
         reference = set(rng.sample(universe, rng.randint(0, 20)))
-        report = evaluate(aligned, ref(reference))
+        report = evaluate(aligned, frozenset(reference))
         precision, recall, f_measure = oracle_metrics(aligned, reference)
         assert report.precision == precision
         assert report.recall == recall
@@ -251,7 +252,7 @@ def test_metrics_match_oracle_on_random_pairs():
 def test_f_measure_harmonic_mean_bounds(aligned_ints, reference_ints):
     aligned = {(f"s{a}", f"t{b}") for a, b in aligned_ints}
     reference = {(f"s{a}", f"t{b}") for a, b in reference_ints}
-    report = evaluate(aligned, ref(reference))
+    report = evaluate(aligned, frozenset(reference))
     assert report.f_measure == pytest.approx(
         oracle_metrics(aligned, reference)[2], abs=0.0
     )
@@ -270,10 +271,10 @@ def test_adding_a_correct_pair_never_lowers_recall():
         missing_correct = list(reference - aligned)
         if not missing_correct:
             continue
-        before = evaluate(aligned, ref(reference))
+        before = evaluate(aligned, frozenset(reference))
         aligned.add(rng.choice(missing_correct))
-        after = evaluate(aligned, ref(reference))
+        after = evaluate(aligned, frozenset(reference))
         assert after.recall >= before.recall
         wrong = ("sX", "tX")
-        worse = evaluate(aligned | {wrong}, ref(reference))
+        worse = evaluate(aligned | {wrong}, frozenset(reference))
         assert worse.precision <= after.precision

@@ -62,7 +62,7 @@ def fixture_oracle(disease_pipeline, **kwargs):
     from ontomatch.evaluation import load_reference
 
     return OracleClient(
-        load_reference(disease_pipeline["reference_path"]).pairs, **kwargs
+        load_reference(disease_pipeline["reference_path"]), **kwargs
     )
 
 
@@ -774,7 +774,7 @@ def test_parallel_run_matches_sequential(tmp_path):
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 4, 16):
-            llm = OracleClient(pipeline["reference"].pairs)
+            llm = OracleClient(pipeline["reference"])
             report = run_mila(pipeline, llm, max_workers=workers)
             alignment_path = tmp_path / f"a{workers}.tsv"
             trace_path = tmp_path / f"t{workers}.tsv"
@@ -801,8 +801,8 @@ def test_mila_never_queries_more_than_baseline(tmp_path):
             hcb_fraction=fraction, seed=seed,
         )
         pipeline = load_corpus_pipeline(corpus)
-        mila = run_mila(pipeline, OracleClient(pipeline["reference"].pairs))
-        base = run_baseline(pipeline, OracleClient(pipeline["reference"].pairs))
+        mila = run_mila(pipeline, OracleClient(pipeline["reference"]))
+        base = run_baseline(pipeline, OracleClient(pipeline["reference"]))
         assert mila.llm_query_count <= base.llm_query_count
         assert mila.alignment.pairs == base.alignment.pairs
         assert evaluate(mila.alignment, pipeline["reference"]).f_measure == 1.0

@@ -205,6 +205,70 @@ def test_kb_load_names_the_line_and_the_fault(tmp_path, content, line_no, reason
     assert (caught.value.line_no, caught.value.reason) == (line_no, reason)
 
 
+# Header values hold no line break; the files are UTF-8, so no surrogates.
+header_text = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+    max_size=8,
+)
+HEADER_FAULTS = ("delete", "move-down", "key", "not-utf8", "value")
+
+
+def break_header_line(data, n_lines, index, fault, bad_values):
+    """(data with its header line index (0-based) of n_lines broken by
+    fault, the start of the reason a load gives). "value" writes
+    bad_values[index], or garbles the key if the line takes any value."""
+    lines = data.split(b"\n", n_lines)
+    key, value = lines[index][2:].split(b" ", 1)
+    if fault == "value" and index not in bad_values:
+        fault = "key"
+    if fault == "delete":
+        del lines[index]
+    elif fault == "move-down":
+        lines[index], lines[index + 1] = lines[index + 1], lines[index]
+    elif fault == "key":
+        lines[index] = b"# " + key + b"x " + value
+    else:
+        bad = b"\xff" + value if fault == "not-utf8" else bad_values[index]
+        lines[index] = b"# " + key + b" " + bad
+    reason = {
+        "not-utf8": "bad header: ",
+        "value": f"bad {key.decode()} header {bad_values.get(index, b'').decode()!r}",
+    }.get(fault, f"missing header '# {key.decode()} ...'")
+    return b"\n".join(lines), reason
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    name=header_text, fingerprint=header_text, dim=st.integers(1, 6),
+    rows=st.integers(1, 5), index=st.integers(0, 3),
+    fault=st.sampled_from(HEADER_FAULTS),
+)
+def test_kb_header_round_trips_and_faults_at_its_line(
+    tmp_path_factory, name, fingerprint, dim, rows, index, fault
+):
+    kb = VectorKB(
+        name, [f"l{i}" for i in range(rows)],
+        [frozenset({f"E:{i}"}) for i in range(rows)],
+        np.arange(1.0, rows * dim + 1.0).reshape(rows, dim), fingerprint,
+    )
+    path = tmp_path_factory.mktemp("kb") / "x.kb"
+    save_kb(kb, path)
+    data = path.read_bytes()
+    loaded = load_kb(path)
+    assert (loaded.ontology_name, loaded.dim, loaded.fingerprint, len(loaded)) == (
+        name, dim, fingerprint, rows
+    )
+    save_kb(loaded, path)
+    assert path.read_bytes() == data
+
+    broken, reason = break_header_line(data, 4, index, fault, {1: b"0", 3: b"-1"})
+    path.write_bytes(broken)
+    with pytest.raises(MalformedRecord) as caught:
+        load_kb(path)
+    assert caught.value.line_no == index + 1
+    assert caught.value.reason.startswith(reason)
+
+
 def test_kb_keeps_labels_that_start_with_hash(tmp_path):
     dump = tmp_path / "x.tsv"
     dump.write_text("E:1\talpha\t#1 gene|  # spaced\nE:2\tbeta\n", encoding="utf-8")
@@ -678,6 +742,40 @@ def test_candidate_db_load_malformed(tmp_path):
         path.write_text(content, encoding="utf-8")
         with pytest.raises(expected):
             load_candidate_db(path, onto)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    names=st.tuples(header_text, header_text, header_text),
+    direction=st.sampled_from(["s2t", "t2s"]), k=st.integers(1, 50),
+    tau=st.floats(0.0, 1.0), listed=st.lists(st.booleans(), min_size=1, max_size=4),
+    index=st.integers(0, 5), fault=st.sampled_from(HEADER_FAULTS),
+)
+def test_candidate_db_header_round_trips_and_faults_at_its_line(
+    tmp_path_factory, names, direction, k, tau, listed, index, fault
+):
+    query, corpus, fingerprint = names
+    onto = make_ontology(query, {f"E:{i}": [f"l{i}"] for i in range(len(listed))})
+    lists = {
+        f"E:{i}": [("T:1", 0.9), ("T:2", 0.8)] for i, on in enumerate(listed) if on
+    }
+    db = make_db(direction, query, corpus, lists, k=k, tau=tau, fingerprint=fingerprint)
+    path = tmp_path_factory.mktemp("db") / "db.tsv"
+    save_candidate_db(db, path)
+    data = path.read_bytes()
+    loaded = load_candidate_db(path, onto)
+    fields = ("direction", "query_name", "corpus_name", "k", "tau", "fingerprint")
+    assert [getattr(loaded, f) for f in fields] == [getattr(db, f) for f in fields]
+    save_candidate_db(loaded, path)
+    assert path.read_bytes() == data
+
+    bad_values = {0: b"sideways", 3: b"five", 4: b"tau"}
+    broken, reason = break_header_line(data, 6, index, fault, bad_values)
+    path.write_bytes(broken)
+    with pytest.raises(MalformedRecord) as caught:
+        load_candidate_db(path, onto)
+    assert caught.value.line_no == index + 1
+    assert caught.value.reason.startswith(reason)
 
 
 def test_candidate_db_load_rejects_a_candidate_listed_twice(tmp_path):

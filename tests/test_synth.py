@@ -66,7 +66,7 @@ def test_rank_pruned_parasites_cost_one_call(tmp_path):
     pipeline = load_corpus_pipeline(corpus)
     report = match_mila(
         None, pipeline["s2t"], pipeline["t2s"],
-        OracleClient(pipeline["reference"].pairs), TEMPLATE,
+        OracleClient(pipeline["reference"]), TEMPLATE,
         source_onto=pipeline["source"], target_onto=pipeline["target"],
     )
     assert report.llm_query_count == corpus.planned["mila_llm_calls"]
@@ -100,11 +100,11 @@ def test_generated_corpora_run_as_planned(
     pipeline = load_corpus_pipeline(corpus)
     mila = match_mila(
         None, pipeline["s2t"], pipeline["t2s"],
-        OracleClient(pipeline["reference"].pairs), TEMPLATE,
+        OracleClient(pipeline["reference"]), TEMPLATE,
         source_onto=pipeline["source"], target_onto=pipeline["target"],
     )
     base = match_baseline(
-        None, pipeline["s2t"], OracleClient(pipeline["reference"].pairs),
+        None, pipeline["s2t"], OracleClient(pipeline["reference"]),
         TEMPLATE, source_onto=pipeline["source"], target_onto=pipeline["target"],
     )
     live = n - len(corpus.sabotaged_sources)
@@ -142,7 +142,7 @@ def test_zero_hcb_fraction_yields_empty_candidates(tmp_path):
     assert pipeline["t2s"].total_candidates == 0
     report = match_mila(
         None, pipeline["s2t"], pipeline["t2s"],
-        OracleClient(pipeline["reference"].pairs), TEMPLATE,
+        OracleClient(pipeline["reference"]), TEMPLATE,
         source_onto=pipeline["source"], target_onto=pipeline["target"],
     )
     assert report.llm_query_count == 0
@@ -213,11 +213,11 @@ def test_flat_corpus_planted_pairs_are_hcb(tmp_path):
     )
     reference = load_reference(flat["reference_path"])
     plan = dict(identify(None, s2t, t2s, target))
-    for source_id, target_id in reference.pairs:
+    for source_id, target_id in reference:
         assert s2t.lists[source_id].score_of(target_id) == 1.0
         assert (target_id, 1.0, OUTCOME_HCB_ACCEPT) in plan[source_id]
     report = match_mila(
-        None, s2t, t2s, OracleClient(reference.pairs), TEMPLATE,
+        None, s2t, t2s, OracleClient(reference), TEMPLATE,
         source_onto=source, target_onto=target,
     )
     scored = evaluate(report.alignment, reference)
