@@ -89,16 +89,6 @@ def read_records(
         yield line_no, fields
 
 
-def read_header(path: str) -> list[str]:
-    """The text after '#' of each '#' line that opens the file, in order."""
-    header: list[str] = []
-    for raw in read_lines(path):
-        if not raw.startswith("#"):
-            break
-        header.append(raw[1:].rstrip("\n"))
-    return header
-
-
 def format_header(layout, values) -> str:
     """A `# <key> <value>` line per (key, converter) of layout and value."""
     return "".join(f"# {key} {value}\n" for (key, _), value in zip(layout, values))

@@ -38,12 +38,7 @@ from .errors import (
     UnknownEntity,
     refuse_assignment,
 )
-from .fileio import (
-    atomic_write_text,
-    read_header,
-    read_records,
-    read_text,
-)
+from .fileio import atomic_write_text, read_lines, read_records, read_text
 from .llm import LlmClient, PromptTemplate, render_prompt
 from .ontology import Ontology
 
@@ -459,10 +454,10 @@ def write_alignment(alignment: Alignment, path: str) -> None:
 
 def read_alignment(path: str) -> Alignment:
     """Parse an alignment file; re-serializing the result is byte-identical."""
-    header = read_header(path)
-    if not header:
+    header = next(read_lines(path), "")
+    if not header.startswith("#"):
         raise MalformedRecord(path, 1, "missing alignment header")
-    tokens = header[0].split()
+    tokens = header[1:].split()
     if len(tokens) != 5:
         raise MalformedRecord(
             path, 1, f"header needs 5 fields (source target k tau fingerprint), "

@@ -36,13 +36,21 @@ cosines per (entity, candidate), rounded once and ordered by (score desc,
 id asc). A raw score within _f64_dot_gap of 0 or of a tie is taken instead
 from the entity's BLAS product, which sums in the order the float64 kernel
 has always used.
+
+Each distinct label pair's float64 dot is computed once per call, with the
+row side's label as the left operand, into a _PairDots table that lives
+only for that call. The row cut's survivors seed it; the column cut's
+survivors and entity assembly in both directions look their pairs up in it
+and compute only the ones it lacks. A row-wise dot does not depend on which
+KB is the left operand or on where the pair sits in its batch (a test
+holds this bit for bit), so the table changes no score.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -401,6 +409,39 @@ def _runs(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(keys, prepend=-1))
 
 
+class _PairDots:
+    """The float64 unit-row dot of each (row_kb row, col_kb row) label pair
+    that one build_candidate_dbs call asks for, each computed once.
+
+    Keys are row * len(col_kb) + col, held sorted beside their dots. The
+    table starts as the row pass's survivors, which come in ascending key
+    order; lookup computes and inserts the pairs it does not hold yet.
+    """
+
+    def __init__(
+        self, row_kb: VectorKB, rows: np.ndarray, col_kb: VectorKB, cols: np.ndarray
+    ):
+        self.row_kb, self.col_kb = row_kb, col_kb
+        self.dots = _row_dots(row_kb, rows, col_kb, cols)
+        # A last key above every pair's, so a search never runs off the end.
+        self.keys = np.append(rows * len(col_kb) + cols, np.iinfo(np.intp).max)
+
+    def lookup(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The dots of the pairs (rows[i], cols[i])."""
+        keys = rows * len(self.col_kb) + cols
+        at = np.searchsorted(self.keys, keys)
+        new = np.sort(keys[self.keys[at] != keys])
+        if new.size:
+            new = new[_runs(new)]
+            where = np.searchsorted(self.keys, new)
+            new_rows, new_cols = np.divmod(new, len(self.col_kb))
+            dots = _row_dots(self.row_kb, new_rows, self.col_kb, new_cols)
+            self.keys = np.insert(self.keys, where, new)
+            self.dots = np.insert(self.dots, where, dots)
+            at = np.searchsorted(self.keys, keys)
+        return self.dots[at]
+
+
 def _csr(groups: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     """(size of each group, the groups' items end to end) as index arrays."""
     return (
@@ -418,21 +459,22 @@ def _gather(sizes: np.ndarray, which: np.ndarray) -> np.ndarray:
 
 
 def _exact_hits(
-    query_kb: VectorKB,
     corpus_kb: VectorKB,
     query_rows: np.ndarray,
     corpus_rows: np.ndarray,
+    dots: np.ndarray,
     k: int,
     tau: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The exact rule on the survivor pairs: the (query rows, corpus rows)
     of the hits, grouped by ascending query row, in rank order in a row.
 
-    Each pair's float64 cosine goes through round_scores; a query row keeps
-    the scores at or above tau, ordered by (score desc, label asc) in one
-    lexsort and cut at k by position in the row's run.
+    dots[i] is the float64 cosine of survivor i, from the call's _PairDots.
+    Each goes through round_scores; a query row keeps the scores at or
+    above tau, ordered by (score desc, label asc) in one lexsort and cut at
+    k by position in the row's run.
     """
-    scores = round_scores(_row_dots(query_kb, query_rows, corpus_kb, corpus_rows))
+    scores = round_scores(dots)
     hit = scores >= tau
     query_rows, corpus_rows, scores = query_rows[hit], corpus_rows[hit], scores[hit]
     by_label = sorted(set(corpus_rows.tolist()), key=corpus_kb.labels.__getitem__)
@@ -451,6 +493,7 @@ def _direction_lists(
     corpus_kb: VectorKB,
     hit_rows: np.ndarray,
     hit_cols: np.ndarray,
+    dots: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> dict[str, CandidateList]:
     """Every query entity's candidate list from the hits of _exact_hits;
     an entity that owns no hit label gets an empty list.
@@ -458,7 +501,9 @@ def _direction_lists(
     The owners of hit labels are assembled together: each one's label rows
     and the union of their hits as index arrays, the max float64 dot of a
     union row over the entity's labels, then the max per (entity, owner of
-    a union row), rounded once and ordered by (score desc, id asc).
+    a union row), rounded once and ordered by (score desc, id asc). The
+    dots of (query rows, corpus rows) come from dots, a lookup in the
+    call's _PairDots, which computes only the pairs it does not hold.
     """
     lists = dict.fromkeys(query_onto.ids, CandidateList(()))
     if not hit_rows.size:
@@ -476,11 +521,8 @@ def _direction_lists(
     )
     pair_entity, pair_col = np.divmod(pairs[_runs(pairs)], len(corpus_kb))
     per = n_labels[pair_entity]
-    dots = _row_dots(
-        query_kb, label_rows[_gather(n_labels, pair_entity)],
-        corpus_kb, pair_col.repeat(per),
-    )
-    best = np.maximum.reduceat(dots, np.cumsum(per) - per)
+    pair_dots = dots(label_rows[_gather(n_labels, pair_entity)], pair_col.repeat(per))
+    best = np.maximum.reduceat(pair_dots, np.cumsum(per) - per)
     cols = sorted(set(pair_col.tolist()))
     ids = sorted(set().union(*(corpus_kb.owners[col] for col in cols)))
     index = {entity_id: i for i, entity_id in enumerate(ids)}
@@ -589,10 +631,21 @@ def build_candidate_dbs(
             )
     # The pass holds its column side whole in float32, so the larger KB is
     # the one it walks in row blocks.
-    if len(source_kb) >= len(target_kb):
-        s2t_pairs, t2s_pairs = _blocked_pass(source_kb, target_kb, k, tau, chunk)
-    else:
-        t2s_pairs, s2t_pairs = _blocked_pass(target_kb, source_kb, k, tau, chunk)
+    swap = len(source_kb) < len(target_kb)
+    row_kb, col_kb = (target_kb, source_kb) if swap else (source_kb, target_kb)
+    (rows, cols), (col_rows, row_rows) = _blocked_pass(row_kb, col_kb, k, tau, chunk)
+    # Each direction's hits and its lookup of (query rows, corpus rows).
+    table = _PairDots(row_kb, rows, col_kb, cols)
+    by_row = (_exact_hits(col_kb, rows, cols, table.dots, k, tau), table.lookup)
+    by_col = (
+        _exact_hits(
+            row_kb, col_rows, row_rows, table.lookup(row_rows, col_rows), k, tau
+        ),
+        lambda query_rows, corpus_rows: table.lookup(corpus_rows, query_rows),
+    )
+    (s2t_hits, s2t_dots), (t2s_hits, t2s_dots) = (
+        (by_col, by_row) if swap else (by_row, by_col)
+    )
     s2t = CandidateDB(
         direction=DIRECTION_S2T,
         query_name=source.name,
@@ -600,10 +653,7 @@ def build_candidate_dbs(
         k=k,
         tau=tau,
         fingerprint=source_kb.fingerprint,
-        lists=_direction_lists(
-            source, source_kb, target_kb,
-            *_exact_hits(source_kb, target_kb, *s2t_pairs, k, tau),
-        ),
+        lists=_direction_lists(source, source_kb, target_kb, *s2t_hits, s2t_dots),
     )
     t2s = CandidateDB(
         direction=DIRECTION_T2S,
@@ -612,9 +662,6 @@ def build_candidate_dbs(
         k=k,
         tau=tau,
         fingerprint=target_kb.fingerprint,
-        lists=_direction_lists(
-            target, target_kb, source_kb,
-            *_exact_hits(target_kb, source_kb, *t2s_pairs, k, tau),
-        ),
+        lists=_direction_lists(target, target_kb, source_kb, *t2s_hits, t2s_dots),
     )
     return s2t, t2s

@@ -1,4 +1,5 @@
-"""The shared text record grammar: read_records, read_header and read_text."""
+"""The shared text record grammar: read_records, read_text, and the one
+header line read_alignment reads before its records."""
 
 import re
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontomatch.errors import ConfigError, MalformedRecord
-from ontomatch.fileio import read_header, read_records, read_text
+from ontomatch.fileio import read_records, read_text
+from ontomatch.matcher import read_alignment
 
 # Fields hold no tab or line break; the file is UTF-8, so no surrogates.
 FIELD_CHARS = st.characters(
@@ -80,19 +82,32 @@ def test_read_records_property(tmp_path_factory, data, bad_at, extra):
     assert seen == [r for r in expected if r[0] <= bad_at]
 
 
-def test_read_header_returns_the_opening_comment_lines(tmp_path):
-    path = tmp_path / "file.tsv"
-    path.write_bytes(b"# one 1\r\n#\n#two\na\tb\n# not header\n")
-    assert read_header(path) == [" one 1", "", "two"]
-    assert list(read_records(path, 2)) == [(4, ["a", "b"])]
-    path.write_bytes(b"a\tb\n# late\n")
-    assert read_header(path) == []
+def test_read_alignment_reads_its_one_opening_header_line(tmp_path):
+    # The header is the first line; later '#' lines are comments.
+    path = tmp_path / "alignment.tsv"
+    path.write_bytes(b"#S  T 5 0.75\tfp \r\n#\n#two\ns\tt\t=\t0.5\tHCB\n# late\n")
+    alignment = read_alignment(path)
+    assert (alignment.source_onto, alignment.target_onto) == ("S", "T")
+    assert (alignment.k, alignment.tau, alignment.fingerprint) == (5, 0.75, "fp")
+    assert alignment.correspondences == (("s", "t", "=", 0.5, "HCB"),)
+    assert list(read_records(path, 5)) == [(4, ["s", "t", "=", "0.5", "HCB"])]
+    for text, reason in (
+        (b"", "missing alignment header"),
+        (b" # S T 5 0.75 fp\n", "missing alignment header"),
+        (b"s\tt\t=\t0.5\tHCB\n# S T 5 0.75 fp\n", "missing alignment header"),
+        (b"# S T 5 0.75\n# fp\n", "header needs 5 fields"),
+        (b"# S T 5 high fp\n", "bad k/tau in header"),
+    ):
+        path.write_bytes(text)
+        with pytest.raises(MalformedRecord, match=reason) as info:
+            read_alignment(path)
+        assert info.value.line_no == 1
 
 
 def test_text_that_is_not_utf8_is_a_malformed_record(tmp_path):
     path = tmp_path / "latin1.tsv"
     path.write_bytes(b"# caf\xe9\na:1\t\xe9t\xe9\n")
-    for read in (read_header, lambda p: list(read_records(p)), read_text):
+    for read in (read_alignment, lambda p: list(read_records(p)), read_text):
         with pytest.raises(MalformedRecord, match="not UTF-8 text") as info:
             read(path)
         assert info.value.line_no == 0

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ontomatch import retrieval
 from ontomatch.embedding import (
     DeterministicProvider,
     PrecomputedFileProvider,
@@ -35,6 +36,7 @@ from ontomatch.retrieval import (
     DIRECTION_S2T,
     _BLOCK_ELEMENTS,
     _f64_dot_gap,
+    _row_dots,
     _row_norms,
     _row_survivors,
     VectorKB,
@@ -46,6 +48,7 @@ from ontomatch.retrieval import (
     save_candidate_db,
     save_kb,
 )
+from ontomatch.synth import generate_corpus
 
 from conftest import make_db, make_ontology, disease_vector_table
 from stubs import PinnedProvider
@@ -353,10 +356,10 @@ def test_kb_binary_round_trip_property(kb):
 
 
 @st.composite
-def norm_matrices(draw):
+def norm_matrices(draw, dims=st.integers(min_value=1, max_value=800)):
     """A float64 matrix whose row count is near or across a multiple of the
     norm block, of dense, sparse, huge, tiny and subnormal rows."""
-    dim = draw(st.integers(min_value=1, max_value=800))
+    dim = draw(dims)
     step = max(1, _BLOCK_ELEMENTS // dim)
     n = draw(st.one_of(
         st.integers(min_value=0, max_value=2 * step + 1),
@@ -402,6 +405,43 @@ def test_blocked_norms_and_unit_rows_equal_the_whole_matrix_ones(matrix, data):
         st.integers(min_value=0, max_value=len(matrix) - 1), max_size=40,
     )), dtype=np.intp)
     assert same_bits(kb.unit_rows(rows), unit[rows])
+
+
+def nonzero_kb(name, matrix):
+    matrix = matrix[np.linalg.norm(matrix, axis=1) > 0.0]
+    return VectorKB(name, [str(i) for i in range(len(matrix))],
+                    [frozenset({"E"})] * len(matrix), matrix, "fp")
+
+
+# build_candidate_dbs computes each label pair's dot once, in the row side's
+# orientation and wherever it falls in a batch, for both directions.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_row_dots_do_not_depend_on_the_side_or_the_position(data):
+    left = nonzero_kb("L", data.draw(norm_matrices()))
+    dim = left.matrix.shape[1]
+    right = nonzero_kb("R", data.draw(norm_matrices(st.just(dim))))
+    if not len(left) or not len(right):
+        return
+    step = max(1, _BLOCK_ELEMENTS // dim)
+    n = data.draw(st.one_of(
+        st.integers(min_value=0, max_value=2 * step + 1),
+        st.sampled_from([step - 1, step, step + 1, 2 * step]),
+    ))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    left_rows = rng.integers(0, len(left), n)
+    right_rows = rng.integers(0, len(right), n)
+    dots = _row_dots(left, left_rows, right, right_rows)
+    assert same_bits(_row_dots(right, right_rows, left, left_rows), dots)
+    start = data.draw(st.integers(min_value=0, max_value=n))
+    assert same_bits(
+        _row_dots(left, left_rows[start:], right, right_rows[start:]), dots[start:]
+    )
+    some = np.flatnonzero(rng.random(n) < 0.5)
+    assert same_bits(
+        _row_dots(right, right_rows[some], left, left_rows[some]), dots[some]
+    )
 
 
 def traced(fn):
@@ -985,6 +1025,29 @@ def test_candidate_dbs_equal_the_float64_kernel(corpus, k, chunk):
         got = {owner: lst.candidates for owner, lst in db.lists.items()}
         assert _db_rows(got) == _db_rows(expected)
         assert list(got) == list(expected)
+
+
+@pytest.mark.parametrize("tau", [0.75, 0.0])
+def test_each_label_pair_is_scored_once_per_call(tmp_path, monkeypatch, tau):
+    corpus = generate_corpus(str(tmp_path), 40, synonym_rate=0.3, seed=2)
+    source = load_ontology(corpus.source_path, "S")
+    target = load_ontology(corpus.target_path, "T")
+    provider = PrecomputedFileProvider(corpus.vectors_path)
+    source_kb, target_kb = build_kb(source, provider), build_kb(target, provider)
+    row_dots = retrieval._row_dots
+    pairs = []
+
+    def spy(left, left_rows, right, right_rows):
+        if left is source_kb:
+            pairs.extend(zip(left_rows.tolist(), right_rows.tolist()))
+        else:
+            pairs.extend(zip(right_rows.tolist(), left_rows.tolist()))
+        return row_dots(left, left_rows, right, right_rows)
+
+    monkeypatch.setattr(retrieval, "_row_dots", spy)
+    s2t, t2s = build_candidate_dbs(source, target, source_kb, target_kb, k=5, tau=tau)
+    assert s2t.total_candidates and t2s.total_candidates
+    assert len(pairs) == len(set(pairs))
 
 
 ROW_KINDS = ("dead", "exactly-k", "k-plus-1", "ties", "random", "busy")
