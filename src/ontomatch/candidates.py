@@ -8,9 +8,7 @@ the verbs that only read candidate DBs (match) start without it.
 from __future__ import annotations
 
 from .errors import MalformedRecord, StaleKB, UnknownEntity, refuse_assignment
-from .fileio import (
-    atomic_write_text, format_header, open_input, parse_header, read_records,
-)
+from .fileio import atomic_write_text, format_header, read_header, read_records
 from .ontology import Ontology
 
 DIRECTION_S2T = "s2t"
@@ -98,9 +96,7 @@ def load_candidate_db(path: str, query_ontology: Ontology) -> CandidateDB:
     that it does not contain mean the DB belongs to different inputs. An
     owner may list a candidate once.
     """
-    with open_input(path, "rb") as handle:
-        head = b"".join(handle.readline() for _ in _DB_HEADER)
-    header, _ = parse_header(path, head, _DB_HEADER)
+    header = read_header(path, _DB_HEADER)
     per_owner: dict[str, list[tuple[str, float]]] = {}
     pairs: set[tuple[str, str]] = set()
     for line_no, (owner, candidate_id, score_field) in read_records(path, 3):

@@ -306,8 +306,8 @@ def _split_tokens(
 
 
 def _first_fault(
-    labels: Sequence[str], widths: np.ndarray, dim: int,
-    seen: Mapping[str, np.ndarray], zero: np.ndarray, others: list[str],
+    labels: Sequence[str], payloads: Sequence[str], dim: int,
+    seen: Mapping[str, np.ndarray],
 ) -> tuple[int, str]:
     """The block's first faulty row and its fault.
 
@@ -315,33 +315,23 @@ def _first_fault(
     bad token, non-finite component, dimension. seen holds the labels of
     earlier blocks.
     """
-    faults = []  # (row, rank of the fault kind, reason)
-    if "" in labels:
-        faults.append((labels.index(""), 0, "empty label"))
     earlier = set()
-    for row, label in enumerate(labels):
+    for row, (label, payload) in enumerate(zip(labels, payloads)):
+        if not label:
+            return row, "empty label"
         if label in seen or label in earlier:
-            faults.append((row, 1, f"duplicate label {label!r}"))
-            break
+            return row, f"duplicate label {label!r}"
         earlier.add(label)
-    token_rows = np.repeat(np.arange(len(labels)), widths)[~zero]
-    values = []
-    for token in others:
+        tokens = payload.split(",")
         try:
-            values.append(float(token))
+            values = [float(token) for token in tokens]
         except ValueError as exc:
-            faults.append((int(token_rows[len(values)]), 2, f"bad float: {exc}"))
-            break
-    finite = np.isfinite(values)
-    if not finite.all():
-        row = int(token_rows[np.argmin(finite)])
-        faults.append((row, 3, "non-finite vector component"))
-    wrong = np.flatnonzero(widths != dim)
-    if wrong.size:
-        row = int(wrong[0])
-        faults.append((row, 4, f"dimension {widths[row]} != first row's {dim}"))
-    row, _, reason = min(faults)
-    return row, reason
+            return row, f"bad float: {exc}"
+        if not np.isfinite(values).all():
+            return row, "non-finite vector component"
+        if len(tokens) != dim:
+            return row, f"dimension {len(tokens)} != first row's {dim}"
+    raise AssertionError("the block has no faulty row")
 
 
 def load_vector_file(path: str) -> tuple[dict[str, np.ndarray], str]:
@@ -376,7 +366,7 @@ def load_vector_file(path: str) -> tuple[dict[str, np.ndarray], str]:
         if (parsed is None or not np.isfinite(parsed).all()
                 or "" in fresh or len(fresh) < len(labels)
                 or not vectors.keys().isdisjoint(fresh) or (widths != dim).any()):
-            row, reason = _first_fault(labels, widths, dim, vectors, zero, others)
+            row, reason = _first_fault(labels, payloads, dim, vectors)
             raise MalformedRecord(path, line_nos[row], reason)
         flat = np.zeros(zero.size)
         if len(parsed) < len(others):  # repeated tokens: one value per token

@@ -98,8 +98,9 @@ def parse_header(path: str, data: bytes, layout) -> tuple[list, int]:
     """(converted values, end offset) of the header format_header wrote for
     layout at the start of data; only the header's bytes are copied.
 
-    A line that is missing, out of order or not UTF-8, or whose value its
-    converter rejects with ValueError, is a MalformedRecord at that line.
+    A line may end in CRLF; the CR is not part of the value. A line that is
+    missing, out of order or not UTF-8, or whose value its converter
+    rejects with ValueError, is a MalformedRecord at that line.
     """
     values, pos = [], 0
     for line_no, (key, convert) in enumerate(layout, start=1):
@@ -108,7 +109,7 @@ def parse_header(path: str, data: bytes, layout) -> tuple[list, int]:
         if end < 0 or not data.startswith(prefix, pos):
             raise MalformedRecord(path, line_no, f"missing header '# {key} ...'")
         try:
-            text = data[pos + len(prefix):end].decode("utf-8")
+            text = data[pos + len(prefix):end].decode("utf-8").removesuffix("\r")
             values.append(convert(text))
         except UnicodeDecodeError as exc:
             raise MalformedRecord(path, line_no, f"bad header: {exc}") from None
@@ -116,6 +117,14 @@ def parse_header(path: str, data: bytes, layout) -> tuple[list, int]:
             raise MalformedRecord(path, line_no, f"bad {key} header {text!r}") from None
         pos = end + 1
     return values, pos
+
+
+def read_header(path: str, layout) -> list:
+    """The values of the header format_header wrote for layout at the start
+    of the file at path, read without the rest; errors as for parse_header."""
+    with open_input(path, "rb") as handle:
+        head = b"".join(handle.readline() for _ in layout)
+    return parse_header(path, head, layout)[0]
 
 
 def atomic_write_bytes(path: str, *chunks) -> None:

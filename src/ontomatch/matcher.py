@@ -38,7 +38,9 @@ from .errors import (
     UnknownEntity,
     refuse_assignment,
 )
-from .fileio import atomic_write_text, read_lines, read_records, read_text
+from .fileio import (
+    atomic_write_text, format_header, read_header, read_records, read_text,
+)
 from .llm import LlmClient, PromptTemplate, render_prompt
 from .ontology import Ontology
 
@@ -427,48 +429,28 @@ def match_baseline(
     return _run_per_source(PIPELINE_BASELINE, plan, s2t, walk, max_workers)
 
 
-def _require_clean_name(name: str) -> str:
-    if not name or any(ch.isspace() for ch in name):
-        raise InvalidParameter(
-            f"ontology name {name!r} must be nonempty and contain no whitespace "
-            "to fit the alignment header format"
-        )
-    return name
+# In Alignment's argument order.
+_ALIGNMENT_HEADER = (
+    ("source", str), ("target", str), ("k", int), ("tau", float), ("provider", str),
+)
 
 
 def write_alignment(alignment: Alignment, path: str) -> None:
-    """Persist an alignment sorted by source id; header carries the params."""
-    header = (
-        f"# {_require_clean_name(alignment.source_onto)} "
-        f"{_require_clean_name(alignment.target_onto)} "
-        f"{alignment.k} {alignment.tau!r} {alignment.fingerprint}"
-    )
-    lines = [header]
+    """Persist an alignment's header, then its correspondences by source id."""
+    values = (alignment.source_onto, alignment.target_onto, alignment.k,
+              alignment.tau, alignment.fingerprint)
+    lines = [format_header(_ALIGNMENT_HEADER, values)]
     for corr in sorted(alignment.correspondences, key=lambda c: c.source_id):
         lines.append(
             f"{corr.source_id}\t{corr.target_id}\t{corr.relation}\t"
-            f"{corr.confidence:.5f}\t{corr.provenance}"
+            f"{corr.confidence:.5f}\t{corr.provenance}\n"
         )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "".join(lines))
 
 
 def read_alignment(path: str) -> Alignment:
     """Parse an alignment file; re-serializing the result is byte-identical."""
-    header = next(read_lines(path), "")
-    if not header.startswith("#"):
-        raise MalformedRecord(path, 1, "missing alignment header")
-    tokens = header[1:].split()
-    if len(tokens) != 5:
-        raise MalformedRecord(
-            path, 1, f"header needs 5 fields (source target k tau fingerprint), "
-            f"got {len(tokens)}"
-        )
-    source_onto, target_onto, k_text, tau_text, fingerprint = tokens
-    try:
-        k = int(k_text)
-        tau = float(tau_text)
-    except ValueError as exc:
-        raise MalformedRecord(path, 1, f"bad k/tau in header: {exc}") from None
+    header = read_header(path, _ALIGNMENT_HEADER)
     correspondences: list[Correspondence] = []
     for line_no, fields in read_records(path, 5):
         source_id, target_id, relation, confidence_text, provenance = fields
@@ -481,9 +463,7 @@ def read_alignment(path: str) -> Alignment:
         correspondences.append(
             Correspondence(source_id, target_id, relation, confidence, provenance)
         )
-    return Alignment(
-        source_onto, target_onto, k, tau, fingerprint, tuple(correspondences)
-    )
+    return Alignment(*header, tuple(correspondences))
 
 
 def write_trace(trace: Sequence[TraceEvent], path: str) -> None:

@@ -77,24 +77,14 @@ class SynthCorpus(NamedTuple):
     planned: dict = {}
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_pairs": self.n_pairs,
-            "hcb_pairs": self.hcb_pairs,
-            "parasite_pairs": self.parasite_pairs,
-            "dim": self.dim,
-            "seed": self.seed,
-            "synonym_rate": self.synonym_rate,
-            "noise_level": self.noise_level,
-            "hcb_fraction": self.hcb_fraction,
-            "sabotaged_sources": self.sabotaged_sources,
-            "planned": self.planned,
-            "files": {
-                "source": os.path.basename(self.source_path),
-                "target": os.path.basename(self.target_path),
-                "reference": os.path.basename(self.reference_path),
-                "vectors": os.path.basename(self.vectors_path),
-            },
+        """The manifest: every field but the paths, and the data files' names."""
+        data = self._asdict()
+        del data["out_dir"], data["manifest_path"]
+        data["files"] = {
+            key: os.path.basename(data.pop(f"{key}_path"))
+            for key in ("source", "target", "reference", "vectors")
         }
+        return data
 
 
 def _dump_lines(rows: list[tuple[str, str, list[str]]]) -> str:

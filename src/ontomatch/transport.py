@@ -21,6 +21,7 @@ import threading
 import time
 from http.client import HTTPException
 from urllib.error import HTTPError
+from urllib.parse import urlsplit
 from urllib.request import (
     HTTPSHandler,
     OpenerDirector,
@@ -75,11 +76,33 @@ def _send(request: Request, timeout: float) -> tuple[int, bytes]:
         return response.status, response.read()
 
 
+def _check_url(url: str, service: str) -> None:
+    """ConfigError unless urllib can POST to url: an http or https URL with
+    a host, a numeric port if any, and no user:password@ part, which urllib
+    would not send. The message never shows a URL that holds a password."""
+    try:
+        parts = urlsplit(url)
+        parts.port  # ValueError for a port that is not a number
+    except ValueError as exc:
+        raise ConfigError(f"{service} URL is malformed: {exc}") from None
+    if parts.username is not None:
+        raise ConfigError(
+            f"{service} URL has a user:password@ part, which is never sent; "
+            "put the token in the environment variable that *.token_env names"
+        )
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigError(
+            f"{service} URL {url!r} needs an http:// or https:// scheme and a host"
+        )
+
+
 class Endpoint:
     """One remote JSON service: its URL and headers, and how a request to it
     is retried.
 
-    token_env names the environment variable whose value is sent as
+    The URL is checked when the endpoint is built (see _check_url), so a
+    URL no request can reach fails before any work is done. token_env
+    names the environment variable whose value is sent as
     ``Authorization: Bearer <token>``; ConfigError if it is unset. service
     names the endpoint in messages and error is the class they raise.
     """
@@ -95,6 +118,7 @@ class Endpoint:
         backoff_seconds: float,
         token_env: str | None = None,
     ):
+        _check_url(url, service)
         self._url = url
         self._service = service
         self._error = error

@@ -22,7 +22,7 @@ from ontomatch import (
 from ontomatch.cli import main
 from ontomatch.errors import EXIT_CONFIG, EXIT_ENDPOINT, EXIT_OK, EXIT_PARSE
 
-from stubs import RecordingServer, cyclic_garbage
+from stubs import RecordingServer, cyclic_garbage, embedding_behavior
 
 
 def make_corpus(tmp_path, n=12, hcb="0.5", seed="0"):
@@ -116,6 +116,31 @@ def test_stepwise_flow_produces_expected_counts(tmp_path, capsys):
     assert "12" in table and "60" in table
     assert "0.200" in table
     assert os.path.exists(os.path.join(out, "compare.tsv"))
+
+
+def test_ontology_names_with_spaces_pass_through_every_verb(tmp_path, capsys):
+    # a name is any text without a newline, in every artifact's header
+    out, config = make_corpus(tmp_path, n=20, hcb="0.5", seed="1")
+    named = variant_config(config, {
+        "source.name": "Human Phenotype", "target.name": "Mouse  Anatomy",
+    })
+    reference = os.path.join(out, "synthetic", "reference.tsv")
+    runs = [os.path.join(out, "runs", pipeline) for pipeline in ("mila", "baseline")]
+    for argv in (
+        ["build-kb"], ["predict"],
+        *(["match", "--pipeline", pipeline, "--run-id", pipeline]
+          for pipeline in ("mila", "baseline")),
+        *(["eval", "--alignment", os.path.join(run, "alignment.tsv"),
+           "--reference", reference] for run in runs),
+        ["compare", *runs, "--reference", reference],
+    ):
+        assert main(argv + ["--config", named]) == EXIT_OK, argv
+    for run in runs:
+        alignment = matcher.read_alignment(os.path.join(run, "alignment.tsv"))
+        assert (alignment.source_onto, alignment.target_onto) == (
+            "Human Phenotype", "Mouse  Anatomy"
+        )
+    assert "error" not in capsys.readouterr().err
 
 
 def run_artifacts(out):
@@ -588,8 +613,8 @@ def test_a_rerun_that_writes_an_alignment_drops_the_earlier_eval(tmp_path, endin
     assert sorted(os.listdir(run_dir)) == [n for n in RUN_FILES if n != "eval.json"]
     report = json.loads(read_text(run_dir, "report.json"))
     assert report["partial"] is (ending == "partial")
-    if ending == "complete":  # every reply was No: a header and no rows
-        assert read_text(run_dir, "alignment.tsv").count("\n") == 1
+    if ending == "complete":  # every reply was No: five header lines, no rows
+        assert read_text(run_dir, "alignment.tsv").count("\n") == 5
 
 
 @pytest.mark.parametrize("breaker", ["stale-k", "bad-config", "stale-candidate"])
@@ -1020,7 +1045,10 @@ def test_bad_prompt_template_exits_config_before_any_artifact(tmp_path, capsys):
     ({"llm.kind": "http-chat"}, "llm.kind=http-chat requires llm.url and llm.model"),
     ({"llm.kind": "scripted"},
      "llm.kind=scripted requires llm.replies (path to a file with one reply per line)"),
-], ids=["flip", "http-chat", "scripted"])
+    ({"llm.kind": "http-chat", "llm.model": "m", "llm.url": "localhost:8000/v1"},
+     "chat endpoint URL 'localhost:8000/v1' needs an http:// or https:// scheme "
+     "and a host"),
+], ids=["flip", "http-chat", "scripted", "chat-url"])
 def test_run_all_rejects_llm_settings_before_embedding(tmp_path, capsys, settings, message):
     _, config = make_corpus(tmp_path, n=6, hcb="0.5", seed="1")
     fresh = tmp_path / "fresh"
@@ -1032,11 +1060,32 @@ def test_run_all_rejects_llm_settings_before_embedding(tmp_path, capsys, setting
     assert not fresh.exists()
 
 
+def test_an_embedding_url_with_credentials_exits_config_before_any_request(
+    tmp_path, capsys
+):
+    out, config = make_corpus(tmp_path, n=4, hcb="0.5")
+    with RecordingServer(embedding_behavior(8)) as server:
+        bad = variant_config(config, {
+            "embedding.kind": "http", "embedding.dim": "8",
+            "embedding.url": server.url.replace("http://", "http://user:secret@"),
+        })
+        capsys.readouterr()
+        assert main(["build-kb", "--config", bad]) == EXIT_CONFIG
+        assert server.payloads == []
+    err = capsys.readouterr().err
+    assert "user:password@ part" in err and "secret" not in err
+    assert not os.path.exists(os.path.join(out, "kb"))
+
+
 def test_non_utf8_inputs_exit_parse(tmp_path, capsys):
     out, config = make_corpus(tmp_path, n=6, hcb="1.0")
     latin1 = str(tmp_path / "latin1.tsv")
     with open(latin1, "wb") as handle:
         handle.write(b"a:1\t\xe9t\xe9\n")
+    latin1_alignment = str(tmp_path / "latin1-alignment.tsv")
+    with open(latin1_alignment, "wb") as handle:
+        handle.write(b"# source S\n# target T\n# k 5\n# tau 0.75\n# provider fp\n"
+                     b"a:1\t\xe9t\xe9\t=\t0.5\tHCB\n")
     assert main(["build-kb", "--config", config]) == EXIT_OK
     assert main(["predict", "--config", config]) == EXIT_OK
     run_dirs = [os.path.join(out, "runs", run_id) for run_id in ("good", "bad")]
@@ -1054,8 +1103,8 @@ def test_non_utf8_inputs_exit_parse(tmp_path, capsys):
         (["build-kb", "--config", variant_config(config, {"source.dump": latin1})],
          latin1),
         (["match", "--config", scripted, "--run-id", "s"], latin1),
-        (["eval", "--config", config, "--alignment", latin1,
-          "--reference", reference], latin1),
+        (["eval", "--config", config, "--alignment", latin1_alignment,
+          "--reference", reference], latin1_alignment),
         (["compare", *run_dirs, "--reference", reference, "--config", config],
          report_path),
     ):

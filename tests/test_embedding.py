@@ -504,6 +504,23 @@ def test_vector_file_parse_matches_the_oracle(tmp_path_factory, text, block):
     assert outcome == _parse_outcome(oracle_load_vector_file, path)
 
 
+@pytest.mark.parametrize("row, reason", [
+    ("\tnan,x", "empty label"),
+    ("a\tx,1.0,2.0", "duplicate label 'a'"),
+    ("b\tnan,x", "bad float: could not convert string to float: 'x'"),
+    ("b\tx,1.0,2.0", "bad float: could not convert string to float: 'x'"),
+    ("b\tnan,1.0,2.0", "non-finite vector component"),
+])
+def test_a_row_with_two_faults_reports_the_first_in_check_order(tmp_path, row, reason):
+    # empty label, duplicate, bad token, non-finite, dimension: the
+    # row-by-row parser meets them in that order
+    path = tmp_path / "v.tsv"
+    path.write_text(f"a\t1.0,2.0\n{row}\n", encoding="utf-8")
+    expected = f"{path}:2: {reason}"
+    assert _parse_outcome(load_vector_file, path) == expected
+    assert _parse_outcome(oracle_load_vector_file, path) == expected
+
+
 @pytest.mark.parametrize("order", ["sorted", "reversed"])
 def test_vector_file_of_several_blocks_matches_the_oracle(tmp_path, order):
     rng = np.random.default_rng(7)

@@ -82,31 +82,38 @@ def test_read_records_property(tmp_path_factory, data, bad_at, extra):
     assert seen == [r for r in expected if r[0] <= bad_at]
 
 
-def test_read_alignment_reads_its_one_opening_header_line(tmp_path):
-    # The header is the first line; later '#' lines are comments.
+def test_read_alignment_reads_its_opening_header_lines(tmp_path):
+    # Five header lines, LF or CRLF, open the file and their values are any
+    # text without a line break; later '#' lines are comments.
     path = tmp_path / "alignment.tsv"
-    path.write_bytes(b"#S  T 5 0.75\tfp \r\n#\n#two\ns\tt\t=\t0.5\tHCB\n# late\n")
+    header = b"# source S  T\n# target \t\n# k 5\r\n# tau 0.75\n# provider fp \r\n"
+    path.write_bytes(header + b"#\r\n#two\ns\tt\t=\t0.5\tHCB\n# late\n")
     alignment = read_alignment(path)
-    assert (alignment.source_onto, alignment.target_onto) == ("S", "T")
-    assert (alignment.k, alignment.tau, alignment.fingerprint) == (5, 0.75, "fp")
+    assert (alignment.source_onto, alignment.target_onto) == ("S  T", "\t")
+    assert (alignment.k, alignment.tau, alignment.fingerprint) == (5, 0.75, "fp ")
     assert alignment.correspondences == (("s", "t", "=", 0.5, "HCB"),)
-    assert list(read_records(path, 5)) == [(4, ["s", "t", "=", "0.5", "HCB"])]
-    for text, reason in (
-        (b"", "missing alignment header"),
-        (b" # S T 5 0.75 fp\n", "missing alignment header"),
-        (b"s\tt\t=\t0.5\tHCB\n# S T 5 0.75 fp\n", "missing alignment header"),
-        (b"# S T 5 0.75\n# fp\n", "header needs 5 fields"),
-        (b"# S T 5 high fp\n", "bad k/tau in header"),
+    assert list(read_records(path, 5)) == [(8, ["s", "t", "=", "0.5", "HCB"])]
+    for text, line_no, reason in (
+        (b"", 1, "missing header '# source ...'"),
+        (b"# S T 5 0.75 fp\n", 1, "missing header '# source ...'"),  # older layout
+        (b" " + header, 1, "missing header '# source ...'"),
+        (b"s\tt\t=\t0.5\tHCB\n" + header, 1, "missing header '# source ...'"),
+        (header.replace(b"# k 5", b"# k high"), 3, "bad k header 'high'"),
+        (header.replace(b"# provider fp \r\n", b""), 5,
+         "missing header '# provider ...'"),
     ):
         path.write_bytes(text)
-        with pytest.raises(MalformedRecord, match=reason) as info:
+        with pytest.raises(MalformedRecord) as info:
             read_alignment(path)
-        assert info.value.line_no == 1
+        assert (info.value.line_no, info.value.reason) == (line_no, reason)
 
 
 def test_text_that_is_not_utf8_is_a_malformed_record(tmp_path):
     path = tmp_path / "latin1.tsv"
-    path.write_bytes(b"# caf\xe9\na:1\t\xe9t\xe9\n")
+    path.write_bytes(
+        b"# source S\n# target T\n# k 5\n# tau 0.75\n# provider fp\n"
+        b"# caf\xe9\na:1\t\xe9t\xe9\n"
+    )
     for read in (read_alignment, lambda p: list(read_records(p)), read_text):
         with pytest.raises(MalformedRecord, match="not UTF-8 text") as info:
             read(path)

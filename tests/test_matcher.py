@@ -373,10 +373,7 @@ def test_empty_alignment_round_trip(tmp_path):
     assert loaded.source_onto == "S"
 
 
-def test_write_alignment_rejects_whitespace_names(tmp_path):
-    alignment = Alignment("S bad", "T", 5, 0.75, "fp", ())
-    with pytest.raises(InvalidParameter):
-        write_alignment(alignment, tmp_path / "a.tsv")
+ALIGNMENT_HEADER = "# source S\n# target T\n# k 5\n# tau 0.75\n# provider fp\n"
 
 
 @pytest.mark.parametrize(
@@ -387,6 +384,8 @@ def test_write_alignment_rejects_whitespace_names(tmp_path):
         "# S T five 0.75 fp\n",
         "# S T 5 0.75 fp\nE\tT:1\tequivalence\n",
         "# S T 5 0.75 fp\nE\tT:1\tequivalence\tbad\tHCB\n",
+        ALIGNMENT_HEADER + "E\tT:1\tequivalence\n",
+        ALIGNMENT_HEADER + "E\tT:1\tequivalence\tbad\tHCB\n",
     ],
 )
 def test_read_alignment_malformed(tmp_path, content):

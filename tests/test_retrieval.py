@@ -31,6 +31,7 @@ from ontomatch.errors import (
     UnknownEntity,
     ZeroVector,
 )
+from ontomatch.matcher import Alignment, Correspondence, read_alignment, write_alignment
 from ontomatch.ontology import load_ontology
 from ontomatch.retrieval import (
     DIRECTION_S2T,
@@ -814,6 +815,36 @@ def test_candidate_db_header_round_trips_and_faults_at_its_line(
     path.write_bytes(broken)
     with pytest.raises(MalformedRecord) as caught:
         load_candidate_db(path, onto)
+    assert caught.value.line_no == index + 1
+    assert caught.value.reason.startswith(reason)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    names=st.tuples(header_text, header_text, header_text), k=st.integers(1, 50),
+    tau=st.floats(0.0, 1.0), n_rows=st.integers(0, 3), index=st.integers(0, 4),
+    fault=st.sampled_from(HEADER_FAULTS),
+)
+def test_alignment_header_round_trips_and_faults_at_its_line(
+    tmp_path_factory, names, k, tau, n_rows, index, fault
+):
+    source, target, fingerprint = names
+    alignment = Alignment(source, target, k, tau, fingerprint, tuple(
+        Correspondence(f"S:{i}", f"T:{i}", "equivalence", 0.5, "HCB")
+        for i in range(n_rows)
+    ))
+    path = tmp_path_factory.mktemp("alignment") / "alignment.tsv"
+    write_alignment(alignment, path)
+    data = path.read_bytes()
+    loaded = read_alignment(path)
+    assert loaded == alignment
+    write_alignment(loaded, path)
+    assert path.read_bytes() == data
+
+    broken, reason = break_header_line(data, 5, index, fault, {2: b"five", 3: b"tau"})
+    path.write_bytes(broken)
+    with pytest.raises(MalformedRecord) as caught:
+        read_alignment(path)
     assert caught.value.line_no == index + 1
     assert caught.value.reason.startswith(reason)
 
