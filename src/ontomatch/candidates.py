@@ -8,7 +8,9 @@ the verbs that only read candidate DBs (match) start without it.
 from __future__ import annotations
 
 from .errors import MalformedRecord, StaleKB, UnknownEntity, refuse_assignment
-from .fileio import atomic_write_text, format_header, read_header, read_records
+from .fileio import (
+    atomic_write_text, format_header, parse_score, read_header, read_records,
+)
 from .ontology import Ontology
 
 DIRECTION_S2T = "s2t"
@@ -100,12 +102,7 @@ def load_candidate_db(path: str, query_ontology: Ontology) -> CandidateDB:
     per_owner: dict[str, list[tuple[str, float]]] = {}
     pairs: set[tuple[str, str]] = set()
     for line_no, (owner, candidate_id, score_field) in read_records(path, 3):
-        try:
-            score = float(score_field)
-        except ValueError:
-            raise MalformedRecord(
-                path, line_no, f"bad score {score_field!r}"
-            ) from None
+        score = parse_score(path, line_no, score_field, "score")
         bucket = per_owner.setdefault(owner, [])
         if bucket and bucket[-1][1] < score:
             raise MalformedRecord(

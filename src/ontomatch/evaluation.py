@@ -7,12 +7,11 @@ print 3 decimals.
 
 from __future__ import annotations
 
-import json
 import random
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidParameter, MalformedRecord, MismatchedInputs
-from .fileio import atomic_write_text, read_records
+from .fileio import atomic_write_text, read_records, write_json
 
 if TYPE_CHECKING:
     from .matcher import MatchRunReport
@@ -103,9 +102,7 @@ def evaluate(
 
 
 def write_eval_report(report: EvalReport, path: str) -> None:
-    atomic_write_text(
-        path, json.dumps(report._asdict(), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(path, report._asdict())
 
 
 def _ratio(a: float, b: float) -> float | None:

@@ -1,5 +1,6 @@
 """Small file helpers: opening inputs, the text record grammar, the
-`# key value` header codec and atomic writes."""
+`# key value` header codec, the score field rule, and atomic writes (JSON
+artifacts too)."""
 
 from __future__ import annotations
 
@@ -98,9 +99,8 @@ def parse_header(path: str, data: bytes, layout) -> tuple[list, int]:
     """(converted values, end offset) of the header format_header wrote for
     layout at the start of data; only the header's bytes are copied.
 
-    A line may end in CRLF; the CR is not part of the value. A line that is
-    missing, out of order or not UTF-8, or whose value its converter
-    rejects with ValueError, is a MalformedRecord at that line.
+    A line that is missing, out of order or not UTF-8, or whose value its
+    converter rejects with ValueError, is a MalformedRecord at that line.
     """
     values, pos = [], 0
     for line_no, (key, convert) in enumerate(layout, start=1):
@@ -109,7 +109,7 @@ def parse_header(path: str, data: bytes, layout) -> tuple[list, int]:
         if end < 0 or not data.startswith(prefix, pos):
             raise MalformedRecord(path, line_no, f"missing header '# {key} ...'")
         try:
-            text = data[pos + len(prefix):end].decode("utf-8").removesuffix("\r")
+            text = data[pos + len(prefix):end].decode("utf-8")
             values.append(convert(text))
         except UnicodeDecodeError as exc:
             raise MalformedRecord(path, line_no, f"bad header: {exc}") from None
@@ -119,11 +119,24 @@ def parse_header(path: str, data: bytes, layout) -> tuple[list, int]:
     return values, pos
 
 
+def parse_score(path: str, line_no: int, text: str, what: str) -> float:
+    """The cosine a record's field spells: a float in [-1, 1]. Any other
+    text, nan and infinities included, is MalformedRecord `bad <what>`."""
+    try:
+        if -1.0 <= (value := float(text)) <= 1.0:
+            return value
+    except ValueError:
+        pass
+    raise MalformedRecord(path, line_no, f"bad {what} {text!r}")
+
+
 def read_header(path: str, layout) -> list:
     """The values of the header format_header wrote for layout at the start
-    of the file at path, read without the rest; errors as for parse_header."""
+    of the text file at path, read without the rest; errors as for
+    parse_header. A line may end in CRLF; the CR is not part of the value
+    (a binary KB's header is parsed as written)."""
     with open_input(path, "rb") as handle:
-        head = b"".join(handle.readline() for _ in layout)
+        head = b"".join(handle.readline().replace(b"\r\n", b"\n") for _ in layout)
     return parse_header(path, head, layout)[0]
 
 
@@ -159,3 +172,11 @@ def atomic_write_text(path: str, text: str) -> None:
     """Write UTF-8 text to path atomically; see atomic_write_bytes."""
     atomic_write_bytes(path, text.encode("utf-8"))
 
+
+def write_json(path: str, data) -> None:
+    """Write data as a JSON artifact atomically: 2-space indent, sorted keys,
+    a closing newline. json loads here, so a verb that writes none (build-kb,
+    predict) never loads it."""
+    import json
+
+    atomic_write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")

@@ -39,7 +39,8 @@ from .errors import (
     refuse_assignment,
 )
 from .fileio import (
-    atomic_write_text, format_header, read_header, read_records, read_text,
+    atomic_write_text, format_header, parse_score, read_header, read_records,
+    read_text, write_json,
 )
 from .llm import LlmClient, PromptTemplate, render_prompt
 from .ontology import Ontology
@@ -191,13 +192,12 @@ def identify(
 
     With t2s (MILA), a candidate whose list lacks the source is
     not-bidirectional; with hcb_enabled, a pair is HCB-accept when its score
-    tops both lists and the two directional scores are equal. They can
-    differ even when both DBs come from one provider: an entity score is the
-    best over the labels that made the top-k, and the two directions can
-    retrieve different labels. The equality test keeps the rule symmetric
-    under swapping s2t and t2s. Other rows, and every row without t2s (the
-    baseline), get None: ask the LLM. An unknown or repeated source, or a
-    candidate that target_onto lacks, raises.
+    tops both lists and the two directional scores are equal. DBs built by
+    build_candidate_dbs always agree, since a pair has one score; the test
+    stays for DBs from older builds or edited by hand, and keeps the rule
+    symmetric under swapping s2t and t2s. Other rows, and every row without
+    t2s (the baseline), get None: ask the LLM. An unknown or repeated
+    source, or a candidate that target_onto lacks, raises.
     """
     plan: dict[str, tuple] = {}
     for source_id in sorted(s2t.lists) if sources is None else sources:
@@ -454,12 +454,7 @@ def read_alignment(path: str) -> Alignment:
     correspondences: list[Correspondence] = []
     for line_no, fields in read_records(path, 5):
         source_id, target_id, relation, confidence_text, provenance = fields
-        try:
-            confidence = float(confidence_text)
-        except ValueError:
-            raise MalformedRecord(
-                path, line_no, f"bad confidence {confidence_text!r}"
-            ) from None
+        confidence = parse_score(path, line_no, confidence_text, "confidence")
         correspondences.append(
             Correspondence(source_id, target_id, relation, confidence, provenance)
         )
@@ -475,9 +470,7 @@ def write_trace(trace: Sequence[TraceEvent], path: str) -> None:
 
 
 def write_report(report: MatchRunReport, path: str) -> None:
-    atomic_write_text(
-        path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(path, report.to_json_dict())
 
 
 # Each report.json key that is a MatchRunReport field, written by

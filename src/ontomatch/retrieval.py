@@ -4,8 +4,9 @@ databases it builds (their type and file format live in candidates.py).
 Retrieval is per label: each query label pulls the top-k corpus labels whose
 rounded cosine clears the threshold tau (non-strict, so a score exactly at
 tau is kept). A query entity's candidate entities are the owners of the union
-of its labels' hits; the entity-level score is the max label-pair cosine over
-(entity labels) x (hit labels owned by the candidate), rounded once.
+of its labels' hits. An entity pair has one score, in both directions: the
+max label-pair cosine over (labels of one) x (labels of the other), rounded
+once.
 
 Ties are deterministic: label hits order by (score desc, label asc), entity
 candidates by (score desc, entity id asc), and the cut at k is applied after
@@ -30,26 +31,26 @@ k scores at or above the floor; the column direction keeps, after every
 block, only the scores within the rank margin of each column's running
 k-th. Each column then holds at most k scores plus those tied with its k-th
 within the margin, at any tau, including tau = 0. Entities are assembled
-only for the owners of a hit label, from index arrays: their label rows,
-the union of those labels' hits, a segment max of the float64 label-pair
-cosines per (entity, candidate), rounded once and ordered by (score desc,
-id asc). A raw score within _f64_dot_gap of 0 or of a tie is taken instead
-from the entity's BLAS product, which sums in the order the float64 kernel
-has always used.
+only for the owners of a hit label: the (source entity, target entity)
+pairs of both directions' hits are joined, each pair's float64 label-pair
+cosines go through one segment max, rounded once, and both DBs take that
+score, each list ordered by (score desc, id asc).
 
 Each distinct label pair's float64 dot is computed once per call, with the
 row side's label as the left operand, into a _PairDots table that lives
 only for that call. The row cut's survivors seed it; the column cut's
-survivors and entity assembly in both directions look their pairs up in it
-and compute only the ones it lacks. A row-wise dot does not depend on which
-KB is the left operand or on where the pair sits in its batch (a test
-holds this bit for bit), so the table changes no score.
+survivors and entity assembly look their pairs up in it and compute only
+the ones it lacks. A row-wise dot does not depend on which KB is the left
+operand or on where the pair sits in its batch (a test holds this bit for
+bit), so swapping the source and target inputs swaps the two DBs.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -305,18 +306,6 @@ def f32_dot_error(dim: int) -> float:
     return 2.0 * n * a + a * a + gamma * (n + a) ** 2 + 2 * dim * _F32_TINY
 
 
-def _f64_dot_gap(dim: int) -> float:
-    """Largest difference between two float64 dot products of the same two
-    float64 unit vectors of length dim, each summed in any order.
-
-    Each is within gamma * n**2 of the exact dot, with n and gamma as in
-    f32_dot_error but for eps = 2**-53, plus 2**-1074 for each product or
-    partial sum that underflows.
-    """
-    gamma = dim * 2.0 ** -53 / (1.0 - dim * 2.0 ** -53)
-    return 2.0 * (gamma * (1.0 + _F64_NORM_SLACK) ** 2 + 2 * dim * 2.0 ** -1074)
-
-
 def _cuts(dim: int, tau: float) -> tuple[float, float]:
     """The float32 prefilter's tau floor and rank margin for this dim.
 
@@ -487,81 +476,64 @@ def _exact_hits(
     return query_rows[kept], corpus_rows[kept]
 
 
-def _direction_lists(
-    query_onto: Ontology,
-    query_kb: VectorKB,
-    corpus_kb: VectorKB,
-    hit_rows: np.ndarray,
-    hit_cols: np.ndarray,
-    dots: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def _ranked_lists(
+    query_onto: Ontology, rows: list[tuple[str, str, float]]
 ) -> dict[str, CandidateList]:
-    """Every query entity's candidate list from the hits of _exact_hits;
-    an entity that owns no hit label gets an empty list.
-
-    The owners of hit labels are assembled together: each one's label rows
-    and the union of their hits as index arrays, the max float64 dot of a
-    union row over the entity's labels, then the max per (entity, owner of
-    a union row), rounded once and ordered by (score desc, id asc). The
-    dots of (query rows, corpus rows) come from dots, a lookup in the
-    call's _PairDots, which computes only the pairs it does not hold.
-    """
+    """Each query entity's (query id, candidate id, score) rows as its list,
+    ordered by (score desc, id asc); an empty list for every other entity."""
     lists = dict.fromkeys(query_onto.ids, CandidateList(()))
-    if not hit_rows.size:
-        return lists
-    owner_sets = map(query_kb.owners.__getitem__, set(hit_rows.tolist()))
-    entities = sorted(set().union(*owner_sets))
-    n_labels, label_rows = _csr([
-        [query_kb.label_to_row[label] for label in query_onto.entity(e).labels]
-        for e in entities
-    ])
-    n_hits = np.bincount(hit_rows, minlength=len(query_kb))
-    pairs = np.sort(
-        np.repeat(np.arange(len(entities)), n_labels).repeat(n_hits[label_rows])
-        * len(corpus_kb) + hit_cols[_gather(n_hits, label_rows)]
-    )
-    pair_entity, pair_col = np.divmod(pairs[_runs(pairs)], len(corpus_kb))
-    per = n_labels[pair_entity]
-    pair_dots = dots(label_rows[_gather(n_labels, pair_entity)], pair_col.repeat(per))
-    best = np.maximum.reduceat(pair_dots, np.cumsum(per) - per)
-    cols = sorted(set(pair_col.tolist()))
-    ids = sorted(set().union(*(corpus_kb.owners[col] for col in cols)))
-    index = {entity_id: i for i, entity_id in enumerate(ids)}
-    n_owners, owner_index = _csr(
-        [[index[owner] for owner in corpus_kb.owners[col]] for col in cols]
-    )
-    col_of = np.searchsorted(cols, pair_col)
-    per = n_owners[col_of]
-    keys = pair_entity.repeat(per) * len(ids) + owner_index[_gather(n_owners, col_of)]
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = _runs(keys)
-    raw = np.maximum.reduceat(best.repeat(per)[order], starts)
-    entity, owner = np.divmod(keys[starts], len(ids))
-    # The kernel has always scored an entity with one BLAS product of its
-    # labels x its union rows, which sums in another order. Where that can
-    # change the rounded score (a cosine within the gap of 0 or of a tie),
-    # the raw score is taken from that product.
-    gap = _f64_dot_gap(query_kb.dim)
-    low, high = round_scores(raw - gap), round_scores(raw + gap)
-    unsure = np.flatnonzero(low.view(np.int64) != high.view(np.int64))
-    for e in set(entity[unsure].tolist()):
-        union = pair_col[slice(*np.searchsorted(pair_entity, [e, e + 1]))].tolist()
-        rows = label_rows[_gather(n_labels, np.array([e]))]
-        cross = query_kb.unit_rows(rows) @ corpus_kb.unit_rows(union).T
-        col_max = list(zip(union, cross.max(axis=0).tolist()))
-        for i in unsure[entity[unsure] == e].tolist():
-            owner_id = ids[owner[i]]
-            raw[i] = max(v for col, v in col_max if owner_id in corpus_kb.owners[col])
-    scores = round_scores(raw)
-    order = np.lexsort((owner, -scores, entity))
-    entity = entity[order]
-    ranked = list(zip(
-        map(ids.__getitem__, owner[order].tolist()), scores[order].tolist()
-    ))
-    bounds = _runs(entity).tolist() + [len(ranked)]
-    for e, lo, hi in zip(entity[bounds[:-1]].tolist(), bounds, bounds[1:]):
-        lists[entities[e]] = CandidateList(tuple(ranked[lo:hi]))
+    rows.sort(key=lambda row: (row[0], -row[2], row[1]))
+    for query, group in groupby(rows, itemgetter(0)):
+        lists[query] = CandidateList(tuple((c, score) for _, c, score in group))
     return lists
+
+
+def _entity_lists(
+    source: Ontology,
+    source_kb: VectorKB,
+    target: Ontology,
+    target_kb: VectorKB,
+    s2t_hits: tuple[np.ndarray, np.ndarray],
+    t2s_hits: tuple[np.ndarray, np.ndarray],
+    dots: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[dict[str, CandidateList], dict[str, CandidateList]]:
+    """Both directions' candidate lists from the hits of _exact_hits, given
+    as (source rows, target rows) for s2t and (target rows, source rows)
+    for t2s.
+
+    A query entity's candidates are the owners of its labels' hits. The
+    (source id, target id) pairs of both directions are joined and each is
+    scored once: one segment max of dots(source rows, target rows), a
+    lookup in the call's _PairDots, over every label pair of the two
+    entities, rounded once. Both DBs list a pair with that one score.
+    """
+    def owner_pairs(source_rows, target_rows):
+        hits = zip(source_rows.tolist(), target_rows.tolist())
+        return {(s, t) for s_row, t_row in hits
+                for s in source_kb.owners[s_row] for t in target_kb.owners[t_row]}
+
+    s2t, t2s = owner_pairs(*s2t_hits), owner_pairs(*t2s_hits[::-1])
+    pairs = sorted(s2t | t2s)
+    score = {}
+    if pairs:
+        n_source, source_rows = _csr([
+            [source_kb.label_to_row[label] for label in source.entity(s).labels]
+            for s, _ in pairs
+        ])
+        n_target, target_rows = _csr([
+            [target_kb.label_to_row[label] for label in target.entity(t).labels]
+            for _, t in pairs
+        ])
+        # Each source label of a pair meets every target label of the pair.
+        each_target = _gather(n_target, np.arange(len(pairs)).repeat(n_source))
+        raw = dots(source_rows.repeat(n_target.repeat(n_source)), target_rows[each_target])
+        per = n_source * n_target
+        best = round_scores(np.maximum.reduceat(raw, np.cumsum(per) - per))
+        score = dict(zip(pairs, best.tolist()))
+    return (
+        _ranked_lists(source, [(s, t, score[s, t]) for s, t in s2t]),
+        _ranked_lists(target, [(t, s, score[s, t]) for s, t in t2s]),
+    )
 
 
 def _blocked_pass(
@@ -634,17 +606,15 @@ def build_candidate_dbs(
     swap = len(source_kb) < len(target_kb)
     row_kb, col_kb = (target_kb, source_kb) if swap else (source_kb, target_kb)
     (rows, cols), (col_rows, row_rows) = _blocked_pass(row_kb, col_kb, k, tau, chunk)
-    # Each direction's hits and its lookup of (query rows, corpus rows).
     table = _PairDots(row_kb, rows, col_kb, cols)
-    by_row = (_exact_hits(col_kb, rows, cols, table.dots, k, tau), table.lookup)
-    by_col = (
-        _exact_hits(
-            row_kb, col_rows, row_rows, table.lookup(row_rows, col_rows), k, tau
-        ),
-        lambda query_rows, corpus_rows: table.lookup(corpus_rows, query_rows),
+    row_hits = _exact_hits(col_kb, rows, cols, table.dots, k, tau)
+    col_hits = _exact_hits(
+        row_kb, col_rows, row_rows, table.lookup(row_rows, col_rows), k, tau
     )
-    (s2t_hits, s2t_dots), (t2s_hits, t2s_dots) = (
-        (by_col, by_row) if swap else (by_row, by_col)
+    s2t_lists, t2s_lists = _entity_lists(
+        source, source_kb, target, target_kb,
+        *((col_hits, row_hits, lambda s, t: table.lookup(t, s)) if swap
+          else (row_hits, col_hits, table.lookup)),
     )
     s2t = CandidateDB(
         direction=DIRECTION_S2T,
@@ -653,7 +623,7 @@ def build_candidate_dbs(
         k=k,
         tau=tau,
         fingerprint=source_kb.fingerprint,
-        lists=_direction_lists(source, source_kb, target_kb, *s2t_hits, s2t_dots),
+        lists=s2t_lists,
     )
     t2s = CandidateDB(
         direction=DIRECTION_T2S,
@@ -662,6 +632,6 @@ def build_candidate_dbs(
         k=k,
         tau=tau,
         fingerprint=target_kb.fingerprint,
-        lists=_direction_lists(target, target_kb, source_kb, *t2s_hits, t2s_dots),
+        lists=t2s_lists,
     )
     return s2t, t2s

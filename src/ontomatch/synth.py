@@ -22,7 +22,6 @@ designed product or at most MU (0.3), far below the 0.75 threshold.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -32,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameter
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, write_json
 from .embedding import write_vector_file
 from .evaluation import write_reference
 
@@ -392,10 +391,7 @@ def _write_corpus(
     atomic_write_text(corpus.target_path, _dump_lines(target_rows))
     write_reference(frozenset(reference), corpus.reference_path)
     write_vector_file(corpus.vectors_path, vectors)
-    atomic_write_text(
-        corpus.manifest_path,
-        json.dumps(corpus.to_json_dict(), indent=2, sort_keys=True) + "\n",
-    )
+    write_json(corpus.manifest_path, corpus.to_json_dict())
     logger.info(
         "generated corpus: %d pairs (%d HCB, %d rank-2), dim %d, %s",
         corpus.n_pairs, corpus.hcb_pairs, corpus.parasite_pairs, corpus.dim,

@@ -5,7 +5,9 @@ plain Python (math.fsum, Decimal, linear scans) so it shares no code with
 the package under test. The engine's vectorized results are cross-checked
 against these oracles for byte-identical agreement. Two oracles use numpy:
 oracle_direction_lists, the all-float64 retrieval kernel that the float32
-prefilter of build_candidate_dbs must reproduce, and oracle_row_survivors,
+prefilter of build_candidate_dbs must reproduce (its entity scores are
+row-wise dots of unit rows, one label pair at a time), and
+oracle_row_survivors,
 the prefilter's row cut as it was before it counted each row's scores at
 or above the floor.
 
@@ -97,30 +99,24 @@ def oracle_entity_candidates(
     owners_by_label: corpus label -> set of owning entity ids.
     source_vectors: source label -> vector.
     corpus_vectors: corpus label -> vector.
+    The candidates are the owners of the entity's labels' hits; each scores
+    the best rounded cosine over every (entity label, candidate label) pair.
     Returns a list of (entity_id, rounded_score) sorted by (-score, id).
     """
-    hit_labels: set[str] = set()
+    owners: set[str] = set()
     for label in entity_labels:
         for hit, _score in oracle_top_k_labels(
             corpus_vectors, source_vectors[label], k, tau
         ):
-            hit_labels.add(hit)
-    per_entity: dict[str, float] = {}
-    for hit in hit_labels:
-        for owner in owners_by_label[hit]:
-            per_entity.setdefault(owner, 0.0)
-    for owner in per_entity:
-        best = None
-        for src_label in entity_labels:
-            for hit in hit_labels:
-                if owner not in owners_by_label[hit]:
-                    continue
-                score = oracle_round(
-                    oracle_cosine(source_vectors[src_label], corpus_vectors[hit])
-                )
-                if best is None or score > best:
-                    best = score
-        per_entity[owner] = best
+            owners.update(owners_by_label[hit])
+    per_entity = {}
+    for owner in owners:
+        per_entity[owner] = max(
+            oracle_round(oracle_cosine(source_vectors[src_label], corpus_vectors[label]))
+            for src_label in entity_labels
+            for label, label_owners in owners_by_label.items()
+            if owner in label_owners
+        )
     return sorted(per_entity.items(), key=lambda item: (-item[1], item[0]))
 
 
@@ -190,33 +186,36 @@ def oracle_top_rows_batch(query_unit, corpus_kb, k, tau):
 
 
 def oracle_direction_lists(query_onto, query_kb, corpus_kb, k, tau):
-    """One direction of build_candidate_dbs, as the float64 kernel computed
-    it: entity id -> ((candidate id, rounded score), ...).
+    """One direction of build_candidate_dbs, one query entity at a time:
+    entity id -> ((candidate id, rounded score), ...).
 
-    A query entity's candidates are the owners of its labels' hits, each
-    scored by the max float64 cosine over (entity labels) x (the hit labels
-    it owns), rounded once and ordered by (score desc, id asc).
+    A query entity's candidates are the owners of its labels' hits. Each is
+    scored by the max float64 cosine over every (entity label, candidate
+    label) pair, a row-wise dot of the two unit rows, rounded once; the
+    list is ordered by (score desc, id asc).
     """
     query_unit = oracle_unit_matrix(query_kb)
     corpus_unit = oracle_unit_matrix(corpus_kb)
     hits_by_row = oracle_top_rows_batch(query_unit, corpus_kb, k, tau)
+    rows_of = {}
+    for row, owners in enumerate(corpus_kb.owners):
+        for owner in owners:
+            rows_of.setdefault(owner, []).append(row)
     lists = {}
     for entity in query_onto:
         rows = [query_kb.label_to_row[label] for label in entity.labels]
-        union = sorted({hit for r in rows for hit, _ in hits_by_row[r]})
-        if not union:
-            lists[entity.id] = ()
-            continue
-        cross = query_unit[rows] @ corpus_unit[union].T
-        best = {}
-        for j, hit in enumerate(union):
-            raw = float(cross[:, j].max())
-            for owner in corpus_kb.owners[hit]:
-                best[owner] = max(best.get(owner, raw), raw)
-        lists[entity.id] = tuple(sorted(
-            ((owner, oracle_round(raw)) for owner, raw in best.items()),
-            key=lambda pair: (-pair[1], pair[0]),
-        ))
+        owners = {
+            owner for r in rows for hit, _ in hits_by_row[r]
+            for owner in corpus_kb.owners[hit]
+        }
+        scored = []
+        for owner in owners:
+            left, right = zip(*((r, c) for r in rows for c in rows_of[owner]))
+            dots = np.einsum(
+                "ij,ij->i", query_unit[list(left)], corpus_unit[list(right)]
+            )
+            scored.append((owner, oracle_round(float(dots.max()))))
+        lists[entity.id] = tuple(sorted(scored, key=lambda pair: (-pair[1], pair[0])))
     return lists
 
 

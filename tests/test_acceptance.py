@@ -127,6 +127,10 @@ def _cached_tops(query_labels, corpus_vectors, vectors):
 
 
 def _oracle_direction_rows(query_entities, owners_by_label, tops, vectors, k, tau):
+    labels_of = {}
+    for label, label_owners in owners_by_label.items():
+        for owner in label_owners:
+            labels_of.setdefault(owner, []).append(label)
     lines = []
     for entity_id in sorted(query_entities):
         hit_labels = set()
@@ -138,14 +142,12 @@ def _oracle_direction_rows(query_entities, owners_by_label, tops, vectors, k, ta
             owners.update(owners_by_label[hit])
         ranked = []
         for owner in owners:
-            best = None
-            for label in query_entities[entity_id]:
-                for hit in hit_labels:
-                    if owner not in owners_by_label[hit]:
-                        continue
-                    score = oracle_round(oracle_cosine(vectors[label], vectors[hit]))
-                    if best is None or score > best:
-                        best = score
+            # the best over every label the candidate owns, hit or not
+            best = max(
+                oracle_round(oracle_cosine(vectors[label], vectors[other]))
+                for label in query_entities[entity_id]
+                for other in labels_of[owner]
+            )
             ranked.append((owner, best))
         ranked.sort(key=lambda item: (-item[1], item[0]))
         for candidate_id, score in ranked:

@@ -377,22 +377,28 @@ ALIGNMENT_HEADER = "# source S\n# target T\n# k 5\n# tau 0.75\n# provider fp\n"
 
 
 @pytest.mark.parametrize(
-    "content",
-    [
-        "no header line\n",
-        "# S T 5\n",
-        "# S T five 0.75 fp\n",
-        "# S T 5 0.75 fp\nE\tT:1\tequivalence\n",
-        "# S T 5 0.75 fp\nE\tT:1\tequivalence\tbad\tHCB\n",
-        ALIGNMENT_HEADER + "E\tT:1\tequivalence\n",
-        ALIGNMENT_HEADER + "E\tT:1\tequivalence\tbad\tHCB\n",
-    ],
+    "content, line_no",
+    [pytest.param(content, line_no, id=content) for content, line_no in [
+        ("no header line\n", 1),
+        ("# S T 5\n", 1),
+        ("# S T five 0.75 fp\n", 1),
+        ("# S T 5 0.75 fp\nE\tT:1\tequivalence\n", 1),
+        ("# S T 5 0.75 fp\nE\tT:1\tequivalence\tbad\tHCB\n", 1),
+        (ALIGNMENT_HEADER + "E\tT:1\tequivalence\n", 6),
+        (ALIGNMENT_HEADER + "E\tT:1\tequivalence\tbad\tHCB\n", 6),
+    ] + [
+        # a confidence is a cosine: a finite number in [-1, 1]
+        (ALIGNMENT_HEADER + "E\tT:1\tequivalence\t0.90000\tHCB\n"
+         f"F\tT:2\tequivalence\t{confidence}\tLLM-confirmed\n", 7)
+        for confidence in ("nan", "-nan", "inf", "-inf", "1.5", "-1.00001", "7.5")
+    ]],
 )
-def test_read_alignment_malformed(tmp_path, content):
+def test_read_alignment_malformed(tmp_path, content, line_no):
     path = tmp_path / "bad.tsv"
     path.write_text(content, encoding="utf-8")
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(MalformedRecord) as caught:
         read_alignment(path)
+    assert caught.value.line_no == line_no
 
 
 def test_trace_round_trip(disease_pipeline, tmp_path):

@@ -36,6 +36,12 @@ second scan's.
 The fifth scan fails on a use of the gc module in src/ontomatch anywhere
 but cli.console_main: a verb's process runs without the cyclic collector,
 and a caller of the library in its own process keeps its collector.
+
+Retrieval has one float64 scoring path, so every score has one summation
+order. The sixth scan fails on a matrix product in retrieval.py (`@`, or a
+call of dot, matmul, inner or einsum, as a numpy function or a method)
+other than the float32 GEMM in _blocked_pass and the row-wise einsum in
+_row_dots.
 """
 
 import ast
@@ -323,3 +329,35 @@ def test_only_the_console_entry_point_touches_the_collector():
                     and getattr(node.value, "id", None) in names):
                 touches.append(f"{path.name}:{node.lineno}")
     assert touches == []
+
+
+PRODUCTS = {"dot", "matmul", "inner", "einsum"}
+
+
+def _products(node, function=None):
+    """(enclosing function, product) for each matrix product under node;
+    an einsum is named with its subscripts."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _products(child, child.name)
+            continue
+        if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(
+            child.op, ast.MatMult
+        ):
+            yield function, "@"
+        elif isinstance(child, ast.Call):
+            name = getattr(child.func, "attr", None) or getattr(child.func, "id", None)
+            if name == "einsum" and child.args and isinstance(child.args[0], ast.Constant):
+                yield function, f"einsum {child.args[0].value}"
+            elif name in PRODUCTS:
+                yield function, name
+        yield from _products(child, function)
+
+
+def test_retrieval_keeps_one_float64_scoring_path():
+    tree = ast.parse(
+        (ROOT / "src" / "ontomatch" / "retrieval.py").read_text(encoding="utf-8")
+    )
+    assert sorted(_products(tree)) == [
+        ("_blocked_pass", "@"), ("_row_dots", "einsum ij,ij->i"),
+    ]
