@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .errors import MalformedRecord, StaleKB, UnknownEntity, refuse_assignment
 from .fileio import (
-    atomic_write_text, format_header, parse_score, read_header, read_records,
+    format_header, format_score, parse_score, read_header, read_records, write_records,
 )
 from .ontology import Ontology
 
@@ -84,11 +84,9 @@ _DB_HEADER = (
 def save_candidate_db(db: CandidateDB, path: str) -> None:
     """Persist a candidate DB sorted by (owner id, rank)."""
     values = (db.direction, db.query_name, db.corpus_name, db.k, db.tau, db.fingerprint)
-    lines = [format_header(_DB_HEADER, values)]
-    for owner in sorted(db.lists):
-        for candidate_id, score in db.lists[owner].candidates:
-            lines.append(f"{owner}\t{candidate_id}\t{score:.5f}\n")
-    atomic_write_text(path, "".join(lines))
+    records = [(owner, candidate_id, format_score(score)) for owner in sorted(db.lists)
+               for candidate_id, score in db.lists[owner].candidates]
+    write_records(path, records, format_header(_DB_HEADER, values))
 
 
 def load_candidate_db(path: str, query_ontology: Ontology) -> CandidateDB:

@@ -29,7 +29,7 @@ from .errors import (
     PersistFailure,
     StaleKB,
 )
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, write_records
 from .ontology import load_ontology
 
 # Each verb imports what only it runs: retrieval and synth load numpy, and
@@ -155,12 +155,11 @@ def _load_dbs(cfg, source, target):
     _require((s2t_path, t2s_path), "candidate DB", "predict")
     s2t = load_candidate_db(s2t_path, source)
     t2s = load_candidate_db(t2s_path, target)
-    for db in (s2t, t2s):
-        if db.k != cfg.k or db.tau != cfg.tau:
-            raise StaleKB(
-                f"candidate DB was built with (k={db.k}, tau={db.tau}) but the "
-                f"run asks for (k={cfg.k}, tau={cfg.tau}); re-run predict"
-            )
+    for db, query, corpus in ((s2t, source, target), (t2s, target, source)):
+        built = (db.k, db.tau, db.query_name, db.corpus_name)
+        if built != (asked := (cfg.k, cfg.tau, query.name, corpus.name)):
+            raise StaleKB(f"candidate DB was built with (k, tau, query, corpus) = "
+                          f"{built} but the run asks for {asked}; re-run predict")
     return s2t, t2s
 
 
@@ -302,15 +301,15 @@ def _report_from_run_dir(run_dir: str) -> MatchRunReport:
 
 
 def _compare(cfg, reference, report_a, report_b) -> None:
-    """Compare two match runs; write and print the table."""
+    """Compare two match runs; write the table, compare.tsv first, and print it."""
     from .evaluation import compare_runs, evaluate
 
     eval_a = evaluate(report_a.alignment, reference)
     eval_b = evaluate(report_b.alignment, reference)
     comparison = compare_runs(report_a, eval_a, report_b, eval_b)
+    write_records(os.path.join(cfg.out, "compare.tsv"), comparison.table())
     text = comparison.render_text()
     atomic_write_text(os.path.join(cfg.out, "compare.txt"), text)
-    atomic_write_text(os.path.join(cfg.out, "compare.tsv"), comparison.render_tsv())
     print(text, end="")
 
 
@@ -336,23 +335,23 @@ def cmd_gen_synthetic(args) -> int:
         hcb_fraction=args.hcb_fraction,
         seed=cfg.seed,
     )
-    config_lines = [
-        f"source.dump = {os.path.abspath(corpus.source_path)}",
-        "source.name = SRC",
-        f"target.dump = {os.path.abspath(corpus.target_path)}",
-        "target.name = TGT",
-        "embedding.kind = file",
-        f"embedding.file = {os.path.abspath(corpus.vectors_path)}",
-        "llm.kind = oracle",
-        f"llm.reference = {os.path.abspath(corpus.reference_path)}",
-        f"eval.reference = {os.path.abspath(corpus.reference_path)}",
-        f"out = {os.path.abspath(cfg.out)}",
-        f"k = {cfg.k}",
-        f"tau = {cfg.tau!r}",
-        f"seed = {cfg.seed}",
-    ]
+    settings = (
+        ("source.dump", os.path.abspath(corpus.source_path)),
+        ("source.name", "SRC"),
+        ("target.dump", os.path.abspath(corpus.target_path)),
+        ("target.name", "TGT"),
+        ("embedding.kind", "file"),
+        ("embedding.file", os.path.abspath(corpus.vectors_path)),
+        ("llm.kind", "oracle"),
+        ("llm.reference", os.path.abspath(corpus.reference_path)),
+        ("eval.reference", os.path.abspath(corpus.reference_path)),
+        ("out", os.path.abspath(cfg.out)),
+        ("k", cfg.k),
+        ("tau", cfg.tau),
+        ("seed", cfg.seed),
+    )
     config_path = os.path.join(corpus_dir, "corpus.config")
-    atomic_write_text(config_path, "\n".join(config_lines) + "\n")
+    atomic_write_text(config_path, config_mod.format_settings(settings))
     print(
         f"synthetic corpus: {corpus.n_pairs} pairs ({corpus.hcb_pairs} HCB, "
         f"{corpus.parasite_pairs} rank-2), dim {corpus.dim} -> {corpus_dir}"

@@ -71,13 +71,21 @@ class RunConfig(_Settings):
     """Everything a pipeline run needs; defaults are k=5, tau=0.75, temperature 0.7.
 
     An unset match_workers resolves from llm_kind: HTTP_CHAT_WORKERS for
-    http-chat, 1 for the in-process clients.
+    http-chat, 1 for the in-process clients. The ontology names are not
+    empty, and no text value has what a config file cannot hold.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        for key, value in zip(_KEY_BY_FIELD.values(), self):
+            if key in ("source.name", "target.name") and not value:
+                raise ConfigError(f"{key} must not be empty")
+            if isinstance(value, str) and (value.strip() != value or "\n" in value
+                                           or "\r" in value):
+                raise ConfigError(f"config key {key!r}: {value!r} has a line break "
+                                  "or whitespace at either end")
         if self.match_workers is None:
             workers = HTTP_CHAT_WORKERS if self.llm_kind == "http-chat" else 1
             self = self._replace(match_workers=workers)
@@ -180,19 +188,22 @@ def build_config(
     return RunConfig(**kwargs)
 
 
+def format_settings(settings) -> str:
+    """A `key = value` line, a float as its repr, per (key, value) of settings."""
+    return "".join(f"{key} = {value!r}\n" if isinstance(value, float)
+                   else f"{key} = {value}\n" for key, value in settings)
+
+
 def snapshot(config: RunConfig) -> str:
     """Serialize a config as sorted `key = value` lines, omitting unset keys.
 
     Loading the snapshot back through build_config reproduces the config.
     """
-    lines = []
-    for field_name, key in sorted(_KEY_BY_FIELD.items(), key=lambda kv: kv[1]):
-        value = getattr(config, field_name)
-        if value is None:
-            continue
-        text = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
+    return format_settings(
+        (key, getattr(config, field_name))
+        for field_name, key in sorted(_KEY_BY_FIELD.items(), key=lambda kv: kv[1])
+        if getattr(config, field_name) is not None
+    )
 
 
 def build_provider(config: RunConfig) -> EmbeddingProvider:

@@ -22,10 +22,9 @@ from .errors import (
     MissingVector,
     ProviderUnavailable,
 )
-from .fileio import atomic_write_text, open_input, read_records
+from .fileio import SCORE_DECIMALS, open_input, read_records, write_records
 # hashlib and json load where used: a deterministic predict needs neither
 
-SCORE_DECIMALS = 5
 _SCALE = 10.0 ** SCORE_DECIMALS
 _QUANTUM = Decimal(1).scaleb(-SCORE_DECIMALS)
 
@@ -385,27 +384,16 @@ def write_vector_file(path: str, vectors: Mapping[str, np.ndarray]) -> None:
 
     Whatever load_vector_file would refuse is rejected before anything is
     written: no rows, an empty label, a row that is not one-dimensional or
-    is empty, rows of different widths and non-finite components. A label
-    that starts with '#' would be read back as a comment, and the reader
-    ends a line at a lone carriage return too, so such labels are rejected
-    like one that contains a tab or newline.
+    is empty, rows of different widths and non-finite components, and, as
+    write_records refuses, a label that would not read back.
     """
     if not vectors:
         raise InvalidParameter("a vector file needs at least one row")
-    lines = ["# label\tcomma-separated components"]
+    records = []
     dim: int | None = None
     for label in sorted(vectors):
         if not label:
             raise InvalidParameter("a vector file label cannot be empty")
-        if any(ch in label for ch in "\t\n\r"):
-            raise InvalidParameter(
-                f"label {label!r} cannot contain tab, newline or carriage return"
-            )
-        if label.lstrip().startswith("#"):
-            raise InvalidParameter(
-                f"label {label!r} cannot start with '#': vector files read "
-                "'#' lines as comments"
-            )
         row = np.asarray(vectors[label], dtype=np.float64)
         if row.ndim != 1 or row.size == 0:
             raise InvalidParameter(
@@ -421,8 +409,8 @@ def write_vector_file(path: str, vectors: Mapping[str, np.ndarray]) -> None:
             )
         if not np.isfinite(row).all():
             raise InvalidParameter(f"vector for {label!r} has a non-finite component")
-        lines.append(f"{label}\t{_row_text(row)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        records.append((label, _row_text(row)))
+    write_records(path, records, "# label\tcomma-separated components\n")
 
 
 class PrecomputedFileProvider(EmbeddingProvider):

@@ -11,7 +11,7 @@ import random
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidParameter, MalformedRecord, MismatchedInputs
-from .fileio import atomic_write_text, read_records, write_json
+from .fileio import read_records, write_json, write_records
 
 if TYPE_CHECKING:
     from .matcher import MatchRunReport
@@ -29,8 +29,7 @@ def load_reference(path: str) -> frozenset[tuple[str, str]]:
 
 
 def write_reference(reference: frozenset[tuple[str, str]], path: str) -> None:
-    lines = [f"{s}\t{t}" for s, t in sorted(reference)]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_records(path, sorted(reference))
 
 
 def split_reference(
@@ -105,14 +104,6 @@ def write_eval_report(report: EvalReport, path: str) -> None:
     write_json(path, report._asdict())
 
 
-def _ratio(a: float, b: float) -> float | None:
-    if a == b:
-        return 1.0
-    if b == 0:
-        return None
-    return a / b
-
-
 class RunComparison(NamedTuple):
     """Side-by-side quality and cost of two runs over one reference."""
 
@@ -120,20 +111,17 @@ class RunComparison(NamedTuple):
     label_a: str
     label_b: str
 
-    def render_text(self) -> str:
-        header = ("metric", self.label_a, self.label_b, "ratio")
-        table = [header] + list(self.rows)
-        widths = [max(len(row[i]) for row in table) for i in range(4)]
-        lines = [
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-            for row in table
-        ]
-        return "\n".join(lines) + "\n"
+    def table(self) -> list[tuple[str, str, str, str]]:
+        """The header row, then the metric rows: compare.tsv's records."""
+        return [("metric", self.label_a, self.label_b, "ratio"), *self.rows]
 
-    def render_tsv(self) -> str:
-        lines = [f"metric\t{self.label_a}\t{self.label_b}\tratio"]
-        lines.extend("\t".join(row) for row in self.rows)
-        return "\n".join(lines) + "\n"
+    def render_text(self) -> str:
+        table = self.table()
+        widths = [max(len(row[i]) for row in table) for i in range(4)]
+        return "".join(
+            "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+            + "\n" for row in table
+        )
 
 
 def compare_runs(
@@ -169,26 +157,20 @@ def compare_runs(
             f"({eval_a.reference_count} vs {eval_b.reference_count} pairs)"
         )
 
-    def fmt_ratio(a: float, b: float) -> str:
-        value = _ratio(a, b)
-        return f"{value:.3f}" if value is not None else "-"
+    def row(metric: str, a: float, b: float, spell=str) -> tuple[str, str, str, str]:
+        ratio = "1.000" if a == b else "-" if b == 0 else f"{a / b:.3f}"
+        return metric, spell(a), spell(b), ratio
 
+    three = "{:.3f}".format
     wall_a = report_a.wall_times.get("match", 0.0)
     wall_b = report_b.wall_times.get("match", 0.0)
     rows = (
-        ("precision", f"{eval_a.precision:.3f}", f"{eval_b.precision:.3f}",
-         fmt_ratio(eval_a.precision, eval_b.precision)),
-        ("recall", f"{eval_a.recall:.3f}", f"{eval_b.recall:.3f}",
-         fmt_ratio(eval_a.recall, eval_b.recall)),
-        ("f_measure", f"{eval_a.f_measure:.3f}", f"{eval_b.f_measure:.3f}",
-         fmt_ratio(eval_a.f_measure, eval_b.f_measure)),
-        ("llm_queries", str(report_a.llm_query_count), str(report_b.llm_query_count),
-         fmt_ratio(report_a.llm_query_count, report_b.llm_query_count)),
-        ("hcb_count", str(report_a.hcb_count), str(report_b.hcb_count),
-         fmt_ratio(report_a.hcb_count, report_b.hcb_count)),
-        ("alignment_size", str(len(align_a)), str(len(align_b)),
-         fmt_ratio(len(align_a), len(align_b))),
-        ("match_wall_time", f"{wall_a:.3f}", f"{wall_b:.3f}",
-         fmt_ratio(wall_a, wall_b)),
+        row("precision", eval_a.precision, eval_b.precision, three),
+        row("recall", eval_a.recall, eval_b.recall, three),
+        row("f_measure", eval_a.f_measure, eval_b.f_measure, three),
+        row("llm_queries", report_a.llm_query_count, report_b.llm_query_count),
+        row("hcb_count", report_a.hcb_count, report_b.hcb_count),
+        row("alignment_size", len(align_a), len(align_b)),
+        row("match_wall_time", wall_a, wall_b, three),
     )
     return RunComparison(rows=rows, label_a=report_a.pipeline, label_b=report_b.pipeline)

@@ -1,6 +1,6 @@
-"""Small file helpers: opening inputs, the text record grammar, the
-`# key value` header codec, the score field rule, and atomic writes (JSON
-artifacts too)."""
+"""Small file helpers: opening inputs, the text record grammar and its one
+writer, the `# key value` header codec, the score field rule, and atomic
+writes (JSON artifacts too)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import io
 import os
 from typing import IO, Iterator
 
-from .errors import ConfigError, MalformedRecord, PersistFailure
+from .errors import ConfigError, InvalidParameter, MalformedRecord, PersistFailure
 
 
 def open_input(path: str, mode: str = "r", what: str = "") -> IO:
@@ -90,6 +90,32 @@ def read_records(
         yield line_no, fields
 
 
+def write_records(path: str, records, head: str = "") -> None:
+    """Write head (a format_header block or a comment line), then a
+    tab-joined, LF-ended line per record of the sequence records, atomically:
+    the inverse of read_records, which yields the records back numbered after
+    head's lines. InvalidParameter, with nothing written, exactly when it
+    would not: a field holds a tab, LF or CR, or a line is one it skips.
+    """
+    lines = list(map("\t".join, records))
+    body = "\n".join([*lines, ""])
+    # A tab, LF or CR in a field shows in the counts over the whole text, and
+    # a skipped line makes the least stripped line "" or start at or below
+    # "#". Either sends the records to the exact check.
+    counts = (body.count("\t") + len(lines), body.count("\n"), body.count("\r"))
+    least = min(map(str.lstrip, lines), default="$")
+    if counts != (sum(map(len, records)), len(lines), 0) or least[:1] <= "#":
+        for fields in records:
+            if any(ch in field for field in fields for ch in "\t\n\r"):
+                reason = "a field holds a tab, newline or carriage return"
+            elif "\t".join(fields).lstrip()[:1] in ("", "#"):
+                reason = "its line would be skipped, like blank lines and comments"
+            else:
+                continue
+            raise InvalidParameter(f"cannot write record {fields!r}: {reason}")
+    atomic_write_text(path, head + body)
+
+
 def format_header(layout, values) -> str:
     """A `# <key> <value>` line per (key, converter) of layout and value."""
     return "".join(f"# {key} {value}\n" for (key, _), value in zip(layout, values))
@@ -117,6 +143,12 @@ def parse_header(path: str, data: bytes, layout) -> tuple[list, int]:
             raise MalformedRecord(path, line_no, f"bad {key} header {text!r}") from None
         pos = end + 1
     return values, pos
+
+
+# A score's decimals: round_scores rounds to them, and a score's field,
+# format_score(score), spells them for parse_score to read back.
+SCORE_DECIMALS = 5
+format_score = f"{{:.{SCORE_DECIMALS}f}}".format
 
 
 def parse_score(path: str, line_no: int, text: str, what: str) -> float:

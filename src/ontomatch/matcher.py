@@ -39,8 +39,8 @@ from .errors import (
     refuse_assignment,
 )
 from .fileio import (
-    atomic_write_text, format_header, parse_score, read_header, read_records,
-    read_text, write_json,
+    format_header, format_score, parse_score, read_header, read_records, read_text,
+    write_json, write_records,
 )
 from .llm import LlmClient, PromptTemplate, render_prompt
 from .ontology import Ontology
@@ -439,13 +439,11 @@ def write_alignment(alignment: Alignment, path: str) -> None:
     """Persist an alignment's header, then its correspondences by source id."""
     values = (alignment.source_onto, alignment.target_onto, alignment.k,
               alignment.tau, alignment.fingerprint)
-    lines = [format_header(_ALIGNMENT_HEADER, values)]
-    for corr in sorted(alignment.correspondences, key=lambda c: c.source_id):
-        lines.append(
-            f"{corr.source_id}\t{corr.target_id}\t{corr.relation}\t"
-            f"{corr.confidence:.5f}\t{corr.provenance}\n"
-        )
-    atomic_write_text(path, "".join(lines))
+    records = [
+        (c.source_id, c.target_id, c.relation, format_score(c.confidence), c.provenance)
+        for c in sorted(alignment.correspondences, key=lambda c: c.source_id)
+    ]
+    write_records(path, records, format_header(_ALIGNMENT_HEADER, values))
 
 
 def read_alignment(path: str) -> Alignment:
@@ -463,10 +461,9 @@ def read_alignment(path: str) -> Alignment:
 
 def write_trace(trace: Sequence[TraceEvent], path: str) -> None:
     """One line per candidate visit, in trace order."""
-    lines = [
-        f"{e.source_id}\t{e.rank}\t{e.candidate_id}\t{e.outcome}" for e in trace
-    ]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_records(
+        path, [(e.source_id, str(e.rank), e.candidate_id, e.outcome) for e in trace]
+    )
 
 
 def write_report(report: MatchRunReport, path: str) -> None:

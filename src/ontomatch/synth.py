@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameter
-from .fileio import atomic_write_text, write_json
+from .fileio import write_json, write_records
 from .embedding import write_vector_file
 from .evaluation import write_reference
 
@@ -86,11 +86,7 @@ class SynthCorpus(NamedTuple):
         return data
 
 
-def _dump_lines(rows: list[tuple[str, str, list[str]]]) -> str:
-    lines = ["# entity_id\tpreferred_label\tsynonyms (| separated)"]
-    for entity_id, preferred, synonyms in rows:
-        lines.append(f"{entity_id}\t{preferred}\t{'|'.join(synonyms)}")
-    return "\n".join(lines) + "\n"
+_DUMP_HEAD = "# entity_id\tpreferred_label\tsynonyms (| separated)\n"
 
 
 def _half_up(value: float) -> int:
@@ -155,8 +151,8 @@ def generate_corpus(
     def parasite_axis(p: int) -> int:
         return 2 + groups + p
 
-    source_rows: list[tuple[str, str, list[str]]] = []
-    target_rows: list[tuple[str, str, list[str]]] = []
+    source_rows: list[tuple[str, str, str]] = []
+    target_rows: list[tuple[str, str, str]] = []
     reference: list[tuple[str, str]] = []
     vectors: dict[str, np.ndarray] = {}
 
@@ -166,8 +162,8 @@ def generate_corpus(
             vector[axis] = value
         return vector
 
-    def maybe_synonym(label: str) -> list[str]:
-        return [f"{label} variant"] if rng.random() < synonym_rate else []
+    def maybe_synonym(label: str) -> str:
+        return f"{label} variant" if rng.random() < synonym_rate else ""
 
     # pair index -> ids; anchors take indices [0, n_hcb), parasites the rest
     def source_id(i: int) -> str:
@@ -259,12 +255,12 @@ def generate_corpus(
             axis_u: math.sqrt(1.0 - SABOTAGE_CORE**2),
         })
 
-    for sid, s_label, synonyms in source_rows:
+    for sid, s_label, synonym in source_rows:
         vectors[s_label] = source_vec[sid]
-        for synonym in synonyms:
+        if synonym:
             vectors[synonym] = source_vec[sid]
-    for tid, t_label, synonyms in target_rows:
-        for synonym in synonyms:
+    for tid, t_label, synonym in target_rows:
+        if synonym:
             vectors[synonym] = vectors[t_label]
 
     planned = _plan_counts(
@@ -339,8 +335,8 @@ def _generate_degenerate(
     """All cross similarities sit at 0.5, far below threshold 0.75."""
     dim = n + 1
     axis_w = 0
-    source_rows: list[tuple[str, str, list[str]]] = []
-    target_rows: list[tuple[str, str, list[str]]] = []
+    source_rows: list[tuple[str, str, str]] = []
+    target_rows: list[tuple[str, str, str]] = []
     reference: list[tuple[str, str]] = []
     vectors: dict[str, np.ndarray] = {}
     for i in range(n):
@@ -354,12 +350,12 @@ def _generate_degenerate(
         t_vec[axis_w] = math.sqrt(1.0 - DEGENERATE_CROSS_SCORE**2)
         vectors[s_label] = s_vec
         vectors[t_label] = t_vec
-        s_syn = [f"{s_label} variant"] if rng.random() < synonym_rate else []
-        t_syn = [f"{t_label} variant"] if rng.random() < synonym_rate else []
-        for synonym in s_syn:
-            vectors[synonym] = s_vec
-        for synonym in t_syn:
-            vectors[synonym] = t_vec
+        s_syn = f"{s_label} variant" if rng.random() < synonym_rate else ""
+        t_syn = f"{t_label} variant" if rng.random() < synonym_rate else ""
+        if s_syn:
+            vectors[s_syn] = s_vec
+        if t_syn:
+            vectors[t_syn] = t_vec
         source_rows.append((sid, s_label, s_syn))
         target_rows.append((tid, t_label, t_syn))
         reference.append((sid, tid))
@@ -376,8 +372,8 @@ def _generate_degenerate(
 
 def _write_corpus(
     out_dir: str,
-    source_rows: list[tuple[str, str, list[str]]],
-    target_rows: list[tuple[str, str, list[str]]],
+    source_rows: list[tuple[str, str, str]],
+    target_rows: list[tuple[str, str, str]],
     reference: list[tuple[str, str]],
     vectors: dict[str, np.ndarray],
     **stats,
@@ -387,8 +383,8 @@ def _write_corpus(
         os.path.join(out_dir, name) for name in
         ("source.tsv", "target.tsv", "reference.tsv", "vectors.tsv", "manifest.json")
     ), **stats)
-    atomic_write_text(corpus.source_path, _dump_lines(source_rows))
-    atomic_write_text(corpus.target_path, _dump_lines(target_rows))
+    write_records(corpus.source_path, source_rows, _DUMP_HEAD)
+    write_records(corpus.target_path, target_rows, _DUMP_HEAD)
     write_reference(frozenset(reference), corpus.reference_path)
     write_vector_file(corpus.vectors_path, vectors)
     write_json(corpus.manifest_path, corpus.to_json_dict())
@@ -442,14 +438,10 @@ def generate_flat_corpus(
     source_path = os.path.join(out_dir, "flat_source.tsv")
     target_path = os.path.join(out_dir, "flat_target.tsv")
     reference_path = os.path.join(out_dir, "flat_reference.tsv")
-    atomic_write_text(
-        source_path,
-        _dump_lines([(f"FS{i:06d}", lbl, []) for i, lbl in enumerate(source_labels)]),
-    )
-    atomic_write_text(
-        target_path,
-        _dump_lines([(f"FT{i:06d}", lbl, []) for i, lbl in enumerate(target_labels)]),
-    )
+    for path, tag, labels in ((source_path, "FS", source_labels),
+                              (target_path, "FT", target_labels)):
+        records = [(f"{tag}{i:06d}", label, "") for i, label in enumerate(labels)]
+        write_records(path, records, _DUMP_HEAD)
     write_reference(frozenset(reference), reference_path)
     return {
         "source_path": source_path,

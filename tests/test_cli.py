@@ -523,6 +523,32 @@ def test_a_stale_candidate_exits_parse_before_any_request(
     assert not os.path.exists(os.path.join(out, "runs", "stale"))
 
 
+@pytest.mark.parametrize("key", ["source.name", "target.name"])
+def test_match_on_dbs_built_under_other_names_is_stale_before_any_request(
+    tmp_path, capsys, key
+):
+    # the prompts would name the config's ontologies, the alignment the DBs'
+    out, config = make_corpus(tmp_path, n=10, hcb="0.5")
+    assert main(["build-kb", "--config", config]) == EXIT_OK
+    assert main(["predict", "--config", config]) == EXIT_OK
+    capsys.readouterr()
+    with RecordingServer(prompt_verdicts) as server:
+        renamed = variant_config(chat_config(config, server), {key: "Renamed"})
+        rc = main(["match", "--config", renamed, "--run-id", "renamed"])
+        assert server.payloads == []
+    assert rc == EXIT_CONFIG
+    assert "re-run predict" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "runs"))
+
+
+def test_gen_synthetic_refuses_an_out_a_config_file_cannot_hold(tmp_path, capsys):
+    out = str(tmp_path / "o ")
+    rc = main(["gen-synthetic", "--n", "4", "--out", out])
+    assert rc == EXIT_CONFIG
+    assert "config key 'out'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("again", ["mila", "baseline"])
 def test_a_rerun_under_one_run_id_starts_a_fresh_llm_log(tmp_path, again):
     # every pair is HCB, so mila asks nothing and the baseline asks 30 times

@@ -173,6 +173,37 @@ def test_out_of_range_values_are_rejected(values):
         build_config(values)
 
 
+@pytest.mark.parametrize("key", ["source.name", "target.name"])
+def test_an_empty_ontology_name_is_refused_naming_its_key(tmp_path, key):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} =\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must not be empty$"):
+        build_config(load_config_file(path))
+
+
+@pytest.mark.parametrize("field_name, key, value", [
+    ("out", "out", "o "),
+    ("out", "out", " o"),
+    ("out", "out", "o\nk = 3"),
+    ("out", "out", "o\rp"),
+    ("out", "out", "o\u3000"),
+    ("source_name", "source.name", "\x85SRC"),
+    ("llm_model", "llm.model", "m\n"),
+])
+def test_a_text_value_a_config_file_cannot_hold_is_refused(field_name, key, value):
+    # load_config_file strips each value and ends a line at LF or CR, so a
+    # snapshot of such a value would load back as another config
+    with pytest.raises(ConfigError, match=f"config key {re.escape(repr(key))}"):
+        build_config({}, **{field_name: value})
+
+
+def test_inner_spaces_are_kept_and_the_snapshot_loads_back(tmp_path):
+    config = build_config({}, out="my out", source_name="Human Phenotype")
+    path = tmp_path / "config.txt"
+    path.write_text(snapshot(config))
+    assert build_config(load_config_file(path)) == config
+
+
 def test_zero_temperature_is_accepted():
     assert build_config({"llm.temperature": "0"}).llm_temperature == 0.0
 

@@ -17,6 +17,7 @@ from ontomatch.evaluation import (
     write_eval_report,
     write_reference,
 )
+from ontomatch.fileio import write_records
 from ontomatch.llm import ScriptedClient
 from ontomatch.matcher import match_mila
 from ontomatch.llm import PromptTemplate
@@ -159,7 +160,7 @@ def make_report(pipeline, pairs, llm_queries, hcb, wall=2.0, **kwargs):
     )
 
 
-def test_compare_runs_table_layout():
+def test_compare_runs_table_layout(tmp_path):
     reference = frozenset({("s1", "t1"), ("s2", "t2")})
     report_a = make_report("mila", {("s1", "t1"), ("s2", "t2")}, 4, 1, wall=0.1064)
     report_b = make_report("baseline", {("s1", "t1")}, 10, 0, wall=2.128)
@@ -177,7 +178,9 @@ def test_compare_runs_table_layout():
     assert table["hcb_count"] == ("hcb_count", "1", "0", "-")
     assert table["alignment_size"] == ("alignment_size", "2", "1", "2.000")
     assert table["match_wall_time"] == ("match_wall_time", "0.106", "2.128", "0.050")
-    tsv = comparison.render_tsv()
+    # compare.tsv holds the table's rows, header row first
+    write_records(tmp_path / "compare.tsv", comparison.table())
+    tsv = (tmp_path / "compare.tsv").read_text(encoding="utf-8")
     assert tsv.splitlines()[0] == "metric\tmila\tbaseline\tratio"
     assert len(tsv.splitlines()) == 1 + len(comparison.rows)
 

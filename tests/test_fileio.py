@@ -1,15 +1,27 @@
-"""The shared text record grammar: read_records, read_text, and the one
-header line read_alignment reads before its records."""
+"""The shared text record grammar: read_records, its inverse write_records
+and every artifact writer built on it, read_text, and the header lines
+read_alignment reads before its records."""
 
+import os
 import re
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontomatch.errors import ConfigError, MalformedRecord
-from ontomatch.fileio import read_records, read_text
-from ontomatch.matcher import read_alignment
+from ontomatch import cli
+from ontomatch.candidates import CandidateDB, CandidateList, save_candidate_db
+from ontomatch.embedding import write_vector_file
+from ontomatch.errors import ConfigError, InvalidParameter, MalformedRecord
+from ontomatch.evaluation import write_reference
+from ontomatch.fileio import format_header, read_records, read_text, write_records
+from ontomatch.matcher import (
+    Alignment, Correspondence, MatchRunReport, TraceEvent, read_alignment,
+    write_alignment, write_trace,
+)
+from ontomatch.synth import _write_corpus
 
 # Fields hold no tab or line break; the file is UTF-8, so no surrogates.
 FIELD_CHARS = st.characters(
@@ -133,3 +145,98 @@ def test_read_text_ends_every_line_in_lf(tmp_path):
     path = tmp_path / "text.txt"
     path.write_bytes("a\r\nb\rc\x85d\u2028e\n\nf".encode("utf-8"))
     assert read_text(path) == "a\nb\nc\x85d\u2028e\n\nf"
+
+
+# Tab, LF and CR end a field or a line; '#' makes a comment; the last four
+# are whitespace that lstrip() removes but that ends no line read_records
+# reads. "!" sorts below "#" but starts a record like "a".
+RECORD_CHARS = [
+    "a", "!", "#", " ", "\t", "\n", "\r", "\x1c", "\u3000", "\x85", "\u2028"
+]
+record_lists = st.lists(
+    st.lists(st.text(st.sampled_from(RECORD_CHARS), max_size=3),
+             min_size=1, max_size=5),
+    max_size=6,
+)
+# The heads the writers pass: a format_header block, or a comment line.
+heads = st.one_of(
+    st.just(""),
+    st.just("# label\tcomma-separated components\n"),
+    st.lists(st.text(st.sampled_from(RECORD_CHARS[:5] + RECORD_CHARS[7:]), max_size=4),
+             max_size=3).map(
+        lambda values: format_header([(f"key{i}", str) for i in range(len(values))],
+                                     values)
+    ),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(records=record_lists, head=heads)
+def test_write_records_is_the_inverse_of_read_records(tmp_path_factory, records, head):
+    # the file a writer that checks nothing would write
+    naive = tmp_path_factory.mktemp("naive") / "file.tsv"
+    naive.write_bytes(
+        (head + "".join("\t".join(fields) + "\n" for fields in records)).encode()
+    )
+    expected = list(enumerate(records, start=head.count("\n") + 1))
+    directory = tmp_path_factory.mktemp("records")
+    path = directory / "file.tsv"
+    try:
+        write_records(path, records, head)
+    except InvalidParameter:
+        assert list(read_records(naive)) != expected
+        assert os.listdir(directory) == []
+    else:
+        assert list(read_records(naive)) == expected
+        assert path.read_bytes() == naive.read_bytes()
+
+
+def _report(pipeline):
+    alignment = Alignment("S", "T", 5, 0.75, "fp", ())
+    return MatchRunReport(pipeline, alignment, [], 0, 0)
+
+
+# Each artifact writer, writing into a directory a record that holds text.
+WRITERS = {
+    "candidate-db": lambda out, text: save_candidate_db(
+        CandidateDB("s2t", "S", "T", 5, 0.75, "fp",
+                    {text: CandidateList((("t", 0.9),))}),
+        os.path.join(out, "s2t.tsv"),
+    ),
+    "alignment": lambda out, text: write_alignment(
+        Alignment("S", "T", 5, 0.75, "fp", (
+            Correspondence(text, "t", "equivalence", 0.9, "HCB"),
+        )),
+        os.path.join(out, "alignment.tsv"),
+    ),
+    "trace": lambda out, text: write_trace(
+        [TraceEvent(text, 1, "t", "LLM-no")], os.path.join(out, "trace.tsv")
+    ),
+    "reference": lambda out, text: write_reference(
+        frozenset({(text, "t")}), os.path.join(out, "reference.tsv")
+    ),
+    "vector-file": lambda out, text: write_vector_file(
+        os.path.join(out, "vectors.tsv"), {text: np.ones(2)}
+    ),
+    "entity-dump": lambda out, text: _write_corpus(
+        out, [(text, "label", "")], [], [], {}, n_pairs=0, hcb_pairs=0,
+        parasite_pairs=0, dim=2, seed=0, synonym_rate=0.0, noise_level=0.0,
+        hcb_fraction=0.0,
+    ),
+    # the pipeline names head compare.tsv's columns
+    "compare-tsv": lambda out, text: cli._compare(
+        SimpleNamespace(out=out), frozenset(), _report(text), _report("baseline")
+    ),
+}
+
+
+@pytest.mark.parametrize("writer, text, reason", [
+    *((name, "a\rb", "carriage return") for name in WRITERS),
+    *((name, " #a", "comments") for name in WRITERS if name != "compare-tsv"),
+])
+def test_each_artifact_writer_refuses_a_record_that_would_not_read_back(
+    tmp_path, writer, text, reason
+):
+    with pytest.raises(InvalidParameter, match=reason):
+        WRITERS[writer](str(tmp_path), text)
+    assert os.listdir(tmp_path) == []

@@ -42,6 +42,12 @@ order. The sixth scan fails on a matrix product in retrieval.py (`@`, or a
 call of dot, matmul, inner or einsum, as a numpy function or a method)
 other than the float32 GEMM in _blocked_pass and the row-wise einsum in
 _row_dots.
+
+Every tab-separated artifact is written by fileio.write_records, which
+refuses a record that read_records would not give back. The seventh scan
+fails on a call of fileio.atomic_write_text in a src/ontomatch module but
+fileio.py, outside the three cli.py functions that write text that is not
+records (RAW_TEXT_WRITERS, each with its reason).
 """
 
 import ast
@@ -361,3 +367,36 @@ def test_retrieval_keeps_one_float64_scoring_path():
     assert sorted(_products(tree)) == [
         ("_blocked_pass", "@"), ("_row_dots", "einsum ij,ij->i"),
     ]
+
+
+# The functions outside fileio.py that may write text through
+# atomic_write_text, each with its reason.
+RAW_TEXT_WRITERS = {
+    # config.txt: `key = value` lines in the config file grammar
+    "cli.py:_match",
+    # corpus.config: `key = value` lines in the config file grammar
+    "cli.py:cmd_gen_synthetic",
+    # compare.txt: a table padded with spaces for people to read
+    "cli.py:_compare",
+}
+
+
+def _functions_calling(tree, name):
+    """The top-level function (or "<module>") around each call of name."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                yield getattr(top, "name", "<module>")
+
+
+def test_only_fileio_writes_records_and_cli_its_three_raw_texts():
+    writers = [
+        f"{path.name}:{function}"
+        for path in PACKAGE if path.name != "fileio.py"
+        for function in _functions_calling(
+            ast.parse(path.read_text(encoding="utf-8")), "atomic_write_text"
+        )
+    ]
+    assert sorted(writers) == sorted(RAW_TEXT_WRITERS)
