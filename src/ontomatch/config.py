@@ -24,13 +24,11 @@ DEFAULT_TAU = 0.75
 DEFAULT_TEMPERATURE = 0.7
 
 EMBEDDING_KINDS = ("deterministic", "file", "http")
-LLM_KINDS = ("oracle", "scripted", "http-chat")
+LLM_KINDS = ("oracle", "http-chat")
 PIPELINE_MILA = "mila"
 PIPELINE_BASELINE = "baseline"
 PIPELINES = (PIPELINE_MILA, PIPELINE_BASELINE)
-# match.workers when unset: a chat query waits on the network, so a few
-# sources walk at once; the in-process clients never wait, and the
-# scripted one hands out its replies in call order.
+# match.workers when unset: a chat query waits on the network; the oracle never does
 HTTP_CHAT_WORKERS = 4
 
 
@@ -61,7 +59,6 @@ class _Settings(NamedTuple):
     llm_token_env: str | None = None
     llm_reference: str | None = None
     llm_flip_probability: float = 0.0
-    llm_replies: str | None = None
     prompt_template: str | None = None
     eval_reference: str | None = None
     match_workers: int | None = None
@@ -71,7 +68,7 @@ class RunConfig(_Settings):
     """Everything a pipeline run needs; defaults are k=5, tau=0.75, temperature 0.7.
 
     An unset match_workers resolves from llm_kind: HTTP_CHAT_WORKERS for
-    http-chat, 1 for the in-process clients. The ontology names are not
+    http-chat, 1 for the in-process oracle. The ontology names are not
     empty, and no text value has what a config file cannot hold.
     """
 
@@ -104,11 +101,6 @@ class RunConfig(_Settings):
             )
         if self.match_workers < 1:
             raise ConfigError(f"match.workers must be >= 1, got {self.match_workers}")
-        if self.llm_kind == "scripted" and self.match_workers > 1:
-            raise ConfigError(
-                "llm.kind=scripted replays its replies in call order, so it "
-                f"needs match.workers = 1, got {self.match_workers}"
-            )
         if not 0.0 <= self.llm_temperature < math.inf:
             raise ConfigError(
                 f"llm.temperature must be finite and >= 0, got {self.llm_temperature}"
@@ -237,7 +229,7 @@ def build_llm_client(
 ) -> LlmClient:
     """The client llm.kind names; reference is the parsed llm.reference of
     an oracle, loaded here when None."""
-    from .llm import HttpChatClient, OracleClient, ScriptedClient
+    from .llm import HttpChatClient, OracleClient
 
     if config.llm_kind == "oracle":
         if not config.llm_reference:
@@ -255,14 +247,6 @@ def build_llm_client(
             seed=config.seed,
             log_path=log_path,
         )
-    if config.llm_kind == "scripted":
-        if not config.llm_replies:
-            raise ConfigError(
-                "llm.kind=scripted requires llm.replies (path to a file with "
-                "one reply per line)"
-            )
-        replies = [line.rstrip("\n") for line in read_lines(config.llm_replies)]
-        return ScriptedClient(replies, log_path=log_path)
     if not config.llm_url or not config.llm_model:
         raise ConfigError("llm.kind=http-chat requires llm.url and llm.model")
     return HttpChatClient(

@@ -1,10 +1,9 @@
 """Prompt rendering, chat clients, and yes/no verdict parsing.
 
-One fixed binary prompt asks whether two concepts are equivalent. Three
-client kinds answer it: a remote chat-completion endpoint, a deterministic
-oracle backed by a reference alignment (for tests and simulation), and a
-scripted client that replays canned replies. All clients share request
-accounting and exchange logging.
+One fixed binary prompt asks whether two concepts are equivalent. Two
+client kinds answer it: a remote chat-completion endpoint and a
+deterministic oracle backed by a reference alignment (for tests and
+simulation). All clients share request accounting and exchange logging.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import re
 import string
 import threading
 import time
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import (
     EndpointUnavailable,
@@ -250,28 +249,6 @@ class OracleClient(LlmClient):
         if self._flip and self._flip_decision(pair[0], pair[1]):
             member = not member
         return ("Yes" if member else "No"), 1
-
-
-class ScriptedClient(LlmClient):
-    """Replays a fixed reply sequence; raises once the script runs out."""
-
-    def __init__(self, replies: Sequence[str], log_path: str | None = None):
-        super().__init__(log_path=log_path)
-        self._replies = list(replies)
-        self._next = 0
-        self._script_lock = threading.Lock()
-
-    def _respond(
-        self, prompt: str, pair: tuple[str, str] | None
-    ) -> tuple[str, int]:
-        with self._script_lock:
-            if self._next >= len(self._replies):
-                raise InvalidParameter(
-                    f"scripted client exhausted after {len(self._replies)} replies"
-                )
-            reply = self._replies[self._next]
-            self._next += 1
-        return reply, 1
 
 
 class HttpChatClient(LlmClient):

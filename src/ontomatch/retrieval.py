@@ -155,14 +155,18 @@ class VectorKB:
         return self.matrix[rows] / self.norms[rows, None]
 
 
-def build_kb(
-    ontology: Ontology, provider: EmbeddingProvider
-) -> VectorKB:
-    """Embed every distinct label of an ontology into a VectorKB."""
+def _owner_sets(ontology: Ontology) -> dict[str, set[str]]:
+    """Each label of the ontology's dump -> the ids of the entities it names."""
     owner_sets: dict[str, set[str]] = {}
     for entity in ontology:
         for label in entity.labels:
             owner_sets.setdefault(label, set()).add(entity.id)
+    return owner_sets
+
+
+def build_kb(ontology: Ontology, provider: EmbeddingProvider) -> VectorKB:
+    """Embed every distinct label of an ontology into a VectorKB."""
+    owner_sets = _owner_sets(ontology)
     labels = sorted(owner_sets)
     matrix = provider.encode(labels)
     logger.info(
@@ -249,7 +253,7 @@ def load_kb(path: str, expected_fingerprint: str | None = None) -> VectorKB:
         index_lines = data[pos:end - 1].decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise MalformedRecord(path, 5, f"bad index text: {exc}") from None
-    labels: list[str] = []
+    line_of: dict[str, int] = {}  # label -> its index line
     owners: list[frozenset[str]] = []
     for line_no, line in enumerate(index_lines, start=5):
         fields = line.split("\t")
@@ -258,21 +262,24 @@ def load_kb(path: str, expected_fingerprint: str | None = None) -> VectorKB:
                 path, line_no, f"expected 2 tab-separated fields, got {len(fields)}"
             )
         label, owner_field = fields
-        if not owner_field:
-            raise MalformedRecord(path, line_no, "empty owner list")
-        labels.append(label)
-        owners.append(frozenset(owner_field.split(",")))
+        ids, first = owner_field.split(","), line_of.setdefault(label, line_no)
+        if "" in ids:
+            reason = "empty owner id" if owner_field else "empty owner list"
+            raise MalformedRecord(path, line_no, reason)
+        if first != line_no:
+            raise MalformedRecord(path, line_no, f"label {label!r} repeats line {first}")
+        owners.append(frozenset(ids))
     matrix = np.frombuffer(data, dtype="<f8", count=rows * dim, offset=end)
     matrix = matrix.reshape(rows, dim)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         row = int(np.flatnonzero(~finite)[0])
         raise MalformedRecord(
-            path, 5 + row, f"label {labels[row]!r} has a non-finite vector value"
+            path, 5 + row, f"label {list(line_of)[row]!r} has a non-finite vector value"
         )
     return VectorKB(
         ontology_name=name,
-        labels=labels,
+        labels=list(line_of),
         owners=owners,
         matrix=matrix,
         fingerprint=fingerprint,
@@ -580,7 +587,7 @@ def build_candidate_dbs(
     One pass over row blocks of the float32 score matrix of the two KBs
     feeds both directions: one cuts each row inside its block, the other
     keeps a running cut per column. The survivors then go through the exact
-    rule. StaleKB if a dump label has no KB row or a KB owner left its dump.
+    rule. StaleKB unless each KB holds exactly its dump's label-owner links.
     """
     _validate_k_tau(k, tau)
     if source_kb.fingerprint != target_kb.fingerprint:
@@ -593,14 +600,18 @@ def build_candidate_dbs(
             f"KB dims differ: {source_kb.dim} vs {target_kb.dim}"
         )
     for onto, kb in ((source, source_kb), (target, target_kb)):
-        ids = set(onto.ids)
-        stale = {label for e in onto for label in e.labels} - kb.label_to_row.keys()
-        stale.update(label for label, owners in zip(kb.labels, kb.owners)
-                     if not owners <= ids)
-        if stale:
-            raise StaleKB(
-                f"{onto.name!r} label {min(stale)!r} does not match its KB; run build-kb"
-            )
+        # the KB fits when it holds every link of the dump and no more links
+        row_of, owners = kb.label_to_row, kb.owners
+        links = [(row_of.get(label), e.id) for e in onto for label in e.labels]
+        found = sum(row is not None and owner in owners[row] for row, owner in links)
+        if not found == len(links) == sum(map(len, owners)):
+            dumped, kept = _owner_sets(onto), dict(zip(kb.labels, owners))
+            stale = min((label for label in dumped.keys() | kept.keys()
+                         if dumped.get(label) != kept.get(label)), default="")
+            if stale:  # none differs when an entity lists a label twice
+                raise StaleKB(
+                    f"{onto.name!r} label {stale!r} does not match its KB; run build-kb"
+                )
     # The pass holds its column side whole in float32, so the larger KB is
     # the one it walks in row blocks.
     swap = len(source_kb) < len(target_kb)

@@ -1,6 +1,6 @@
 """In-process HTTP stubs for exercising the remote embedding/chat clients,
-a provider that pins chosen labels' vectors, and a count of the cyclic
-garbage a call leaves."""
+a provider that pins chosen labels' vectors, an LLM client that replays
+canned replies, and a count of the cyclic garbage a call leaves."""
 
 from __future__ import annotations
 
@@ -10,10 +10,13 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Sequence
 
 import numpy as np
 
 from ontomatch.embedding import DeterministicProvider
+from ontomatch.errors import InvalidParameter
+from ontomatch.llm import LlmClient
 
 
 class PinnedProvider(DeterministicProvider):
@@ -37,6 +40,28 @@ class PinnedProvider(DeterministicProvider):
         return np.stack([
             self._pinned.get(label, row) for label, row in zip(labels, hashed)
         ])
+
+
+class ScriptedClient(LlmClient):
+    """Replays a fixed reply sequence; raises once the script runs out."""
+
+    def __init__(self, replies: Sequence[str], log_path: str | None = None):
+        super().__init__(log_path=log_path)
+        self._replies = list(replies)
+        self._next = 0
+        self._script_lock = threading.Lock()
+
+    def _respond(
+        self, prompt: str, pair: tuple[str, str] | None
+    ) -> tuple[str, int]:
+        with self._script_lock:
+            if self._next >= len(self._replies):
+                raise InvalidParameter(
+                    f"scripted client exhausted after {len(self._replies)} replies"
+                )
+            reply = self._replies[self._next]
+            self._next += 1
+        return reply, 1
 
 
 class RecordingServer:

@@ -19,7 +19,7 @@ import ontomatch
 from ontomatch.config import RunConfig, snapshot
 from ontomatch.embedding import SCORE_DECIMALS, DeterministicProvider, round_scores
 from ontomatch.evaluation import evaluate, load_reference
-from ontomatch.llm import OracleClient, PromptTemplate, ScriptedClient
+from ontomatch.llm import OracleClient, PromptTemplate
 from ontomatch.matcher import (
     PROVENANCE_HCB,
     match_baseline,
@@ -36,6 +36,7 @@ from ontomatch.synth import generate_corpus, generate_flat_corpus
 
 from conftest import load_corpus_pipeline, make_ontology
 from oracles import oracle_cosine, oracle_first_positive, oracle_metrics, oracle_round
+from stubs import ScriptedClient
 
 TEMPLATE = PromptTemplate.default()
 

@@ -22,7 +22,9 @@ from ontomatch import (
 from ontomatch.cli import main
 from ontomatch.errors import EXIT_CONFIG, EXIT_ENDPOINT, EXIT_OK, EXIT_PARSE
 
-from stubs import RecordingServer, cyclic_garbage, embedding_behavior
+from stubs import (
+    RecordingServer, ScriptedClient, chat_behavior, cyclic_garbage, embedding_behavior,
+)
 
 
 def make_corpus(tmp_path, n=12, hcb="0.5", seed="0"):
@@ -595,18 +597,21 @@ def _earlier_run(tmp_path):
     return out, config, run_dir
 
 
-def test_a_rerun_that_fails_after_a_query_keeps_only_its_own_log(tmp_path, capsys):
+def test_a_rerun_that_fails_after_a_query_keeps_only_its_own_log(
+    tmp_path, capsys, monkeypatch
+):
     # the earlier run stays whole; the rerun's paid queries stay in its stage
     out, config, run_dir = _earlier_run(tmp_path)
     earlier = dir_bytes(run_dir)
-    replies = tmp_path / "replies.txt"
-    replies.write_text("No\n" * 3)
-    scripted = variant_config(
-        config, {"llm.kind": "scripted", "llm.replies": str(replies)}
+    monkeypatch.setattr(
+        "ontomatch.config.build_llm_client",
+        lambda cfg, log_path=None, reference=None: ScriptedClient(
+            ["No"] * 3, log_path=log_path
+        ),
     )
     capsys.readouterr()
     assert main([
-        "match", "--config", scripted, "--pipeline", "baseline", "--run-id", "r1",
+        "match", "--config", config, "--pipeline", "baseline", "--run-id", "r1",
     ]) == EXIT_CONFIG
     assert "scripted client exhausted after 3 replies" in capsys.readouterr().err
     assert dir_bytes(run_dir) == earlier
@@ -619,20 +624,15 @@ def test_a_rerun_that_fails_after_a_query_keeps_only_its_own_log(tmp_path, capsy
 def test_a_rerun_that_writes_an_alignment_drops_the_earlier_eval(tmp_path, ending):
     # the earlier eval.json scored the earlier alignment, not the new one
     _, config, run_dir = _earlier_run(tmp_path)
-    replies = tmp_path / "replies.txt"
-    replies.write_text("No\n" * 100)
 
     def seven_then_gone(payload, index):
         return (404, {"error": "gone"}) if index >= 7 else (
             prompt_verdicts(payload, index)
         )
 
-    with RecordingServer(seven_then_gone) as server:
-        rerun = (
-            variant_config(config, {"llm.kind": "scripted", "llm.replies": str(replies)})
-            if ending == "complete"
-            else chat_config(config, server, {"match.workers": "1"})
-        )
+    behavior = chat_behavior(["No"]) if ending == "complete" else seven_then_gone
+    with RecordingServer(behavior) as server:
+        rerun = chat_config(config, server, {"match.workers": "1"})
         assert main([
             "match", "--config", rerun, "--pipeline", "baseline", "--run-id", "r1",
         ]) == (EXIT_OK if ending == "complete" else EXIT_ENDPOINT)
@@ -754,30 +754,6 @@ def test_a_run_id_that_is_not_one_plain_path_component_exits_config(
     assert capsys.readouterr().err == (
         f"error: --run-id {run_id!r} must be one path component not starting with '.'\n"
     )
-
-
-def test_scripted_replies_with_several_workers_exit_config(tmp_path, capsys):
-    out, config = make_corpus(tmp_path, n=6, hcb="0.5")
-    assert main(["build-kb", "--config", config]) == EXIT_OK
-    assert main(["predict", "--config", config]) == EXIT_OK
-    replies = tmp_path / "replies.txt"
-    replies.write_text("No\n" * 100)
-    scripted = {"llm.kind": "scripted", "llm.replies": str(replies)}
-    capsys.readouterr()
-    assert main([
-        "match", "--config", variant_config(config, scripted | {"match.workers": "2"}),
-        "--run-id", "s",
-    ]) == EXIT_CONFIG
-    assert not os.path.exists(os.path.join(out, "runs", "s"))
-    assert capsys.readouterr().err == (
-        "error: llm.kind=scripted replays its replies in call order, so it "
-        "needs match.workers = 1, got 2\n"
-    )
-    # unset, match.workers is 1 for the scripted client
-    assert main([
-        "match", "--config", variant_config(config, scripted), "--run-id", "s",
-    ]) == EXIT_OK
-    assert "match.workers = 1" in read_text(out, "runs", "s", "config.txt")
 
 
 @pytest.mark.parametrize("split, expected", [
@@ -923,10 +899,6 @@ def test_missing_or_unreadable_inputs_exit_config(tmp_path, capsys):
 
     assert main(["build-kb", "--config", config]) == EXIT_OK
     assert main(["predict", "--config", config]) == EXIT_OK
-    scripted = variant_config(
-        config, {"llm.kind": "scripted", "llm.replies": missing}
-    )
-    exits_config(["match", "--config", scripted, "--run-id", "s"], unreadable)
     exits_config(["eval", "--config", config, "--alignment", missing,
                   "--reference", reference], unreadable)
     exits_config(["eval", "--config", config, "--alignment", reference,
@@ -1070,11 +1042,12 @@ def test_bad_prompt_template_exits_config_before_any_artifact(tmp_path, capsys):
     ({"llm.flip_probability": "2"}, "flip_probability must be in [0, 1], got 2.0"),
     ({"llm.kind": "http-chat"}, "llm.kind=http-chat requires llm.url and llm.model"),
     ({"llm.kind": "scripted"},
-     "llm.kind=scripted requires llm.replies (path to a file with one reply per line)"),
+     "llm.kind must be one of ('oracle', 'http-chat'), got 'scripted'"),
+    ({"llm.replies": "replies.txt"}, "unknown config key 'llm.replies'"),
     ({"llm.kind": "http-chat", "llm.model": "m", "llm.url": "localhost:8000/v1"},
      "chat endpoint URL 'localhost:8000/v1' needs an http:// or https:// scheme "
      "and a host"),
-], ids=["flip", "http-chat", "scripted", "chat-url"])
+], ids=["flip", "http-chat", "unknown-kind", "unknown-key", "chat-url"])
 def test_run_all_rejects_llm_settings_before_embedding(tmp_path, capsys, settings, message):
     _, config = make_corpus(tmp_path, n=6, hcb="0.5", seed="1")
     fresh = tmp_path / "fresh"
@@ -1123,12 +1096,10 @@ def test_non_utf8_inputs_exit_parse(tmp_path, capsys):
     with open(report_path, "wb") as handle:
         handle.write(b'{"pipeline": "caf\xe9"}')
     reference = os.path.join(out, "synthetic", "reference.tsv")
-    scripted = variant_config(config, {"llm.kind": "scripted", "llm.replies": latin1})
     for argv, path in (
         (["build-kb", "--config", latin1], latin1),
         (["build-kb", "--config", variant_config(config, {"source.dump": latin1})],
          latin1),
-        (["match", "--config", scripted, "--run-id", "s"], latin1),
         (["eval", "--config", config, "--alignment", latin1_alignment,
           "--reference", reference], latin1_alignment),
         (["compare", *run_dirs, "--reference", reference, "--config", config],
@@ -1250,6 +1221,38 @@ def test_predict_after_a_dump_record_changed_is_stale(
     err = capsys.readouterr().err
     assert message in err
     assert "run build-kb" in err
+    assert candidate_dbs(out) == expected
+
+
+def test_predict_after_a_synonym_moved_to_another_entity_is_stale(tmp_path, capsys):
+    # every label and id stays, but one label changed owners
+    out = str(tmp_path / "out")
+    assert main([
+        "gen-synthetic", "--n", "20", "--hcb-fraction", "0.5", "--synonym-rate", "0.5",
+        "--seed", "1", "--out", out,
+    ]) == EXIT_OK
+    config = os.path.join(out, "synthetic", "corpus.config")
+    assert main(["build-kb", "--config", config]) == EXIT_OK
+    assert main(["predict", "--config", config]) == EXIT_OK
+    expected = candidate_dbs(out)
+    source = os.path.join(out, "synthetic", "source.tsv")
+    text = read_text(source)
+    for old, new in (
+        ("S00000\tsource concept 00000\tsource concept 00000 variant\n",
+         "S00000\tsource concept 00000\t\n"),
+        ("S00001\tsource concept 00001\t\n",
+         "S00001\tsource concept 00001\tsource concept 00000 variant\n"),
+    ):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    with open(source, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    capsys.readouterr()
+    assert main(["predict", "--config", config]) == errors.StaleKB.exit_code
+    assert capsys.readouterr().err == (
+        "error: 'SRC' label 'source concept 00000 variant' does not match its KB; "
+        "run build-kb\n"
+    )
     assert candidate_dbs(out) == expected
 
 

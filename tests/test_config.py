@@ -9,6 +9,8 @@ from ontomatch.config import (
     DEFAULT_K,
     DEFAULT_TAU,
     DEFAULT_TEMPERATURE,
+    EMBEDDING_KINDS,
+    LLM_KINDS,
     RunConfig,
     build_config,
     build_llm_client,
@@ -28,8 +30,6 @@ from ontomatch.llm import (
     DEFAULT_PROMPT_TEMPLATE,
     HttpChatClient,
     OracleClient,
-    ScriptedClient,
-    Verdict,
 )
 
 
@@ -43,9 +43,7 @@ def test_defaults_match_reported_settings():
     assert config.match_workers == 1
 
 
-@pytest.mark.parametrize("kind, workers", [
-    ("http-chat", 4), ("oracle", 1), ("scripted", 1),
-])
+@pytest.mark.parametrize("kind, workers", [("http-chat", 4), ("oracle", 1)])
 def test_unset_match_workers_follow_the_llm_kind(kind, workers):
     config = build_config({"llm.kind": kind})
     assert config.match_workers == workers
@@ -53,11 +51,9 @@ def test_unset_match_workers_follow_the_llm_kind(kind, workers):
     assert build_config({"llm.kind": kind, "match.workers": "1"}).match_workers == 1
 
 
-def test_explicit_match_workers_are_kept_and_scripted_needs_one():
+def test_explicit_match_workers_are_kept():
     for kind in ("http-chat", "oracle"):
         assert build_config({"llm.kind": kind}, match_workers=7).match_workers == 7
-    with pytest.raises(ConfigError, match="needs match.workers = 1, got 2"):
-        build_config({"llm.kind": "scripted", "match.workers": "2"})
 
 
 def test_snapshot_lists_the_decisive_settings():
@@ -132,8 +128,12 @@ def test_readme_config_table_lists_exactly_the_accepted_keys():
     )
     table = readme.split("| Key | Default | Meaning |", 1)[1].split("\n\n", 1)[0]
     documented = set()
+    values = {}
     for row in table.splitlines()[2:]:  # past the header and separator rows
-        documented.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+        cells = row.split("|")
+        keys = re.findall(r"`([^`]+)`", cells[1])
+        documented.update(keys)
+        values[keys[0]] = tuple(re.findall(r"`([^`]+)`", cells[3]))
     for key in documented:
         try:
             build_config({key: "1"})
@@ -141,6 +141,9 @@ def test_readme_config_table_lists_exactly_the_accepted_keys():
             assert "unknown config key" not in str(exc)
     # every key names its own field, so equal counts mean equal sets
     assert len(documented) == len(RunConfig._fields)
+    # a kind's row lists exactly the kinds RunConfig accepts
+    assert values["llm.kind"] == LLM_KINDS
+    assert values["embedding.kind"] == EMBEDDING_KINDS
 
 
 def test_type_conversion_errors_name_the_key():
@@ -259,19 +262,6 @@ def test_build_llm_client_oracle(tmp_path):
     prompt = "Is a:1 the same as b:1?"
     assert client.classify(prompt, pair=("a:1", "b:1")).is_yes
     assert not client.classify(prompt, pair=("a:1", "b:2")).is_yes
-
-
-def test_build_llm_client_scripted(tmp_path):
-    with pytest.raises(ConfigError, match="llm.replies"):
-        build_llm_client(build_config({"llm.kind": "scripted"}))
-    replies = tmp_path / "replies.txt"
-    replies.write_text("Yes\nNo\nmaybe\n")
-    client = build_llm_client(
-        build_config({"llm.kind": "scripted", "llm.replies": str(replies)})
-    )
-    assert isinstance(client, ScriptedClient)
-    verdicts = [client.classify("p?").value for _ in range(3)]
-    assert verdicts == [Verdict.YES, Verdict.NO, Verdict.UNPARSEABLE]
 
 
 def test_build_llm_client_http_chat(monkeypatch):

@@ -18,12 +18,12 @@ from ontomatch.evaluation import (
     write_reference,
 )
 from ontomatch.fileio import write_records
-from ontomatch.llm import ScriptedClient
 from ontomatch.matcher import match_mila
 from ontomatch.llm import PromptTemplate
 
 from conftest import make_db, make_ontology
 from oracles import oracle_metrics
+from stubs import ScriptedClient
 
 
 def test_perfect_alignment_scores_one():

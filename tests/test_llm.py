@@ -22,13 +22,12 @@ from ontomatch.llm import (
     HttpChatClient,
     OracleClient,
     PromptTemplate,
-    ScriptedClient,
     Verdict,
     parse_reply,
     render_prompt,
 )
 
-from stubs import RecordingServer, chat_behavior
+from stubs import RecordingServer, ScriptedClient, chat_behavior
 
 
 def test_default_template_has_each_placeholder_once():

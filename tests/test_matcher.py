@@ -25,7 +25,6 @@ from ontomatch.llm import (
     LlmClient,
     OracleClient,
     PromptTemplate,
-    ScriptedClient,
 )
 from ontomatch.matcher import (
     OUTCOME_HCB_ACCEPT,
@@ -53,7 +52,7 @@ from ontomatch.synth import generate_corpus
 
 from conftest import load_corpus_pipeline, make_db, make_ontology
 from oracles import oracle_walk
-from stubs import RecordingServer
+from stubs import RecordingServer, ScriptedClient
 
 TEMPLATE = PromptTemplate.default()
 

@@ -199,6 +199,9 @@ def test_kb_load_malformed(tmp_path, content):
      "empty owner list"),
     (kb_bytes(values=(float("inf"), 0.0)), 5,
      "label 'a' has a non-finite vector value"),
+    (kb_bytes(rows="2", index="a\tE:1\na\tE:2\n", values=(1.0, 0.0) * 2), 6,
+     "label 'a' repeats line 5"),
+    (kb_bytes(index="a\tE:1,\n"), 5, "empty owner id"),
 ])
 def test_kb_load_names_the_line_and_the_fault(tmp_path, content, line_no, reason):
     path = tmp_path / "bad.kb"
@@ -1075,6 +1078,69 @@ def test_a_pair_has_one_score_and_swapping_the_inputs_swaps_the_dbs(corpus, k):
         assert _db_rows(
             {owner: lst.candidates for owner, lst in db.lists.items()}
         ) == _db_rows({owner: lst.candidates for owner, lst in other.lists.items()})
+
+
+DUMP_EDITS = ("move", "drop", "share")
+
+
+@st.composite
+def edited_dumps(draw):
+    """A planted corpus plus one side's ontology after one dump edit.
+
+    The edit moves one entity's label to another entity, drops one of its
+    labels, or gives another entity a label it owns. An entity keeps its
+    only label, so a drop of it changes nothing and a move of it is a
+    share; a move or share to an entity that holds the label already
+    changes no owner. Returns (source, target, provider, tau, side, edited
+    ontology).
+    """
+    source, target, provider, tau = draw(planted_corpora())
+    side = draw(st.sampled_from([0, 1]))
+    onto = (source, target)[side]
+    groups = {entity.id: list(entity.labels) for entity in onto}
+    owner, other = (draw(st.sampled_from(sorted(groups))) for _ in range(2))
+    label = draw(st.sampled_from(groups[owner]))
+    edit = draw(st.sampled_from(DUMP_EDITS))
+    if edit in ("move", "drop") and len(groups[owner]) > 1:
+        groups[owner].remove(label)
+    if edit in ("move", "share") and label not in groups[other]:
+        groups[other].append(label)
+    return source, target, provider, tau, side, make_ontology(onto.name, groups)
+
+
+def label_owners(onto):
+    return {
+        label: {entity.id for entity in onto if label in entity.labels}
+        for entity in onto for label in entity.labels
+    }
+
+
+@settings(deadline=None, max_examples=150)
+@given(corpus=edited_dumps(), k=st.sampled_from([1, 3]))
+def test_a_kb_fits_exactly_the_dumps_with_its_label_owners(corpus, k):
+    source, target, provider, tau, side, edited = corpus
+    kbs = [build_kb(source, provider), build_kb(target, provider)]
+    ontologies = [source, target]
+    before, after = label_owners(ontologies[side]), label_owners(edited)
+    ontologies[side] = edited
+    changed = sorted(
+        label for label in before.keys() | after.keys()
+        if before.get(label) != after.get(label)
+    )
+    if changed:
+        with pytest.raises(StaleKB) as caught:
+            build_candidate_dbs(*ontologies, *kbs, k=k, tau=tau)
+        assert str(caught.value) == (
+            f"'{edited.name}' label '{changed[0]}' does not match its KB; run build-kb"
+        )
+        return
+    got = build_candidate_dbs(*ontologies, *kbs, k=k, tau=tau)
+    fresh = [build_kb(onto, provider) for onto in ontologies]
+    for db, expected in zip(got, build_candidate_dbs(*ontologies, *fresh, k=k, tau=tau)):
+        lists = {owner: lst.candidates for owner, lst in db.lists.items()}
+        expected_lists = {owner: lst.candidates for owner, lst in expected.lists.items()}
+        assert _db_rows(lists) == _db_rows(expected_lists)
+        assert list(lists) == list(expected_lists)
 
 
 @pytest.mark.parametrize("tau", [0.75, 0.0])
