@@ -165,11 +165,12 @@ def parse_score(path: str, line_no: int, text: str, what: str) -> float:
 def read_header(path: str, layout) -> list:
     """The values of the header format_header wrote for layout at the start
     of the text file at path, read without the rest; errors as for
-    parse_header. A line may end in CRLF; the CR is not part of the value
-    (a binary KB's header is parsed as written)."""
-    with open_input(path, "rb") as handle:
-        head = b"".join(handle.readline().replace(b"\r\n", b"\n") for _ in layout)
-    return parse_header(path, head, layout)[0]
+    parse_header. A line may end in LF, CRLF or a lone CR, which is not part
+    of the value (a binary KB's header is parsed as written). Bytes that are
+    not UTF-8 pass through, so parse_header reports them at their line."""
+    with io.TextIOWrapper(open_input(path, "rb"), "utf-8", "surrogateescape") as text:
+        head = "".join(text.readline() for _ in layout)
+    return parse_header(path, head.encode("utf-8", "surrogateescape"), layout)[0]
 
 
 def atomic_write_bytes(path: str, *chunks) -> None:

@@ -450,8 +450,13 @@ def read_alignment(path: str) -> Alignment:
     """Parse an alignment file; re-serializing the result is byte-identical."""
     header = read_header(path, _ALIGNMENT_HEADER)
     correspondences: list[Correspondence] = []
+    line_of: dict[str, int] = {}  # source id -> its line
     for line_no, fields in read_records(path, 5):
         source_id, target_id, relation, confidence_text, provenance = fields
+        if (first := line_of.setdefault(source_id, line_no)) != line_no:
+            raise MalformedRecord(
+                path, line_no, f"source {source_id!r} repeats line {first}"
+            )
         confidence = parse_score(path, line_no, confidence_text, "confidence")
         correspondences.append(
             Correspondence(source_id, target_id, relation, confidence, provenance)

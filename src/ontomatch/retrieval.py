@@ -3,10 +3,10 @@ databases it builds (their type and file format live in candidates.py).
 
 Retrieval is per label: each query label pulls the top-k corpus labels whose
 rounded cosine clears the threshold tau (non-strict, so a score exactly at
-tau is kept). A query entity's candidate entities are the owners of the union
-of its labels' hits. An entity pair has one score, in both directions: the
-max label-pair cosine over (labels of one) x (labels of the other), rounded
-once.
+tau is kept). A query entity's candidate entities are those the corpus dump
+names by any of its labels' hits. An entity pair has one score, in both
+directions: the max label-pair cosine over (labels of one) x (labels of the
+other), rounded once.
 
 Ties are deterministic: label hits order by (score desc, label asc), entity
 candidates by (score desc, entity id asc), and the cut at k is applied after
@@ -112,30 +112,29 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
 
 
 class VectorKB:
-    """All label vectors of one ontology plus the owning-entity sets.
+    """All label vectors of one ontology.
 
-    Rows are unique labels. The provider fingerprint is stored so later
-    stages can detect artifacts built under a different provider. The KB
-    holds its raw rows and their norms; retrieval divides only the rows it
-    touches, through unit_rows, so no unit matrix is ever held whole.
+    Rows are unique labels; the ontology's dump says which entities each
+    names. The provider fingerprint is stored so later stages can detect
+    artifacts built under a different provider. The KB holds its raw rows
+    and their norms; retrieval divides only the rows it touches, through
+    unit_rows, so no unit matrix is ever held whole.
     """
 
     def __init__(
         self,
         ontology_name: str,
         labels: Sequence[str],
-        owners: Sequence[frozenset[str]],
         matrix: np.ndarray,
         fingerprint: str,
     ):
-        if len(labels) != len(owners) or len(labels) != matrix.shape[0]:
-            raise DimensionMismatch("labels, owners, and matrix rows must align")
+        if len(labels) != matrix.shape[0]:
+            raise DimensionMismatch("labels and matrix rows must align")
         self.label_to_row = {label: i for i, label in enumerate(labels)}
         if len(self.label_to_row) != len(labels):
             raise InvalidParameter("KB labels must be unique")
         self.ontology_name = ontology_name
         self.labels = list(labels)
-        self.owners = list(owners)
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self.fingerprint = fingerprint
         self.dim = int(self.matrix.shape[1]) if self.matrix.size else 0
@@ -166,8 +165,7 @@ def _owner_sets(ontology: Ontology) -> dict[str, set[str]]:
 
 def build_kb(ontology: Ontology, provider: EmbeddingProvider) -> VectorKB:
     """Embed every distinct label of an ontology into a VectorKB."""
-    owner_sets = _owner_sets(ontology)
-    labels = sorted(owner_sets)
+    labels = sorted({label for entity in ontology for label in entity.labels})
     matrix = provider.encode(labels)
     logger.info(
         "built KB for %s: %d labels, dim %d", ontology.name, len(labels), provider.dim
@@ -175,7 +173,6 @@ def build_kb(ontology: Ontology, provider: EmbeddingProvider) -> VectorKB:
     return VectorKB(
         ontology_name=ontology.name,
         labels=labels,
-        owners=[frozenset(owner_sets[label]) for label in labels],
         matrix=matrix,
         fingerprint=provider.fingerprint,
     )
@@ -197,28 +194,21 @@ def save_kb(kb: VectorKB, path: str) -> None:
     """Persist a KB as one binary file.
 
     Layout: four header lines (``# vector-kb <name>``, ``# dim <d>``,
-    ``# provider <fingerprint>``, ``# rows <n>``), then n index lines
-    ``label<TAB>owner,owner`` in sorted label order, then the n*d matrix
-    as little-endian float64, row-major, in the same row order. Equal KBs
-    give identical bytes.
+    ``# provider <fingerprint>``, ``# rows <n>``), then n index lines, each
+    one label, in sorted label order, then the n*d matrix as little-endian
+    float64, row-major, in the same row order. Equal KBs give identical
+    bytes.
     """
     order = sorted(range(len(kb.labels)), key=kb.labels.__getitem__)
     values = (kb.ontology_name, kb.dim, kb.fingerprint, len(order))
-    lines = [format_header(_KB_HEADER, values)]
-    for i in order:
-        label = kb.labels[i]
-        if "\t" in label or "\n" in label:
-            raise InvalidParameter(f"label {label!r} cannot contain tab or newline")
-        owners = sorted(kb.owners[i])
-        for owner in owners:
-            if any(ch in owner for ch in ",\t\n"):
-                raise InvalidParameter(
-                    f"entity id {owner!r} cannot contain comma, tab or newline"
-                )
-        lines.append(f"{label}\t{','.join(owners)}\n")
+    index = "".join(kb.labels[i] + "\n" for i in order)
+    if index.count("\n") != len(order):
+        label = next(label for label in kb.labels if "\n" in label)
+        raise InvalidParameter(f"label {label!r} cannot contain a newline")
     matrix = kb.matrix if order == list(range(len(order))) else kb.matrix[order]
     block = np.ascontiguousarray(matrix, dtype="<f8")
-    atomic_write_bytes(path, "".join(lines).encode("utf-8"), block.data)
+    head = format_header(_KB_HEADER, values) + index
+    atomic_write_bytes(path, head.encode("utf-8"), block.data)
 
 
 def load_kb(path: str, expected_fingerprint: str | None = None) -> VectorKB:
@@ -250,39 +240,23 @@ def load_kb(path: str, expected_fingerprint: str | None = None) -> VectorKB:
             f"matrix block has {len(lines[-1])} bytes, expected {rows * dim * 8}",
         )
     try:
-        index_lines = data[pos:end - 1].decode("utf-8").split("\n")
+        labels = data[pos:end - 1].decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise MalformedRecord(path, 5, f"bad index text: {exc}") from None
     line_of: dict[str, int] = {}  # label -> its index line
-    owners: list[frozenset[str]] = []
-    for line_no, line in enumerate(index_lines, start=5):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise MalformedRecord(
-                path, line_no, f"expected 2 tab-separated fields, got {len(fields)}"
-            )
-        label, owner_field = fields
-        ids, first = owner_field.split(","), line_of.setdefault(label, line_no)
-        if "" in ids:
-            reason = "empty owner id" if owner_field else "empty owner list"
-            raise MalformedRecord(path, line_no, reason)
-        if first != line_no:
+    for line_no, label in enumerate(labels, start=5):
+        if (first := line_of.setdefault(label, line_no)) != line_no:
             raise MalformedRecord(path, line_no, f"label {label!r} repeats line {first}")
-        owners.append(frozenset(ids))
     matrix = np.frombuffer(data, dtype="<f8", count=rows * dim, offset=end)
     matrix = matrix.reshape(rows, dim)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         row = int(np.flatnonzero(~finite)[0])
         raise MalformedRecord(
-            path, 5 + row, f"label {list(line_of)[row]!r} has a non-finite vector value"
+            path, 5 + row, f"label {labels[row]!r} has a non-finite vector value"
         )
     return VectorKB(
-        ontology_name=name,
-        labels=list(line_of),
-        owners=owners,
-        matrix=matrix,
-        fingerprint=fingerprint,
+        ontology_name=name, labels=labels, matrix=matrix, fingerprint=fingerprint
     )
 
 
@@ -500,13 +474,14 @@ def _entity_lists(
     source_kb: VectorKB,
     target: Ontology,
     target_kb: VectorKB,
+    owners: list[list[set[str]]],
     s2t_hits: tuple[np.ndarray, np.ndarray],
     t2s_hits: tuple[np.ndarray, np.ndarray],
     dots: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> tuple[dict[str, CandidateList], dict[str, CandidateList]]:
     """Both directions' candidate lists from the hits of _exact_hits, given
     as (source rows, target rows) for s2t and (target rows, source rows)
-    for t2s.
+    for t2s; owners holds the ids each source and each target KB row names.
 
     A query entity's candidates are the owners of its labels' hits. The
     (source id, target id) pairs of both directions are joined and each is
@@ -517,7 +492,7 @@ def _entity_lists(
     def owner_pairs(source_rows, target_rows):
         hits = zip(source_rows.tolist(), target_rows.tolist())
         return {(s, t) for s_row, t_row in hits
-                for s in source_kb.owners[s_row] for t in target_kb.owners[t_row]}
+                for s in owners[0][s_row] for t in owners[1][t_row]}
 
     s2t, t2s = owner_pairs(*s2t_hits), owner_pairs(*t2s_hits[::-1])
     pairs = sorted(s2t | t2s)
@@ -587,7 +562,8 @@ def build_candidate_dbs(
     One pass over row blocks of the float32 score matrix of the two KBs
     feeds both directions: one cuts each row inside its block, the other
     keeps a running cut per column. The survivors then go through the exact
-    rule. StaleKB unless each KB holds exactly its dump's label-owner links.
+    rule. StaleKB unless each KB holds exactly its dump's labels; which
+    entities a label names comes from the dump.
     """
     _validate_k_tau(k, tau)
     if source_kb.fingerprint != target_kb.fingerprint:
@@ -599,19 +575,15 @@ def build_candidate_dbs(
         raise DimensionMismatch(
             f"KB dims differ: {source_kb.dim} vs {target_kb.dim}"
         )
+    owners = []  # per side, the ids each KB row's label names in the dump
     for onto, kb in ((source, source_kb), (target, target_kb)):
-        # the KB fits when it holds every link of the dump and no more links
-        row_of, owners = kb.label_to_row, kb.owners
-        links = [(row_of.get(label), e.id) for e in onto for label in e.labels]
-        found = sum(row is not None and owner in owners[row] for row, owner in links)
-        if not found == len(links) == sum(map(len, owners)):
-            dumped, kept = _owner_sets(onto), dict(zip(kb.labels, owners))
-            stale = min((label for label in dumped.keys() | kept.keys()
-                         if dumped.get(label) != kept.get(label)), default="")
-            if stale:  # none differs when an entity lists a label twice
-                raise StaleKB(
-                    f"{onto.name!r} label {stale!r} does not match its KB; run build-kb"
-                )
+        dumped = _owner_sets(onto)
+        if dumped.keys() != kb.label_to_row.keys():
+            stale = min(dumped.keys() ^ kb.label_to_row.keys())
+            raise StaleKB(
+                f"{onto.name!r} label {stale!r} does not match its KB; run build-kb"
+            )
+        owners.append([dumped[label] for label in kb.labels])
     # The pass holds its column side whole in float32, so the larger KB is
     # the one it walks in row blocks.
     swap = len(source_kb) < len(target_kb)
@@ -623,7 +595,7 @@ def build_candidate_dbs(
         row_kb, col_rows, row_rows, table.lookup(row_rows, col_rows), k, tau
     )
     s2t_lists, t2s_lists = _entity_lists(
-        source, source_kb, target, target_kb,
+        source, source_kb, target, target_kb, owners,
         *((col_hits, row_hits, lambda s, t: table.lookup(t, s)) if swap
           else (row_hits, col_hits, table.lookup)),
     )

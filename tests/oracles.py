@@ -185,28 +185,30 @@ def oracle_top_rows_batch(query_unit, corpus_kb, k, tau):
     return results
 
 
-def oracle_direction_lists(query_onto, query_kb, corpus_kb, k, tau):
+def oracle_direction_lists(query_onto, query_kb, corpus_onto, corpus_kb, k, tau):
     """One direction of build_candidate_dbs, one query entity at a time:
     entity id -> ((candidate id, rounded score), ...).
 
-    A query entity's candidates are the owners of its labels' hits. Each is
-    scored by the max float64 cosine over every (entity label, candidate
-    label) pair, a row-wise dot of the two unit rows, rounded once; the
-    list is ordered by (score desc, id asc).
+    A query entity's candidates are the corpus entities that name a hit of
+    one of its labels in the corpus ontology. Each is scored by the max
+    float64 cosine over every (entity label, candidate label) pair, a
+    row-wise dot of the two unit rows, rounded once; the list is ordered by
+    (score desc, id asc).
     """
     query_unit = oracle_unit_matrix(query_kb)
     corpus_unit = oracle_unit_matrix(corpus_kb)
     hits_by_row = oracle_top_rows_batch(query_unit, corpus_kb, k, tau)
-    rows_of = {}
-    for row, owners in enumerate(corpus_kb.owners):
-        for owner in owners:
-            rows_of.setdefault(owner, []).append(row)
+    rows_of = {
+        entity.id: [corpus_kb.labels.index(label) for label in entity.labels]
+        for entity in corpus_onto
+    }
     lists = {}
     for entity in query_onto:
-        rows = [query_kb.label_to_row[label] for label in entity.labels]
+        rows = [query_kb.labels.index(label) for label in entity.labels]
+        hit_rows = {hit for r in rows for hit, _ in hits_by_row[r]}
         owners = {
-            owner for r in rows for hit, _ in hits_by_row[r]
-            for owner in corpus_kb.owners[hit]
+            owner for owner, owner_rows in rows_of.items()
+            if hit_rows.intersection(owner_rows)
         }
         scored = []
         for owner in owners:

@@ -1200,32 +1200,57 @@ def test_predict_after_an_edit_that_keeps_size_and_mtime_is_stale(
     assert "rebuild the KB" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old, new, message", [
-    ("source concept 00002\t", "brand new label\t",
-     "label 'brand new label' does not match its KB"),
-    ("S00002\t", "S99999\t", "label 'source concept 00002' does not match its KB"),
-], ids=["label", "id"])
-def test_predict_after_a_dump_record_changed_is_stale(
-    tmp_path, capsys, old, new, message
-):
+def test_predict_after_a_dump_label_changed_is_stale(tmp_path, capsys):
     out, config = built_corpus(tmp_path)
     assert main(["predict", "--config", config]) == EXIT_OK
     expected = candidate_dbs(out)
     source = os.path.join(out, "synthetic", "source.tsv")
     text = read_text(source)
+    old = "source concept 00002\t"
     assert text.count(old) == 1
     with open(source, "w", encoding="utf-8") as handle:
-        handle.write(text.replace(old, new))
+        handle.write(text.replace(old, "brand new label\t"))
     capsys.readouterr()
     assert main(["predict", "--config", config]) == errors.StaleKB.exit_code
-    err = capsys.readouterr().err
-    assert message in err
-    assert "run build-kb" in err
+    assert capsys.readouterr().err == (
+        "error: 'SRC' label 'brand new label' does not match its KB; run build-kb\n"
+    )
     assert candidate_dbs(out) == expected
 
 
-def test_predict_after_a_synonym_moved_to_another_entity_is_stale(tmp_path, capsys):
-    # every label and id stays, but one label changed owners
+def kb_files(out):
+    return [read_bytes(os.path.join(out, "kb", name))
+            for name in ("source.kb", "target.kb")]
+
+
+def assert_predict_needs_no_new_kb(out, config):
+    """predict on the KBs built before a dump edit writes what a fresh
+    build-kb + predict writes, and that fresh build writes the same KBs."""
+    kbs = kb_files(out)
+    assert main(["predict", "--config", config]) == EXIT_OK
+    predicted = candidate_dbs(out)
+    assert main(["build-kb", "--config", config]) == EXIT_OK
+    assert kb_files(out) == kbs
+    assert main(["predict", "--config", config]) == EXIT_OK
+    assert candidate_dbs(out) == predicted
+
+
+def test_predict_after_an_entity_id_changed_needs_no_new_kb(tmp_path):
+    out, config = built_corpus(tmp_path)
+    assert main(["predict", "--config", config]) == EXIT_OK
+    before = candidate_dbs(out)
+    source = os.path.join(out, "synthetic", "source.tsv")
+    text = read_text(source)
+    assert text.count("S00002\t") == 1
+    with open(source, "w", encoding="utf-8") as handle:
+        handle.write(text.replace("S00002\t", "S99999\t"))
+    assert_predict_needs_no_new_kb(out, config)
+    assert b"S99999\t" in candidate_dbs(out)[0]
+    assert candidate_dbs(out) != before
+
+
+def test_predict_after_a_synonym_moved_to_another_entity_needs_no_new_kb(tmp_path):
+    # every label and id stays, but one label names another entity
     out = str(tmp_path / "out")
     assert main([
         "gen-synthetic", "--n", "20", "--hcb-fraction", "0.5", "--synonym-rate", "0.5",
@@ -1234,7 +1259,7 @@ def test_predict_after_a_synonym_moved_to_another_entity_is_stale(tmp_path, caps
     config = os.path.join(out, "synthetic", "corpus.config")
     assert main(["build-kb", "--config", config]) == EXIT_OK
     assert main(["predict", "--config", config]) == EXIT_OK
-    expected = candidate_dbs(out)
+    before = candidate_dbs(out)
     source = os.path.join(out, "synthetic", "source.tsv")
     text = read_text(source)
     for old, new in (
@@ -1247,13 +1272,35 @@ def test_predict_after_a_synonym_moved_to_another_entity_is_stale(tmp_path, caps
         text = text.replace(old, new)
     with open(source, "w", encoding="utf-8") as handle:
         handle.write(text)
-    capsys.readouterr()
-    assert main(["predict", "--config", config]) == errors.StaleKB.exit_code
-    assert capsys.readouterr().err == (
-        "error: 'SRC' label 'source concept 00000 variant' does not match its KB; "
-        "run build-kb\n"
-    )
-    assert candidate_dbs(out) == expected
+    assert_predict_needs_no_new_kb(out, config)
+    assert candidate_dbs(out) != before
+
+
+def test_entity_ids_that_hold_a_comma_pass_through_run_all(tmp_path, capsys):
+    # a KB index line is one label, so an id is any text a dump holds
+    files = {
+        "source.tsv": "S,1\talpha\nS2\tbeta\n",
+        "target.tsv": "T,1\talpha too\nT2\tbeta too\n",
+        "vectors.tsv": "alpha\t1.0,0.0\nalpha too\t1.0,0.1\n"
+                       "beta\t0.0,1.0\nbeta too\t0.1,1.0\n",
+        "reference.tsv": "S,1\tT,1\nS2\tT2\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    config = tmp_path / "run.config"
+    config.write_text("".join(f"{key} = {tmp_path / name}\n" for key, name in (
+        ("source.dump", "source.tsv"), ("target.dump", "target.tsv"),
+        ("embedding.file", "vectors.tsv"), ("llm.reference", "reference.tsv"),
+        ("eval.reference", "reference.tsv"), ("out", "out"),
+    )) + "source.name = S\ntarget.name = T\nembedding.kind = file\n"
+        "llm.kind = oracle\n", encoding="utf-8")
+    assert main([
+        "run-all", "--config", str(config), "--pipeline", "both", "--run-id", "r",
+    ]) == EXIT_OK
+    for pipeline in ("mila", "baseline"):
+        report = json.loads(read_text(tmp_path, "out", "runs", f"r-{pipeline}", "eval.json"))
+        assert report["f_measure"] == 1.0, pipeline
+    assert "error" not in capsys.readouterr().err
 
 
 def test_predict_without_the_vector_file_exits_config(tmp_path, capsys):

@@ -95,16 +95,19 @@ def test_read_records_property(tmp_path_factory, data, bad_at, extra):
 
 
 def test_read_alignment_reads_its_opening_header_lines(tmp_path):
-    # Five header lines, LF or CRLF, open the file and their values are any
-    # text without a line break; later '#' lines are comments.
+    # Five header lines, LF, CRLF or a lone CR, open the file and their
+    # values are any text without a line break; later '#' lines are comments.
     path = tmp_path / "alignment.tsv"
     header = b"# source S  T\n# target \t\n# k 5\r\n# tau 0.75\n# provider fp \r\n"
-    path.write_bytes(header + b"#\r\n#two\ns\tt\t=\t0.5\tHCB\n# late\n")
-    alignment = read_alignment(path)
-    assert (alignment.source_onto, alignment.target_onto) == ("S  T", "\t")
-    assert (alignment.k, alignment.tau, alignment.fingerprint) == (5, 0.75, "fp ")
-    assert alignment.correspondences == (("s", "t", "=", 0.5, "HCB"),)
-    assert list(read_records(path, 5)) == [(8, ["s", "t", "=", "0.5", "HCB"])]
+    body = b"#\r\n#two\ns\tt\t=\t0.5\tHCB\n# late\n"
+    for text in (header + body, (header + body).replace(b"\r\n", b"\n").replace(b"\n", b"\r")):
+        path.write_bytes(text)
+        alignment = read_alignment(path)
+        assert (alignment.source_onto, alignment.target_onto) == ("S  T", "\t")
+        assert (alignment.k, alignment.tau, alignment.fingerprint) == (5, 0.75, "fp ")
+        assert alignment.correspondences == (("s", "t", "=", 0.5, "HCB"),)
+        assert list(read_records(path, 5)) == [(8, ["s", "t", "=", "0.5", "HCB"])]
+    row = b"S00000\tT\t=\t0.5\tHCB\n"
     for text, line_no, reason in (
         (b"", 1, "missing header '# source ...'"),
         (b"# S T 5 0.75 fp\n", 1, "missing header '# source ...'"),  # older layout
@@ -113,6 +116,7 @@ def test_read_alignment_reads_its_opening_header_lines(tmp_path):
         (header.replace(b"# k 5", b"# k high"), 3, "bad k header 'high'"),
         (header.replace(b"# provider fp \r\n", b""), 5,
          "missing header '# provider ...'"),
+        (header + row + b"# a comment\n" + row, 8, "source 'S00000' repeats line 6"),
     ):
         path.write_bytes(text)
         with pytest.raises(MalformedRecord) as info:

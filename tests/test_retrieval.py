@@ -110,26 +110,25 @@ def every_cut(hits):
     return [hits] * (2 * len(CHUNKS))
 
 
-def test_build_kb_sorts_labels_and_merges_owners():
+def test_build_kb_sorts_labels_and_holds_a_shared_label_once():
     onto = make_ontology(
         "X",
         {"E:2": ["beta", "shared"], "E:1": ["alpha", "shared"]},
     )
     kb = build_kb(onto, DeterministicProvider(dim=8, seed=0))
     assert kb.labels == ["alpha", "beta", "shared"]
-    assert kb.owners[kb.label_to_row["shared"]] == frozenset({"E:1", "E:2"})
-    assert kb.owners[kb.label_to_row["alpha"]] == frozenset({"E:1"})
+    assert kb.label_to_row == {"alpha": 0, "beta": 1, "shared": 2}
     assert len(kb) == 3
     assert kb.dim == 8
 
 
 def test_vector_kb_validation():
     with pytest.raises(ZeroVector):
-        VectorKB("X", ["a"], [frozenset({"E"})], np.zeros((1, 3)), "fp")
+        VectorKB("X", ["a"], np.zeros((1, 3)), "fp")
     with pytest.raises(InvalidParameter):
-        VectorKB("X", ["a", "a"], [frozenset({"E"})] * 2, np.ones((2, 3)), "fp")
+        VectorKB("X", ["a", "a"], np.ones((2, 3)), "fp")
     with pytest.raises(DimensionMismatch):
-        VectorKB("X", ["a", "b"], [frozenset({"E"})], np.ones((2, 3)), "fp")
+        VectorKB("X", ["a", "b"], np.ones((1, 3)), "fp")
 
 
 def test_kb_save_load_round_trip(tmp_path):
@@ -140,7 +139,6 @@ def test_kb_save_load_round_trip(tmp_path):
     loaded = load_kb(path)
     assert loaded.ontology_name == "X"
     assert loaded.labels == kb.labels
-    assert loaded.owners == kb.owners
     assert loaded.fingerprint == kb.fingerprint
     np.testing.assert_array_equal(loaded.matrix, kb.matrix)
 
@@ -150,7 +148,7 @@ def test_kb_save_load_round_trip(tmp_path):
         load_kb(path, expected_fingerprint="other/fp")
 
 
-def kb_bytes(dim="2", rows="1", index="a\tE:1\n", values=(1.0, 0.0)):
+def kb_bytes(dim="2", rows="1", index="a\n", values=(1.0, 0.0)):
     """A KB file's bytes in the save_kb layout, with parts overridable."""
     head = (
         f"# vector-kb X\n# dim {dim}\n# provider fp\n# rows {rows}\n{index}"
@@ -162,7 +160,7 @@ def test_kb_bytes_helper_builds_a_loadable_kb(tmp_path):
     path = tmp_path / "ok.kb"
     path.write_bytes(kb_bytes())
     kb = load_kb(path)
-    assert kb.labels == ["a"] and kb.owners == [frozenset({"E:1"})]
+    assert kb.labels == ["a"]
     assert kb.matrix.tolist() == [[1.0, 0.0]]
 
 
@@ -170,11 +168,9 @@ def test_kb_bytes_helper_builds_a_loadable_kb(tmp_path):
     "content",
     [
         pytest.param(
-            b"a\tE:1\n" + np.array([1.0, 0.0]).tobytes(), id="no-headers"
+            b"a\n" + np.array([1.0, 0.0]).tobytes(), id="no-headers"
         ),
         pytest.param(kb_bytes(dim="two"), id="dim-not-integer"),
-        pytest.param(kb_bytes(index="a\t\n"), id="empty-owner-list"),
-        pytest.param(kb_bytes(index="a\tE:1\tx\n"), id="extra-index-field"),
         pytest.param(kb_bytes(rows="0", index="", values=()), id="zero-rows"),
         pytest.param(kb_bytes(rows="2"), id="index-shorter-than-rows"),
         pytest.param(kb_bytes(values=(1.0,)), id="matrix-truncated"),
@@ -192,16 +188,14 @@ def test_kb_load_malformed(tmp_path, content):
 @pytest.mark.parametrize("content, line_no, reason", [
     (kb_bytes(rows="2", values=(1.0, 0.0) * 2), 6, "index ends after 1 of 2 lines"),
     # the one index line ends, but not where the matrix starts
-    (kb_bytes(index="a\tE:1\nX"), 6, "matrix block has 17 bytes, expected 16"),
+    (kb_bytes(index="a\nX"), 6, "matrix block has 17 bytes, expected 16"),
     (kb_bytes(values=(1.0,)), 6, "matrix block has 8 bytes, expected 16"),
-    (kb_bytes(index="a\tE:1\tx\n"), 5, "expected 2 tab-separated fields, got 3"),
-    (kb_bytes(rows="2", index="a\tE:1\nb\t\n", values=(1.0, 0.0) * 2), 6,
-     "empty owner list"),
     (kb_bytes(values=(float("inf"), 0.0)), 5,
      "label 'a' has a non-finite vector value"),
-    (kb_bytes(rows="2", index="a\tE:1\na\tE:2\n", values=(1.0, 0.0) * 2), 6,
+    (kb_bytes(rows="2", index="a\na\n", values=(1.0, 0.0) * 2), 6,
      "label 'a' repeats line 5"),
-    (kb_bytes(index="a\tE:1,\n"), 5, "empty owner id"),
+    (kb_bytes().replace(b"a\n", b"\xff\n"), 5, "bad index text: 'utf-8' codec "
+     "can't decode byte 0xff in position 0: invalid start byte"),
 ])
 def test_kb_load_names_the_line_and_the_fault(tmp_path, content, line_no, reason):
     path = tmp_path / "bad.kb"
@@ -254,7 +248,6 @@ def test_kb_header_round_trips_and_faults_at_its_line(
 ):
     kb = VectorKB(
         name, [f"l{i}" for i in range(rows)],
-        [frozenset({f"E:{i}"}) for i in range(rows)],
         np.arange(1.0, rows * dim + 1.0).reshape(rows, dim), fingerprint,
     )
     path = tmp_path_factory.mktemp("kb") / "x.kb"
@@ -286,21 +279,17 @@ def test_kb_keeps_labels_that_start_with_hash(tmp_path):
     assert loaded.matrix.tobytes() == kb.matrix.tobytes()
 
 
-def test_save_kb_rejects_comma_in_entity_id(tmp_path):
-    onto = make_ontology("X", {"E,1": ["alpha"]})
-    kb = build_kb(onto, DeterministicProvider(dim=4))
-    with pytest.raises(InvalidParameter):
-        save_kb(kb, tmp_path / "x.kb")
+def test_save_kb_rejects_a_newline_in_a_label_but_keeps_a_tab(tmp_path):
+    path = tmp_path / "x.kb"
+    kb = VectorKB("X", ["b", "new\nline"], np.ones((2, 2)), "fp")
+    with pytest.raises(InvalidParameter, match=r"label 'new\\nline' cannot contain"):
+        save_kb(kb, path)
+    assert not path.exists()
+    save_kb(VectorKB("X", ["tab\tinside", "b"], np.ones((2, 2)), "fp"), path)
+    assert load_kb(path).labels == ["b", "tab\tinside"]
 
 
-@pytest.mark.parametrize("label", ["tab\tinside", "new\nline"])
-def test_save_kb_rejects_tab_or_newline_in_label(tmp_path, label):
-    kb = VectorKB("X", [label], [frozenset({"E:1"})], np.ones((1, 2)), "fp")
-    with pytest.raises(InvalidParameter):
-        save_kb(kb, tmp_path / "x.kb")
-
-
-_KB_TEXT = st.characters(exclude_characters="\t\n", exclude_categories=("Cs",))
+_KB_TEXT = st.characters(exclude_characters="\n", exclude_categories=("Cs",))
 _KB_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, -2.5e-310, -1.5]
 )
@@ -313,13 +302,6 @@ def random_kbs(draw):
         st.text(_KB_TEXT | st.sampled_from(["#", " "]), max_size=8),
         min_size=1, max_size=8, unique=True,
     ))
-    owner_ids = st.text(
-        st.characters(exclude_characters=",\t\n", exclude_categories=("Cs",)),
-        min_size=1, max_size=5,
-    )
-    owners = [
-        draw(st.frozensets(owner_ids, min_size=1, max_size=3)) for _ in labels
-    ]
     rows = []
     for _ in labels:
         row = draw(st.lists(_KB_FLOATS, min_size=dim, max_size=dim))
@@ -332,7 +314,6 @@ def random_kbs(draw):
     return VectorKB(
         draw(st.text(_KB_TEXT, max_size=6)),
         labels,
-        owners,
         np.array(rows, dtype=np.float64),
         draw(st.text(_KB_TEXT, max_size=12)),
     )
@@ -343,7 +324,7 @@ def random_kbs(draw):
 @settings(deadline=None, max_examples=150)
 @given(kb=random_kbs())
 # a CR that ends a header value is part of it in a binary KB
-@example(kb=VectorKB("S\r", ["a"], [frozenset({"E"})], np.ones((1, 2)), "fp\r"))
+@example(kb=VectorKB("S\r", ["a"], np.ones((1, 2)), "fp\r"))
 def test_kb_binary_round_trip_property(kb):
     order = sorted(range(len(kb)), key=kb.labels.__getitem__)
     with tempfile.TemporaryDirectory() as tmp:
@@ -356,7 +337,6 @@ def test_kb_binary_round_trip_property(kb):
     assert loaded.ontology_name == kb.ontology_name
     assert loaded.fingerprint == kb.fingerprint
     assert loaded.labels == [kb.labels[i] for i in order]
-    assert loaded.owners == [kb.owners[i] for i in order]
     assert loaded.matrix.tobytes() == kb.matrix[order].tobytes()
 
 
@@ -399,8 +379,7 @@ def test_blocked_norms_and_unit_rows_equal_the_whole_matrix_ones(matrix, data):
     matrix, norms = matrix[keep], norms[keep]
     if not len(matrix):
         return
-    kb = VectorKB("X", [str(i) for i in range(len(matrix))],
-                  [frozenset({"E"})] * len(matrix), matrix, "fp")
+    kb = VectorKB("X", [str(i) for i in range(len(matrix))], matrix, "fp")
     unit = matrix / norms[:, None]
     assert same_bits(kb.norms, norms)
     start = data.draw(st.integers(min_value=0, max_value=len(matrix)))
@@ -414,8 +393,7 @@ def test_blocked_norms_and_unit_rows_equal_the_whole_matrix_ones(matrix, data):
 
 def nonzero_kb(name, matrix):
     matrix = matrix[np.linalg.norm(matrix, axis=1) > 0.0]
-    return VectorKB(name, [str(i) for i in range(len(matrix))],
-                    [frozenset({"E"})] * len(matrix), matrix, "fp")
+    return VectorKB(name, [str(i) for i in range(len(matrix))], matrix, "fp")
 
 
 # build_candidate_dbs computes each label pair's dot once, in the row side's
@@ -1050,11 +1028,11 @@ def test_candidate_dbs_equal_the_float64_kernel(corpus, k, chunk):
     s2t, t2s = build_candidate_dbs(
         source, target, source_kb, target_kb, k=k, tau=tau, chunk=chunk
     )
-    for db, query, query_kb, corpus_kb in (
-        (s2t, source, source_kb, target_kb),
-        (t2s, target, target_kb, source_kb),
+    for db, query, query_kb, corpus, corpus_kb in (
+        (s2t, source, source_kb, target, target_kb),
+        (t2s, target, target_kb, source, source_kb),
     ):
-        expected = oracle_direction_lists(query, query_kb, corpus_kb, k, tau)
+        expected = oracle_direction_lists(query, query_kb, corpus, corpus_kb, k, tau)
         got = {owner: lst.candidates for owner, lst in db.lists.items()}
         assert _db_rows(got) == _db_rows(expected)
         assert list(got) == list(expected)
@@ -1080,7 +1058,7 @@ def test_a_pair_has_one_score_and_swapping_the_inputs_swaps_the_dbs(corpus, k):
         ) == _db_rows({owner: lst.candidates for owner, lst in other.lists.items()})
 
 
-DUMP_EDITS = ("move", "drop", "share")
+DUMP_EDITS = ("move", "drop", "share", "rename-id", "new-label")
 
 
 @st.composite
@@ -1088,11 +1066,11 @@ def edited_dumps(draw):
     """A planted corpus plus one side's ontology after one dump edit.
 
     The edit moves one entity's label to another entity, drops one of its
-    labels, or gives another entity a label it owns. An entity keeps its
-    only label, so a drop of it changes nothing and a move of it is a
-    share; a move or share to an entity that holds the label already
-    changes no owner. Returns (source, target, provider, tau, side, edited
-    ontology).
+    labels, gives another entity a label it owns, renames the entity, or
+    gives it a label no dump holds. An entity keeps its only label, so a
+    drop of it changes nothing and a move of it is a share. Only a drop of
+    a label no other entity names, or a new label, changes the label set.
+    Returns (source, target, provider, tau, side, edited ontology).
     """
     source, target, provider, tau = draw(planted_corpora())
     side = draw(st.sampled_from([0, 1]))
@@ -1105,28 +1083,27 @@ def edited_dumps(draw):
         groups[owner].remove(label)
     if edit in ("move", "share") and label not in groups[other]:
         groups[other].append(label)
+    if edit == "rename-id":
+        groups[f"{onto.name}:renamed"] = groups.pop(owner)
+    if edit == "new-label":
+        groups[owner].append("new label")
     return source, target, provider, tau, side, make_ontology(onto.name, groups)
 
 
-def label_owners(onto):
-    return {
-        label: {entity.id for entity in onto if label in entity.labels}
-        for entity in onto for label in entity.labels
-    }
+def label_set(onto):
+    return {label for entity in onto for label in entity.labels}
 
 
 @settings(deadline=None, max_examples=150)
 @given(corpus=edited_dumps(), k=st.sampled_from([1, 3]))
-def test_a_kb_fits_exactly_the_dumps_with_its_label_owners(corpus, k):
+def test_a_kb_fits_exactly_the_dumps_with_its_labels(corpus, k):
+    # which entities a label names comes from the dump, so only an edit of
+    # the label set needs a new KB
     source, target, provider, tau, side, edited = corpus
     kbs = [build_kb(source, provider), build_kb(target, provider)]
     ontologies = [source, target]
-    before, after = label_owners(ontologies[side]), label_owners(edited)
+    changed = sorted(label_set(ontologies[side]) ^ label_set(edited))
     ontologies[side] = edited
-    changed = sorted(
-        label for label in before.keys() | after.keys()
-        if before.get(label) != after.get(label)
-    )
     if changed:
         with pytest.raises(StaleKB) as caught:
             build_candidate_dbs(*ontologies, *kbs, k=k, tau=tau)
@@ -1136,6 +1113,7 @@ def test_a_kb_fits_exactly_the_dumps_with_its_label_owners(corpus, k):
         return
     got = build_candidate_dbs(*ontologies, *kbs, k=k, tau=tau)
     fresh = [build_kb(onto, provider) for onto in ontologies]
+    assert [kb.labels for kb in fresh] == [kb.labels for kb in kbs]
     for db, expected in zip(got, build_candidate_dbs(*ontologies, *fresh, k=k, tau=tau)):
         lists = {owner: lst.candidates for owner, lst in db.lists.items()}
         expected_lists = {owner: lst.candidates for owner, lst in expected.lists.items()}
