@@ -1200,22 +1200,65 @@ def test_predict_after_an_edit_that_keeps_size_and_mtime_is_stale(
     assert "rebuild the KB" in capsys.readouterr().err
 
 
-def test_predict_after_a_dump_label_changed_is_stale(tmp_path, capsys):
+@pytest.mark.parametrize("old, new, label", [
+    ("source concept 00002\t", "brand new label\t", "brand new label"),
+    ("S00002\tsource concept 00002\t", "S00002\tsource concept 00002\tan added label",
+     "an added label"),
+    ("S00002\tsource concept 00002\t\n", "", "source concept 00002"),
+], ids=["renamed", "added", "dropped"])
+def test_predict_after_a_dump_label_changed_is_stale(tmp_path, capsys, old, new, label):
+    # the error names the least label that is in only one of dump and KB
     out, config = built_corpus(tmp_path)
     assert main(["predict", "--config", config]) == EXIT_OK
     expected = candidate_dbs(out)
     source = os.path.join(out, "synthetic", "source.tsv")
     text = read_text(source)
-    old = "source concept 00002\t"
     assert text.count(old) == 1
     with open(source, "w", encoding="utf-8") as handle:
-        handle.write(text.replace(old, "brand new label\t"))
+        handle.write(text.replace(old, new))
     capsys.readouterr()
     assert main(["predict", "--config", config]) == errors.StaleKB.exit_code
     assert capsys.readouterr().err == (
-        "error: 'SRC' label 'brand new label' does not match its KB; run build-kb\n"
+        f"error: 'SRC' label {label!r} does not match its KB; run build-kb\n"
     )
     assert candidate_dbs(out) == expected
+
+
+def test_match_reads_candidate_dbs_with_lone_cr_line_ends(tmp_path):
+    # a candidate DB's header and records read LF, CRLF or a lone CR alike
+    out, config = built_corpus(tmp_path)
+    assert main(["predict", "--config", config]) == EXIT_OK
+    assert main(["match", "--config", config, "--run-id", "lf"]) == EXIT_OK
+    for name in ("s2t.tsv", "t2s.tsv"):
+        path = os.path.join(out, "candidates", name)
+        with open(path, "r+b") as handle:
+            data = handle.read().replace(b"\n", b"\r")
+            handle.seek(0)
+            handle.write(data)
+    assert main(["match", "--config", config, "--run-id", "cr"]) == EXIT_OK
+    for name in ("alignment.tsv", "trace.tsv"):
+        assert read_bytes(os.path.join(out, "runs", "cr", name)) == read_bytes(
+            os.path.join(out, "runs", "lf", name)
+        )
+
+
+def test_eval_of_an_alignment_that_repeats_a_source_names_the_line(tmp_path, capsys):
+    out, config = built_corpus(tmp_path)
+    assert main(["predict", "--config", config]) == EXIT_OK
+    assert main(["match", "--config", config, "--run-id", "m"]) == EXIT_OK
+    alignment = os.path.join(out, "runs", "m", "alignment.tsv")
+    lines = read_text(alignment).splitlines(keepends=True)
+    assert lines[5].startswith("S00000\t")
+    with open(alignment, "a", encoding="utf-8") as handle:
+        handle.write(lines[5])
+    capsys.readouterr()
+    reference = os.path.join(out, "synthetic", "reference.tsv")
+    assert main([
+        "eval", "--config", config, "--alignment", alignment, "--reference", reference,
+    ]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        f"error: {alignment}:{len(lines) + 1}: source 'S00000' repeats line 6\n"
+    )
 
 
 def kb_files(out):

@@ -279,14 +279,33 @@ def test_kb_keeps_labels_that_start_with_hash(tmp_path):
     assert loaded.matrix.tobytes() == kb.matrix.tobytes()
 
 
-def test_save_kb_rejects_a_newline_in_a_label_but_keeps_a_tab(tmp_path):
+def test_save_kb_rejects_a_newline_in_a_label(tmp_path):
     path = tmp_path / "x.kb"
     kb = VectorKB("X", ["b", "new\nline"], np.ones((2, 2)), "fp")
     with pytest.raises(InvalidParameter, match=r"label 'new\\nline' cannot contain"):
         save_kb(kb, path)
     assert not path.exists()
-    save_kb(VectorKB("X", ["tab\tinside", "b"], np.ones((2, 2)), "fp"), path)
-    assert load_kb(path).labels == ["b", "tab\tinside"]
+
+
+@pytest.mark.parametrize("label", ["tab\tinside", "carriage\rreturn"])
+def test_save_kb_keeps_a_tab_or_carriage_return_in_a_label(tmp_path, label):
+    # an index line is one label, ended by LF alone
+    path = tmp_path / "x.kb"
+    save_kb(VectorKB("X", [label, "b"], np.ones((2, 2)), "fp"), path)
+    assert load_kb(path).labels == ["b", label]
+
+
+def test_a_kb_with_owner_fields_in_its_index_is_stale(tmp_path):
+    # an index line of the older layout, 'label<TAB>owners', loads as one
+    # label that no dump holds
+    path = tmp_path / "x.kb"
+    path.write_bytes(kb_bytes(index="a\tE:1\n"))
+    old = load_kb(path)
+    assert old.labels == ["a\tE:1"]
+    onto = make_ontology("X", {"E:1": ["a"]})
+    with pytest.raises(StaleKB) as caught:
+        build_candidate_dbs(onto, onto, old, old, k=1, tau=0.5)
+    assert str(caught.value) == "'X' label 'a' does not match its KB; run build-kb"
 
 
 _KB_TEXT = st.characters(exclude_characters="\n", exclude_categories=("Cs",))
