@@ -50,9 +50,10 @@ _PLACEHOLDER_RE = re.compile(
 
 class PromptTemplate:
     """Prompt text with the four placeholders, each appearing exactly once;
-    immutable."""
+    immutable. It is split once into the five literal pieces around the
+    placeholders and each placeholder's PLACEHOLDERS index, in text order."""
 
-    __slots__ = ("text",)
+    __slots__ = ("_pieces", "_order")
     __setattr__ = refuse_assignment
 
     def __init__(self, text: str):
@@ -66,7 +67,16 @@ class PromptTemplate:
                 raise MissingPlaceholder(
                     f"template must contain {{{name}}} exactly once, found {count}"
                 )
-        object.__setattr__(self, "text", text)
+        parts = _PLACEHOLDER_RE.split(text)
+        object.__setattr__(self, "_pieces", tuple(parts[0::2]))
+        object.__setattr__(
+            self, "_order", tuple(PLACEHOLDERS.index(name) for name in parts[1::2])
+        )
+
+    @property
+    def text(self) -> str:
+        """The template text: its placeholders rendered as themselves."""
+        return render_prompt(self, *("{" + name + "}" for name in PLACEHOLDERS))
 
     @classmethod
     def default(cls) -> "PromptTemplate":
@@ -86,24 +96,19 @@ def render_prompt(
 ) -> str:
     """Fill the four placeholders in one pass; byte-stable for equal inputs.
 
-    A single-pass regex substitution means placeholder-like text inside a
-    label is never re-expanded.
+    The values are joined between the template's pre-split literal pieces,
+    so placeholder-like text inside a label is never re-expanded.
     """
-    for name, value in (
-        ("src_onto", src_onto),
-        ("tgt_onto", tgt_onto),
-        ("src_label", src_label),
-        ("tgt_label", tgt_label),
-    ):
-        if not value:
-            raise InvalidParameter(f"render_prompt requires nonempty {name}")
-    values = {
-        "src_onto_name": src_onto,
-        "tgt_onto_name": tgt_onto,
-        "source_entity": src_label,
-        "target_entity": tgt_label,
-    }
-    return _PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], template.text)
+    values = (src_onto, tgt_onto, src_label, tgt_label)
+    if not all(values):
+        names = ("src_onto", "tgt_onto", "src_label", "tgt_label")
+        for name, value in zip(names, values):
+            if not value:
+                raise InvalidParameter(f"render_prompt requires nonempty {name}")
+    p, (a, b, c, d) = template._pieces, template._order
+    return "".join(
+        (p[0], values[a], p[1], values[b], p[2], values[c], p[3], values[d], p[4])
+    )
 
 
 class Verdict(enum.Enum):
@@ -137,6 +142,25 @@ class LlmVerdict(NamedTuple):
     @property
     def is_yes(self) -> bool:
         return self.value is Verdict.YES
+
+
+_json_text = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _log_line(
+    pair: tuple[str, str] | None, prompt: str, reply: str, verdict: str,
+    latency: float, attempts: int,
+) -> str:
+    """One exchange-log line: json.dumps(record, ensure_ascii=False) + "\n"
+    for the record {pair: list(pair) or None, prompt, reply, verdict,
+    latency_s: round(latency, 6), attempts}, built from fixed key text and
+    one shared encoder rather than a new encoder per line."""
+    pair_text = "[" + ", ".join(map(_json_text, pair)) + "]" if pair else "null"
+    return (
+        f'{{"pair": {pair_text}, "prompt": {_json_text(prompt)}, '
+        f'"reply": {_json_text(reply)}, "verdict": {_json_text(verdict)}, '
+        f'"latency_s": {round(latency, 6)!r}, "attempts": {attempts!r}}}\n'
+    )
 
 
 class LlmClient:
@@ -182,15 +206,9 @@ class LlmClient:
         latency = time.perf_counter() - start
         verdict = LlmVerdict(value=parse_reply(reply), attempts=attempts)
         if self._log_path:
-            record = {
-                "pair": list(pair) if pair else None,
-                "prompt": prompt,
-                "reply": reply,
-                "verdict": verdict.value.value,
-                "latency_s": round(latency, 6),
-                "attempts": attempts,
-            }
-            line = json.dumps(record, ensure_ascii=False) + "\n"
+            line = _log_line(
+                pair, prompt, reply, verdict.value.value, latency, attempts
+            )
         with self._count_lock:
             if self._log_path:
                 if self._log is None:

@@ -30,7 +30,7 @@ from urllib.request import (
     urlopen,
 )
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameter
 
 logger = logging.getLogger(__name__)
 
@@ -103,8 +103,10 @@ class Endpoint:
     The URL is checked when the endpoint is built (see _check_url), so a
     URL no request can reach fails before any work is done. token_env
     names the environment variable whose value is sent as
-    ``Authorization: Bearer <token>``; ConfigError if it is unset. service
-    names the endpoint in messages and error is the class they raise.
+    ``Authorization: Bearer <token>``; ConfigError if it is unset or holds
+    a line break or a character beyond Latin-1, which no header can carry.
+    service names the endpoint in messages and error is the class they
+    raise. No message shows the token.
     """
 
     def __init__(
@@ -133,31 +135,44 @@ class Endpoint:
                     f"environment variable {token_env} is not set; it must hold "
                     f"the {service} token"
                 )
+            if "\r" in token or "\n" in token or max(token) > "\xff":
+                raise ConfigError(
+                    f"environment variable {token_env} holds a line break or a "
+                    f"character beyond Latin-1; it must hold the {service} token "
+                    "alone"
+                )
             self._headers["Authorization"] = f"Bearer {token}"
 
     def post(self, payload: dict) -> tuple[bytes, int]:
         """POST payload as JSON; return the 200 reply's body and the attempt
         count.
 
-        Transport errors, 429 (too many requests) and 5xx replies are
-        retried, sleeping backoff_seconds * 2**(n-1) before retry n. Any
-        other non-200 status, or running out of attempts, raises the
-        endpoint's error class.
+        A request that cannot be built is not retried: a payload that is
+        not JSON (a NaN or infinity included) raises InvalidParameter before
+        any attempt. Transport errors, 429 (too many requests) and 5xx
+        replies are retried, sleeping backoff_seconds * 2**(n-1) before
+        retry n. Any other non-200 status, or running out of attempts,
+        raises the endpoint's error class.
         """
         service = self._service
+        try:
+            body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameter(
+                f"{service} request cannot be encoded as JSON: {exc}"
+            ) from None
         last_error = "no attempt made"
         for attempt in range(1, self._max_retries + 1):
             if attempt > 1:
                 time.sleep(self._backoff * 2 ** (attempt - 2))
             try:
-                body = json.dumps(payload, allow_nan=False).encode("utf-8")
                 status, reply = _send(
                     Request(self._url, data=body, headers=self._headers,
                             method="POST"),
                     self._timeout,
                 )
-            # OSError covers URLError and timeouts; ValueError a malformed URL
-            # or header, or a NaN in the payload.
+            # OSError covers URLError and timeouts; ValueError a URL or
+            # header that http.client refuses.
             except (OSError, HTTPException, ValueError) as exc:
                 last_error = f"transport error: {exc}"
                 logger.warning(

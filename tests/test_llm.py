@@ -2,11 +2,11 @@
 
 import concurrent.futures
 import json
-import types
+import re
 from contextlib import closing
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ontomatch import llm
@@ -26,7 +26,9 @@ from ontomatch.llm import (
     parse_reply,
     render_prompt,
 )
+from ontomatch.matcher import match_baseline
 
+from conftest import make_db, make_ontology
 from stubs import RecordingServer, ScriptedClient, chat_behavior
 
 
@@ -202,14 +204,131 @@ def test_query_count_includes_unparseable_and_is_thread_safe():
     assert client.query_count == 64
 
 
-def test_a_client_without_a_log_serializes_no_record(monkeypatch):
+def test_a_client_without_a_log_serializes_no_record(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
-        raise AssertionError("a log record was built with no log to write")
+        raise AssertionError("a log line was built")
 
-    monkeypatch.setattr(llm, "json", types.SimpleNamespace(dumps=refuse))
+    # every log line encodes its prompt through llm._json_text
+    monkeypatch.setattr(llm, "_json_text", refuse)
     client = OracleClient([("s", "t")])
     assert client.classify("prompt", pair=("s", "t")).is_yes
     assert client.query_count == 1
+    # the same patch stops a client that has a log, so it is on the line's path
+    logged = OracleClient([("s", "t")], log_path=str(tmp_path / "llm_log.jsonl"))
+    with pytest.raises(AssertionError, match="a log line was built"):
+        logged.classify("prompt", pair=("s", "t"))
+    assert logged.query_count == 0
+
+
+# Text that JSON escapes, or that ensure_ascii=False leaves as it is.
+JSON_TRICKY = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\b\t\n\r\u2028\u2029\ufeff\U0001f600\U0010ffff'),
+    st.characters(blacklist_categories=("Cs",)),
+))
+
+
+@given(
+    pair=st.none() | st.just(()) | st.tuples(JSON_TRICKY, JSON_TRICKY),
+    prompt=JSON_TRICKY,
+    reply=JSON_TRICKY,
+    verdict=st.sampled_from([verdict.value for verdict in Verdict]),
+    latency=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    attempts=st.integers(min_value=1, max_value=2**40),
+)
+def test_a_log_line_is_the_json_dump_of_its_record(
+    pair, prompt, reply, verdict, latency, attempts
+):
+    record = {
+        "pair": list(pair) if pair else None,
+        "prompt": prompt,
+        "reply": reply,
+        "verdict": verdict,
+        "latency_s": round(latency, 6),
+        "attempts": attempts,
+    }
+    line = llm._log_line(pair, prompt, reply, verdict, latency, attempts)
+    assert line == json.dumps(record, ensure_ascii=False) + "\n"
+
+
+REFERENCE_PLACEHOLDER = re.compile(r"\{(" + "|".join(PLACEHOLDERS) + r")\}")
+
+
+def reference_render(text, src_onto, tgt_onto, src_label, tgt_label):
+    """The single-pass regex substitution render_prompt must equal."""
+    values = dict(zip(PLACEHOLDERS, (src_onto, tgt_onto, src_label, tgt_label)))
+    return REFERENCE_PLACEHOLDER.sub(lambda match: values[match.group(1)], text)
+
+
+# Braces, backslashes, regex group references and placeholder fragments.
+FRAGMENTS = ["{", "}", "{{", "}}", "\\", "\\1", "\\g<1>", "$1", "x", " ", "\n",
+             "é", "\U0001f600", "{src_onto_name", "tgt_onto_name}",
+             "{ target_entity}", "{0}", "%s"]
+GAP_TEXT = st.lists(st.sampled_from(FRAGMENTS)).map("".join)
+LABEL_TEXT = st.lists(
+    st.sampled_from(FRAGMENTS + ["{" + name + "}" for name in PLACEHOLDERS]),
+    min_size=1,
+).map("".join)
+
+
+@given(
+    order=st.permutations(PLACEHOLDERS),
+    gaps=st.lists(GAP_TEXT, min_size=5, max_size=5),
+    values=st.lists(LABEL_TEXT, min_size=4, max_size=4),
+)
+def test_render_prompt_equals_the_regex_reference(order, gaps, values):
+    text = gaps[0] + "".join(
+        "{" + name + "}" + gap for name, gap in zip(order, gaps[1:])
+    )
+    try:
+        template = PromptTemplate(text)
+    except MissingPlaceholder:  # a gap spelled out a second placeholder
+        assume(False)
+    assert template.text == text
+    assert render_prompt(template, *values) == reference_render(text, *values)
+
+
+class CountingPattern:
+    """Wraps a compiled pattern and counts every method taken from it."""
+
+    def __init__(self, pattern):
+        self._pattern = pattern
+        self.calls = 0
+
+    def __getattr__(self, name):
+        self.calls += 1
+        return getattr(self._pattern, name)
+
+
+def test_a_logged_walk_builds_no_encoder_and_runs_no_regex(monkeypatch, tmp_path):
+    ids = [f"S{i:02d}" for i in range(50)]
+    source = make_ontology("S", {sid: [f"source {sid}"] for sid in ids})
+    target = make_ontology("T", {
+        f"T{sid}-{j}": [f"target {sid} {j}"] for sid in ids for j in range(4)
+    })
+    s2t = make_db("s2t", "S", "T", {
+        sid: [(f"T{sid}-{j}", 0.9 - j / 10) for j in range(4)] for sid in ids
+    })
+    client = OracleClient([(sid, f"T{sid}-2") for sid in ids],
+                          log_path=str(tmp_path / "llm_log.jsonl"))
+    template = PromptTemplate.default()
+    encoders = []
+    built = json.JSONEncoder.__init__
+
+    def counting_init(self, *args, **kwargs):
+        encoders.append(self)
+        built(self, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONEncoder, "__init__", counting_init)
+    pattern = CountingPattern(llm._PLACEHOLDER_RE)
+    monkeypatch.setattr(llm, "_PLACEHOLDER_RE", pattern)
+    with closing(client):
+        report = match_baseline(None, s2t, client, template,
+                                source_onto=source, target_onto=target)
+    assert client.query_count == 200
+    assert len(report.alignment) == 50
+    assert (encoders, pattern.calls) == ([], 0)
+    lines = (tmp_path / "llm_log.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 200
 
 
 def test_exchange_log_written_as_jsonl(tmp_path, monkeypatch):
@@ -229,6 +348,8 @@ def test_exchange_log_written_as_jsonl(tmp_path, monkeypatch):
     assert opened == [str(log_path)]
     assert len(lines) == 2
     records = [json.loads(line) for line in lines]
+    # the shared encoder writes what json.dumps writes, key order included
+    assert [json.dumps(r, ensure_ascii=False) for r in records] == lines
     assert records[0]["pair"] == ["s", "t"]
     assert records[0]["verdict"] == "Yes"
     assert records[1]["verdict"] == "No"

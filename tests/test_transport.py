@@ -15,7 +15,9 @@ import pytest
 
 import ontomatch
 from ontomatch.embedding import HttpProvider
-from ontomatch.errors import ConfigError, EndpointUnavailable, ProviderUnavailable
+from ontomatch.errors import (
+    ConfigError, EndpointUnavailable, InvalidParameter, ProviderUnavailable,
+)
 from ontomatch.llm import HttpChatClient
 from ontomatch import transport
 from ontomatch.cli import main
@@ -159,6 +161,64 @@ def test_a_url_urllib_cannot_post_to_is_refused_when_the_client_is_built(
     assert str(caught.value).startswith(f"{client.service} {message}")
     assert "secret" not in str(caught.value)
     assert caplog.records == []  # no attempt was made
+
+
+@pytest.mark.parametrize("token", [
+    "secret123\r", "secret123\n", "secret\r\n123", "\rsecret123", "secret123\u2022",
+], ids=["trailing-cr", "trailing-lf", "crlf-inside", "leading-cr", "beyond-latin-1"])
+def test_a_token_no_header_can_carry_is_refused_unseen(
+    client, caplog, monkeypatch, token
+):
+    monkeypatch.setenv("ONTOMATCH_TEST_TOKEN", token)
+    with RecordingServer(client.good) as server:
+        with pytest.raises(ConfigError) as caught:
+            client.ask(server.url, token_env="ONTOMATCH_TEST_TOKEN",
+                       backoff_seconds=0.01)
+        assert server.payloads == []
+    message = str(caught.value)
+    assert message.startswith("environment variable ONTOMATCH_TEST_TOKEN holds ")
+    assert caught.value.exit_code == 2
+    assert caplog.records == []
+    assert "secret" not in message and "secret" not in caplog.text
+
+
+def test_a_latin_1_token_is_sent_as_it_is(client, monkeypatch):
+    monkeypatch.setenv("ONTOMATCH_TEST_TOKEN", "caf\u00e9\t1")
+    with RecordingServer(client.good) as server:
+        client.ask(server.url, token_env="ONTOMATCH_TEST_TOKEN")
+        assert len(server.payloads) == 1
+        assert server.auth_headers[0].encode("latin-1") == b"Bearer caf\xe9\t1"
+
+
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+def test_a_payload_that_is_not_json_is_refused_before_any_attempt(
+    caplog, temperature
+):
+    with RecordingServer(chat_behavior(["Yes"])) as server:
+        client = HttpChatClient(server.url, model="m", temperature=temperature,
+                                backoff_seconds=5.0)
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameter) as caught:
+            client.classify("prompt")
+        assert time.perf_counter() - start < 2.0  # no backoff was slept
+        assert server.payloads == []
+    assert str(caught.value).startswith(
+        "chat endpoint request cannot be encoded as JSON: Out of range float"
+    )
+    assert caught.value.exit_code == 2
+    assert caplog.records == []
+    assert client.query_count == 0
+
+
+def test_a_payload_of_a_type_json_lacks_is_refused_before_any_attempt(caplog):
+    with RecordingServer(chat_behavior(["Yes"])) as server:
+        endpoint = Endpoint(server.url, service="chat endpoint",
+                            error=EndpointUnavailable, timeout=1.0,
+                            max_retries=3, backoff_seconds=5.0)
+        with pytest.raises(InvalidParameter, match="Object of type set is not"):
+            endpoint.post({"inputs": {"a"}})
+        assert server.payloads == []
+    assert caplog.records == []
 
 
 def test_http_proxy_variable_is_honoured(client, monkeypatch):
@@ -351,6 +411,8 @@ def test_build_kb_and_predict_load_only_what_they_run(corpus, tmp_path):
         for verb in ("build-kb", "predict"):
             loaded = _verb_modules([verb, "--config", path])
             assert sorted(match_stack & loaded) == [], (verb, path)
+            # numpy.ma comes with the first np.unique or np.union1d call
+            assert "numpy.ma" not in loaded, (verb, path)
     # a deterministic predict takes no digest and parses no JSON, so it
     # loads neither module, nor secrets for its temp-file names
     loaded = _verb_modules(["predict", "--config", deterministic])
